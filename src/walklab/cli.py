@@ -26,17 +26,16 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import exact
-from .exact import Poly, Spectrum, charpoly, extract_spectrum
+from .exact import Poly, Spectrum, charpoly
 from .feasibility import (
     REFERENCE_TABLE,
     ThetaClass,
     classify_four_eigenvalue,
     enumerate_rows,
+    render_rows,
     render_tables,
-    _row_record,
 )
 from .graphs import (
     Graph,
@@ -72,6 +71,7 @@ from .walk import (
     u_spectrum_model,
     verify_biadjacency_identities,
     walk_regularity_check,
+    walk_regularity_depth,
 )
 
 EXIT_OK = 0
@@ -181,10 +181,6 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 # reports
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _verdict_json(verdict: Periodic | NotPeriodic) -> dict:
     if isinstance(verdict, Periodic):
         return {
@@ -215,7 +211,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     k = regularity(g)
     split = is_bipartite(g)
     connected = is_connected(g)
-    spec = extract_spectrum(charpoly([list(r) for r in g.adjacency]))
+    spec = g.spectrum
     resolved = isinstance(spec, Spectrum)
     q, per_vertex = count_quadrangles(g)
     qx_constant = all(c == per_vertex[0] for c in per_vertex) if per_vertex else True
@@ -231,16 +227,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "quadrangles_per_vertex_constant": qx_constant,
     }
     if k and connected:
-        rmax = args.rmax if args.rmax else 2 * g.n
-        report["walk_regular"] = walk_regularity_check(g, rmax)
-        report["walk_regular_depth"] = rmax
-        report["hoffman"] = hoffman_check(g) if resolved else None
+        depth = walk_regularity_depth(g)
+        report["walk_regular"] = walk_regularity_check(g, depth)
+        report["walk_regular_depth"] = depth
+        report["hoffman"] = hoffman_check(g)
         verdict = decide_periodic(g, cross_check=False if args.no_oracle else None)
         report["periodicity"] = verdict.render()
         if resolved:
             rep = quadrangle_report(spec, g.n, k, g)
-            report["q_spectral"] = _frac(rep.q_spectral)
-            report["q_x_spectral"] = _frac(rep.qx_spectral)
+            report["q_spectral"] = str(rep.q_spectral)
+            report["q_x_spectral"] = str(rep.qx_spectral)
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))
         return EXIT_OK
@@ -259,8 +255,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if k and connected:
         print(f"walk-regular: {'yes' if report['walk_regular'] else 'no'}"
               f" (checked r <= {report['walk_regular_depth']})")
-        if report.get("hoffman") is not None:
-            print(f"hoffman identity: {'ok' if report['hoffman'] else 'FAILED'}")
+        print(f"hoffman identity: {'ok' if report['hoffman'] else 'FAILED'}")
         if "q_spectral" in report:
             print(f"spectral quadrangles: q={report['q_spectral']}"
                   f" q_x={report['q_x_spectral']}")
@@ -312,22 +307,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     rows = []
     for k in _parse_k_range(args.k):
         rows.extend(enumerate_rows(cls, k))
-    records = [_row_record(r) for r in rows]
-    if args.format == "json":
-        print(json.dumps(records, indent=2, ensure_ascii=False))
-    elif args.format == "csv":
-        import csv as _csv
-        import io as _io
-        from .feasibility import CSV_FIELDS
-        buf = _io.StringIO()
-        writer = _csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(records)
-        sys.stdout.write(buf.getvalue())
-    else:
-        for r in rows:
-            print(" | ".join([str(r.k), str(r.n), r.spectrum().render(), r.status,
-                              _row_record(r)["realization"], _row_record(r)["comment"]]))
+    sys.stdout.write(render_rows(rows, args.format))
     return EXIT_OK
 
 
@@ -410,12 +390,21 @@ def _check_mapping_vs_direct() -> bool:
 def _check_power_sums() -> bool:
     for name, g in _selfcheck_catalog():
         kk = regularity(g)
-        spec = extract_spectrum(charpoly([list(r) for r in g.adjacency]))
+        spec = g.spectrum
         if not isinstance(spec, Spectrum):
             return False
         if kk is not None and spec.power_sum(2) != g.n * kk:
             return False
         if is_bipartite(g) and not spec.is_symmetric():
+            return False
+    return True
+
+
+def _check_min_poly() -> bool:
+    for name, g in _selfcheck_catalog():
+        if not g.min_poly.divides(g.charpoly):
+            return False
+        if any(any(row) for row in exact.eval_poly_at_matrix(g.min_poly, g.adjacency)):
             return False
     return True
 
@@ -473,6 +462,7 @@ _SELFCHECKS = (
     ("shift involution and orthogonal evolution", _check_walk_matrices),
     ("spectral mapping equals direct charpoly", _check_mapping_vs_direct),
     ("power sums and bipartite symmetry", _check_power_sums),
+    ("minimal polynomial annihilates A and divides the charpoly", _check_min_poly),
     ("quadrangle counts (walk bookkeeping = enumeration)", _check_quadrangles),
     ("hoffman identity on connected regular graphs", _check_hoffman),
     ("biadjacency block identities", _check_biadjacency),
@@ -524,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full exact report on one graph")
     _add_graph_source(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--rmax", type=int, default=0,
-                   help="walk-regularity depth (default 2n)")
     p.add_argument("--no-oracle", action="store_true",
                    help="skip the direct-charpoly cross-check")
     p.set_defaults(fn=cmd_analyze)

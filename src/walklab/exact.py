@@ -52,10 +52,6 @@ class Poly:
     def x(cls) -> Poly:
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, coeff: int | Fraction, power: int) -> Poly:
-        return cls([0] * power + [coeff])
-
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
@@ -168,6 +164,18 @@ class Poly:
     def divides(self, other: Poly) -> bool:
         return divmod(other, self)[1].is_zero()
 
+    def gcd(self, other: Poly) -> Poly:
+        """Monic greatest common divisor (zero when both are zero), by
+        Euclid with each remainder scaled to coprime integer coefficients
+        so that the rationals do not grow from step to step."""
+        a, b = self, other
+        while b:
+            a, b = b, _primitive(a % b)
+        return a * (1 / a.leading()) if a else a
+
+    def derivative(self) -> Poly:
+        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+
     def __call__(self, x):
         """Horner evaluation; works for any value supporting + and *."""
         if not self.coeffs:
@@ -214,6 +222,12 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _primitive(p: Poly) -> Poly:
+    """The multiple of p with coprime integer coefficients."""
+    (ints,), _ = _clear_denominators([p.coeffs])
+    return Poly([x // math.gcd(*ints) for x in ints])
 
 
 # ---------------------------------------------------------------------------
@@ -845,11 +859,6 @@ def mat_identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> list[list]:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 _INT64_SAFE = 2 ** 62
 
 
@@ -926,18 +935,17 @@ def kernel_dim(mat: Matrix) -> int:
     return n - rank(mat)
 
 
-def eval_poly_at_matrix(p: Poly, a: Matrix) -> list[list[Fraction]]:
-    """Exact Horner evaluation p(a)."""
+def eval_poly_at_matrix(p: Poly, a: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Exact p(a) for an integer matrix a, by Horner with integer matrix
+    products on the denominator-cleared coefficients of p."""
+    (coeffs,), den = _clear_denominators([p.coeffs or (0,)])
     n = len(a)
-    af = [[Fraction(x) for x in row] for row in a]
-    if p.is_zero():
-        return [[Fraction(0)] * n for _ in range(n)]
-    acc = [[p.coeffs[-1] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for c in reversed(p.coeffs[:-1]):
-        acc = mat_mul(acc, af)
+    acc = [[coeffs[-1] if i == j else 0 for j in range(n)] for i in range(n)]
+    for c in reversed(coeffs[:-1]):
+        acc = int_matmul(acc, a)
         for i in range(n):
             acc[i][i] += c
-    return acc
+    return [[Fraction(x, den) for x in row] for row in acc]
 
 
 # ---------------------------------------------------------------------------

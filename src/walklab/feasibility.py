@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .exact import QuadraticNumber, Spectrum, charpoly, extract_spectrum
+from .exact import QuadraticNumber, Spectrum
 from .graphs import (
     Graph,
     bipartite_double,
@@ -405,8 +405,7 @@ def verify_realization(row: FeasibleRow) -> bool:
     if entry is None:
         return True
     _, builder = entry
-    g = builder()
-    spec = extract_spectrum(charpoly([list(r) for r in g.adjacency]))
+    spec = builder().spectrum
     if not isinstance(spec, Spectrum):
         return False
     return spec == row.spectrum()
@@ -445,6 +444,25 @@ def _row_record(row: FeasibleRow) -> dict[str, str]:
     }
 
 
+def render_rows(rows: list[FeasibleRow], fmt: str) -> str:
+    """Rows as csv or json records, exact rationals as strings, or as
+    text lines "k | n | spectrum | status | realization | comment"."""
+    if fmt == "text":
+        return "".join(" | ".join([
+            str(r.k), str(r.n), r.spectrum().render(), r.status,
+            row_existence(r), row_comment(r)]) + "\n" for r in rows)
+    records = [_row_record(r) for r in rows]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
+        return buf.getvalue()
+    if fmt == "json":
+        return json.dumps(records, indent=2, ensure_ascii=False) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")
+
+
 def render_tables(k_max: int, fmt: str = "text", verify: bool = True) -> str:
     """Deterministic table of all rows for even k <= k_max, sorted by
     (class, k, n).  Registry realizations are reconstructed and their
@@ -455,30 +473,16 @@ def render_tables(k_max: int, fmt: str = "text", verify: bool = True) -> str:
             if not verify_realization(row):
                 raise AssertionError(
                     f"registry spectrum mismatch at ({row.theta_class}, {row.k}, {row.n})")
-    records = [_row_record(r) for r in rows]
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(records)
-        return buf.getvalue()
-    if fmt == "json":
-        return json.dumps(records, indent=2, ensure_ascii=False) + "\n"
     if fmt != "text":
-        raise ValueError(f"unknown format {fmt!r}")
-    lines = []
+        return render_rows(rows, fmt)
+    blocks = []
     for cls in ThetaClass:
         cls_rows = [r for r in rows if r.theta_class is cls]
-        if not cls_rows:
-            continue
-        lines.append(f"theta-class {cls.value}")
-        lines.append("k | n | spectrum | status | realization | comment")
-        for r in cls_rows:
-            lines.append(" | ".join([
-                str(r.k), str(r.n), r.spectrum().render(), r.status,
-                row_existence(r), row_comment(r)]))
-        lines.append("")
-    return "\n".join(lines)
+        if cls_rows:
+            blocks.append(f"theta-class {cls.value}\n"
+                          "k | n | spectrum | status | realization | comment\n"
+                          + render_rows(cls_rows, "text"))
+    return "\n".join(blocks)
 
 
 def read_tables_csv(text: str) -> list[dict[str, str]]:

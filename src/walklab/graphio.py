@@ -126,10 +126,13 @@ def _looks_like_graph6(text: str) -> bool:
 def load(text: str) -> Graph:
     """Auto-detecting reader: graph6 when the first line carries the
     optional header or stays inside the graph6 charset, edge list
-    otherwise (digits fall below chr(63), so "n m" headers never collide)."""
+    otherwise (digits fall below chr(63), so "n m" headers never collide).
+    A graph6 text must hold exactly one graph."""
     if _looks_like_graph6(text):
-        first = next(line for line in text.splitlines() if line.strip())
-        return from_graph6(first)
+        lines = [line for line in text.splitlines() if line.strip()]
+        if len(lines) > 1:
+            raise GraphError(f"graph6 text holds {len(lines)} graphs; expected one")
+        return from_graph6(lines[0])
     return from_edge_list(text)
 
 

@@ -7,9 +7,10 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
-from .exact import int_matmul
+from .exact import Poly, Spectrum, Unresolved, charpoly, extract_spectrum, int_matmul
 
 DEFAULT_MAX_VERTICES = 4096
 
@@ -23,9 +24,12 @@ def _max_vertices() -> int:
     if raw is None:
         return DEFAULT_MAX_VERTICES
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return DEFAULT_MAX_VERTICES
+        raise GraphError(f"WALKLAB_MAX_VERTICES is not an integer: {raw!r}") from None
+    if cap < 1:
+        raise GraphError(f"WALKLAB_MAX_VERTICES must be at least 1, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,22 @@ class Graph:
     def neighbors(self, v: int) -> list[int]:
         return [u for u, x in enumerate(self.adjacency[v]) if x]
 
-    def adjacency_lists(self) -> list[list[int]]:
-        return [self.neighbors(v) for v in range(self.n)]
+    @cached_property
+    def charpoly(self) -> Poly:
+        """Adjacency characteristic polynomial, computed once per graph."""
+        return charpoly([list(row) for row in self.adjacency])
+
+    @cached_property
+    def min_poly(self) -> Poly:
+        """Minimal polynomial of the adjacency matrix: p / gcd(p, p'),
+        exact because A is symmetric and therefore diagonalizable."""
+        p = self.charpoly
+        return p.exact_div(p.gcd(p.derivative()))
+
+    @cached_property
+    def spectrum(self) -> Spectrum | Unresolved:
+        """Exact adjacency spectrum, or what resisted extraction."""
+        return extract_spectrum(self.charpoly)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"

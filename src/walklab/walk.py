@@ -25,11 +25,10 @@ from .exact import (
     _primes_below,
     charpoly,
     cyclotomic_sieve,
-    extract_spectrum,
     int_mat_power,
+    eval_poly_at_matrix,
     int_matmul,
     is_quadratic_algebraic_integer,
-    kernel_dim,
 )
 from .graphs import (
     ArcSpace,
@@ -167,12 +166,12 @@ def u_charpoly_via_mapping(adj_charpoly: Poly, k: int, edges: int, vertices: int
 
 def u_spectrum_model(g: Graph) -> USpectrumModel:
     k = _require_regular_connected(g)
-    adj = [list(row) for row in g.adjacency]
-    p_a = charpoly(adj)
-    shifted = [[adj[i][j] + (k if i == j else 0) for j in range(g.n)] for i in range(g.n)]
-    ker = kernel_dim(shifted)
-    u_poly = u_charpoly_via_mapping(p_a, k, g.edge_count, g.n, ker)
-    spec = extract_spectrum(p_a)
+    # dim Ker(A + kI) is the multiplicity of -k: A is diagonalizable
+    ker, rest = 0, g.charpoly
+    while rest(-k) == 0:
+        ker, rest = ker + 1, rest.exact_div(Poly([k, 1]))
+    u_poly = u_charpoly_via_mapping(g.charpoly, k, g.edge_count, g.n, ker)
+    spec = g.spectrum
     t_entries = spec.scaled(Fraction(1, k)) if isinstance(spec, Spectrum) else None
     return USpectrumModel(
         t_entries=t_entries,
@@ -312,10 +311,18 @@ def eigenvalue_gate(k: int, theta: QuadraticNumber) -> bool:
 # structural checks
 
 
+def walk_regularity_depth(g: Graph) -> int:
+    """Depth that decides walk-regularity: A^r for r >= deg m_A is a
+    rational combination of lower powers, so diag(A^r) is constant for
+    every r once it is constant for 2 <= r < deg m_A."""
+    return max(2, g.min_poly.degree() - 1)
+
+
 def walk_regularity_check(g: Graph, r_max: int | None = None) -> bool:
-    """True iff diag(A^r) is constant for all 2 <= r <= r_max (default 2n)."""
+    """True iff diag(A^r) is constant for all 2 <= r <= r_max (default
+    walk_regularity_depth, which decides it for every r)."""
     if r_max is None:
-        r_max = 2 * g.n
+        r_max = walk_regularity_depth(g)
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     adj = [list(row) for row in g.adjacency]
@@ -328,48 +335,16 @@ def walk_regularity_check(g: Graph, r_max: int | None = None) -> bool:
     return True
 
 
-def _distinct_minus_top(spec: Spectrum, k: int) -> Poly:
-    """Product of (x - lambda) over the distinct eigenvalues other than k,
-    with conjugate surd pairs merged into rational quadratics."""
-    out = Poly.one()
-    top = QuadraticNumber(k)
-    seen: set[QuadraticNumber] = set()
-    for value in spec.values():
-        if value == top or value in seen:
-            continue
-        if value.is_rational:
-            out = out * Poly([-value.a, 1])
-        else:
-            conj = value.conjugate()
-            norm = value.a * value.a - value.b * value.b * value.m
-            out = out * Poly([norm, -2 * value.a, 1])
-            seen.add(conj)
-        seen.add(value)
-    return out
-
-
 def hoffman_check(g: Graph) -> bool:
-    """Exact check of q(A) = (q(k)/n) J with q the product of (x - lambda)
-    over the distinct non-principal eigenvalues.  Holds exactly for
+    """Exact check of q(A) = (q(k)/n) J with q = m_A / (x - k), the product
+    of (x - lambda) over the distinct non-principal eigenvalues.  Holds for
     connected regular graphs; fails when the graph is disconnected."""
     k = regularity(g)
     if k is None or k == 0:
         raise NotRegularError("graph is not regular (or has no edges)")
-    spec = extract_spectrum(charpoly([list(r) for r in g.adjacency]))
-    if isinstance(spec, Unresolved):
-        raise UnresolvedSpectrumError(f"spectrum did not resolve: {spec.residual}")
-    q = _distinct_minus_top(spec, k)
-    # integer Horner after clearing denominators keeps the matmuls fast
-    denom = math.lcm(*(c.denominator for c in q.coeffs))
-    coeffs = [int(c * denom) for c in q.coeffs]
-    adj = [list(row) for row in g.adjacency]
-    acc = [[coeffs[-1] if i == j else 0 for j in range(g.n)] for i in range(g.n)]
-    for c in reversed(coeffs[:-1]):
-        acc = int_matmul(acc, adj)
-        for i in range(g.n):
-            acc[i][i] += c
-    scale = Fraction(sum(c * k ** i for i, c in enumerate(coeffs)), g.n)
-    return all(acc[i][j] == scale for i in range(g.n) for j in range(g.n))
+    q = g.min_poly.exact_div(Poly([-k, 1]))
+    scale = q(k) / g.n
+    return all(x == scale for row in eval_poly_at_matrix(q, g.adjacency) for x in row)
 
 
 @dataclass(frozen=True)
@@ -432,7 +407,7 @@ def verify_biadjacency_identities(g: Graph) -> bool:
     split = is_bipartite(g)
     if split is None:
         raise SpectrumShapeError("graph is not bipartite")
-    spec = extract_spectrum(charpoly([list(r) for r in g.adjacency]))
+    spec = g.spectrum
     if isinstance(spec, Unresolved):
         raise UnresolvedSpectrumError(f"spectrum did not resolve: {spec.residual}")
     shape = _five_eig_shape(spec, k)

@@ -2,13 +2,15 @@
 determinism, file auto-detection, and the selfcheck fault injection."""
 
 import json
+import sys
 
 import pytest
 
 from walklab import exact
 from walklab.cli import ExprError, main, parse_expr
 from walklab.exact import Poly
-from walklab.graphs import cycle, tensor_allones
+from walklab.graphio import to_graph6
+from walklab.graphs import cycle, petersen, tensor_allones
 
 
 def _run(capsys, *argv):
@@ -81,6 +83,14 @@ def test_period_from_graph6_file(tmp_path, capsys):
     assert code == 2 and "witness=1/3" in out
 
 
+def test_period_rejects_a_multi_graph_graph6_file(tmp_path, capsys):
+    path = tmp_path / "two.g6"
+    path.write_text(to_graph6(cycle(6)) + "\n" + to_graph6(petersen()) + "\n")
+    code, out, err = _run(capsys, "period", "--file", str(path))
+    assert code == 1 and out == ""
+    assert "2 graphs" in err
+
+
 def test_period_input_errors(capsys):
     code, _, err = _run(capsys, "period", "--expr", "kbip(1,3)")
     assert code == 1 and "NotRegular" in err
@@ -111,6 +121,38 @@ def test_analyze_json(capsys):
     payload = json.loads(out)
     assert payload["spectrum"] == "{[±2]^1, [±√2]^2, [0]^2}"
     assert payload["regular"] == 2 and payload["periodicity"].startswith("PERIODIC")
+
+
+def test_analyze_unresolved_spectrum_gets_hoffman_and_min_poly_depth(capsys):
+    code, out, _ = _run(capsys, "analyze", "--expr", "cycle(7)", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["spectrum"] is None
+    assert payload["hoffman"] is True
+    # m_A = (x - 2)(x^3 + x^2 - 2x - 1), so r <= 3 decides walk-regularity
+    assert payload["walk_regular"] is True and payload["walk_regular_depth"] == 3
+    code, out, _ = _run(capsys, "analyze", "--expr", "cycle(7)")
+    assert "walk-regular: yes (checked r <= 3)" in out
+    assert "hoffman identity: ok" in out
+    with pytest.raises(SystemExit):
+        main(["analyze", "--expr", "cycle(7)", "--rmax", "4"])
+
+
+def test_analyze_computes_the_adjacency_charpoly_once(capsys, monkeypatch):
+    real = exact.charpoly
+    sizes = []
+
+    def counting(mat):
+        sizes.append(len(mat))
+        return real(mat)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("walklab") and getattr(mod, "charpoly", None) is real:
+            monkeypatch.setattr(mod, "charpoly", counting)
+    code, _, _ = _run(capsys, "analyze", "--expr", "cycle(8)")
+    assert code == 0
+    assert sizes.count(8) == 1
+    assert sizes.count(16) == 1  # the direct cross-check on the 16 arcs
 
 
 def test_analyze_irregular_graph(capsys):
@@ -206,6 +248,14 @@ def test_selfcheck_detects_corrupted_cyclotomic(capsys, monkeypatch):
     code, out, _ = _run(capsys, "selfcheck")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_selfcheck_detects_a_wrong_minimal_polynomial(capsys, monkeypatch):
+    # a gcd equal to p itself makes m_A = 1, which cannot annihilate A
+    monkeypatch.setattr(Poly, "gcd", lambda self, other: self)
+    code, out, _ = _run(capsys, "selfcheck")
+    assert code == 1
+    assert "FAIL minimal polynomial annihilates A and divides the charpoly" in out
 
 
 def test_period_no_oracle_flag(capsys):

@@ -442,8 +442,25 @@ def test_rank_against_gauss_oracle():
         assert rank(m) == _gauss_rank(m), m
 
 
+def test_poly_gcd_and_derivative():
+    a = Poly([-1, 1]) ** 2 * Poly([2, 1])
+    b = Poly([-1, 1]) * Poly([3, 1]) * 5
+    assert a.gcd(b) == Poly([-1, 1])
+    assert b.gcd(a) == Poly([-1, 1])
+    assert a.gcd(a.derivative()) == Poly([-1, 1])
+    assert (a * Fraction(1, 3)).gcd(b) == Poly([-1, 1])
+    assert Poly([1, 1]).gcd(Poly([2, 1])) == Poly.one()
+    assert a.gcd(Poly.zero()) == a
+    assert Poly.zero().gcd(Poly.zero()) == Poly.zero()
+    assert Poly([5, 0, 0, 2]).derivative() == Poly([0, 0, 6])
+    assert Poly([7]).derivative() == Poly.zero()
+
+
 def test_hoffman_polynomial_evaluation():
     # q(x) = x (x + 3) at the adjacency of K_{3,3} equals 3 J
     a = _adj(complete_bipartite(3, 3))
     value = eval_poly_at_matrix(Poly([0, 3, 1]), a)
     assert all(x == 3 for row in value for x in row)
+    value = eval_poly_at_matrix(Poly([0, 3, 1]) * Fraction(1, 6), a)
+    assert all(x == Fraction(1, 2) for row in value for x in row)
+    assert eval_poly_at_matrix(Poly.zero(), a) == [[0] * 6 for _ in range(6)]

@@ -238,6 +238,13 @@ def test_vertex_cap(monkeypatch):
     assert cycle(6).n == 6
 
 
+def test_vertex_cap_rejects_bad_values(monkeypatch):
+    for raw in ("abc", "4.5", "0", "-3"):
+        monkeypatch.setenv("WALKLAB_MAX_VERTICES", raw)
+        with pytest.raises(GraphError, match=f"WALKLAB_MAX_VERTICES.*{raw}"):
+            cycle(6)
+
+
 # ---------------------------------------------------------------------------
 # quadrangles
 

@@ -16,8 +16,11 @@ from walklab.exact import (
     cyclotomic,
     extract_spectrum,
     int_mat_power,
+    eval_poly_at_matrix,
     int_matmul,
+    kernel_dim,
 )
+from walklab.cli import _selfcheck_catalog
 from walklab.graphs import (
     Graph,
     arc_space,
@@ -416,6 +419,7 @@ def test_walk_regularity():
 def test_hoffman_examples():
     assert hoffman_check(complete_bipartite(3, 3))
     assert hoffman_check(cycle(6))
+    assert hoffman_check(cycle(7))  # the spectrum does not resolve
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
                                          (3, 4), (4, 5), (3, 5)])
     assert not hoffman_check(two_triangles)
@@ -424,6 +428,47 @@ def test_hoffman_examples():
 def test_hoffman_on_catalog():
     for name, g in SMALL_REGULAR:
         assert hoffman_check(g), name
+
+
+# two copies of K4 minus an edge, their degree-2 vertices joined across:
+# connected and cubic, but vertex 0 lies on one triangle and vertex 2 on two
+CUBIC8_NOT_WALK_REGULAR = Graph.from_edges(8, [
+    (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+    (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
+    (0, 4), (1, 5)])
+
+DERIVATION_GRAPHS = _selfcheck_catalog() + [
+    ("C7", cycle(7)), ("C9", cycle(9)), ("cubic8", CUBIC8_NOT_WALK_REGULAR)]
+
+
+def test_minus_k_multiplicity_equals_kernel_dim():
+    for name, g in DERIVATION_GRAPHS:
+        k = g.degree(0)
+        shifted = [[x + (k if i == j else 0) for j, x in enumerate(row)]
+                   for i, row in enumerate(g.adjacency)]
+        ker = kernel_dim(shifted)
+        assert u_spectrum_model(g).m_minus == g.edge_count - g.n + ker, name
+
+
+def test_min_poly_from_the_charpoly():
+    for name, g in DERIVATION_GRAPHS:
+        m, p = g.min_poly, g.charpoly
+        assert m.is_monic() and m.divides(p), name
+        assert all(x == 0 for row in eval_poly_at_matrix(m, g.adjacency) for x in row), name
+        # squarefree with every eigenvalue as a root: nothing is missing
+        assert m.gcd(m.derivative()) == Poly.one(), name
+        assert p.divides(m ** g.n), name
+        if isinstance(g.spectrum, Spectrum):
+            distinct = Spectrum.from_pairs((v, 1) for v in g.spectrum.values())
+            assert m == distinct.charpoly(), name
+    assert not isinstance(cycle(7).spectrum, Spectrum)
+
+
+def test_walk_regularity_default_depth_matches_2n():
+    for name, g in DERIVATION_GRAPHS:
+        assert walk_regularity_check(g) == walk_regularity_check(g, 2 * g.n), name
+    assert not walk_regularity_check(CUBIC8_NOT_WALK_REGULAR)
+    assert hoffman_check(CUBIC8_NOT_WALK_REGULAR)
 
 
 def test_quadrangle_report_table_rows():
