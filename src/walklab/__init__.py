@@ -20,7 +20,6 @@ from .exact import (
     is_quadratic_algebraic_integer,
     kernel_dim,
     min_poly_2cos,
-    order_of_cos_pair,
     squarefree_part,
 )
 from .feasibility import (

@@ -77,6 +77,7 @@ from .walk import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOT_PERIODIC = 2
+EXIT_INTERNAL = 3
 
 
 class ExprError(ValueError):
@@ -198,7 +199,7 @@ def _verdict_json(verdict: Periodic | NotPeriodic) -> dict:
 
 def cmd_period(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    verdict = decide_periodic(g, cross_check=False if args.no_oracle else None)
+    verdict = decide_periodic(g)
     if args.format == "json":
         print(json.dumps(_verdict_json(verdict), sort_keys=True))
     else:
@@ -231,8 +232,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         report["walk_regular"] = walk_regularity_check(g, depth)
         report["walk_regular_depth"] = depth
         report["hoffman"] = hoffman_check(g)
-        verdict = decide_periodic(g, cross_check=False if args.no_oracle else None)
-        report["periodicity"] = verdict.render()
+        report["periodicity"] = decide_periodic(g).render()
         if resolved:
             rep = quadrangle_report(spec, g.n, k, g)
             report["q_spectral"] = str(rep.q_spectral)
@@ -359,6 +359,12 @@ def _check_sieve_reconstruction() -> bool:
         for d, mult in res.orders:
             rebuilt = rebuilt * exact.cyclotomic(d) ** mult
         if rebuilt * res.residual != model.u_charpoly:
+            return False
+        # the vertex-side decision must find the same cyclotomic orders
+        verdict = decide_periodic(g)
+        if isinstance(verdict, Periodic) != res.full:
+            return False
+        if res.full and verdict.cyclotomic_orders != res.orders:
             return False
     return True
 
@@ -514,14 +520,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full exact report on one graph")
     _add_graph_source(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--no-oracle", action="store_true",
-                   help="skip the direct-charpoly cross-check")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("period", help="periodicity verdict (exit 2 when not periodic)")
     _add_graph_source(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--no-oracle", action="store_true")
     p.set_defaults(fn=cmd_period)
 
     p = sub.add_parser("construct", help="build a graph and write it to a file")
@@ -576,6 +579,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except AssertionError as exc:  # a broken invariant of the engine
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

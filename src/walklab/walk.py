@@ -23,12 +23,11 @@ from .exact import (
     Spectrum,
     Unresolved,
     _primes_below,
-    charpoly,
-    cyclotomic_sieve,
-    int_mat_power,
     eval_poly_at_matrix,
+    int_mat_power,
     int_matmul,
     is_quadratic_algebraic_integer,
+    min_poly_2cos,
 )
 from .graphs import (
     ArcSpace,
@@ -115,9 +114,9 @@ def build_walk_matrices(g: Graph) -> WalkMatrices:
 class USpectrumModel:
     """Time-evolution spectrum data derived from the vertex spectrum:
     the eigenvalue pairs e^{+-i arccos(lambda)} over the discriminant
-    spectrum, plus +1 and -1 with the cycle-space multiplicities."""
+    spectrum, plus +1 and -1 with the cycle-space multiplicities.  An
+    oracle for decide_periodic, used by the tests and selfcheck."""
 
-    t_entries: Spectrum | None
     m_plus: int
     m_minus: int
     u_charpoly: Poly
@@ -171,10 +170,7 @@ def u_spectrum_model(g: Graph) -> USpectrumModel:
     while rest(-k) == 0:
         ker, rest = ker + 1, rest.exact_div(Poly([k, 1]))
     u_poly = u_charpoly_via_mapping(g.charpoly, k, g.edge_count, g.n, ker)
-    spec = g.spectrum
-    t_entries = spec.scaled(Fraction(1, k)) if isinstance(spec, Spectrum) else None
     return USpectrumModel(
-        t_entries=t_entries,
         m_plus=g.edge_count - g.n + 1,
         m_minus=g.edge_count - g.n + ker,
         u_charpoly=u_poly,
@@ -212,36 +208,48 @@ class NotPeriodic:
 PeriodicityVerdict = Periodic | NotPeriodic
 
 
-def decide_periodic(g: Graph, cross_check: bool | None = None) -> PeriodicityVerdict:
+def decide_periodic(g: Graph) -> PeriodicityVerdict:
     """Decide periodicity of the Grover walk on a connected regular graph.
 
-    The complete decision path divides every cyclotomic factor out of the
-    mapped time-evolution charpoly: the walk is periodic iff nothing is
-    left, and the period is the lcm of the cyclotomic orders.  When the
-    vertex spectrum resolves into quadratic surds, a violation of the
-    algebraic-integer condition on 2*lambda gives a fast negative
-    certificate with a witness eigenvalue.  For small instances the
-    mapped polynomial is cross-checked against the directly computed one.
+    The eigenvalues of 2T = 2A/k lie in [-2, 2], so by Kronecker's theorem
+    the walk is periodic iff the monic p_2T(x) = (2/k)^n p_A(kx/2) has
+    integer coefficients; its roots are then of the form 2cos(2*pi*j/d).
+    A non-integral p_2T is refuted with a witness eigenvalue lambda/k
+    (2*lambda/k not an algebraic integer) when the vertex spectrum
+    resolves into quadratic surds, and with p_2T itself otherwise.  An
+    integral p_2T is sieved by the minimal polynomials psi_d of
+    2cos(2*pi/d), whose multiplicities map onto the cyclotomic orders of
+    U: Phi_d takes that of psi_d for d >= 3, and Phi_1 and Phi_2 add the
+    flat +1 and -1 eigenspaces of dimensions E - n + 1 and E - n + ker,
+    where ker = mult(psi_2) = dim Ker(A + kI).
     """
     k = _require_regular_connected(g)
-    model = u_spectrum_model(g)
-    if cross_check is None:
-        cross_check = 2 * g.edge_count <= DIRECT_CHECK_MAX_ARCS
-    if cross_check:
-        if 2 * g.edge_count > DIRECT_CHECK_MAX_ARCS:
-            raise ValueError("direct cross-check limited to 200 arcs")
-        wm = build_walk_matrices(g)
-        direct = charpoly([list(row) for row in wm.time_evolution])
-        if direct != model.u_charpoly:
-            raise AssertionError("spectral mapping disagrees with direct charpoly")
-    if model.t_entries is not None:
-        for t_eig in model.t_entries.values():
-            if not is_quadratic_algebraic_integer(t_eig * 2):
-                return NotPeriodic(witness=t_eig, residual=None)
-    sieve = cyclotomic_sieve(model.u_charpoly)
-    if sieve.full:
-        return Periodic(period=sieve.order_lcm(), cyclotomic_orders=sieve.orders)
-    return NotPeriodic(witness=None, residual=sieve.residual)
+    n, edges = g.n, g.edge_count
+    p2t = g.charpoly.scale_arg(Fraction(k, 2)) * Fraction(2 ** n, k ** n)
+    if not p2t.is_integral():
+        spec = g.spectrum
+        if isinstance(spec, Spectrum):
+            for t_eig in spec.scaled(Fraction(1, k)).values():
+                if not is_quadratic_algebraic_integer(t_eig * 2):
+                    return NotPeriodic(witness=t_eig, residual=None)
+        return NotPeriodic(witness=None, residual=p2t)
+    mult: dict[int, int] = {}
+    residual, d = p2t, 1
+    while residual.degree() > 0:
+        # psi_d has degree phi(d)/2 <= n, so d <= 8n^2 (plus d = 1, 2)
+        if d > 8 * n * n + 2:
+            raise AssertionError(f"integral p_2T has a residual {residual} "
+                                 "without 2cos roots")
+        psi = min_poly_2cos(d)
+        while psi.divides(residual):
+            residual = residual.exact_div(psi)
+            mult[d] = mult.get(d, 0) + 1
+        d += 1
+    mult[1] = mult.get(1, 0) + edges - n + 1
+    mult[2] = 2 * mult.get(2, 0) + edges - n
+    orders = tuple(sorted((d, m) for d, m in mult.items() if m))
+    return Periodic(period=math.lcm(*(d for d, _ in orders)),
+                    cyclotomic_orders=orders)
 
 
 def period_oracle(g: Graph, tau_max: int = 2 * math.lcm(*range(1, 25))) -> int | None:

@@ -142,7 +142,7 @@ def test_criterion_3_eigenvalue_gate_and_witnesses():
         shape = _shape_k_theta(spec, k)
         if shape is None:
             continue
-        verdict = decide_periodic(g, cross_check=2 * g.edge_count <= 200)
+        verdict = decide_periodic(g)
         if isinstance(verdict, Periodic):
             theta, _ = shape
             assert eigenvalue_gate(k, theta), name

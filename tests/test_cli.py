@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from walklab import exact
+from walklab import exact, walk
 from walklab.cli import ExprError, main, parse_expr
 from walklab.exact import Poly
 from walklab.graphio import to_graph6
@@ -151,8 +151,7 @@ def test_analyze_computes_the_adjacency_charpoly_once(capsys, monkeypatch):
             monkeypatch.setattr(mod, "charpoly", counting)
     code, _, _ = _run(capsys, "analyze", "--expr", "cycle(8)")
     assert code == 0
-    assert sizes.count(8) == 1
-    assert sizes.count(16) == 1  # the direct cross-check on the 16 arcs
+    assert sizes == [8]  # no charpoly of the 16x16 time evolution
 
 
 def test_analyze_irregular_graph(capsys):
@@ -245,7 +244,10 @@ def test_selfcheck_detects_corrupted_cyclotomic(capsys, monkeypatch):
         return real(d)
 
     monkeypatch.setattr(exact, "cyclotomic", corrupted)
-    code, out, _ = _run(capsys, "selfcheck")
+    try:
+        code, out, _ = _run(capsys, "selfcheck")
+    finally:  # min_poly_2cos may have cached a value built from the wrong Phi_6
+        exact.min_poly_2cos.cache_clear()
     assert code == 1
     assert "FAIL" in out
 
@@ -258,7 +260,16 @@ def test_selfcheck_detects_a_wrong_minimal_polynomial(capsys, monkeypatch):
     assert "FAIL minimal polynomial annihilates A and divides the charpoly" in out
 
 
-def test_period_no_oracle_flag(capsys):
-    code, out, _ = _run(capsys, "period", "--expr", "tensorj(cycle(8),3)",
-                        "--no-oracle")
-    assert code == 0 and "period=8" in out
+def test_period_rejects_the_removed_no_oracle_flag(capsys):
+    for command in ("period", "analyze"):
+        with pytest.raises(SystemExit):
+            main([command, "--expr", "tensorj(cycle(8),3)", "--no-oracle"])
+
+
+def test_broken_invariant_exits_internal(capsys, monkeypatch):
+    # a wrong psi_d never divides p_2T, so the 2cos sieve runs past its
+    # Kronecker bound and reports a broken invariant
+    monkeypatch.setattr(walk, "min_poly_2cos", lambda d: Poly([1, 0, 1]))
+    code, out, err = _run(capsys, "period", "--expr", "cycle(6)")
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal: ")

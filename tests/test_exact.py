@@ -30,11 +30,12 @@ from walklab.exact import (
     kernel_dim,
     mat_identity,
     min_poly_2cos,
-    order_of_cos_pair,
     rank,
     squarefree_part,
 )
 from walklab.graphs import complete_bipartite, cycle, hypercube, line_graph, petersen
+
+from oracles import order_of_cos_pair
 
 
 def _adj(g):

@@ -177,7 +177,7 @@ def test_realizations_verify():
 def test_realization_graphs_are_periodic():
     for (cls, k, n), (label, builder) in REALIZATIONS.items():
         g = builder()
-        verdict = decide_periodic(g, cross_check=2 * g.edge_count <= 200)
+        verdict = decide_periodic(g)
         assert isinstance(verdict, Periodic), label
         assert verdict.period == (12 if cls is ThetaClass.HALF else 8), label
 

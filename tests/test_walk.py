@@ -4,6 +4,7 @@ matrix-power oracle, the eigenvalue gate, and the structural identity
 checks."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from walklab.exact import (
     Spectrum,
     charpoly,
     cyclotomic,
+    cyclotomic_sieve,
     extract_spectrum,
     int_mat_power,
     eval_poly_at_matrix,
@@ -21,6 +23,7 @@ from walklab.exact import (
     kernel_dim,
 )
 from walklab.cli import _selfcheck_catalog
+from walklab.feasibility import REALIZATIONS
 from walklab.graphs import (
     Graph,
     arc_space,
@@ -31,6 +34,7 @@ from walklab.graphs import (
     cycle,
     hamming,
     hypercube,
+    is_connected,
     line_graph,
     petersen,
     tensor_allones,
@@ -52,6 +56,8 @@ from walklab.walk import (
     verify_biadjacency_identities,
     walk_regularity_check,
 )
+
+from oracles import order_of_cos_pair
 
 SMALL_REGULAR = [
     ("K2", complete_graph(2)),
@@ -233,12 +239,75 @@ def _circulant(n, jumps):
 
 def test_not_periodic_with_residual_certificate():
     # the 9-vertex circulant (1,2) has an unresolvable vertex spectrum;
-    # the sieve still refutes periodicity and hands back the residual
+    # the integrality test still refutes periodicity and hands back p_2T
     v = decide_periodic(_circulant(9, (1, 2)))
     assert isinstance(v, NotPeriodic)
     assert v.witness is None and v.residual is not None
     assert v.residual.degree() > 0
+    assert not v.residual.is_integral()
     assert period_oracle(_circulant(9, (1, 2)), 200) is None
+
+
+def _random_regular(n, k, rng):
+    """Connected simple k-regular graph on n vertices: configuration model,
+    rejecting loops, repeated edges and disconnected pairings."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(k)]
+        rng.shuffle(stubs)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == n * k // 2 and all(u != v for u, v in edges):
+            g = Graph.from_edges(n, sorted(edges))
+            if is_connected(g):
+                return g
+
+
+def _assert_vertex_decision_matches_u_side(name, g):
+    """The vertex-side decision against the U-side oracles: the cyclotomic
+    sieve of the mapped U-charpoly and, up to 200 arcs, the direct
+    U-charpoly and the matrix-power period."""
+    verdict = decide_periodic(g)
+    model = u_spectrum_model(g)
+    sieve = cyclotomic_sieve(model.u_charpoly)
+    assert isinstance(verdict, Periodic) == sieve.full, name
+    if sieve.full:
+        assert verdict.cyclotomic_orders == sieve.orders, name
+        assert verdict.period == sieve.order_lcm(), name
+    if 2 * g.edge_count > 200:
+        return
+    direct = charpoly([list(r) for r in build_walk_matrices(g).time_evolution])
+    assert direct == model.u_charpoly, name
+    if isinstance(verdict, Periodic):
+        assert period_oracle(g, 2 * verdict.period) == verdict.period, name
+    else:
+        assert period_oracle(g, 24) is None, name
+
+
+def test_vertex_decision_matches_u_side_oracles():
+    graphs = list(_selfcheck_catalog())
+    graphs += [(label, builder()) for label, builder in REALIZATIONS.values()]
+    graphs += [(f"C{n}", cycle(n)) for n in range(3, 13)]
+    graphs += [(f"circulant({n};1,2)", _circulant(n, (1, 2))) for n in (8, 9)]
+    rng = random.Random(20211)
+    graphs += [(f"random k={k} n={n} #{i}", _random_regular(n, k, rng))
+               for k, sizes in ((3, (6, 8, 10, 12)), (4, (7, 8, 9, 10, 11, 12)))
+               for n in sizes for i in range(2)]
+    for name, g in graphs:
+        _assert_vertex_decision_matches_u_side(name, g)
+
+
+def test_vertex_decision_matches_u_side_on_the_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for h in nx.graph_atlas_g():
+        degrees = {d for _, d in h.degree()}
+        if h.number_of_nodes() < 2 or len(degrees) != 1 or degrees == {0}:
+            continue
+        if not nx.is_connected(h):
+            continue
+        g = Graph.from_edges(h.number_of_nodes(), h.edges())
+        _assert_vertex_decision_matches_u_side(f"atlas {h.name}", g)
+        checked += 1
+    assert checked == 15
 
 
 def test_not_periodic_with_irrational_witness():
@@ -374,14 +443,12 @@ def test_gate_rejects_half_integer_ring_elements():
 def test_cos_pair_orders_match_sieve():
     # independent route: each discriminant eigenvalue's conjugate pair
     # order from the minimal polynomials of 2cos(2*pi/d)
-    from walklab.exact import order_of_cos_pair
     g = tensor_allones(cycle(6), 2)
-    model = u_spectrum_model(g)
     verdict = decide_periodic(g)
     assert isinstance(verdict, Periodic)
     orders = set(verdict.orders_dict())
     pair_orders = set()
-    for t_eig in model.t_entries.values():
+    for t_eig in g.spectrum.scaled(Fraction(1, 4)).values():
         d = order_of_cos_pair(t_eig * 2, 100)
         assert d is not None
         pair_orders.add(d)
