@@ -291,11 +291,11 @@ def cmd_quadrangles(args: argparse.Namespace) -> int:
 
 
 def _parse_k_range(text: str) -> list[int]:
-    if "-" in text:
-        lo_s, hi_s = text.split("-", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    bounds = text.split("-", 1)
+    try:
+        lo, hi = int(bounds[0]), int(bounds[-1])
+    except ValueError:
+        raise ExprError(f"invalid --k value {text!r}: expected K or KMIN-KMAX") from None
     ks = [k for k in range(lo, hi + 1) if k % 2 == 0]
     if not ks:
         raise ExprError(f"no even degrees in range {text!r}")

@@ -4,7 +4,10 @@ distinct eigenvalues, and the four-eigenvalue classification.
 A candidate (k, n) passes when the eigenvalue multiplicities come out as
 positive integers, n is even (equal partite sets), and the closed-walk
 counts are integers for every power; the quadrangle counts then either
-confirm the row or eliminate it.  Rows eliminated by the quadrangle
+confirm the row or eliminate it.  The count of closed 2-walks,
+kθ² + 2k²(k² - θ²)/n, forces n | 2k²(k² - θ²), so the candidates are the
+divisors of that number inside the vertex-count window, not the whole
+window.  Rows eliminated by the quadrangle
 checks are kept with their elimination reason so the generated tables
 mirror the reference ones.
 """
@@ -14,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -164,10 +166,37 @@ def closed_walks_integral(k: int, theta_sq: int, n: int) -> bool:
     return True
 
 
+def _closed_walk_divisors(k: int, theta_sq: int) -> list[int]:
+    """Divisors of m = 2k²(k² - θ²) in ascending order.  For the three
+    θ-classes m is 3k⁴/2, k⁴ or k⁴/2, so its primes are those of k, found
+    by trial division up to √k, and 3."""
+    m = 2 * k * k * (k * k - theta_sq)
+    primes = {3}
+    rest, p = k, 2
+    while p * p <= rest:
+        while rest % p == 0:
+            primes.add(p)
+            rest //= p
+        p += 1
+    if rest > 1:
+        primes.add(rest)
+    divisors = [1]
+    for p in primes:
+        powers = [1]
+        while m % p == 0:
+            m //= p
+            powers.append(powers[-1] * p)
+        divisors = [d * q for d in divisors for q in powers]
+    if m != 1:
+        raise AssertionError(f"2k²(k² - θ²) has a prime outside k and 3 at k={k}")
+    return sorted(divisors)
+
+
 def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
     """All candidate rows for one θ-class and even degree k: n runs over
-    the window, filtered by parity, integral multiplicities and integral
-    closed-walk counts; quadrangle failures are kept, annotated."""
+    the divisors of 2k²(k² - θ²) inside the window, filtered by parity,
+    integral multiplicities and integral closed-walk counts; quadrangle
+    failures are kept, annotated."""
     if k < 2 or k % 2:
         raise ValueError("degree must be even and at least 2")
     theta_sq = theta_class.theta_sq(k)
@@ -176,8 +205,8 @@ def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
     theta_sq_int = int(theta_sq)
     lo, hi = n_bounds(k, theta_sq)
     rows = []
-    for n in range(math.ceil(lo), hi + 1):
-        if n % 2:
+    for n in _closed_walk_divisors(k, theta_sq_int):
+        if n < lo or n > hi or n % 2:
             continue
         mult = multiplicities(k, theta_sq, n)
         if mult is None:

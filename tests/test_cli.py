@@ -201,6 +201,22 @@ def test_enumerate_range(capsys):
         ("10", "50"), ("10", "200"), ("10", "500")]
 
 
+def test_enumerate_past_the_window_scan_reach(capsys):
+    code, out, _ = _run(capsys, "enumerate", "--class", "half", "--k", "100-110",
+                        "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "class,k,n,a,b,q,q_x,status,comment,realization"
+    assert {l.split(",")[1] for l in lines[1:]} == {"100", "102", "104", "106", "108", "110"}
+
+
+@pytest.mark.parametrize("bad", ["-4", "4-", "abc", "4-x"])
+def test_enumerate_names_a_bad_k_value(capsys, bad):
+    code, out, err = _run(capsys, "enumerate", "--class", "half", "--k", bad)
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: invalid --k value {bad!r}: expected K or KMIN-KMAX"
+
+
 def test_tables_csv(capsys):
     code, out, _ = _run(capsys, "tables", "--kmax", "4", "--format", "csv")
     assert code == 0

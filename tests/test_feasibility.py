@@ -11,6 +11,7 @@ from walklab.feasibility import (
     REFERENCE_TABLE,
     REALIZATIONS,
     ThetaClass,
+    all_rows,
     classify_four_eigenvalue,
     closed_walks_integral,
     enumerate_rows,
@@ -22,6 +23,8 @@ from walklab.feasibility import (
     verify_realization,
 )
 from walklab.walk import Periodic, decide_periodic, quadrangle_report
+
+from oracles import enumerate_rows_by_window
 
 EXPECTED_N_COLUMNS = {
     (ThetaClass.HALF, 4): [12, 16, 24, 32, 48, 64, 96],
@@ -109,6 +112,33 @@ def test_enumerate_sqrt3_k4():
 def test_enumerate_rejects_odd_degree():
     with pytest.raises(ValueError):
         enumerate_rows(ThetaClass.HALF, 5)
+
+
+@pytest.mark.parametrize("cls", list(ThetaClass))
+def test_enumerate_by_divisors_matches_the_window_scan(cls):
+    for k in list(range(2, 21, 2)) + [36, 40]:
+        assert enumerate_rows(cls, k) == enumerate_rows_by_window(cls, k), (cls, k)
+
+
+def test_row_n_divides_the_closed_two_walk_bound():
+    # the r = 2 closed-walk count k θ² + 2k²(k² − θ²)/n is an integer
+    closed_form = {ThetaClass.HALF: Fraction(3, 2), ThetaClass.SQRT2: Fraction(1),
+                   ThetaClass.SQRT3: Fraction(1, 2)}
+    for row in all_rows(40):
+        k, theta_sq = row.k, row.theta_class.theta_sq(row.k)
+        m = 2 * k * k * (k * k - theta_sq)
+        assert m == closed_form[row.theta_class] * k ** 4
+        assert m % row.n == 0, (row.theta_class, k, row.n)
+
+
+def test_all_rows_past_the_window_scan_reach():
+    rows = all_rows(200)
+    assert len(rows) == 8843
+    for row in rows:
+        theta_sq = row.theta_class.theta_sq(row.k)
+        assert 2 + 2 * row.a + row.b == row.n
+        assert 2 * row.k ** 2 + 2 * row.a * theta_sq == row.n * row.k
+        assert closed_walks_integral(row.k, int(theta_sq), row.n)
 
 
 def test_row_counting_identities():

@@ -34,7 +34,6 @@ from walklab.graphs import (
     cycle,
     hamming,
     hypercube,
-    is_connected,
     line_graph,
     petersen,
     tensor_allones,
@@ -57,7 +56,7 @@ from walklab.walk import (
     walk_regularity_check,
 )
 
-from oracles import order_of_cos_pair
+from oracles import order_of_cos_pair, random_regular
 
 SMALL_REGULAR = [
     ("K2", complete_graph(2)),
@@ -248,19 +247,6 @@ def test_not_periodic_with_residual_certificate():
     assert period_oracle(_circulant(9, (1, 2)), 200) is None
 
 
-def _random_regular(n, k, rng):
-    """Connected simple k-regular graph on n vertices: configuration model,
-    rejecting loops, repeated edges and disconnected pairings."""
-    while True:
-        stubs = [v for v in range(n) for _ in range(k)]
-        rng.shuffle(stubs)
-        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])}
-        if len(edges) == n * k // 2 and all(u != v for u, v in edges):
-            g = Graph.from_edges(n, sorted(edges))
-            if is_connected(g):
-                return g
-
-
 def _assert_vertex_decision_matches_u_side(name, g):
     """The vertex-side decision against the U-side oracles: the cyclotomic
     sieve of the mapped U-charpoly and, up to 200 arcs, the direct
@@ -288,7 +274,7 @@ def test_vertex_decision_matches_u_side_oracles():
     graphs += [(f"C{n}", cycle(n)) for n in range(3, 13)]
     graphs += [(f"circulant({n};1,2)", _circulant(n, (1, 2))) for n in (8, 9)]
     rng = random.Random(20211)
-    graphs += [(f"random k={k} n={n} #{i}", _random_regular(n, k, rng))
+    graphs += [(f"random k={k} n={n} #{i}", random_regular(n, k, rng))
                for k, sizes in ((3, (6, 8, 10, 12)), (4, (7, 8, 9, 10, 11, 12)))
                for n in sizes for i in range(2)]
     for name, g in graphs:
