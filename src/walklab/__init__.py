@@ -24,7 +24,6 @@ from .exact import (
 )
 from .feasibility import (
     FeasibleRow,
-    RowChecks,
     ThetaClass,
     all_rows,
     classify_four_eigenvalue,

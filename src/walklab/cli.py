@@ -215,7 +215,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     spec = g.spectrum
     resolved = isinstance(spec, Spectrum)
     q, per_vertex = count_quadrangles(g)
-    qx_constant = all(c == per_vertex[0] for c in per_vertex) if per_vertex else True
+    qx_constant = all(c == per_vertex[0] for c in per_vertex)
     report: dict = {
         "n": g.n,
         "edges": g.edge_count,
@@ -275,11 +275,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_quadrangles(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     q, per_vertex = count_quadrangles(g)
-    constant = all(c == per_vertex[0] for c in per_vertex) if per_vertex else True
+    constant = all(c == per_vertex[0] for c in per_vertex)
     payload = {
         "q": q,
         "per_vertex_constant": constant,
-        "q_x": per_vertex[0] if constant and per_vertex else None,
+        "q_x": per_vertex[0] if constant else None,
     }
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))

@@ -257,36 +257,6 @@ def squarefree_part(d: int) -> tuple[int, int]:
     return m, s
 
 
-def _iroot_ceil(x: int, k: int) -> int:
-    """Smallest r >= 0 with r^k >= x (x >= 0); pure integer arithmetic."""
-    if x <= 0:
-        return 0
-    if k == 1:
-        return x
-    r = 1 << ((x.bit_length() + k - 1) // k)  # r^k >= x by construction
-    while r > 0 and r ** k >= x:
-        r -= 1
-    while r ** k < x:
-        r += 1
-    return r
-
-
-def _root_bound(p: Poly) -> int:
-    """Integer Fujiwara-style bound: every complex root z of monic p has
-    |z| <= 2 * max_i |a_{n-i}|^(1/i)."""
-    n = p.degree()
-    if n <= 0:
-        return 0
-    bound = 0
-    for i in range(1, n + 1):
-        a = p.coeffs[n - i]
-        if a == 0:
-            continue
-        num = _iroot_ceil(abs(a.numerator), i)
-        bound = max(bound, num)
-    return 2 * bound + 1
-
-
 def totients_upto(limit: int) -> np.ndarray:
     """Euler phi for 0..limit as an exact integer sieve."""
     phi = np.arange(limit + 1, dtype=np.int64)
@@ -699,84 +669,65 @@ class Unresolved:
 
 
 def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
-    """Resolve the roots of a monic integer polynomial into exact
-    rational and quadratic-surd form.
+    """Resolve the roots of the characteristic polynomial of a real
+    symmetric matrix, a monic integer polynomial whose roots are all
+    real, into exact rational and quadratic-surd form.
 
-    Strips all rational roots (integers, by the rational root theorem),
-    then all monic integer quadratic factors with positive non-square
-    discriminant, emitting conjugate surd pairs.  Anything left over
-    (degree >= 1) is returned as an Unresolved residual.
+    After the root 0 is stripped, the residual x^d + a_1 x^(d-1) +
+    a_2 x^(d-2) + ... + a_0 has S = a_1^2 - 2a_2 as the sum of its
+    squared roots (2E for a graph), so every root r has r^2 <= S.  One
+    pass strips the integer roots (the only rational ones) r | a_0 with
+    r^2 <= S, then the quadratic factors x^2 + bx + c with irrational
+    roots α, β: c | a_0 and 4c < b^2 <= S + 2c, because b^2 - 4c =
+    (α - β)^2 and b^2 - 2c = α^2 + β^2.  The residual only loses
+    factors, so one pass is complete.  What is left over (degree >= 3)
+    is returned as an Unresolved residual.
     """
     if not p.is_monic():
         raise ValueError("spectrum extraction requires a monic polynomial")
     if not p.is_integral():
         raise ValueError("spectrum extraction requires integer coefficients")
-    pairs: list[tuple[QuadraticNumber, int]] = []
-    residual = p
+    nz = next(i for i, c in enumerate(p.coeffs) if c)
+    pairs = [(QuadraticNumber(0), nz)] if nz else []
+    residual = Poly(p.coeffs[nz:])
+    *_, a2, a1, _ = (0, 0) + residual.coeffs
+    sq_sum = int(a1 * a1 - 2 * a2)
+    if sq_sum < 0:
+        raise ValueError(f"the squared roots sum to {sq_sum}, so some roots are not real")
 
-    # multiplicity of the root 0
-    nz = 0
-    while nz <= residual.degree() and residual.coeffs[nz] == 0:
-        nz += 1
-    if nz:
-        pairs.append((QuadraticNumber(0), nz))
-        residual = Poly(residual.coeffs[nz:])
+    a0 = abs(int(residual.coeffs[0]))
+    for d in range(1, math.isqrt(sq_sum) + 1):
+        if a0 % d:
+            continue
+        for root in (d, -d):
+            mult = 0
+            while residual.degree() >= 1 and residual(root) == 0:
+                residual = residual.exact_div(Poly([-root, 1]))
+                mult += 1
+            if mult:
+                pairs.append((QuadraticNumber(root), mult))
 
-    # integer roots: divisors of the constant term within the root bound
-    if residual.degree() >= 1:
-        bound = _root_bound(residual)
-        a0 = abs(int(residual.coeffs[0]))
-        for d in range(1, min(bound, a0) + 1):
-            if a0 % d:
-                continue
-            for root in (d, -d):
+    a0 = abs(int(residual.coeffs[0]))
+    for c_abs in range(1, sq_sum // 2 + 1):
+        if residual.degree() < 2:
+            break
+        if a0 % c_abs:
+            continue
+        for c in (c_abs, -c_abs):
+            b_max = math.isqrt(sq_sum + 2 * c)
+            for b in range(-b_max, b_max + 1):
+                if b * b <= 4 * c:
+                    continue
+                factor = Poly([c, b, 1])
                 mult = 0
-                factor = Poly([-root, 1])
-                while residual.degree() >= 1 and residual(root) == 0:
+                while factor.divides(residual):
                     residual = residual.exact_div(factor)
                     mult += 1
                 if mult:
-                    pairs.append((QuadraticNumber(root), mult))
-            if residual.degree() < 1:
-                break
-            a0 = abs(int(residual.coeffs[0]))
-
-    # quadratic factors x^2 + b*x + c with real irrational roots
-    if residual.degree() >= 2:
-        bound = _root_bound(residual)
-        c_cap = bound * bound
-        stuck: list[tuple[Poly, int]] = []
-        changed = True
-        while changed and residual.degree() >= 2:
-            changed = False
-            a0 = abs(int(residual.coeffs[0]))
-            for c_abs in range(1, min(c_cap, a0) + 1):
-                if a0 % c_abs:
-                    continue
-                for c in (c_abs, -c_abs):
-                    for b in range(-2 * bound, 2 * bound + 1):
-                        factor = Poly([c, b, 1])
-                        if not factor.divides(residual):
-                            continue
-                        disc = b * b - 4 * c
-                        mult = 0
-                        while factor.divides(residual):
-                            residual = residual.exact_div(factor)
-                            mult += 1
-                        if disc > 0:
-                            m, s = squarefree_part(disc)
-                            lo = QuadraticNumber(Fraction(-b, 2), Fraction(-s, 2), m)
-                            hi = QuadraticNumber(Fraction(-b, 2), Fraction(s, 2), m)
-                            pairs.append((hi, mult))
-                            pairs.append((lo, mult))
-                        else:
-                            # complex pair: keep the factor aside, unresolved
-                            stuck.append((factor, mult))
-                        changed = True
-                if residual.degree() < 2:
-                    break
-        for factor, mult in stuck:
-            residual = residual * factor ** mult
+                    m, s = squarefree_part(b * b - 4 * c)
+                    half_b, half_s = Fraction(-b, 2), Fraction(s, 2)
+                    pairs.append((QuadraticNumber(half_b, half_s, m), mult))
+                    pairs.append((QuadraticNumber(half_b, -half_s, m), mult))
 
     if residual.degree() >= 1:
         return Unresolved(tuple(pairs), residual)
@@ -938,73 +889,38 @@ def eval_poly_at_matrix(p: Poly, a: Sequence[Sequence[int]]) -> list[list[Fracti
 # characteristic polynomials
 
 
-def _hessenberg_charpoly(mat: Matrix) -> Poly:
-    """Exact charpoly via similarity reduction to Hessenberg form over Q,
-    then the standard principal-minor recurrence."""
-    n = len(mat)
-    if n == 0:
-        return Poly.one()
-    h = [[Fraction(x) for x in row] for row in mat]
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if h[i][j] != 0), None)
-        if piv is None:
+_MILLER_RABIN_EXACT_BELOW = 4_759_123_141
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin on the bases 2, 7 and 61, exact for
+    p < 4 759 123 141 (Jaeschke 1993)."""
+    if p < 2:
+        return False
+    for a in (2, 7, 61):
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
             continue
-        if piv != j + 1:
-            h[piv], h[j + 1] = h[j + 1], h[piv]
-            for r in range(n):
-                h[r][piv], h[r][j + 1] = h[r][j + 1], h[r][piv]
-        d = h[j + 1][j]
-        for i in range(j + 2, n):
-            if h[i][j] == 0:
-                continue
-            t = h[i][j] / d
-            hi, hp = h[i], h[j + 1]
-            for c in range(j, n):
-                if hp[c]:
-                    hi[c] -= t * hp[c]
-            for r in range(n):
-                if h[r][i]:
-                    h[r][j + 1] += t * h[r][i]
-    # p_m(x) over leading principal minors of the Hessenberg form
-    polys: list[list[Fraction]] = [[Fraction(1)]]
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        cur = [Fraction(0)] * (m + 1)
-        hmm = h[m - 1][m - 1]
-        for i, c in enumerate(prev):
-            cur[i + 1] += c
-            if hmm:
-                cur[i] -= hmm * c
-        prod = Fraction(1)
-        for idx in range(m - 2, -1, -1):
-            prod *= h[idx + 1][idx]
-            if prod == 0:
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
                 break
-            coeff = h[idx][m - 1] * prod
-            if coeff:
-                for i, c in enumerate(polys[idx]):
-                    if c:
-                        cur[i] -= coeff * c
-        polys.append(cur)
-    return Poly(polys[n])
+        else:
+            return False
+    return True
 
 
 def _primes_below(limit: int) -> Iterator[int]:
     """Primes < limit in descending order, deterministically."""
-    candidate = limit - 1 if limit % 2 == 0 else limit - 2
-    while candidate > 2:
-        p = candidate
-        is_p = True
-        d = 3
-        while d * d <= p:
-            if p % d == 0:
-                is_p = False
-                break
-            d += 2
-        if is_p:
-            yield p
-        candidate -= 2
-    yield 2
+    if limit > _MILLER_RABIN_EXACT_BELOW:
+        raise AssertionError(f"prime search above the Miller-Rabin limit: {limit}")
+    return (p for p in range(limit - 1, 1, -1) if _is_prime(p))
 
 
 def _charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
@@ -1078,26 +994,16 @@ def _charpoly_modular_int(m: list[list[int]]) -> Poly:
     return Poly(coeffs)
 
 
-_MODULAR_THRESHOLD = 24
-
-
 def charpoly(mat: Matrix) -> Poly:
-    """Exact monic characteristic polynomial det(xI - mat).
-
-    Rational Hessenberg reduction by default; large integer matrices go
-    through an exact CRT-modular path with a rigorous coefficient bound.
-    Integer input yields integer coefficients.
+    """Exact monic characteristic polynomial det(xI - mat), by CRT over
+    word-size primes on the denominator-cleared integer matrix.  Integer
+    input yields integer coefficients.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("charpoly requires a square matrix")
     ints, c = _clear_denominators(mat)
-    if n > _MODULAR_THRESHOLD:
-        p = _charpoly_modular_int(ints)
-    else:
-        p = _hessenberg_charpoly(ints)
-        if not p.is_integral():  # integer input must give integer output
-            raise AssertionError("charpoly of integer matrix not integral")
+    p = _charpoly_modular_int(ints)
     if c == 1:
         return p
     # det(xI - M/c) = c^-n * det(cx I - M)

@@ -59,19 +59,10 @@ class ThetaClass(Enum):
 
 
 @dataclass(frozen=True)
-class RowChecks:
-    mult_integral: bool
-    n_in_bounds: bool
-    n_even: bool
-    closed_walks_integral: bool
-    q_integral_nonneg: bool
-    qx_integral_nonneg: bool
-
-
-@dataclass(frozen=True)
 class FeasibleRow:
-    """One candidate spectrum {[±k]^1, [±θ]^a, [0]^b} with its exact
-    quadrangle counts and per-condition pass/fail annotations."""
+    """One candidate spectrum {[±k]^1, [±θ]^a, [0]^b} that passes the
+    multiplicity, window, parity and closed-walk tests, with its exact
+    quadrangle counts; `elimination` names the quadrangle test it fails."""
 
     theta_class: ThetaClass
     k: int
@@ -80,15 +71,11 @@ class FeasibleRow:
     b: int
     q: Fraction
     q_x: Fraction
-    checks: RowChecks
     known_realization: str | None = None
 
     @property
     def feasible(self) -> bool:
-        c = self.checks
-        return (c.mult_integral and c.n_in_bounds and c.n_even
-                and c.closed_walks_integral and c.q_integral_nonneg
-                and c.qx_integral_nonneg)
+        return self.elimination() is None
 
     @property
     def status(self) -> str:
@@ -217,16 +204,8 @@ def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
         power4 = 2 * k ** 4 + 2 * a * theta_sq_int ** 2
         q = Fraction(power4 - n * (2 * k * k - k), 8)
         q_x = 4 * q / n
-        checks = RowChecks(
-            mult_integral=True,
-            n_in_bounds=True,
-            n_even=True,
-            closed_walks_integral=True,
-            q_integral_nonneg=q.denominator == 1 and q >= 0,
-            qx_integral_nonneg=q_x.denominator == 1 and q_x >= 0,
-        )
         label = REALIZATIONS.get((theta_class, k, n), (None, None))[0]
-        rows.append(FeasibleRow(theta_class, k, n, a, b, q, q_x, checks, label))
+        rows.append(FeasibleRow(theta_class, k, n, a, b, q, q_x, label))
     return rows
 
 
@@ -492,16 +471,15 @@ def render_rows(rows: list[FeasibleRow], fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def render_tables(k_max: int, fmt: str = "text", verify: bool = True) -> str:
+def render_tables(k_max: int, fmt: str = "text") -> str:
     """Deterministic table of all rows for even k <= k_max, sorted by
     (class, k, n).  Registry realizations are reconstructed and their
     spectra compared before rendering."""
     rows = all_rows(k_max)
-    if verify:
-        for row in rows:
-            if not verify_realization(row):
-                raise AssertionError(
-                    f"registry spectrum mismatch at ({row.theta_class}, {row.k}, {row.n})")
+    for row in rows:
+        if not verify_realization(row):
+            raise AssertionError(
+                f"registry spectrum mismatch at ({row.theta_class}, {row.k}, {row.n})")
     if fmt != "text":
         return render_rows(rows, fmt)
     blocks = []

@@ -40,6 +40,8 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = len(self.adjacency)
+        if n == 0:
+            raise GraphError("graph has no vertices")
         if n > _max_vertices():
             raise GraphError(f"graph has {n} vertices; cap is {_max_vertices()}")
         for i, row in enumerate(self.adjacency):
@@ -254,8 +256,6 @@ def bipartite_double(g: Graph) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
     seen = [False] * g.n
     stack = [0]
     seen[0] = True
@@ -294,8 +294,6 @@ def is_bipartite(g: Graph) -> PartiteSplit | None:
 def regularity(g: Graph) -> int | None:
     """Common degree, or None when degrees differ."""
     degs = g.degrees()
-    if not degs:
-        return None
     return degs[0] if all(d == degs[0] for d in degs) else None
 
 

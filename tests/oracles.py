@@ -4,11 +4,10 @@ modules."""
 import math
 from fractions import Fraction
 
-from walklab.exact import QuadraticNumber, min_poly_2cos
+from walklab.exact import Poly, QuadraticNumber, min_poly_2cos
 from walklab.feasibility import (
     REALIZATIONS,
     FeasibleRow,
-    RowChecks,
     ThetaClass,
     closed_walks_integral,
     multiplicities,
@@ -29,6 +28,57 @@ def order_of_cos_pair(two_cos: QuadraticNumber, d_max: int = 1000) -> int | None
         elif value == 0:
             return d
     return None
+
+
+def hessenberg_charpoly(mat):
+    """Reference for `charpoly`: similarity reduction to Hessenberg form
+    over Q, then the standard principal-minor recurrence."""
+    n = len(mat)
+    if n == 0:
+        return Poly.one()
+    h = [[Fraction(x) for x in row] for row in mat]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j] != 0), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for r in range(n):
+                h[r][piv], h[r][j + 1] = h[r][j + 1], h[r][piv]
+        d = h[j + 1][j]
+        for i in range(j + 2, n):
+            if h[i][j] == 0:
+                continue
+            t = h[i][j] / d
+            hi, hp = h[i], h[j + 1]
+            for c in range(j, n):
+                if hp[c]:
+                    hi[c] -= t * hp[c]
+            for r in range(n):
+                if h[r][i]:
+                    h[r][j + 1] += t * h[r][i]
+    # p_m(x) over leading principal minors of the Hessenberg form
+    polys = [[Fraction(1)]]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        cur = [Fraction(0)] * (m + 1)
+        hmm = h[m - 1][m - 1]
+        for i, c in enumerate(prev):
+            cur[i + 1] += c
+            if hmm:
+                cur[i] -= hmm * c
+        prod = Fraction(1)
+        for idx in range(m - 2, -1, -1):
+            prod *= h[idx + 1][idx]
+            if prod == 0:
+                break
+            coeff = h[idx][m - 1] * prod
+            if coeff:
+                for i, c in enumerate(polys[idx]):
+                    if c:
+                        cur[i] -= coeff * c
+        polys.append(cur)
+    return Poly(polys[n])
 
 
 def enumerate_rows_by_window(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
@@ -55,16 +105,8 @@ def enumerate_rows_by_window(theta_class: ThetaClass, k: int) -> list[FeasibleRo
         power4 = 2 * k ** 4 + 2 * a * theta_sq_int ** 2
         q = Fraction(power4 - n * (2 * k * k - k), 8)
         q_x = 4 * q / n
-        checks = RowChecks(
-            mult_integral=True,
-            n_in_bounds=True,
-            n_even=True,
-            closed_walks_integral=True,
-            q_integral_nonneg=q.denominator == 1 and q >= 0,
-            qx_integral_nonneg=q_x.denominator == 1 and q_x >= 0,
-        )
         label = REALIZATIONS.get((theta_class, k, n), (None, None))[0]
-        rows.append(FeasibleRow(theta_class, k, n, a, b, q, q_x, checks, label))
+        rows.append(FeasibleRow(theta_class, k, n, a, b, q, q_x, label))
     return rows
 
 

@@ -100,6 +100,17 @@ def test_period_input_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "period", "quadrangles"])
+@pytest.mark.parametrize("name, text", [("empty.g6", "?\n"), ("empty.txt", "0 0\n")],
+                         ids=["graph6", "edge_list"])
+def test_empty_graph_is_an_input_error(tmp_path, capsys, command, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="ascii")
+    code, out, err = _run(capsys, command, "--file", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: graph has no vertices\n"
+
+
 # ---------------------------------------------------------------------------
 # analyze command
 

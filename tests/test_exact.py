@@ -1,10 +1,11 @@
 """Exact algebra: polynomials, charpoly routes, spectrum extraction,
 quadratic integers, cyclotomics.
 
-Cross-checks in here are dual-route: Hessenberg charpoly against the
-Bareiss determinant-interpolation route and the modular route,
-extraction against reassembly, ring membership against the monic
-quadratic minimal polynomial.
+Cross-checks in here are dual-route: the CRT charpoly against the
+rational Hessenberg oracle and the Bareiss determinant-interpolation
+route, the Miller-Rabin prime search against trial division, extraction
+against reassembly and against sympy's factorization over Z, ring
+membership against the monic quadratic minimal polynomial.
 """
 
 import math
@@ -18,7 +19,8 @@ from walklab.exact import (
     QuadraticNumber,
     Spectrum,
     Unresolved,
-    _charpoly_modular_int,
+    _is_prime,
+    _primes_below,
     bareiss_det,
     charpoly,
     charpoly_bareiss,
@@ -33,9 +35,10 @@ from walklab.exact import (
     rank,
     squarefree_part,
 )
-from walklab.graphs import complete_bipartite, cycle, hypercube, line_graph, petersen
+from walklab.feasibility import REALIZATIONS
+from walklab.graphs import Graph, complete_bipartite, cycle, hypercube, line_graph, petersen
 
-from oracles import order_of_cos_pair
+from oracles import hessenberg_charpoly, order_of_cos_pair, random_regular
 
 
 def _adj(g):
@@ -93,7 +96,7 @@ def test_charpoly_three_routes_agree():
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         p = charpoly(m)
         assert p == charpoly_bareiss(m)
-        assert p == _charpoly_modular_int(m)
+        assert p == hessenberg_charpoly(m)
         assert p.is_monic() and p.is_integral()
 
 
@@ -123,6 +126,28 @@ def test_bareiss_det():
         assert bareiss_det(m) == (-1) ** n * p.coeffs[0]
 
 
+def _trial_division_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_miller_rabin_matches_trial_division():
+    assert [p for p in range(20000) if _is_prime(p)] == \
+        [p for p in range(20000) if _trial_division_is_prime(p)]
+    # strong pseudoprimes to some of the bases 2, 7, 61; 3215031751 fools 2, 3, 5 and 7
+    for n in (2047, 3277, 4033, 4681, 8321, 3215031751):
+        assert not _is_prime(n)
+    # the primes the CRT charpoly uses, near the int64-safe limit 2^31
+    near = [p for p in range(2 ** 31 - 1, 2 ** 31 - 400, -1) if _trial_division_is_prime(p)]
+    primes = _primes_below(2 ** 31)
+    assert [next(primes) for _ in near] == near
+    assert list(_primes_below(12)) == [11, 7, 5, 3, 2]
+
+
+def test_prime_search_refuses_to_pass_the_miller_rabin_limit():
+    with pytest.raises(AssertionError):
+        _primes_below(4_759_123_142)
+
+
 # ---------------------------------------------------------------------------
 # spectrum extraction
 
@@ -142,18 +167,34 @@ def test_extract_c8_has_sqrt2():
     assert s.render() == "{[±2]^1, [±√2]^2, [0]^2}"
 
 
-def test_extract_unresolved_complex_pair():
-    out = extract_spectrum(Poly([1, 0, 1]))
+# x^3 - 3x + 1: irreducible, with the three real roots 2cos(2πj/9), j = 1, 2, 4
+CUBIC_2COS9 = Poly([1, -3, 0, 1])
+
+
+def test_extract_unresolved_real_cubic():
+    out = extract_spectrum(CUBIC_2COS9)
     assert isinstance(out, Unresolved)
-    assert out.residual == Poly([1, 0, 1])
+    assert out.residual == CUBIC_2COS9 and out.partial == ()
+    # C9: (x - 2)(x + 1)^2 (x^3 - 3x + 1)^2
+    out = extract_spectrum(charpoly(_adj(cycle(9))))
+    assert isinstance(out, Unresolved)
+    assert out.residual == CUBIC_2COS9 ** 2
+    assert Spectrum.from_pairs(out.partial) == Spectrum.from_pairs([(2, 1), (-1, 2)])
 
 
-def test_extract_mixed_resolved_and_complex():
-    p = Poly([1, 0, 1]) * Poly([-2, 0, 1])
+def test_extract_mixed_resolved_and_real_cubic():
+    p = CUBIC_2COS9 * Poly([-2, 0, 1])
     out = extract_spectrum(p)
     assert isinstance(out, Unresolved)
-    assert out.residual == Poly([1, 0, 1])
+    assert out.residual == CUBIC_2COS9
     assert (QuadraticNumber.sqrt(2), 1) in out.partial
+    assert (-QuadraticNumber.sqrt(2), 1) in out.partial
+
+
+def test_extract_rejects_a_negative_sum_of_squared_roots():
+    # x^2 + 1: the squared roots sum to -2, so the roots are not real
+    with pytest.raises(ValueError):
+        extract_spectrum(Poly([1, 0, 1]))
 
 
 def test_extract_golden_ratio_pair():
@@ -195,6 +236,51 @@ def test_extract_reassembles_random_products():
         assert isinstance(s, Spectrum)
         assert s.dimension() == dim == p.degree()
         assert s.charpoly() == p
+
+
+def _extraction_from_factor_list(p, sympy):
+    """What `extract_spectrum` must return for p, read off sympy's
+    factorization over Z: the roots of the linear and quadratic factors,
+    and the product of the factors of degree >= 3."""
+    pairs, residual = [], Poly.one()
+    _, factors = sympy.Poly([int(c) for c in reversed(p.coeffs)], sympy.Symbol("x")).factor_list()
+    for f, e in factors:
+        cs = [int(c) for c in reversed(f.all_coeffs())]
+        assert cs[-1] == 1
+        if len(cs) == 2:
+            pairs.append((QuadraticNumber(-cs[0]), e))
+        elif len(cs) == 3:
+            c, b = cs[0], cs[1]
+            m, s = squarefree_part(b * b - 4 * c)
+            pairs.append((QuadraticNumber(Fraction(-b, 2), Fraction(s, 2), m), e))
+            pairs.append((QuadraticNumber(Fraction(-b, 2), Fraction(-s, 2), m), e))
+        else:
+            residual = residual * Poly(cs) ** e
+    return pairs, residual
+
+
+def test_extract_agrees_with_sympy_factor_list():
+    sympy = pytest.importorskip("sympy")
+    nx = pytest.importorskip("networkx")
+    graphs = [builder() for _, builder in REALIZATIONS.values()]
+    graphs += [cycle(n) for n in range(3, 13)]
+    rng = random.Random(20261018)
+    graphs += [random_regular(n, k, rng) for k in (3, 4)
+               for n in range(k + 1, 21) if n * k % 2 == 0]
+    graphs += [Graph.from_edges(h.number_of_nodes(), h.edges())
+               for h in nx.graph_atlas_g() if h.number_of_nodes() > 0]
+    unresolved = 0
+    for p in {g.charpoly for g in graphs}:
+        pairs, residual = _extraction_from_factor_list(p, sympy)
+        out = extract_spectrum(p)
+        if residual.degree() == 0:
+            assert out == Spectrum.from_pairs(pairs), p
+        else:
+            assert isinstance(out, Unresolved), p
+            assert out.residual == residual, p
+            assert Spectrum.from_pairs(out.partial) == Spectrum.from_pairs(pairs), p
+            unresolved += 1
+    assert unresolved > 0
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +408,12 @@ def test_cyclotomic_degree_is_totient():
 
 def test_modular_charpoly_matches_hessenberg_at_scale():
     # one large structured case through both exact routes
-    from walklab.exact import _hessenberg_charpoly
     from walklab.graphs import tensor_allones, cycle
     from walklab.walk import build_walk_matrices
     g = tensor_allones(cycle(6), 3)
     ku = build_walk_matrices(g).scaled_evolution()
     assert len(ku) == 108
-    assert _charpoly_modular_int(ku) == _hessenberg_charpoly(ku)
+    assert charpoly(ku) == hessenberg_charpoly(ku)
 
 
 def test_min_poly_2cos_degree():

@@ -1,6 +1,8 @@
 """Property tests on seeded random 3- and 4-regular graphs with at most
 16 vertices: the exact pipeline does not depend on the vertex labels, and
-both file formats round-trip."""
+both file formats round-trip.  On random integer matrices with up to 30
+rows, the CRT charpoly equals the rational Hessenberg oracle and the
+Bareiss interpolation route."""
 
 import random
 
@@ -10,11 +12,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from walklab.exact import charpoly, charpoly_bareiss
 from walklab.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
 from walklab.graphs import Graph
 from walklab.walk import decide_periodic
 
-from oracles import random_regular
+from oracles import hessenberg_charpoly, random_regular
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
 
@@ -49,3 +52,20 @@ def test_relabelling_leaves_charpoly_and_decision_unchanged(pair):
 def test_graph6_and_edge_list_round_trip(g):
     assert from_graph6(to_graph6(g)).adjacency == g.adjacency
     assert from_edge_list(to_edge_list(g)).adjacency == g.adjacency
+
+
+@st.composite
+def integer_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=30))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@seed(20261019)
+@PROPERTY_SETTINGS
+@given(integer_matrices())
+def test_charpoly_matches_hessenberg_and_bareiss(m):
+    p = charpoly(m)
+    assert p.degree() == len(m) and p.is_monic() and p.is_integral()
+    assert p == hessenberg_charpoly(m)
+    assert p == charpoly_bareiss(m)
