@@ -8,17 +8,13 @@ no floating point participates in any decision.
 from .exact import (
     Poly,
     QuadraticNumber,
-    SieveResult,
     Spectrum,
     Unresolved,
     charpoly,
-    charpoly_bareiss,
     cyclotomic,
-    cyclotomic_sieve,
     eval_poly_at_matrix,
     extract_spectrum,
     is_quadratic_algebraic_integer,
-    kernel_dim,
     min_poly_2cos,
     squarefree_part,
 )
@@ -27,7 +23,6 @@ from .feasibility import (
     ThetaClass,
     all_rows,
     classify_four_eigenvalue,
-    closed_walks_integral,
     enumerate_rows,
     multiplicities,
     n_bounds,
@@ -35,18 +30,15 @@ from .feasibility import (
     render_tables,
 )
 from .graphs import (
-    ArcSpace,
     Graph,
     GraphError,
     PartiteSplit,
-    arc_space,
     biadjacency,
     bipartite_double,
     cartesian_product,
     complete_bipartite,
     complete_graph,
     count_quadrangles,
-    count_quadrangles_brute,
     cycle,
     hamming,
     hypercube,
@@ -76,16 +68,10 @@ from .walk import (
     QuadrangleReport,
     SpectrumShapeError,
     UnresolvedSpectrumError,
-    USpectrumModel,
-    WalkMatrices,
-    build_walk_matrices,
     decide_periodic,
     eigenvalue_gate,
     hoffman_check,
-    period_oracle,
     quadrangle_report,
-    u_charpoly_via_mapping,
-    u_spectrum_model,
     verify_biadjacency_identities,
     walk_regularity_check,
 )

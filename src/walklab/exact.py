@@ -193,12 +193,6 @@ class Poly:
             pw *= c
         return Poly(out)
 
-    def shift_up(self, k: int) -> Poly:
-        """Return x^k * p."""
-        if self.is_zero():
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -255,30 +249,6 @@ def squarefree_part(d: int) -> tuple[int, int]:
         p += 1 if p == 2 else 2
     m *= d
     return m, s
-
-
-def totients_upto(limit: int) -> np.ndarray:
-    """Euler phi for 0..limit as an exact integer sieve."""
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
-    return phi
-
-
-@lru_cache(maxsize=None)
-def _totient(d: int) -> int:
-    m, result = d, d
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -735,65 +705,7 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic sieve
-
-
-@dataclass(frozen=True)
-class SieveResult:
-    """Outcome of dividing out all cyclotomic factors: multiset of orders
-    (d -> multiplicity) and the monic residual (1 when fully sieved)."""
-
-    orders: tuple[tuple[int, int], ...]
-    residual: Poly
-
-    @property
-    def full(self) -> bool:
-        return self.residual.degree() <= 0
-
-    def order_lcm(self) -> int:
-        out = 1
-        for d, _ in self.orders:
-            out = math.lcm(out, d)
-        return out
-
-    def orders_dict(self) -> dict[int, int]:
-        return dict(self.orders)
-
-
-def cyclotomic_sieve(p: Poly) -> SieveResult:
-    """Divide out every cyclotomic factor of a monic rational polynomial.
-
-    Any cyclotomic factor Phi_d of the residual satisfies phi(d) <=
-    deg(residual), and phi(d) >= sqrt(d/2) gives d <= 2*deg^2, so scanning
-    d upward against the shrinking residual is complete.
-    """
-    if not p.is_monic():
-        raise ValueError("sieve requires a monic polynomial")
-    orders: dict[int, int] = {}
-    residual = p
-    phis: np.ndarray | None = None
-    d = 1
-    while residual.degree() > 0 and d <= 2 * residual.degree() ** 2:
-        # once the scan runs long, sieve all totients at once; the bound
-        # only shrinks afterwards, so the array covers every later d
-        if phis is None and d > 1024:
-            phis = totients_upto(2 * residual.degree() ** 2)
-        phi_d = int(phis[d]) if phis is not None else _totient(d)
-        if phi_d <= residual.degree():
-            cyc = cyclotomic(d)
-            while cyc.divides(residual):
-                residual = residual.exact_div(cyc)
-                orders[d] = orders.get(d, 0) + 1
-        d += 1
-    return SieveResult(tuple(sorted(orders.items())), residual)
-
-
-# ---------------------------------------------------------------------------
 # exact linear algebra
-
-
-def mat_identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 _INT64_SAFE = 2 ** 62
@@ -802,7 +714,6 @@ _INT64_SAFE = 2 ** 62
 def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     """Exact integer matrix product; uses native int64 when the result
     provably fits, otherwise exact Python-int (object dtype) arithmetic."""
-    n = len(a)
     inner = len(b)
     amax = max((abs(x) for row in a for x in row), default=0)
     bmax = max((abs(x) for row in b for x in row), default=0)
@@ -811,20 +722,6 @@ def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[l
         return prod.tolist()
     prod = np.array(a, dtype=object) @ np.array(b, dtype=object)
     return prod.tolist()
-
-
-def int_mat_power(a: Sequence[Sequence[int]], e: int) -> list[list[int]]:
-    """Exact a^e by binary powering."""
-    n = len(a)
-    result = mat_identity(n)
-    base = [list(r) for r in a]
-    while e:
-        if e & 1:
-            result = int_matmul(result, base)
-        e >>= 1
-        if e:
-            base = int_matmul(base, base)
-    return result
 
 
 def _clear_denominators(mat: Matrix) -> tuple[list[list[int]], int]:
@@ -837,39 +734,6 @@ def _clear_denominators(mat: Matrix) -> tuple[list[list[int]], int]:
                 c = math.lcm(c, x.denominator)
     out = [[int(x * c) for x in row] for row in mat]
     return out, c
-
-
-def rank(mat: Matrix) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination on the
-    denominator-cleared integer matrix."""
-    if not mat:
-        return 0
-    m, _ = _clear_denominators(mat)
-    rows, cols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def kernel_dim(mat: Matrix) -> int:
-    """dim Ker(mat) = n - rank(mat) for a square matrix."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("kernel_dim requires a square matrix")
-    return n - rank(mat)
 
 
 def eval_poly_at_matrix(p: Poly, a: Sequence[Sequence[int]]) -> list[list[Fraction]]:
@@ -1008,49 +872,3 @@ def charpoly(mat: Matrix) -> Poly:
         return p
     # det(xI - M/c) = c^-n * det(cx I - M)
     return p.scale_arg(c) * Fraction(1, c ** n)
-
-
-def bareiss_det(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix, fraction-free."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def charpoly_bareiss(mat: Sequence[Sequence[int]]) -> Poly:
-    """Independent charpoly route for integer matrices: evaluate
-    det(xI - mat) at n+1 integer points with Bareiss determinants and
-    interpolate exactly (Newton divided differences over Q)."""
-    n = len(mat)
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        shifted = [[(x if i == j else 0) - mat[i][j] for j in range(n)] for i in range(n)]
-        ys.append(bareiss_det(shifted))
-    # Newton coefficients
-    coeffs = [Fraction(y) for y in ys]
-    for level in range(1, n + 1):
-        for i in range(n, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    poly = Poly.zero()
-    basis = Poly.one()
-    for i in range(n + 1):
-        poly = poly + coeffs[i] * basis
-        basis = basis * Poly([-xs[i], 1])
-    return poly

@@ -4,12 +4,14 @@ distinct eigenvalues, and the four-eigenvalue classification.
 A candidate (k, n) passes when the eigenvalue multiplicities come out as
 positive integers, n is even (equal partite sets), and the closed-walk
 counts are integers for every power; the quadrangle counts then either
-confirm the row or eliminate it.  The count of closed 2-walks,
-kθ² + 2k²(k² - θ²)/n, forces n | 2k²(k² - θ²), so the candidates are the
-divisors of that number inside the vertex-count window, not the whole
-window.  Rows eliminated by the quadrangle
-checks are kept with their elimination reason so the generated tables
-mirror the reference ones.
+confirm the row or eliminate it.  The count of closed 2r-walks,
+kθ^(2r-2) + 2k²((k²)^(r-1) - (θ²)^(r-1))/n, is k for r = 1 and, since
+k² - θ² divides (k²)^(r-1) - (θ²)^(r-1), integral for every r exactly
+when n | 2k²(k² - θ²) (r = 2 gives the converse).  So the candidates are
+the divisors of that number inside the vertex-count window, and every
+one of them has integral closed-walk counts by construction.  Rows
+eliminated by the quadrangle checks are kept with their elimination
+reason so the generated tables mirror the reference ones.
 """
 
 from __future__ import annotations
@@ -129,30 +131,6 @@ def n_bounds(k: int, theta_sq: Fraction | int) -> tuple[Fraction, int]:
     return lo, int(hi)
 
 
-def closed_walks_integral(k: int, theta_sq: int, n: int) -> bool:
-    """Whether (2 k^{2r} + (nk - 2k²) θ^{2r-2}) / n is an integer for
-    every positive r, decided exactly.
-
-    The pair (k^{2r} mod n, θ^{2r-2} mod n) evolves by fixed
-    multiplications, so it is eventually periodic: checking each state
-    until one repeats covers all r.
-    """
-    if theta_sq <= 0 or int(theta_sq) != theta_sq:
-        raise ValueError("theta^2 must be a positive integer")
-    ksq = (k * k) % n
-    tsq = theta_sq % n
-    coeff = (n * k - 2 * k * k) % n
-    state = (ksq % n, 1 % n)
-    seen = set()
-    while state not in seen:
-        seen.add(state)
-        u, v = state
-        if (2 * u + coeff * v) % n:
-            return False
-        state = ((u * ksq) % n, (v * tsq) % n)
-    return True
-
-
 def _closed_walk_divisors(k: int, theta_sq: int) -> list[int]:
     """Divisors of m = 2k²(k² - θ²) in ascending order.  For the three
     θ-classes m is 3k⁴/2, k⁴ or k⁴/2, so its primes are those of k, found
@@ -181,9 +159,9 @@ def _closed_walk_divisors(k: int, theta_sq: int) -> list[int]:
 
 def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
     """All candidate rows for one θ-class and even degree k: n runs over
-    the divisors of 2k²(k² - θ²) inside the window, filtered by parity,
-    integral multiplicities and integral closed-walk counts; quadrangle
-    failures are kept, annotated."""
+    the divisors of 2k²(k² - θ²) inside the window, which makes every
+    closed-walk count integral, filtered by parity and integral
+    multiplicities; quadrangle failures are kept, annotated."""
     if k < 2 or k % 2:
         raise ValueError("degree must be even and at least 2")
     theta_sq = theta_class.theta_sq(k)
@@ -197,8 +175,6 @@ def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
             continue
         mult = multiplicities(k, theta_sq, n)
         if mult is None:
-            continue
-        if not closed_walks_integral(k, theta_sq_int, n):
             continue
         a, b = mult
         power4 = 2 * k ** 4 + 2 * a * theta_sq_int ** 2

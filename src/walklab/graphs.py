@@ -1,4 +1,4 @@
-"""Simple undirected graphs with canonical vertex and arc orderings,
+"""Simple undirected graphs with a canonical vertex ordering,
 constructors for the graph families used in the enumeration, structural
 predicates, and exact quadrangle counting."""
 
@@ -108,35 +108,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-@dataclass(frozen=True)
-class ArcSpace:
-    """Directed arcs of a graph in canonical (origin, terminus) order,
-    with the arc-reversal involution."""
-
-    arcs: tuple[tuple[int, int], ...]
-    inverse_index: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.arcs)
-
-    def origin(self, a: int) -> int:
-        return self.arcs[a][0]
-
-    def terminus(self, a: int) -> int:
-        return self.arcs[a][1]
-
-    def inverse(self, a: int) -> int:
-        return self.inverse_index[a]
-
-
-def arc_space(g: Graph) -> ArcSpace:
-    arcs = sorted((i, j) for i in range(g.n) for j in g.neighbors(i))
-    index = {arc: pos for pos, arc in enumerate(arcs)}
-    inverse = tuple(index[(j, i)] for (i, j) in arcs)
-    return ArcSpace(tuple(arcs), inverse)
 
 
 @dataclass(frozen=True)
@@ -340,25 +311,3 @@ def count_quadrangles(g: Graph) -> tuple[int, list[int]]:
     if total4 % 4:
         raise AssertionError("per-vertex quadrangle counts do not sum to 4q")
     return total4 // 4, per_vertex
-
-
-def count_quadrangles_brute(g: Graph) -> tuple[int, list[int]]:
-    """Independent oracle: enumerate 4-subsets and count the distinct
-    4-cycles each induces (up to 3 per subset)."""
-    per_vertex = [0] * g.n
-    q = 0
-    adj = g.adjacency
-    for quad in itertools.combinations(range(g.n), 4):
-        w, x, y, z = quad
-        # three cyclic orders on a 4-subset, identified by the pairing
-        # of opposite (non-adjacent-in-cycle) vertices
-        cycles = 0
-        for (a, b), (c, d) in (((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))):
-            # cycle a-c-b-d with diagonals ab and cd
-            if adj[a][c] and adj[c][b] and adj[b][d] and adj[d][a]:
-                cycles += 1
-        if cycles:
-            q += cycles
-            for v in quad:
-                per_vertex[v] += cycles
-    return q, per_vertex

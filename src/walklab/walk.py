@@ -1,7 +1,7 @@
-"""Exact Grover-walk engine: walk matrices, the spectral mapping from the
-adjacency spectrum to the time-evolution spectrum, the periodicity
-decision with exact period, and the structural identity checks used by
-the feasibility analysis.
+"""Exact Grover-walk engine: the periodicity decision with exact period,
+read off the adjacency charpoly, the eigenvalue gate, and the structural
+identity checks used by the feasibility analysis.  The walk matrices and
+the U-side routes are reference implementations in `walklab.oracles`.
 
 Restricted to connected regular graphs: for irregular degrees the
 reflection 2d*d - I has irrational entries and the exact rational
@@ -15,32 +15,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import (
     Poly,
     QuadraticNumber,
     Spectrum,
     Unresolved,
-    _primes_below,
     eval_poly_at_matrix,
-    int_mat_power,
     int_matmul,
     is_quadratic_algebraic_integer,
     min_poly_2cos,
 )
-from .graphs import (
-    ArcSpace,
-    Graph,
-    arc_space,
-    biadjacency,
-    count_quadrangles,
-    is_bipartite,
-    is_connected,
-    regularity,
-)
-
-DIRECT_CHECK_MAX_ARCS = 200
+from .graphs import Graph, biadjacency, is_bipartite, is_connected, regularity
 
 
 class NotRegularError(ValueError):
@@ -66,115 +51,6 @@ def _require_regular_connected(g: Graph) -> int:
     if not is_connected(g):
         raise NotConnectedError("graph is not connected")
     return k
-
-
-# ---------------------------------------------------------------------------
-# walk matrices
-
-
-@dataclass(frozen=True)
-class WalkMatrices:
-    """Shift S, discriminant T = A/k, and time evolution U = S(2d*d - I)
-    over the canonical arc order.  k * U is an integer matrix; U is real
-    orthogonal and S is a symmetric permutation with S^2 = I."""
-
-    shift: tuple[tuple[int, ...], ...]
-    discriminant: tuple[tuple[Fraction, ...], ...]
-    time_evolution: tuple[tuple[Fraction, ...], ...]
-    degree: int
-    arcs: ArcSpace
-
-    def scaled_evolution(self) -> list[list[int]]:
-        """k * U as plain integers."""
-        return [[int(x * self.degree) for x in row] for row in self.time_evolution]
-
-
-def build_walk_matrices(g: Graph) -> WalkMatrices:
-    k = _require_regular_connected(g)
-    space = arc_space(g)
-    m = space.size
-    shift = tuple(tuple(1 if b == space.inverse_index[a] else 0 for b in range(m))
-                  for a in range(m))
-    # (S (2 d*d - k I))[a][b] = 2 [o(a) = t(b)] - k [b = a^-1]
-    ku = [[2 * (space.arcs[a][0] == space.arcs[b][1]) - k * (b == space.inverse_index[a])
-           for b in range(m)] for a in range(m)]
-    u = tuple(tuple(Fraction(x, k) for x in row) for row in ku)
-    t = tuple(tuple(Fraction(x, k) for x in row) for row in g.adjacency)
-    ones = int_matmul(ku, [[x for x in row] for row in zip(*ku)])
-    if any(ones[i][j] != (k * k if i == j else 0) for i in range(m) for j in range(m)):
-        raise AssertionError("time evolution is not orthogonal")
-    return WalkMatrices(shift, t, u, k, space)
-
-
-# ---------------------------------------------------------------------------
-# spectral mapping
-
-
-@dataclass(frozen=True)
-class USpectrumModel:
-    """Time-evolution spectrum data derived from the vertex spectrum:
-    the eigenvalue pairs e^{+-i arccos(lambda)} over the discriminant
-    spectrum, plus +1 and -1 with the cycle-space multiplicities.  An
-    oracle for decide_periodic, used by the tests and selfcheck."""
-
-    m_plus: int
-    m_minus: int
-    u_charpoly: Poly
-
-
-def u_charpoly_via_mapping(adj_charpoly: Poly, k: int, edges: int, vertices: int,
-                           ker_dim_t_plus_i: int) -> Poly:
-    """Characteristic polynomial of the time evolution from the adjacency
-    characteristic polynomial of a connected k-regular graph.
-
-    Every discriminant eigenvalue t other than +-1 contributes the factor
-    x^2 - 2tx + 1 (the conjugate unit-circle pair); t = +1 and t = -1
-    contribute single factors (x - 1) and (x + 1) since the pair
-    degenerates there; the flat +-1 eigenspaces add (x-1)^(E-V+1) and
-    (x+1)^(E-V+ker).  Total degree is forced to 2E.
-    """
-    if adj_charpoly.degree() != vertices:
-        raise ValueError("adjacency charpoly degree does not match vertex count")
-    # monic discriminant polynomial p(t) = p_A(k t) / k^n
-    p_t = adj_charpoly.scale_arg(k) * Fraction(1, k ** vertices)
-    g = p_t.exact_div(Poly([-1, 1]))
-    for _ in range(ker_dim_t_plus_i):
-        g = g.exact_div(Poly([1, 1]))
-    if g.degree() >= 1 and (g(Fraction(1)) == 0 or g(Fraction(-1)) == 0):
-        raise ValueError("leftover unit eigenvalue: inconsistent inputs")
-    # substitute t = (x^2+1)/(2x) and clear denominators: each root t of g
-    # becomes the conjugate pair of roots of x^2 - 2tx + 1
-    dg = g.degree()
-    x2p1 = Poly([1, 0, 1])
-    acc = Poly.zero()
-    pw = Poly.one()
-    for i in range(dg + 1):
-        term = g.coeffs[i] * pw * (2 ** (dg - i))
-        acc = acc + term.shift_up(dg - i)
-        pw = pw * x2p1
-    m_plus = edges - vertices + 1
-    m_minus = edges - vertices + ker_dim_t_plus_i
-    if m_plus < 0 or m_minus < 0:
-        raise ValueError("negative flat multiplicity: inconsistent inputs")
-    out = Poly([-1, 1]) ** (1 + m_plus) * Poly([1, 1]) ** (ker_dim_t_plus_i + m_minus) * acc
-    if out.degree() != 2 * edges:
-        raise ValueError(
-            f"mapped charpoly has degree {out.degree()}, expected {2 * edges}")
-    return out
-
-
-def u_spectrum_model(g: Graph) -> USpectrumModel:
-    k = _require_regular_connected(g)
-    # dim Ker(A + kI) is the multiplicity of -k: A is diagonalizable
-    ker, rest = 0, g.charpoly
-    while rest(-k) == 0:
-        ker, rest = ker + 1, rest.exact_div(Poly([k, 1]))
-    u_poly = u_charpoly_via_mapping(g.charpoly, k, g.edge_count, g.n, ker)
-    return USpectrumModel(
-        m_plus=g.edge_count - g.n + 1,
-        m_minus=g.edge_count - g.n + ker,
-        u_charpoly=u_poly,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,40 +128,6 @@ def decide_periodic(g: Graph) -> PeriodicityVerdict:
                     cyclotomic_orders=orders)
 
 
-def period_oracle(g: Graph, tau_max: int = 2 * math.lcm(*range(1, 25))) -> int | None:
-    """Smallest tau <= tau_max with U^tau = I, by exact iteration.
-
-    Residues of (kU)^tau modulo two fixed primes screen the candidates;
-    every candidate is then verified exactly over the integers, so the
-    result does not depend on the prime choice.  Test oracle only.
-    """
-    k = _require_regular_connected(g)
-    if 2 * g.edge_count > DIRECT_CHECK_MAX_ARCS:
-        raise ValueError("period oracle limited to 200 arcs")
-    ku = build_walk_matrices(g).scaled_evolution()
-    m = len(ku)
-    pmax = math.isqrt(2 ** 62 // max(m, 1))  # residue dot products fit int64
-    prime_gen = _primes_below(pmax)
-    screens = []
-    for _ in range(2):
-        p = next(prime_gen)
-        base = np.array([[x % p for x in row] for row in ku], dtype=np.int64)
-        screens.append({"p": p, "base": base, "power": base.copy(), "kpow": k % p})
-    eye = np.eye(m, dtype=np.int64)
-    for tau in range(1, tau_max + 1):
-        if tau > 1:
-            for s in screens:
-                s["power"] = (s["power"] @ s["base"]) % s["p"]
-                s["kpow"] = (s["kpow"] * k) % s["p"]
-        if all(np.array_equal(s["power"], (s["kpow"] * eye) % s["p"]) for s in screens):
-            exact = int_mat_power(ku, tau)
-            scale = k ** tau
-            if all(exact[i][j] == (scale if i == j else 0)
-                   for i in range(m) for j in range(m)):
-                return tau
-    return None
-
-
 def eigenvalue_gate(k: int, theta: QuadraticNumber) -> bool:
     """Admissibility of a second-largest eigenvalue for a periodic
     bipartite regular graph with four or five distinct eigenvalues.
@@ -357,18 +199,13 @@ def hoffman_check(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class QuadrangleReport:
-    """Quadrangle counts read off the spectrum (exact rationals), with the
-    optional brute-force count and per-vertex constancy when the graph is
-    available."""
+    """Quadrangle counts read off the spectrum, as exact rationals."""
 
     q_spectral: Fraction
     qx_spectral: Fraction
-    q_brute: int | None
-    per_vertex_constant: bool | None
 
 
-def quadrangle_report(spectrum: Spectrum, n: int, k: int,
-                      g: Graph | None = None) -> QuadrangleReport:
+def quadrangle_report(spectrum: Spectrum, n: int, k: int) -> QuadrangleReport:
     """Quadrangle count from the fourth power sum: the closed 4-walks of a
     k-regular graph split into 2k^2 - k degenerate walks per vertex plus
     two traversals of each quadrangle through it."""
@@ -377,12 +214,7 @@ def quadrangle_report(spectrum: Spectrum, n: int, k: int,
     s4 = spectrum.power_sum(4)
     q_spectral = (s4 - n * (2 * k * k - k)) / 8
     qx_spectral = 4 * q_spectral / n
-    q_brute: int | None = None
-    constant: bool | None = None
-    if g is not None:
-        q_brute, per_vertex = count_quadrangles(g)
-        constant = all(c == per_vertex[0] for c in per_vertex)
-    return QuadrangleReport(q_spectral, qx_spectral, q_brute, constant)
+    return QuadrangleReport(q_spectral, qx_spectral)
 
 
 def _five_eig_shape(spec: Spectrum, k: int) -> tuple[QuadraticNumber, int, int] | None:

@@ -4,15 +4,8 @@ modules."""
 import math
 from fractions import Fraction
 
-from walklab.exact import Poly, QuadraticNumber, min_poly_2cos
-from walklab.feasibility import (
-    REALIZATIONS,
-    FeasibleRow,
-    ThetaClass,
-    closed_walks_integral,
-    multiplicities,
-    n_bounds,
-)
+from walklab.exact import Poly, QuadraticNumber, _clear_denominators, min_poly_2cos
+from walklab.feasibility import REALIZATIONS, FeasibleRow, ThetaClass, multiplicities, n_bounds
 from walklab.graphs import Graph, is_connected
 
 
@@ -79,6 +72,109 @@ def hessenberg_charpoly(mat):
                         cur[i] -= coeff * c
         polys.append(cur)
     return Poly(polys[n])
+
+
+def rank(mat):
+    """Exact rank by fraction-free (Bareiss) elimination on the
+    denominator-cleared integer matrix."""
+    if not mat:
+        return 0
+    m, _ = _clear_denominators(mat)
+    rows, cols = len(m), len(m[0])
+    r = 0
+    prev = 1
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def kernel_dim(mat):
+    """dim Ker(mat) = n - rank(mat) for a square matrix."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("kernel_dim requires a square matrix")
+    return n - rank(mat)
+
+
+def bareiss_det(mat):
+    """Exact determinant of an integer matrix, fraction-free."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    m = [list(map(int, row)) for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def charpoly_bareiss(mat):
+    """Reference for `charpoly` on integer matrices: evaluate
+    det(xI - mat) at n+1 integer points with Bareiss determinants and
+    interpolate exactly (Newton divided differences over Q)."""
+    n = len(mat)
+    xs = list(range(n + 1))
+    ys = []
+    for x in xs:
+        shifted = [[(x if i == j else 0) - mat[i][j] for j in range(n)] for i in range(n)]
+        ys.append(bareiss_det(shifted))
+    # Newton coefficients
+    coeffs = [Fraction(y) for y in ys]
+    for level in range(1, n + 1):
+        for i in range(n, level - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
+    poly = Poly.zero()
+    basis = Poly.one()
+    for i in range(n + 1):
+        poly = poly + coeffs[i] * basis
+        basis = basis * Poly([-xs[i], 1])
+    return poly
+
+
+def closed_walks_integral(k, theta_sq, n):
+    """Whether (2 k^{2r} + (nk - 2k²) θ^{2r-2}) / n is an integer for
+    every positive r, decided exactly.
+
+    The pair (k^{2r} mod n, θ^{2r-2} mod n) evolves by fixed
+    multiplications, so it is eventually periodic: checking each state
+    until one repeats covers all r.
+    """
+    if theta_sq <= 0 or int(theta_sq) != theta_sq:
+        raise ValueError("theta^2 must be a positive integer")
+    ksq = (k * k) % n
+    tsq = theta_sq % n
+    coeff = (n * k - 2 * k * k) % n
+    state = (ksq % n, 1 % n)
+    seen = set()
+    while state not in seen:
+        seen.add(state)
+        u, v = state
+        if (2 * u + coeff * v) % n:
+            return False
+        state = ((u * ksq) % n, (v * tsq) % n)
+    return True
 
 
 def enumerate_rows_by_window(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:

@@ -2,11 +2,15 @@
 determinism, file auto-detection, and the selfcheck fault injection."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from walklab import exact, walk
+import walklab
+from walklab import exact, graphs, walk
 from walklab.cli import ExprError, main, parse_expr
 from walklab.exact import Poly
 from walklab.graphio import to_graph6
@@ -165,6 +169,23 @@ def test_analyze_computes_the_adjacency_charpoly_once(capsys, monkeypatch):
     assert sizes == [8]  # no charpoly of the 16x16 time evolution
 
 
+def test_analyze_counts_quadrangles_once(capsys, monkeypatch):
+    real = graphs.count_quadrangles
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("walklab") and getattr(mod, "count_quadrangles", None) is real:
+            monkeypatch.setattr(mod, "count_quadrangles", counting)
+    code, out, _ = _run(capsys, "analyze", "--expr", "cycle(8)")
+    assert code == 0
+    assert "spectral quadrangles: q=0 q_x=0" in out
+    assert calls == [8]
+
+
 def test_analyze_irregular_graph(capsys):
     code, out, _ = _run(capsys, "analyze", "--expr", "kbip(1,3)")
     assert code == 0
@@ -239,6 +260,12 @@ def test_tables_csv(capsys):
     assert "C6⊗J2" in half_rows[0]
 
 
+def test_tables_rejects_a_degree_bound_below_two(capsys):
+    code, out, err = _run(capsys, "tables", "--kmax", "1")
+    assert code == 1 and out == ""
+    assert err == "error: k_max must be at least 2\n"
+
+
 def test_tables_runtime_and_determinism(capsys):
     first = _run(capsys, "tables", "--kmax", "10", "--format", "csv")
     second = _run(capsys, "tables", "--kmax", "10", "--format", "csv")
@@ -256,10 +283,26 @@ def test_selfcheck_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_selfcheck_seed_is_inert(capsys):
-    a = _run(capsys, "selfcheck", "--seed", "1")
-    b = _run(capsys, "selfcheck", "--seed", "999")
-    assert a == b
+def test_selfcheck_rejects_the_removed_seed_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["selfcheck", "--seed", "1"])
+
+
+def test_selfcheck_is_byte_identical_across_runs(capsys):
+    assert _run(capsys, "selfcheck") == _run(capsys, "selfcheck")
+
+
+def test_import_walklab_leaves_the_oracles_out():
+    # the package and the hot-path modules never import walklab.oracles;
+    # only the CLI does, for selfcheck
+    src = str(Path(walklab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    script = ("import sys, walklab; "
+              "assert 'walklab.oracles' not in sys.modules; "
+              "import walklab.oracles")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_selfcheck_detects_corrupted_cyclotomic(capsys, monkeypatch):

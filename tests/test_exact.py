@@ -21,24 +21,27 @@ from walklab.exact import (
     Unresolved,
     _is_prime,
     _primes_below,
-    bareiss_det,
     charpoly,
-    charpoly_bareiss,
     cyclotomic,
-    cyclotomic_sieve,
     eval_poly_at_matrix,
     extract_spectrum,
     is_quadratic_algebraic_integer,
-    kernel_dim,
-    mat_identity,
     min_poly_2cos,
-    rank,
     squarefree_part,
 )
 from walklab.feasibility import REALIZATIONS
 from walklab.graphs import Graph, complete_bipartite, cycle, hypercube, line_graph, petersen
+from walklab.oracles import _totient, build_walk_matrices, cyclotomic_sieve, mat_identity
 
-from oracles import hessenberg_charpoly, order_of_cos_pair, random_regular
+from oracles import (
+    bareiss_det,
+    charpoly_bareiss,
+    hessenberg_charpoly,
+    kernel_dim,
+    order_of_cos_pair,
+    random_regular,
+    rank,
+)
 
 
 def _adj(g):
@@ -401,7 +404,6 @@ def test_min_poly_2cos_values():
 
 
 def test_cyclotomic_degree_is_totient():
-    from walklab.exact import _totient
     for d in range(1, 80):
         assert cyclotomic(d).degree() == _totient(d)
 
@@ -409,7 +411,6 @@ def test_cyclotomic_degree_is_totient():
 def test_modular_charpoly_matches_hessenberg_at_scale():
     # one large structured case through both exact routes
     from walklab.graphs import tensor_allones, cycle
-    from walklab.walk import build_walk_matrices
     g = tensor_allones(cycle(6), 3)
     ku = build_walk_matrices(g).scaled_evolution()
     assert len(ku) == 108
@@ -430,7 +431,7 @@ def test_min_poly_2cos_substitution_identity():
         acc = Poly.zero()
         pw = Poly.one()
         for j in range(half + 1):
-            acc = acc + psi.coeffs[j] * pw.shift_up(half - j)
+            acc = acc + psi.coeffs[j] * Poly((0,) * (half - j) + pw.coeffs)
             pw = pw * Poly([1, 0, 1])
         assert acc == cyclotomic(d), d
 

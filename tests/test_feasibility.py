@@ -13,7 +13,6 @@ from walklab.feasibility import (
     ThetaClass,
     all_rows,
     classify_four_eigenvalue,
-    closed_walks_integral,
     enumerate_rows,
     multiplicities,
     n_bounds,
@@ -24,7 +23,7 @@ from walklab.feasibility import (
 )
 from walklab.walk import Periodic, decide_periodic, quadrangle_report
 
-from oracles import enumerate_rows_by_window
+from oracles import closed_walks_integral, enumerate_rows_by_window
 
 EXPECTED_N_COLUMNS = {
     (ThetaClass.HALF, 4): [12, 16, 24, 32, 48, 64, 96],
