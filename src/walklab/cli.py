@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import string
 import sys
 import time
 
@@ -104,6 +105,11 @@ _BUILDERS = {
 }
 
 
+# ASCII only: str.isalnum and str.isdigit also accept digits of other
+# scripts, fullwidth forms and superscripts
+_NAME_CHARS = string.ascii_letters + string.digits + "_"
+
+
 def _tokenize(text: str) -> list[str]:
     tokens = []
     i = 0
@@ -114,15 +120,15 @@ def _tokenize(text: str) -> list[str]:
         elif ch in "(),":
             tokens.append(ch)
             i += 1
-        elif ch.isalpha():
+        elif ch in string.ascii_letters:
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and text[j] in _NAME_CHARS:
                 j += 1
             tokens.append(text[i:j])
             i = j
-        elif ch.isdigit():
+        elif ch in string.digits:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in string.digits:
                 j += 1
             tokens.append(text[i:j])
             i = j

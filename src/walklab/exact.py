@@ -638,6 +638,34 @@ class Unresolved:
     residual: Poly
 
 
+def _div_monic(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
+    """Quotient of two integer coefficient lists (constant term first) by
+    synthetic division over Z, or None when the remainder is nonzero.
+    den must be monic, so no step leaves the integers."""
+    d = len(den) - 1
+    rem = list(num)
+    quot = [0] * max(0, len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        t = rem[i]
+        if t:
+            quot[i - d] = t
+            for j in range(d):
+                rem[i - d + j] -= t * den[j]
+    return None if any(rem[:d]) else quot
+
+
+def _horner(coeffs: Sequence[int], v: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
+
+
+# Points at which a quadratic candidate f is screened before any division:
+# f is monic, so f | r puts the quotient in Z[x] and f(v) | r(v) follows.
+_SCREEN_POINTS = (1, -1, 2, -2, 3, -3)
+
+
 def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
     """Resolve the roots of the characteristic polynomial of a real
     symmetric matrix, a monic integer polynomial whose roots are all
@@ -652,6 +680,11 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
     (α - β)^2 and b^2 - 2c = α^2 + β^2.  The residual only loses
     factors, so one pass is complete.  What is left over (degree >= 3)
     is returned as an Unresolved residual.
+
+    The residual r stays a list of ints.  A quadratic candidate f is first
+    screened at the points _SCREEN_POINTS, where f | r forces f(v) | r(v)
+    (and r(v) = 0 where f(v) = 0); it is accepted only when the division
+    of r by f over Z leaves no remainder.
     """
     if not p.is_monic():
         raise ValueError("spectrum extraction requires a monic polynomial")
@@ -659,27 +692,28 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
         raise ValueError("spectrum extraction requires integer coefficients")
     nz = next(i for i, c in enumerate(p.coeffs) if c)
     pairs = [(QuadraticNumber(0), nz)] if nz else []
-    residual = Poly(p.coeffs[nz:])
-    *_, a2, a1, _ = (0, 0) + residual.coeffs
-    sq_sum = int(a1 * a1 - 2 * a2)
+    residual = [int(c) for c in p.coeffs[nz:]]
+    *_, a2, a1, _ = [0, 0] + residual
+    sq_sum = a1 * a1 - 2 * a2
     if sq_sum < 0:
         raise ValueError(f"the squared roots sum to {sq_sum}, so some roots are not real")
 
-    a0 = abs(int(residual.coeffs[0]))
+    a0 = abs(residual[0])
     for d in range(1, math.isqrt(sq_sum) + 1):
         if a0 % d:
             continue
         for root in (d, -d):
             mult = 0
-            while residual.degree() >= 1 and residual(root) == 0:
-                residual = residual.exact_div(Poly([-root, 1]))
+            while len(residual) > 1 and _horner(residual, root) == 0:
+                residual = _div_monic(residual, (-root, 1))
                 mult += 1
             if mult:
                 pairs.append((QuadraticNumber(root), mult))
 
-    a0 = abs(int(residual.coeffs[0]))
+    a0 = abs(residual[0])
+    values = [_horner(residual, v) for v in _SCREEN_POINTS]
     for c_abs in range(1, sq_sum // 2 + 1):
-        if residual.degree() < 2:
+        if len(residual) < 3:
             break
         if a0 % c_abs:
             continue
@@ -688,10 +722,13 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
             for b in range(-b_max, b_max + 1):
                 if b * b <= 4 * c:
                     continue
-                factor = Poly([c, b, 1])
+                factor = (c, b, 1)
+                at = [v * v + b * v + c for v in _SCREEN_POINTS]
                 mult = 0
-                while factor.divides(residual):
-                    residual = residual.exact_div(factor)
+                while (all(r % f == 0 if f else r == 0 for r, f in zip(values, at))
+                       and (quot := _div_monic(residual, factor)) is not None):
+                    residual = quot
+                    values = [r // f for r, f in zip(values, at)]
                     mult += 1
                 if mult:
                     m, s = squarefree_part(b * b - 4 * c)
@@ -699,8 +736,8 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
                     pairs.append((QuadraticNumber(half_b, half_s, m), mult))
                     pairs.append((QuadraticNumber(half_b, -half_s, m), mult))
 
-    if residual.degree() >= 1:
-        return Unresolved(tuple(pairs), residual)
+    if len(residual) > 1:
+        return Unresolved(tuple(pairs), Poly(residual))
     return Spectrum.from_pairs(pairs)
 
 

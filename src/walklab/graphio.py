@@ -4,9 +4,12 @@ encoding) and a plain edge-list text format ("n m" header line, then one
 
 from __future__ import annotations
 
+import re
+
 from .graphs import Graph, GraphError
 
 GRAPH6_HEADER = ">>graph6<<"
+_DECIMAL = re.compile(r"[0-9]+")
 
 
 def _g6_encode_size(n: int) -> str:
@@ -90,14 +93,21 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plain_decimals(tokens: list[str]) -> list[int] | None:
+    """The tokens as ints when every one is plain ASCII decimal digits
+    (no sign, underscore or other script), else None."""
+    if all(_DECIMAL.fullmatch(tok) for tok in tokens):
+        return [int(tok) for tok in tokens]
+    return None
+
+
 def from_edge_list(text: str) -> Graph:
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows:
         raise GraphError("empty edge list")
-    try:
-        header = [int(tok) for tok in rows[0]]
-    except ValueError as exc:
-        raise GraphError(f"bad edge-list header: {rows[0]}") from exc
+    header = _plain_decimals(rows[0])
+    if header is None:
+        raise GraphError(f"bad edge-list header: {rows[0]}")
     if len(header) != 2:
         raise GraphError("edge-list header must be 'n m'")
     n, m = header
@@ -105,13 +115,10 @@ def from_edge_list(text: str) -> Graph:
         raise GraphError(f"edge list declares {m} edges but has {len(rows) - 1}")
     edges = []
     for row in rows[1:]:
-        if len(row) != 2:
+        pair = _plain_decimals(row)
+        if pair is None or len(pair) != 2:
             raise GraphError(f"bad edge line: {' '.join(row)}")
-        try:
-            u, v = int(row[0]), int(row[1])
-        except ValueError as exc:
-            raise GraphError(f"bad edge line: {' '.join(row)}") from exc
-        edges.append((u, v))
+        edges.append((pair[0], pair[1]))
     return Graph.from_edges(n, edges)
 
 

@@ -20,6 +20,7 @@ from .exact import (
     QuadraticNumber,
     Spectrum,
     Unresolved,
+    _div_monic,
     eval_poly_at_matrix,
     int_matmul,
     is_quadratic_algebraic_integer,
@@ -110,15 +111,15 @@ def decide_periodic(g: Graph) -> PeriodicityVerdict:
                     return NotPeriodic(witness=t_eig, residual=None)
         return NotPeriodic(witness=None, residual=p2t)
     mult: dict[int, int] = {}
-    residual, d = p2t, 1
-    while residual.degree() > 0:
+    residual, d = [int(c) for c in p2t.coeffs], 1
+    while len(residual) > 1:
         # psi_d has degree phi(d)/2 <= n, so d <= 8n^2 (plus d = 1, 2)
         if d > 8 * n * n + 2:
-            raise AssertionError(f"integral p_2T has a residual {residual} "
+            raise AssertionError(f"integral p_2T has a residual {Poly(residual)} "
                                  "without 2cos roots")
-        psi = min_poly_2cos(d)
-        while psi.divides(residual):
-            residual = residual.exact_div(psi)
+        psi = [int(c) for c in min_poly_2cos(d).coeffs]
+        while (quot := _div_monic(residual, psi)) is not None:
+            residual = quot
             mult[d] = mult.get(d, 0) + 1
         d += 1
     mult[1] = mult.get(1, 0) + edges - n + 1

@@ -50,6 +50,18 @@ def test_parse_expr_errors():
             parse_expr(bad)
 
 
+@pytest.mark.parametrize("expr, ch", [("cycle(\u0666)", "\u0666"),       # Arabic-Indic six
+                                      ("hypercube(\uff13)", "\uff13"),  # fullwidth three
+                                      ("cycle(\u00b2)", "\u00b2"),       # superscript two
+                                      ("cycl\u00e9(3)", "\u00e9")])
+def test_expr_accepts_only_ascii_letters_and_digits(capsys, expr, ch):
+    with pytest.raises(ExprError, match=f"unexpected character {ch!r}"):
+        parse_expr(expr)
+    code, out, err = _run(capsys, "period", "--expr", expr)
+    assert code == 1 and out == ""
+    assert err == f"error: unexpected character {ch!r} in expression\n"
+
+
 # ---------------------------------------------------------------------------
 # period command
 
@@ -113,6 +125,17 @@ def test_empty_graph_is_an_input_error(tmp_path, capsys, command, name, text):
     code, out, err = _run(capsys, command, "--file", str(path))
     assert code == 1 and out == ""
     assert err == "error: graph has no vertices\n"
+
+
+@pytest.mark.parametrize("text, err", [
+    ("3 1\n1_0 2\n", "error: bad edge line: 1_0 2\n"),
+    ("3 +2\n0 1\n1 2\n", "error: bad edge-list header: ['3', '+2']\n"),
+])
+def test_loose_number_spellings_in_an_edge_list_file(tmp_path, capsys, text, err):
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="ascii")
+    code, out, got = _run(capsys, "period", "--file", str(path))
+    assert code == 1 and out == "" and got == err
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from walklab.exact import (
     QuadraticNumber,
     Spectrum,
     Unresolved,
+    _SCREEN_POINTS,
     _is_prime,
     _primes_below,
     charpoly,
@@ -270,6 +271,9 @@ def test_extract_agrees_with_sympy_factor_list():
     rng = random.Random(20261018)
     graphs += [random_regular(n, k, rng) for k in (3, 4)
                for n in range(k + 1, 21) if n * k % 2 == 0]
+    # the shapes of the period-random bench graphs
+    graphs += [random_regular(n, k, rng) for k, n in ((3, 16), (3, 20), (5, 42))
+               for _ in range(3)]
     graphs += [Graph.from_edges(h.number_of_nodes(), h.edges())
                for h in nx.graph_atlas_g() if h.number_of_nodes() > 0]
     unresolved = 0
@@ -284,6 +288,23 @@ def test_extract_agrees_with_sympy_factor_list():
             assert Spectrum.from_pairs(out.partial) == Spectrum.from_pairs(pairs), p
             unresolved += 1
     assert unresolved > 0
+
+
+def test_screen_passes_a_candidate_that_the_division_rejects():
+    # r = f*x^3 + prod_v (x - v) agrees with f*x^3 at every screen point v,
+    # so f(v) | r(v) there, yet f = x^2 - 2 does not divide r
+    f = Poly([-2, 0, 1])
+    w = Poly.one()
+    for v in _SCREEN_POINTS:
+        w = w * Poly([-v, 1])
+    r = f * Poly.x() ** 3 + w
+    assert r == Poly([-36, 0, 49, -2, -14, 1, 1])
+    assert all(r(v) % f(v) == 0 for v in _SCREEN_POINTS)
+    assert not f.divides(r)
+    # f is a candidate: c = -2 divides a_0 and b^2 = 0 <= S + 2c = 29 - 4
+    assert r.coeffs[0] % 2 == 0 and r.coeffs[5] ** 2 - 2 * r.coeffs[4] == 29
+    # r is irreducible over Z (sympy's factor_list), so nothing resolves
+    assert extract_spectrum(r) == Unresolved((), r)
 
 
 # ---------------------------------------------------------------------------

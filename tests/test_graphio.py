@@ -73,6 +73,21 @@ def test_edge_list_errors():
         from_edge_list("3 1\n0 3\n")  # vertex out of range
 
 
+@pytest.mark.parametrize("text", ["3 1\n1_0 2\n", "3 1\n0 +1\n", "3 1\n0 -1\n",
+                                  "3 1\n0 0x1\n", "3 1\n0 1.0\n", "3 1\n0 \u0661\n",
+                                  "3 1\n0 1 2\n"])
+def test_edge_lines_must_be_plain_ascii_decimals(text):
+    with pytest.raises(GraphError, match="^bad edge line: "):
+        from_edge_list(text)
+
+
+@pytest.mark.parametrize("text", ["3 +2\n0 1\n1 2\n", "3 0_2\n0 1\n1 2\n",
+                                  "\uff13 0\n", "-3 0\n", "3.0 0\n"])
+def test_edge_list_header_must_be_plain_ascii_decimals(text):
+    with pytest.raises(GraphError, match="^bad edge-list header: "):
+        from_edge_list(text)
+
+
 def test_autodetect():
     g = petersen()
     assert load(to_graph6(g)).adjacency == g.adjacency

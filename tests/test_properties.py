@@ -2,7 +2,8 @@
 16 vertices: the exact pipeline does not depend on the vertex labels, and
 both file formats round-trip.  On random integer matrices with up to 30
 rows, the CRT charpoly equals the rational Hessenberg oracle and the
-Bareiss interpolation route."""
+Bareiss interpolation route.  Integer division by a monic divisor agrees
+with division over Q."""
 
 import random
 
@@ -12,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from walklab.exact import charpoly
+from walklab.exact import Poly, _div_monic, charpoly
 from walklab.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
 from walklab.graphs import Graph
 from walklab.walk import decide_periodic
@@ -69,3 +70,28 @@ def test_charpoly_matches_hessenberg_and_bareiss(m):
     assert p.degree() == len(m) and p.is_monic() and p.is_integral()
     assert p == hessenberg_charpoly(m)
     assert p == charpoly_bareiss(m)
+
+
+@st.composite
+def monic_divisions(draw):
+    """(dividend, monic divisor) as integer lists, constant term first: a
+    multiple of the divisor plus a remainder that is zero about half the
+    time, with up to two trailing zeros on the dividend."""
+    coeff = st.integers(-50, 50)
+    den = draw(st.lists(coeff, max_size=4)) + [1]
+    quot = draw(st.lists(coeff, max_size=10))
+    rem = draw(st.lists(coeff, max_size=len(den) - 1)) if draw(st.booleans()) else []
+    num = [int(c) for c in (Poly(quot) * Poly(den) + Poly(rem)).coeffs]
+    return num + [0] * draw(st.integers(0, 2)), den
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(monic_divisions())
+def test_integer_monic_division_matches_division_over_q(case):
+    num, den = case
+    quot, rem = divmod(Poly(num), Poly(den))
+    out = _div_monic(num, den)
+    assert (out is None) == (not rem.is_zero())
+    if out is not None:
+        assert Poly(out) == quot
