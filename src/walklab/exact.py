@@ -382,7 +382,10 @@ class QuadraticNumber:
     __radd__ = __add__
 
     def __neg__(self) -> QuadraticNumber:
-        return QuadraticNumber(-self.a, -self.b, self.m)
+        # negation keeps (a, b, m) normalized, so __init__ need not run again
+        out = QuadraticNumber.__new__(QuadraticNumber)
+        out.a, out.b, out.m = -self.a, -self.b, self.m
+        return out
 
     def __sub__(self, other) -> QuadraticNumber:
         o = self._coerced(other)
@@ -560,8 +563,11 @@ class Spectrum:
         return 0
 
     def is_symmetric(self) -> bool:
-        """True iff the multiset equals its negation."""
-        return all(self.multiplicity(-v) == m for v, m in self.entries)
+        """True iff the multiset equals its negation.  The entries are
+        distinct and descending, so negation reverses them: each entry
+        must mirror the one at the same distance from the other end."""
+        return all(m == mw and v == -w
+                   for (v, m), (w, mw) in zip(self.entries, reversed(self.entries)))
 
     def negated(self) -> Spectrum:
         return Spectrum.from_pairs((-v, m) for v, m in self.entries)
@@ -748,17 +754,28 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
 _INT64_SAFE = 2 ** 62
 
 
+def _abs_max(x: np.ndarray) -> int:
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
 def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact integer matrix product; uses native int64 when the result
-    provably fits, otherwise exact Python-int (object dtype) arithmetic."""
-    inner = len(b)
-    amax = max((abs(x) for row in a for x in row), default=0)
-    bmax = max((abs(x) for row in b for x in row), default=0)
-    if amax and bmax and amax * bmax * inner < _INT64_SAFE:
-        prod = np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)
-        return prod.tolist()
-    prod = np.array(a, dtype=object) @ np.array(b, dtype=object)
-    return prod.tolist()
+    """Exact product of an r x p and a p x c integer matrix (p = len(b),
+    c = len(b[0]), or 0 when b is empty).  Both operands are converted to
+    int64 once; the native product runs when p * max|a| * max|b| < 2^62
+    bounds every partial sum, and exact Python-int (object dtype)
+    arithmetic runs otherwise, also when an entry does not fit in int64."""
+    shape_a, shape_b = (len(a), len(b)), (len(b), len(b[0]) if b else 0)
+    try:
+        x = np.array(a, dtype=np.int64).reshape(shape_a)
+        y = np.array(b, dtype=np.int64).reshape(shape_b)
+    except OverflowError:
+        pass
+    else:
+        if _abs_max(x) * _abs_max(y) * len(b) < _INT64_SAFE:
+            return (x @ y).tolist()
+    x = np.array(a, dtype=object).reshape(shape_a)
+    y = np.array(b, dtype=object).reshape(shape_b)
+    return (x @ y).tolist()
 
 
 def _clear_denominators(mat: Matrix) -> tuple[list[list[int]], int]:
@@ -860,16 +877,29 @@ def _charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
     return polys[n]
 
 
-def _charpoly_modular_int(m: list[list[int]]) -> Poly:
-    """Exact charpoly of an integer matrix by CRT over word-size primes.
+def _charpoly_coeff_bound(m: list[list[int]]) -> int:
+    """An integer above |c_(n-i)| for every coefficient of det(xI - m).
 
-    The coefficient bound uses |lambda| <= max absolute row sum, which
-    holds for every eigenvalue, so |c_{n-i}| <= C(n,i) * bound^i.
+    c_(n-i) is, up to sign, the sum of the C(n,i) principal i x i minors.
+    Hadamard bounds each by the product of its columns' norms, and those
+    by the norms r_j of the full columns, so |c_(n-i)| <= e_i(r_1..r_n).
+    Maclaurin's inequality and the power-mean inequality give
+    e_i(r) <= C(n,i) (sum r_j / n)^i <= C(n,i) (F/n)^(i/2) with
+    F = sum of the squared entries.  This holds for every square matrix,
+    symmetric or not; isqrt(C(n,i)^2 F^i // n^i) + 1 exceeds that bound.
     """
     n = len(m)
-    row_bound = max((sum(abs(x) for x in row) for row in m), default=0)
-    row_bound = max(row_bound, 1)
-    coeff_bound = max(math.comb(n, i) * row_bound ** i for i in range(n + 1))
+    fro = sum(x * x for row in m for x in row)
+    return max(math.isqrt(math.comb(n, i) ** 2 * fro ** i // n ** i) + 1
+               for i in range(n + 1))
+
+
+def _charpoly_modular_int(m: list[list[int]]) -> Poly:
+    """Exact charpoly of an integer matrix by CRT over word-size primes,
+    enough of them that their product exceeds twice
+    _charpoly_coeff_bound(m)."""
+    n = len(m)
+    coeff_bound = _charpoly_coeff_bound(m)
     # primes small enough that dot products of residues fit in int64
     pmax = math.isqrt(_INT64_SAFE // max(n, 1))
     primes: list[int] = []

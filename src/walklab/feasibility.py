@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .exact import QuadraticNumber, Spectrum
+from .exact import QuadraticNumber, Spectrum, int_matmul
 from .graphs import (
     Graph,
     bipartite_double,
@@ -96,27 +96,25 @@ class FeasibleRow:
         return None
 
     def spectrum(self) -> Spectrum:
-        theta = self.theta_class.theta(self.k)
-        pairs = [(QuadraticNumber(self.k), 1), (QuadraticNumber(-self.k), 1),
-                 (theta, self.a), (-theta, self.a)]
-        if self.b:
-            pairs.append((QuadraticNumber(0), self.b))
-        return Spectrum.from_pairs(pairs)
+        """{[±k]^1, [±θ]^a, [0]^b}, built in descending order: k > θ > 0
+        in every θ-class and a, b >= 1 for every row."""
+        k, theta = QuadraticNumber(self.k), self.theta_class.theta(self.k)
+        return Spectrum(((k, 1), (theta, self.a), (QuadraticNumber(0), self.b),
+                         (-theta, self.a), (-k, 1)))
 
 
 def multiplicities(k: int, theta_sq: Fraction | int, n: int) -> tuple[int, int] | None:
     """Multiplicities (a, b) of (±θ, 0) forced by the power sums, when
-    both are positive integers."""
-    theta_sq = Fraction(theta_sq)
+    both are positive integers: a = (nk - 2k²)/(2θ²), b = n - 2 - 2a."""
     if theta_sq <= 0:
         raise ValueError("theta^2 must be positive")
-    a = Fraction(n * k - 2 * k * k) / (2 * theta_sq)
-    if a.denominator != 1 or a <= 0:
+    a, rem = divmod((n * k - 2 * k * k) * theta_sq.denominator, 2 * theta_sq.numerator)
+    if rem or a <= 0:
         return None
-    b = n - 2 - Fraction(n * k - 2 * k * k) / theta_sq
-    if b.denominator != 1 or b <= 0:
+    b = n - 2 - 2 * a
+    if b <= 0:
         return None
-    return int(a), int(b)
+    return a, b
 
 
 def n_bounds(k: int, theta_sq: Fraction | int) -> tuple[Fraction, int]:
@@ -173,7 +171,7 @@ def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
     for n in _closed_walk_divisors(k, theta_sq_int):
         if n < lo or n > hi or n % 2:
             continue
-        mult = multiplicities(k, theta_sq, n)
+        mult = multiplicities(k, theta_sq_int, n)
         if mult is None:
             continue
         a, b = mult
@@ -383,16 +381,45 @@ def row_existence(row: FeasibleRow) -> str:
     return "?"
 
 
+def _trace(mat: list[list[int]]) -> int:
+    return sum(row[i] for i, row in enumerate(mat))
+
+
+def realizes(g: Graph, row: FeasibleRow) -> bool:
+    """Whether g has the row's spectrum {[±k]^1, [±θ]^a, [0]^b}, decided
+    from closed-walk counts, with t = θ² (an integer for even k).
+
+    The adjacency matrix A of g has that spectrum exactly when
+      1. g has row.n vertices,
+      2. tr A² = 2k² + 2at, tr A³ = 0 and tr A⁴ = 2k⁴ + 2at²
+         (tr A = 0 holds, as g has no loops), and
+      3. A⁵ - (k² + t)A³ + k²tA = 0.
+    A is symmetric, hence diagonalizable, so 3 puts every eigenvalue in
+    {0, ±θ, ±k}; the Vandermonde matrix of those five distinct values is
+    invertible, so the power sums 0 to 4 fix their multiplicities.
+    tr A⁴ is the sum of the squared entries of the symmetric A².
+    """
+    if g.n != row.n:
+        return False
+    k2, t = row.k * row.k, int(row.theta_class.theta_sq(row.k))
+    adj = g.adjacency
+    a2 = int_matmul(adj, adj)
+    a3 = int_matmul(a2, adj)
+    traces = (_trace(a2), _trace(a3), sum(x * x for r in a2 for x in r))
+    if traces != (2 * k2 + 2 * row.a * t, 0, 2 * k2 * k2 + 2 * row.a * t * t):
+        return False
+    a5 = int_matmul(a2, a3)
+    return all(x5 - (k2 + t) * x3 + k2 * t * x1 == 0
+               for r5, r3, r1 in zip(a5, a3, adj) for x5, x3, x1 in zip(r5, r3, r1))
+
+
 def verify_realization(row: FeasibleRow) -> bool:
-    """Construct the registry graph for the row and compare exact spectra."""
+    """Construct the registry graph for the row, if it has one, and
+    certify its spectrum by `realizes`."""
     entry = REALIZATIONS.get((row.theta_class, row.k, row.n))
     if entry is None:
         return True
-    _, builder = entry
-    spec = builder().spectrum
-    if not isinstance(spec, Spectrum):
-        return False
-    return spec == row.spectrum()
+    return realizes(entry[1](), row)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +477,7 @@ def render_rows(rows: list[FeasibleRow], fmt: str) -> str:
 def render_tables(k_max: int, fmt: str = "text") -> str:
     """Deterministic table of all rows for even k <= k_max, sorted by
     (class, k, n).  Registry realizations are reconstructed and their
-    spectra compared before rendering."""
+    spectra certified by closed-walk counts before rendering."""
     rows = all_rows(k_max)
     for row in rows:
         if not verify_realization(row):

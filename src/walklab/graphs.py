@@ -32,6 +32,14 @@ def _max_vertices() -> int:
     return cap
 
 
+def _check_vertex_count(n: int) -> None:
+    """Refuse a vertex count above the cap; the constructors call this
+    before they allocate anything of size n."""
+    cap = _max_vertices()
+    if n > cap:
+        raise GraphError(f"graph has {n} vertices; cap is {cap}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph: symmetric 0/1 adjacency with zero diagonal."""
@@ -42,8 +50,7 @@ class Graph:
         n = len(self.adjacency)
         if n == 0:
             raise GraphError("graph has no vertices")
-        if n > _max_vertices():
-            raise GraphError(f"graph has {n} vertices; cap is {_max_vertices()}")
+        _check_vertex_count(n)
         for i, row in enumerate(self.adjacency):
             if len(row) != n:
                 raise GraphError("adjacency matrix is not square")
@@ -57,6 +64,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+        _check_vertex_count(n)
         adj = [[0] * n for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -124,7 +132,7 @@ def cycle(n: int) -> Graph:
     """Cycle graph C_n (n >= 3)."""
     if n < 3:
         raise GraphError("a cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
@@ -137,7 +145,7 @@ def complete_bipartite(p: int, q: int) -> Graph:
     """K_{p,q} with part1 = 0..p-1, part2 = p..p+q-1."""
     if p < 1 or q < 1:
         raise GraphError("both parts need at least one vertex")
-    return Graph.from_edges(p + q, [(i, p + j) for i in range(p) for j in range(q)])
+    return Graph.from_edges(p + q, ((i, p + j) for i in range(p) for j in range(q)))
 
 
 def hamming(d: int, q: int) -> Graph:
@@ -145,6 +153,7 @@ def hamming(d: int, q: int) -> Graph:
     iff they differ in exactly one coordinate.  Lexicographic word order."""
     if d < 1 or q < 2:
         raise GraphError("hamming needs d >= 1 and q >= 2")
+    _check_vertex_count(q ** d)
     words = list(itertools.product(range(q), repeat=d))
     index = {w: i for i, w in enumerate(words)}
     edges = []
@@ -174,8 +183,8 @@ def line_graph(g: Graph) -> Graph:
     """Line graph: vertices are the edges of g in canonical order,
     adjacent iff the edges share an endpoint."""
     es = g.edges()
-    edges = [(i, j) for i, j in itertools.combinations(range(len(es)), 2)
-             if set(es[i]) & set(es[j])]
+    edges = ((i, j) for i, j in itertools.combinations(range(len(es)), 2)
+             if set(es[i]) & set(es[j]))
     return Graph.from_edges(len(es), edges)
 
 
@@ -186,6 +195,7 @@ def tensor_allones(g: Graph, m: int) -> Graph:
     if m == 1:
         return g
     n = g.n
+    _check_vertex_count(n * m)
     adj = [[g.adjacency[i // m][j // m] for j in range(n * m)] for i in range(n * m)]
     return Graph(tuple(tuple(row) for row in adj))
 
@@ -193,6 +203,7 @@ def tensor_allones(g: Graph, m: int) -> Graph:
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """A(g) tensor I + I tensor A(h), vertex order (g-vertex, h-vertex)."""
     n, m = g.n, h.n
+    _check_vertex_count(n * m)
     adj = [[0] * (n * m) for _ in range(n * m)]
     for i in range(n * m):
         gi, hi = divmod(i, m)
@@ -206,6 +217,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 def kronecker_product(g: Graph, h: Graph) -> Graph:
     """A(g) tensor A(h), vertex order (g-vertex, h-vertex)."""
     n, m = g.n, h.n
+    _check_vertex_count(n * m)
     adj = [[0] * (n * m) for _ in range(n * m)]
     for i in range(n * m):
         gi, hi = divmod(i, m)

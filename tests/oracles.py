@@ -206,6 +206,20 @@ def enumerate_rows_by_window(theta_class: ThetaClass, k: int) -> list[FeasibleRo
     return rows
 
 
+def spectrum_realizes(g, row):
+    """Reference for `feasibility.realizes`: the CRT charpoly of g,
+    extracted into an exact spectrum, equals the row's spectrum."""
+    return g.spectrum == row.spectrum()
+
+
+def matmul_reference(a, b):
+    """Reference for `int_matmul`: the r x p by p x c product by the
+    triple loop over Python ints (c = len(b[0]), or 0 when b is empty)."""
+    cols = len(b[0]) if b else 0
+    return [[sum(row[t] * b[t][j] for t in range(len(b))) for j in range(cols)]
+            for row in a]
+
+
 def random_regular(n, k, rng):
     """Connected simple k-regular graph on n vertices: configuration model,
     rejecting loops, repeated edges and disconnected pairings."""

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from walklab import exact
 from walklab.exact import (
     Poly,
     QuadraticNumber,
@@ -102,6 +103,16 @@ def test_charpoly_three_routes_agree():
         assert p == charpoly_bareiss(m)
         assert p == hessenberg_charpoly(m)
         assert p.is_monic() and p.is_integral()
+
+
+def test_charpoly_of_a_cubic_graph_on_20_vertices_needs_one_prime(monkeypatch):
+    # the bound C(n,i) (F/n)^(i/2) is about 10^8 here, below one word-size prime
+    calls = []
+    real = exact._charpoly_mod
+    monkeypatch.setattr(exact, "_charpoly_mod", lambda mat, p: calls.append(p) or real(mat, p))
+    m = _adj(random_regular(20, 3, random.Random(1)))
+    assert charpoly(m) == hessenberg_charpoly(m)
+    assert len(calls) == 1
 
 
 def test_charpoly_rational_entries():

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from walklab.exact import extract_spectrum
+import numpy as np
+
+from walklab.exact import QuadraticNumber, Spectrum, extract_spectrum
 from walklab.feasibility import (
     REFERENCE_TABLE,
     REALIZATIONS,
@@ -17,13 +19,15 @@ from walklab.feasibility import (
     multiplicities,
     n_bounds,
     read_tables_csv,
+    realizes,
     render_tables,
     row_comment,
     verify_realization,
 )
+from walklab.graphs import Graph, cycle
 from walklab.walk import Periodic, decide_periodic, quadrangle_report
 
-from oracles import closed_walks_integral, enumerate_rows_by_window
+from oracles import closed_walks_integral, enumerate_rows_by_window, spectrum_realizes
 
 EXPECTED_N_COLUMNS = {
     (ThetaClass.HALF, 4): [12, 16, 24, 32, 48, 64, 96],
@@ -201,6 +205,81 @@ def test_realizations_verify():
         row = next(r for r in enumerate_rows(cls, k) if r.n == n)
         assert row.known_realization == label
         assert verify_realization(row), label
+
+
+def test_certificate_agrees_with_the_spectrum_oracle_on_every_realization():
+    # each registry graph against every row of its degree, in all three
+    # classes: rows with its own n but another θ included
+    for (cls, k, n), (label, builder) in REALIZATIONS.items():
+        g = builder()
+        for other in ThetaClass:
+            for row in enumerate_rows(other, k):
+                own = (other, row.n) == (cls, n)
+                assert realizes(g, row) == spectrum_realizes(g, row) == own, (label, other, row.n)
+
+
+def _row(cls, k, n):
+    return next(r for r in enumerate_rows(cls, k) if r.n == n)
+
+
+def _closed_walk_conditions(g, row):
+    """The certificate's three conditions, each computed on its own with
+    numpy int64 powers: (n matches, traces match, annihilated)."""
+    a = np.array(g.adjacency, dtype=np.int64)
+    k2, t = row.k ** 2, int(row.theta_class.theta_sq(row.k))
+    powers = [np.linalg.matrix_power(a, r) for r in range(6)]
+    traces = [int(np.trace(p)) for p in powers[:5]]
+    want = [row.n, 0, 2 * k2 + 2 * row.a * t, 0, 2 * k2 ** 2 + 2 * row.a * t * t]
+    annihilated = not (powers[5] - (k2 + t) * powers[3] + k2 * t * powers[1]).any()
+    return g.n == row.n, traces[1:] == want[1:], annihilated
+
+
+def test_certificate_rejects_an_isolated_vertex_only_by_the_vertex_count():
+    # C8 plus an isolated vertex: same traces, annihilated, n = 9
+    g = Graph.from_edges(9, cycle(8).edges())
+    row = _row(ThetaClass.SQRT2, 2, 8)
+    assert _closed_walk_conditions(g, row) == (False, True, True)
+    assert not realizes(g, row)
+    assert not spectrum_realizes(g, row)
+
+
+def test_certificate_rejects_two_squares_only_by_the_fourth_moment():
+    # C4 + C4 has eigenvalues {±2, 0}, roots of A⁵ - 6A³ + 8A, and the
+    # n and tr A² of the C8 row, but tr A⁴ = 64 where the row has 48
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
+    row = _row(ThetaClass.SQRT2, 2, 8)
+    assert _closed_walk_conditions(g, row) == (True, False, True)
+    a = np.array(g.adjacency, dtype=np.int64)
+    assert np.trace(a @ a) == 16 and np.trace(np.linalg.matrix_power(a, 4)) == 64
+    assert not realizes(g, row)
+    assert not spectrum_realizes(g, row)
+
+
+# 24 edges of K6,6 with degrees 3 to 5, found by a seeded random search
+# (random.Random(0).sample of 24 of the 36 edges, first hit)
+_K66_SUBGRAPH = [(0, 8), (0, 9), (0, 10), (1, 6), (1, 7), (1, 8), (1, 10), (1, 11),
+                 (2, 6), (2, 8), (2, 9), (2, 11), (3, 7), (3, 9), (3, 10), (3, 11),
+                 (4, 7), (4, 8), (4, 9), (4, 11), (5, 6), (5, 7), (5, 9), (5, 10)]
+
+
+def test_certificate_rejects_a_k66_subgraph_only_by_the_annihilator():
+    # the power sums 0 to 4 match the (half, 4, 12) row, the spectrum does not
+    g = Graph.from_edges(12, _K66_SUBGRAPH)
+    assert sorted(set(g.degrees())) == [3, 4, 5]
+    row = _row(ThetaClass.HALF, 4, 12)
+    assert _closed_walk_conditions(g, row) == (True, True, False)
+    assert not realizes(g, row)
+    assert not spectrum_realizes(g, row)
+
+
+def test_row_spectrum_equals_the_sorted_spectrum_of_its_pairs():
+    rows = all_rows(200)
+    assert len(rows) == 8843
+    for row in rows:
+        theta = row.theta_class.theta(row.k)
+        pairs = [(QuadraticNumber(row.k), 1), (QuadraticNumber(-row.k), 1),
+                 (theta, row.a), (-theta, row.a), (QuadraticNumber(0), row.b)]
+        assert row.spectrum() == Spectrum.from_pairs(pairs), (row.theta_class, row.k, row.n)
 
 
 def test_realization_graphs_are_periodic():

@@ -1,6 +1,8 @@
 """Graph constructors, predicates, product spectra laws, and quadrangle
 counting (walk bookkeeping against subset enumeration)."""
 
+import tracemalloc
+
 import pytest
 
 from walklab.exact import QuadraticNumber, Spectrum, charpoly, extract_spectrum
@@ -24,6 +26,7 @@ from walklab.graphs import (
     regularity,
     tensor_allones,
 )
+from walklab.graphio import from_edge_list
 from walklab.oracles import arc_space, count_quadrangles_brute
 
 
@@ -235,6 +238,38 @@ def test_vertex_cap(monkeypatch):
         cycle(6)
     monkeypatch.setenv("WALKLAB_MAX_VERTICES", "6")
     assert cycle(6).n == 6
+
+
+# about 3000 vertices: (operands, built under the default cap; constructor)
+_OVER_CAP = {
+    "from_edges": (lambda: (3000, []), Graph.from_edges),
+    "edge list": (lambda: ("3000 0\n",), from_edge_list),
+    "cycle": (lambda: (3000,), cycle),
+    "kbip": (lambda: (1500, 1500), complete_bipartite),
+    "hamming": (lambda: (5, 5), hamming),
+    "line": (lambda: (complete_graph(78),), line_graph),
+    "tensorj": (lambda: (cycle(6), 500), tensor_allones),
+    "cart": (lambda: (cycle(50), cycle(60)), cartesian_product),
+    "kron": (lambda: (cycle(50), cycle(60)), kronecker_product),
+    "bdouble": (lambda: (cycle(1500),), bipartite_double),
+}
+
+
+@pytest.mark.parametrize("name", list(_OVER_CAP))
+def test_vertex_cap_refuses_before_allocating(monkeypatch, name):
+    # under a cap of 16 the constructor refuses with the usual message
+    # before it builds anything of size n (an n x n table is megabytes)
+    operands, build = _OVER_CAP[name]
+    args = operands()
+    monkeypatch.setenv("WALKLAB_MAX_VERTICES", "16")
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match=r"^graph has \d+ vertices; cap is 16$"):
+            build(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_vertex_cap_rejects_bad_values(monkeypatch):

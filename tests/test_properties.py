@@ -2,23 +2,35 @@
 16 vertices: the exact pipeline does not depend on the vertex labels, and
 both file formats round-trip.  On random integer matrices with up to 30
 rows, the CRT charpoly equals the rational Hessenberg oracle and the
-Bareiss interpolation route.  Integer division by a monic divisor agrees
-with division over Q."""
+Bareiss interpolation route, and its coefficients lie within the CRT
+bound.  Integer division by a monic divisor agrees with division over Q.
+The integer matrix product agrees with the triple loop on both sides of
+the int64 bound, and the O(s) symmetry test of a spectrum agrees with
+the multiset definition."""
 
+import math
 import random
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from walklab.exact import Poly, _div_monic, charpoly
+from walklab.exact import (
+    Poly,
+    QuadraticNumber,
+    Spectrum,
+    _charpoly_coeff_bound,
+    _div_monic,
+    charpoly,
+    int_matmul,
+)
 from walklab.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
 from walklab.graphs import Graph
 from walklab.walk import decide_periodic
 
-from oracles import charpoly_bareiss, hessenberg_charpoly, random_regular
+from oracles import charpoly_bareiss, hessenberg_charpoly, matmul_reference, random_regular
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
 
@@ -95,3 +107,86 @@ def test_integer_monic_division_matches_division_over_q(case):
     assert (out is None) == (not rem.is_zero())
     if out is not None:
         assert Poly(out) == quot
+
+
+@st.composite
+def small_integer_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=9))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@seed(20261021)
+@PROPERTY_SETTINGS
+@given(small_integer_matrices())
+@example([[5]])  # 1 x 1: |c_0| equals the bound
+@example([[1, 1], [1, -1]])  # a Hadamard matrix: |det| equals the bound
+@example([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+@example([[0, 0], [0, 0]])
+def test_charpoly_coefficients_lie_within_the_crt_bound(m):
+    # |c_(n-i)| <= C(n,i) (F/n)^(i/2), squared to stay in the integers,
+    # on the Bareiss oracle; the bound the CRT uses lies strictly above
+    n = len(m)
+    fro = sum(x * x for row in m for x in row)
+    coeffs = charpoly_bareiss(m).coeffs
+    for i in range(n + 1):
+        assert coeffs[n - i] ** 2 * n ** i <= math.comb(n, i) ** 2 * fro ** i, i
+    assert max(abs(c) for c in coeffs) < _charpoly_coeff_bound(m)
+
+
+# magnitudes on both sides of the int64-safe bound p * max|a| * max|b| < 2^62
+# (the exact boundary for p = 1, 2, 4 included), at the edge of int64 and
+# above 2^63
+_MAGNITUDES = [0, 1, 2, 3, 2 ** 29, 2 ** 30 - 1, 2 ** 30, 2 ** 30 + 1, 2 ** 31 - 1, 2 ** 31,
+               2 ** 31 + 1, 2 ** 32, 2 ** 62, 2 ** 63 - 1, 2 ** 63, 2 ** 64, 3 ** 50]
+
+
+@st.composite
+def matmul_operands(draw):
+    rows, inner = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 4)) if inner else 0
+    entry = st.one_of(st.integers(-3, 3), st.builds(
+        lambda mag, sign: sign * mag, st.sampled_from(_MAGNITUDES), st.sampled_from([1, -1])))
+    a = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner),
+                      min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=inner, max_size=inner))
+    return a, b
+
+
+@seed(20261022)
+@settings(max_examples=300, deadline=None, database=None)
+@given(matmul_operands())
+@example(([], []))
+@example(([[], []], []))
+@example(([[0, 0]], [[0, 0], [0, 0]]))
+@example(([[2 ** 31]], [[2 ** 31]]))  # 2^62 exactly: the object path
+@example(([[2 ** 31 - 1]], [[2 ** 31]]))  # just below: the int64 path
+@example(([[2 ** 31, 2 ** 31]], [[2 ** 31], [2 ** 31]]))  # the sum overflows int64
+@example(([[-2 ** 63, 1]], [[-1], [2 ** 63]]))
+def test_int_matmul_matches_the_triple_loop(operands):
+    a, b = operands
+    assert int_matmul(a, b) == matmul_reference(a, b)
+
+
+_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_VALUES = st.builds(lambda a, b, m: QuadraticNumber(a, b if m else 0, m),
+                    _FRACTIONS, _FRACTIONS, st.sampled_from([None, 2, 3, 5]))
+
+
+@st.composite
+def spectra(draw):
+    """from_pairs spectra; about half mirror some of their pairs, with
+    the same or a changed multiplicity, so both answers occur."""
+    pairs = draw(st.lists(st.tuples(_VALUES, st.integers(1, 3)), max_size=6))
+    if draw(st.booleans()):
+        pairs += [(-v, m + draw(st.sampled_from([0, 0, 0, 1]))) for v, m in pairs]
+    return Spectrum.from_pairs(pairs)
+
+
+@seed(20261023)
+@settings(max_examples=300, deadline=None, database=None)
+@given(spectra())
+def test_is_symmetric_matches_the_multiset_definition(spec):
+    mults = dict(spec.entries)
+    assert spec.is_symmetric() == (mults == {-v: m for v, m in spec.entries})
