@@ -12,7 +12,6 @@ from .exact import (
     Unresolved,
     charpoly,
     cyclotomic,
-    eval_poly_at_matrix,
     extract_spectrum,
     is_quadratic_algebraic_integer,
     min_poly_2cos,

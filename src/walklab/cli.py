@@ -29,7 +29,7 @@ import sys
 import time
 
 from . import exact
-from .exact import Poly, Spectrum, charpoly
+from .exact import Poly, Spectrum, charpoly, moment_route
 from .feasibility import (
     REFERENCE_TABLE,
     ThetaClass,
@@ -53,6 +53,7 @@ from .graphs import (
     kronecker_product,
     line_graph,
     petersen,
+    read_decimal,
     regularity,
     tensor_allones,
 )
@@ -61,6 +62,7 @@ from .oracles import (
     build_walk_matrices,
     count_quadrangles_brute,
     cyclotomic_sieve,
+    eval_poly_at_matrix,
     period_oracle,
     u_spectrum_model,
 )
@@ -165,7 +167,7 @@ def parse_expr(text: str) -> Graph:
             if kind == "i":
                 if pos >= len(tokens) or not tokens[pos].isdigit():
                     raise ExprError(f"builder {name!r} expects an integer argument")
-                args.append(int(tokens[pos]))
+                args.append(read_decimal(tokens[pos]))
                 pos += 1
             else:
                 args.append(parse_node())
@@ -418,7 +420,18 @@ def _check_min_poly() -> bool:
     for name, g in _selfcheck_catalog():
         if not g.min_poly.divides(g.charpoly):
             return False
-        if any(any(row) for row in exact.eval_poly_at_matrix(g.min_poly, g.adjacency)):
+        if any(any(row) for row in eval_poly_at_matrix(g.min_poly, g.adjacency)):
+            return False
+    return True
+
+
+def _check_moment_route() -> bool:
+    for name, g in _selfcheck_catalog():
+        moments = moment_route(g.adjacency_array)
+        p = charpoly([list(row) for row in g.adjacency])
+        if moments is None or moments.charpoly != p:
+            return False
+        if moments.min_poly is not None and moments.min_poly != p.exact_div(p.gcd(p.derivative())):
             return False
     return True
 
@@ -477,6 +490,7 @@ _SELFCHECKS = (
     ("spectral mapping equals direct charpoly", _check_mapping_vs_direct),
     ("power sums and bipartite symmetry", _check_power_sums),
     ("minimal polynomial annihilates A and divides the charpoly", _check_min_poly),
+    ("moment route equals the CRT charpoly and p / gcd(p, p')", _check_moment_route),
     ("quadrangle counts (walk bookkeeping = enumeration)", _check_quadrangles),
     ("hoffman identity on connected regular graphs", _check_hoffman),
     ("biadjacency block identities", _check_biadjacency),

@@ -1,10 +1,11 @@
 """Exact algebra kernels: dense rational polynomials, quadratic surds,
-characteristic polynomials, cyclotomic machinery, and spectra.
+characteristic polynomials (from closed-walk counts, or by CRT),
+cyclotomic machinery, and spectra.
 
 Everything in this module is exact.  No floating point enters any
 computation; integrality, divisibility and sign decisions are made over
 Z and Q only.  Matrices are plain lists of rows with int or Fraction
-entries.
+entries, or integer numpy arrays kept within stated int64 bounds.
 """
 
 from __future__ import annotations
@@ -778,6 +779,30 @@ def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[l
     return (x @ y).tolist()
 
 
+def neighbour_table(a: np.ndarray) -> np.ndarray:
+    """Row i lists the columns of the ones in row i of the square 0/1
+    array a, padded to the largest row sum with n, the index of the zero
+    row that adjacency_times appends."""
+    n = a.shape[0]
+    degrees = a.sum(axis=1)
+    rows, cols = np.nonzero(a)
+    table = np.full((n, int(degrees.max(initial=0))), n)
+    table[rows, np.arange(rows.size) - (np.cumsum(degrees) - degrees)[rows]] = cols
+    return table
+
+
+def adjacency_times(table: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A @ p for the 0/1 matrix A of neighbour_table(A): row i is the sum
+    of the rows of p at the neighbours of i, in O(n^2 * max degree)
+    additions.  Every partial sum is a sum of some of the terms of the
+    entry it forms."""
+    rows = np.concatenate([p, np.zeros_like(p[:1])])
+    out = np.zeros_like(p)
+    for column in table.T:
+        out += rows[column]
+    return out
+
+
 def _clear_denominators(mat: Matrix) -> tuple[list[list[int]], int]:
     """Return (c * mat as integer matrix, c) with c the global lcm of
     entry denominators."""
@@ -788,19 +813,6 @@ def _clear_denominators(mat: Matrix) -> tuple[list[list[int]], int]:
                 c = math.lcm(c, x.denominator)
     out = [[int(x * c) for x in row] for row in mat]
     return out, c
-
-
-def eval_poly_at_matrix(p: Poly, a: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Exact p(a) for an integer matrix a, by Horner with integer matrix
-    products on the denominator-cleared coefficients of p."""
-    (coeffs,), den = _clear_denominators([p.coeffs or (0,)])
-    n = len(a)
-    acc = [[coeffs[-1] if i == j else 0 for j in range(n)] for i in range(n)]
-    for c in reversed(coeffs[:-1]):
-        acc = int_matmul(acc, a)
-        for i in range(n):
-            acc[i][i] += c
-    return [[Fraction(x, den) for x in row] for row in acc]
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +889,7 @@ def _charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
     return polys[n]
 
 
-def _charpoly_coeff_bound(m: list[list[int]]) -> int:
+def _charpoly_coeff_bound(m: Sequence[Sequence[int]] | np.ndarray) -> int:
     """An integer above |c_(n-i)| for every coefficient of det(xI - m).
 
     c_(n-i) is, up to sign, the sum of the C(n,i) principal i x i minors.
@@ -889,15 +901,15 @@ def _charpoly_coeff_bound(m: list[list[int]]) -> int:
     symmetric or not; isqrt(C(n,i)^2 F^i // n^i) + 1 exceeds that bound.
     """
     n = len(m)
-    fro = sum(x * x for row in m for x in row)
+    fro = int((np.asarray(m, dtype=object) ** 2).sum())
     return max(math.isqrt(math.comb(n, i) ** 2 * fro ** i // n ** i) + 1
                for i in range(n + 1))
 
 
-def _charpoly_modular_int(m: list[list[int]]) -> Poly:
-    """Exact charpoly of an integer matrix by CRT over word-size primes,
-    enough of them that their product exceeds twice
-    _charpoly_coeff_bound(m)."""
+def _charpoly_modular_int(m: np.ndarray) -> Poly:
+    """Exact charpoly of a square integer array (int64, or object dtype
+    for larger entries) by CRT over word-size primes, enough of them that
+    their product exceeds twice _charpoly_coeff_bound(m)."""
     n = len(m)
     coeff_bound = _charpoly_coeff_bound(m)
     # primes small enough that dot products of residues fit in int64
@@ -909,9 +921,7 @@ def _charpoly_modular_int(m: list[list[int]]) -> Poly:
         modulus *= p
         if modulus > 2 * coeff_bound + 1:
             break
-    residues = [_charpoly_mod(np.array([[int(x) % p for x in row] for row in m],
-                                       dtype=np.int64), p)
-                for p in primes]
+    residues = [_charpoly_mod(m, p) for p in primes]
     coeffs: list[int] = []
     for i in range(n + 1):
         x = 0
@@ -925,17 +935,164 @@ def _charpoly_modular_int(m: list[list[int]]) -> Poly:
     return Poly(coeffs)
 
 
-def charpoly(mat: Matrix) -> Poly:
+def charpoly(mat: Matrix | np.ndarray) -> Poly:
     """Exact monic characteristic polynomial det(xI - mat), by CRT over
-    word-size primes on the denominator-cleared integer matrix.  Integer
-    input yields integer coefficients.
+    word-size primes on the denominator-cleared integer matrix; an int64
+    array is used as it is.  Integer input yields integer coefficients.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("charpoly requires a square matrix")
+    if isinstance(mat, np.ndarray) and mat.dtype == np.int64:
+        return _charpoly_modular_int(mat)
     ints, c = _clear_denominators(mat)
-    p = _charpoly_modular_int(ints)
+    p = _charpoly_modular_int(np.array(ints, dtype=object).reshape(n, n))
     if c == 1:
         return p
     # det(xI - M/c) = c^-n * det(cx I - M)
     return p.scale_arg(c) * Fraction(1, c ** n)
+
+
+# ---------------------------------------------------------------------------
+# the moment route: charpoly and minimal polynomial from tr(A^r)
+
+
+_BM_PRIME = 2 ** 61 - 1
+
+
+@dataclass(frozen=True)
+class Moments:
+    """What the moment route computed: the adjacency charpoly, and the
+    minimal polynomial when a recurrence was certified before the traces
+    reached t_n (None otherwise)."""
+
+    charpoly: Poly
+    min_poly: Poly | None
+
+
+class _BerlekampMassey:
+    """Berlekamp-Massey over GF(_BM_PRIME), fed one term at a time."""
+
+    def __init__(self) -> None:
+        self.terms: list[int] = []
+        self.conn = [1]  # connection polynomial C, constant term first
+        self.prev = [1]  # C before the last length change
+        self.prev_disc = 1
+        self.shift = 1
+        self.length = 0
+
+    def push(self, t: int) -> None:
+        q = _BM_PRIME
+        self.terms.append(t % q)
+        r = len(self.terms) - 1
+        c = self.conn
+        disc = sum(cj * self.terms[r - j] for j, cj in enumerate(c)) % q
+        if disc == 0:
+            self.shift += 1
+            return
+        scale = disc * pow(self.prev_disc, -1, q) % q
+        new = c + [0] * max(0, len(self.prev) + self.shift - len(c))
+        for j, b in enumerate(self.prev):
+            new[j + self.shift] = (new[j + self.shift] - scale * b) % q
+        if 2 * self.length <= r:
+            self.prev, self.prev_disc = c, disc
+            self.length = r + 1 - self.length
+            self.shift = 1
+        else:
+            self.shift += 1
+        self.conn = new
+
+    def candidate(self) -> list[int] | None:
+        """The monic recurrence polynomial x^L C(1/x), constant term first,
+        on symmetric residues, once 2L is below the number of terms."""
+        if 2 * self.length >= len(self.terms):
+            return None
+        c = (self.conn + [0] * self.length)[:self.length + 1]
+        half = _BM_PRIME // 2
+        return [x - _BM_PRIME if x > half else x for x in reversed(c)]
+
+
+def _annihilates(c: Sequence[int], powers: Sequence[np.ndarray], delta: int) -> bool:
+    """Exact test of sum c_j A^j = 0 on the int64 powers A^j, whose entries
+    lie in [0, delta^j]: every partial sum is at most sum |c_j| delta^j in
+    absolute value, and a candidate with that bound at 2^62 or above is
+    not tested (False)."""
+    if sum(abs(x) * delta ** j for j, x in enumerate(c)) >= _INT64_SAFE:
+        return False
+    acc = np.zeros_like(powers[0])
+    for x, power in zip(c, powers):
+        if x:
+            acc += x * power
+    return not acc.any()
+
+
+def _newton(traces: Sequence[int]) -> Poly:
+    """det(xI - A) from t_r = tr(A^r), r = 0..n, by Newton's identities
+    r a_r = -sum_{i=1}^{r} a_(r-i) t_i over Z for the coefficient a_r of
+    x^(n-r).  The division by r is exact for an integer matrix."""
+    n = len(traces) - 1
+    a = [1]
+    for r in range(1, n + 1):
+        total = -sum(a[r - i] * traces[i] for i in range(1, r + 1) if traces[i])
+        quot, rem = divmod(total, r)
+        if rem:
+            raise AssertionError(f"Newton's identities left remainder {rem} at r = {r}")
+        a.append(quot)
+    return Poly(a[::-1])
+
+
+def moment_route(a: np.ndarray) -> Moments | None:
+    """Charpoly and minimal polynomial of a symmetric 0/1 int64 matrix A
+    from the closed-walk counts t_r = tr(A^r), or None when int64 cannot
+    hold the powers the route needs.
+
+    Powers A^i are held as int64 arrays, with t_2i = <A^i, A^i> and
+    t_2i+1 = <A^i, A^i+1> (A is symmetric).  A trace t_r is taken only
+    while n * delta^r < 2^62, delta the largest row sum.  Every entry is
+    nonnegative, so each partial sum of A A^(i-1) is at most the entry of
+    A^i it forms, at most delta^i, and each partial sum of a trace is at
+    most the trace, at most n * delta^r.
+
+    Berlekamp-Massey modulo the prime 2^61 - 1 runs on the traces as they
+    come.  Once its length L satisfies 2L < (number of traces), its
+    recurrence polynomial c, lifted to symmetric residues, is accepted
+    only when c(A) = 0 holds exactly over Z.  Then c = m_A: c(A) = 0 gives
+    m_A | c, so s = deg m_A <= L.  And m_A, monic with integer
+    coefficients, generates (t_r) (t_(r+s) + ... = tr(A^r m_A(A)) = 0),
+    also modulo the prime, so the shortest recurrence found there has
+    L <= s.  So c is monic of degree s and divisible by the monic m_A: they
+    are equal.  (Over Q the linear complexity of (t_r) is exactly s, since
+    t_r = sum m_lambda lambda^r with every multiplicity m_lambda > 0.)
+
+    The certified recurrence, a consequence of c(A) = 0 through
+    tr(A^r c(A)) = 0, extends the traces to t_n, and Newton's identities
+    give det(xI - A).  When the traces reach t_n before a recurrence is
+    certified (s close to n), Newton's identities run on them directly
+    and no minimal polynomial is returned.
+    """
+    n = a.shape[0]
+    table = neighbour_table(a)
+    delta = table.shape[1]
+    powers = [np.eye(n, dtype=np.int64), a]
+    traces: list[int] = []
+    bm = _BerlekampMassey()
+    rejected = None
+    for r in range(n + 1):
+        if n * delta ** r >= _INT64_SAFE:
+            return None
+        i = r // 2
+        if r - i == len(powers):
+            powers.append(adjacency_times(table, powers[-1]))
+        traces.append(int(np.vdot(powers[i], powers[r - i])))
+        bm.push(traces[-1])
+        c = bm.candidate()
+        if c is None or c == rejected:
+            continue
+        if _annihilates(c, powers, delta):
+            s = len(c) - 1
+            while len(traces) <= n:
+                m = len(traces) - s
+                traces.append(-sum(cj * traces[m + j] for j, cj in enumerate(c[:-1])))
+            return Moments(_newton(traces), Poly(c))
+        rejected = c
+    return Moments(_newton(traces), None)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import re
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, read_decimal
 
 GRAPH6_HEADER = ">>graph6<<"
 _DECIMAL = re.compile(r"[0-9]+")
@@ -95,9 +95,10 @@ def to_edge_list(g: Graph) -> str:
 
 def _plain_decimals(tokens: list[str]) -> list[int] | None:
     """The tokens as ints when every one is plain ASCII decimal digits
-    (no sign, underscore or other script), else None."""
+    (no sign, underscore or other script), else None; a number past
+    MAX_DIGITS digits is an error."""
     if all(_DECIMAL.fullmatch(tok) for tok in tokens):
-        return [int(tok) for tok in tokens]
+        return [read_decimal(tok) for tok in tokens]
     return None
 
 

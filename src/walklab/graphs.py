@@ -10,7 +10,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .exact import Poly, Spectrum, Unresolved, charpoly, extract_spectrum, int_matmul
+import numpy as np
+
+from .exact import (
+    Moments,
+    Poly,
+    Spectrum,
+    Unresolved,
+    charpoly,
+    extract_spectrum,
+    int_matmul,
+    moment_route,
+)
 
 DEFAULT_MAX_VERTICES = 4096
 
@@ -32,10 +43,28 @@ def _max_vertices() -> int:
     return cap
 
 
+# Numbers are read up to 100 digits, and vertex counts from 10^100 up are
+# refused by that bound whatever the cap, so no error message has to print
+# an int that Python refuses to convert to text (more than 4300 digits).
+MAX_DIGITS = 100
+_HUGE_COUNT = 10 ** MAX_DIGITS
+
+
+def read_decimal(token: str) -> int:
+    """A token of ASCII decimal digits as an int, refused past MAX_DIGITS
+    significant digits."""
+    significant = token.lstrip("0")
+    if len(significant) > MAX_DIGITS:
+        raise GraphError(f"number has {len(significant)} digits; at most {MAX_DIGITS} are read")
+    return int(significant or "0")
+
+
 def _check_vertex_count(n: int) -> None:
     """Refuse a vertex count above the cap; the constructors call this
     before they allocate anything of size n."""
     cap = _max_vertices()
+    if n >= _HUGE_COUNT:
+        raise GraphError(f"graph has at least 10^{MAX_DIGITS} vertices; cap is {cap}")
     if n > cap:
         raise GraphError(f"graph has {n} vertices; cap is {cap}")
 
@@ -98,14 +127,32 @@ class Graph:
         return [u for u, x in enumerate(self.adjacency[v]) if x]
 
     @cached_property
+    def adjacency_array(self) -> np.ndarray:
+        """The adjacency as a read-only int64 array."""
+        a = np.array(self.adjacency, dtype=np.int64)
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def _moments(self) -> Moments | None:
+        return moment_route(self.adjacency_array)
+
+    @cached_property
     def charpoly(self) -> Poly:
-        """Adjacency characteristic polynomial, computed once per graph."""
-        return charpoly([list(row) for row in self.adjacency])
+        """Adjacency characteristic polynomial, computed once per graph:
+        from the traces of A's powers when they fit in int64, by CRT
+        otherwise."""
+        if self._moments is not None:
+            return self._moments.charpoly
+        return charpoly(self.adjacency_array)
 
     @cached_property
     def min_poly(self) -> Poly:
-        """Minimal polynomial of the adjacency matrix: p / gcd(p, p'),
-        exact because A is symmetric and therefore diagonalizable."""
+        """Minimal polynomial of the adjacency matrix: the recurrence the
+        moment route certified, or p / gcd(p, p'), exact because A is
+        symmetric and therefore diagonalizable."""
+        if self._moments is not None and self._moments.min_poly is not None:
+            return self._moments.min_poly
         p = self.charpoly
         return p.exact_div(p.gcd(p.derivative()))
 
@@ -153,7 +200,12 @@ def hamming(d: int, q: int) -> Graph:
     iff they differ in exactly one coordinate.  Lexicographic word order."""
     if d < 1 or q < 2:
         raise GraphError("hamming needs d >= 1 and q >= 2")
-    _check_vertex_count(q ** d)
+    count = 1
+    for _ in range(d):  # q ** d, stopped once it reaches 10^100
+        count *= q
+        if count >= _HUGE_COUNT:
+            break
+    _check_vertex_count(count)
     words = list(itertools.product(range(q), repeat=d))
     index = {w: i for i, w in enumerate(words)}
     edges = []

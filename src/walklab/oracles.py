@@ -1,8 +1,9 @@
 """Reference implementations that `selfcheck` runs against the fast
 paths: the arc space, the walk matrices and the time evolution U, the
 spectral mapping from the adjacency charpoly to the degree-2E U-charpoly,
-the cyclotomic sieve of that charpoly, the matrix-power period, and
-quadrangle counting by subset enumeration.
+the cyclotomic sieve of that charpoly, the matrix-power period, a
+polynomial evaluated at a matrix over Q, and quadrangle counting by
+subset enumeration.
 
 `period`, `analyze` and `tables` decide from the adjacency side and never
 call into this module.  Only `walklab.cli` imports it, for `selfcheck`;
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import Poly, _primes_below, cyclotomic, int_matmul
+from .exact import Poly, _clear_denominators, _primes_below, cyclotomic, int_matmul
 from .graphs import Graph
 from .walk import _require_regular_connected
 
@@ -110,6 +111,19 @@ def int_mat_power(a: Sequence[Sequence[int]], e: int) -> list[list[int]]:
         if e:
             base = int_matmul(base, base)
     return result
+
+
+def eval_poly_at_matrix(p: Poly, a: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Exact p(a) for an integer matrix a, by Horner with integer matrix
+    products on the denominator-cleared coefficients of p."""
+    (coeffs,), den = _clear_denominators([p.coeffs or (0,)])
+    n = len(a)
+    acc = [[coeffs[-1] if i == j else 0 for j in range(n)] for i in range(n)]
+    for c in reversed(coeffs[:-1]):
+        acc = int_matmul(acc, a)
+        for i in range(n):
+            acc[i][i] += c
+    return [[Fraction(x, den) for x in row] for row in acc]
 
 
 # ---------------------------------------------------------------------------

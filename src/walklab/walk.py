@@ -15,16 +15,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import (
+    _INT64_SAFE,
     Poly,
     QuadraticNumber,
     Spectrum,
     Unresolved,
     _div_monic,
-    eval_poly_at_matrix,
+    adjacency_times,
     int_matmul,
     is_quadratic_algebraic_integer,
     min_poly_2cos,
+    neighbour_table,
 )
 from .graphs import Graph, biadjacency, is_bipartite, is_connected, regularity
 
@@ -171,31 +175,51 @@ def walk_regularity_depth(g: Graph) -> int:
 
 def walk_regularity_check(g: Graph, r_max: int | None = None) -> bool:
     """True iff diag(A^r) is constant for all 2 <= r <= r_max (default
-    walk_regularity_depth, which decides it for every r)."""
+    walk_regularity_depth, which decides it for every r).  The entries
+    of A^r and the partial sums that form them lie in [0, delta^r], delta
+    the largest degree; the powers are int64 while delta^r < 2^62 and
+    Python ints (object dtype) from there on."""
     if r_max is None:
         r_max = walk_regularity_depth(g)
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    adj = [list(row) for row in g.adjacency]
-    power = adj
-    for _ in range(2, r_max + 1):
-        power = int_matmul(power, adj)
-        diag = [power[i][i] for i in range(g.n)]
-        if any(d != diag[0] for d in diag):
+    table = neighbour_table(g.adjacency_array)
+    delta = table.shape[1]
+    power = g.adjacency_array
+    for r in range(2, r_max + 1):
+        if delta ** r >= _INT64_SAFE and power.dtype != object:
+            power = power.astype(object)
+        power = adjacency_times(table, power)
+        diag = power.diagonal()
+        if (diag != diag[0]).any():
             return False
     return True
 
 
 def hoffman_check(g: Graph) -> bool:
-    """Exact check of q(A) = (q(k)/n) J with q = m_A / (x - k), the product
+    """Exact check of n q(A) = q(k) J with q = m_A / (x - k), the product
     of (x - lambda) over the distinct non-principal eigenvalues.  Holds for
-    connected regular graphs; fails when the graph is disconnected."""
+    connected regular graphs; fails when the graph is disconnected.
+
+    q is monic with integer coefficients, so both sides are integer
+    matrices: the identity says q(k) is divisible by n and every entry of
+    q(A) is q(k)/n.  Every entry of a Horner step of q(A), and every
+    partial sum of its product with A, is at most sum |q_i| k^i in
+    absolute value; Horner runs in int64 below 2^62 and in Python ints
+    (object dtype) from there on."""
     k = regularity(g)
     if k is None or k == 0:
         raise NotRegularError("graph is not regular (or has no edges)")
-    q = g.min_poly.exact_div(Poly([-k, 1]))
-    scale = q(k) / g.n
-    return all(x == scale for row in eval_poly_at_matrix(q, g.adjacency) for x in row)
+    q = [int(c) for c in g.min_poly.exact_div(Poly([-k, 1])).coeffs]
+    dtype = np.int64 if sum(abs(c) * k ** i for i, c in enumerate(q)) < _INT64_SAFE else object
+    table = neighbour_table(g.adjacency_array)
+    acc = np.zeros((g.n, g.n), dtype=dtype)
+    np.fill_diagonal(acc, q[-1])
+    for c in reversed(q[:-1]):
+        acc = adjacency_times(table, acc)
+        acc.flat[::g.n + 1] += c
+    entry, rem = divmod(sum(c * k ** i for i, c in enumerate(q)), g.n)
+    return rem == 0 and bool((acc == entry).all())
 
 
 @dataclass(frozen=True)

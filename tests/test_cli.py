@@ -1,6 +1,7 @@
 """Command-line interface: exit-code contract, builder grammar, output
 determinism, file auto-detection, and the selfcheck fault injection."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -138,6 +139,36 @@ def test_loose_number_spellings_in_an_edge_list_file(tmp_path, capsys, text, err
     assert code == 1 and out == "" and got == err
 
 
+# Python refuses to convert an int of more than 4300 digits to or from
+# text; walklab reads numbers up to 100 digits and names vertex counts
+# from 10^100 up by that bound
+
+
+def test_a_huge_hamming_vertex_count_names_the_cap(capsys, monkeypatch):
+    monkeypatch.delenv("WALKLAB_MAX_VERTICES", raising=False)
+    huge = "error: graph has at least 10^100 vertices; cap is 4096\n"
+    assert _run(capsys, "period", "--expr", "hamming(20000,2)") == (1, "", huge)
+    # refused without forming 3^(10^9)
+    assert _run(capsys, "period", "--expr", "hamming(1000000000,3)") == (1, "", huge)
+    # an ordinary count keeps its message
+    assert _run(capsys, "period", "--expr", "hamming(13,2)") == \
+        (1, "", "error: graph has 8192 vertices; cap is 4096\n")
+
+
+def test_a_5000_digit_builder_argument_is_an_input_error(capsys):
+    assert _run(capsys, "period", "--expr", f"cycle({'9' * 5000})") == \
+        (1, "", "error: number has 5000 digits; at most 100 are read\n")
+    # leading zeros are not significant digits
+    assert parse_expr(f"cycle({'0' * 5000}6)").n == 6
+
+
+def test_a_5000_digit_edge_list_header_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("9" * 5000 + " 0\n", encoding="ascii")
+    assert _run(capsys, "analyze", "--file", str(path)) == \
+        (1, "", "error: number has 5000 digits; at most 100 are read\n")
+
+
 # ---------------------------------------------------------------------------
 # analyze command
 
@@ -177,16 +208,23 @@ def test_analyze_unresolved_spectrum_gets_hoffman_and_min_poly_depth(capsys):
 
 
 def test_analyze_computes_the_adjacency_charpoly_once(capsys, monkeypatch):
-    real = exact.charpoly
+    # either route may compute it: the moment route, or the CRT charpoly
+    # when the moment route returns no result
     sizes = []
 
-    def counting(mat):
-        sizes.append(len(mat))
-        return real(mat)
+    def counting(real):
+        def wrapper(mat):
+            result = real(mat)
+            if result is not None:
+                sizes.append(len(mat))
+            return result
+        return wrapper
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("walklab") and getattr(mod, "charpoly", None) is real:
-            monkeypatch.setattr(mod, "charpoly", counting)
+    for fn_name in ("charpoly", "moment_route"):
+        real = getattr(exact, fn_name)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("walklab") and getattr(mod, fn_name, None) is real:
+                monkeypatch.setattr(mod, fn_name, counting(real))
     code, _, _ = _run(capsys, "analyze", "--expr", "cycle(8)")
     assert code == 0
     assert sizes == [8]  # no charpoly of the 16x16 time evolution
@@ -346,8 +384,14 @@ def test_selfcheck_detects_corrupted_cyclotomic(capsys, monkeypatch):
 
 
 def test_selfcheck_detects_a_wrong_minimal_polynomial(capsys, monkeypatch):
-    # a gcd equal to p itself makes m_A = 1, which cannot annihilate A
-    monkeypatch.setattr(Poly, "gcd", lambda self, other: self)
+    # the moment route reports m_A = 1, which cannot annihilate A
+    real = exact.moment_route
+
+    def wrong(a):
+        moments = real(a)
+        return dataclasses.replace(moments, min_poly=Poly.one())
+
+    monkeypatch.setattr(graphs, "moment_route", wrong)
     code, out, _ = _run(capsys, "selfcheck")
     assert code == 1
     assert "FAIL minimal polynomial annihilates A and divides the charpoly" in out

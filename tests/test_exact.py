@@ -3,37 +3,48 @@ quadratic integers, cyclotomics.
 
 Cross-checks in here are dual-route: the CRT charpoly against the
 rational Hessenberg oracle and the Bareiss determinant-interpolation
-route, the Miller-Rabin prime search against trial division, extraction
-against reassembly and against sympy's factorization over Z, ring
-membership against the monic quadratic minimal polynomial.
+route, the moment route against the CRT charpoly and Bareiss, the
+Miller-Rabin prime search against trial division, extraction against
+reassembly and against sympy's factorization over Z, ring membership
+against the monic quadratic minimal polynomial.
 """
 
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from walklab import exact
+from walklab import exact, graphs
 from walklab.exact import (
+    _BerlekampMassey,
     Poly,
     QuadraticNumber,
     Spectrum,
     Unresolved,
     _SCREEN_POINTS,
+    _annihilates,
     _is_prime,
+    _newton,
     _primes_below,
     charpoly,
     cyclotomic,
-    eval_poly_at_matrix,
     extract_spectrum,
     is_quadratic_algebraic_integer,
     min_poly_2cos,
+    moment_route,
     squarefree_part,
 )
 from walklab.feasibility import REALIZATIONS
 from walklab.graphs import Graph, complete_bipartite, cycle, hypercube, line_graph, petersen
-from walklab.oracles import _totient, build_walk_matrices, cyclotomic_sieve, mat_identity
+from walklab.oracles import (
+    _totient,
+    build_walk_matrices,
+    cyclotomic_sieve,
+    eval_poly_at_matrix,
+    mat_identity,
+)
 
 from oracles import (
     bareiss_det,
@@ -161,6 +172,93 @@ def test_miller_rabin_matches_trial_division():
 def test_prime_search_refuses_to_pass_the_miller_rabin_limit():
     with pytest.raises(AssertionError):
         _primes_below(4_759_123_142)
+
+
+# ---------------------------------------------------------------------------
+# the moment route
+
+
+def _hypercube_charpoly(d):
+    # Q_d has eigenvalue d - 2i with multiplicity C(d, i)
+    out = Poly.one()
+    for i in range(d + 1):
+        out = out * Poly([-(d - 2 * i), 1]) ** math.comb(d, i)
+    return out
+
+
+def test_moment_route_certifies_the_minimal_polynomial_of_q7():
+    moments = moment_route(hypercube(7).adjacency_array)
+    assert moments is not None
+    assert moments.min_poly.degree() == 8
+    assert moments.min_poly == math.prod((Poly([-(7 - 2 * i), 1]) for i in range(8)), start=Poly.one())
+    assert moments.charpoly == _hypercube_charpoly(7)
+
+
+def test_moment_route_falls_back_on_the_bench_shape_graph(monkeypatch):
+    # the (5, 42) period-random shape: s = n, and n * 5^r reaches 2^62 at
+    # r = 25, long before t_42
+    g = random_regular(42, 5, random.Random(7))
+    assert moment_route(g.adjacency_array) is None
+    sizes = []
+    real = exact.charpoly
+    monkeypatch.setattr(graphs, "charpoly", lambda m: sizes.append(len(m)) or real(m))
+    assert g.charpoly == charpoly(_adj(g)) == hessenberg_charpoly(_adj(g))
+    assert sizes == [42]
+
+
+def test_moment_route_stops_where_a_trace_could_reach_2_62():
+    # Q8 needs t_18, and n * delta^18 = 2^8 * 8^18 is exactly 2^62
+    assert moment_route(hypercube(8).adjacency_array) is None
+
+
+def test_annihilation_is_tested_only_below_2_62():
+    a = np.array([[0, 1], [1, 0]], dtype=np.int64)  # K2: m_A = x^2 - 1, delta = 1
+    powers = [np.eye(2, dtype=np.int64), a, a @ a]
+    below = 2 ** 61 - 1  # sum |c_j| delta^j = 2^62 - 2
+    assert _annihilates([-below, 0, below], powers, 1)
+    assert not _annihilates([-2 ** 61, 0, 2 ** 61], powers, 1)  # the sum is 2^62
+    assert not _annihilates([-1, 1, 1], powers, 1)
+
+
+def test_a_forged_recurrence_is_rejected_by_the_certificate(monkeypatch):
+    # every candidate Berlekamp-Massey offers is replaced by one with a
+    # wrong constant term: none passes c(A) = 0, so Petersen reaches t_10
+    # and gets its charpoly from the traces alone, with no m_A
+    g = petersen()
+    real = _BerlekampMassey.candidate
+
+    def forged(self):
+        c = real(self)
+        return None if c is None else [c[0] + 1] + c[1:]
+
+    monkeypatch.setattr(_BerlekampMassey, "candidate", forged)
+    moments = moment_route(g.adjacency_array)
+    assert moments.min_poly is None
+    assert moments.charpoly == charpoly(_adj(g))
+    monkeypatch.undo()
+    assert moment_route(g.adjacency_array).min_poly == Poly([6, -5, -2, 1])
+
+
+def test_newton_refuses_traces_of_no_integer_matrix():
+    assert _newton([2, 0, 2]) == Poly([-1, 0, 1])  # K2
+    with pytest.raises(AssertionError, match="remainder"):
+        _newton([2, 0, 1])  # 2 a_2 = -1
+
+
+def test_moment_route_matches_the_crt_and_bareiss_on_the_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    certified = 0
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() == 0:
+            continue
+        g = Graph.from_edges(h.number_of_nodes(), h.edges())
+        moments = moment_route(g.adjacency_array)
+        p = charpoly(_adj(g))
+        assert moments.charpoly == p == charpoly_bareiss(_adj(g)), h.name
+        if moments.min_poly is not None:
+            assert moments.min_poly == p.exact_div(p.gcd(p.derivative())), h.name
+            certified += 1
+    assert certified == 53  # the others reach t_n first (2s >= n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Property tests on seeded random 3- and 4-regular graphs with at most
 16 vertices: the exact pipeline does not depend on the vertex labels, and
-both file formats round-trip.  On random integer matrices with up to 30
+both file formats round-trip.  On seeded random regular graphs with up
+to 20 vertices and their complements, the moment route's charpoly
+equals the CRT and Bareiss charpolys, its certified m_A equals
+p / gcd(p, p'), and it falls back only past the int64 bound.  On random
+integer matrices with up to 30
 rows, the CRT charpoly equals the rational Hessenberg oracle and the
 Bareiss interpolation route, and its coefficients lie within the CRT
 bound.  Integer division by a monic divisor agrees with division over Q.
-The integer matrix product agrees with the triple loop on both sides of
-the int64 bound, and the O(s) symmetry test of a spectrum agrees with
+The integer matrix product, and the product of a 0/1 matrix by row
+gathers, agree with the triple loop on both sides of the int64 bound, and the O(s) symmetry test of a spectrum agrees with
 the multiset definition."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -23,8 +28,11 @@ from walklab.exact import (
     Spectrum,
     _charpoly_coeff_bound,
     _div_monic,
+    adjacency_times,
     charpoly,
     int_matmul,
+    moment_route,
+    neighbour_table,
 )
 from walklab.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
 from walklab.graphs import Graph
@@ -65,6 +73,39 @@ def test_relabelling_leaves_charpoly_and_decision_unchanged(pair):
 def test_graph6_and_edge_list_round_trip(g):
     assert from_graph6(to_graph6(g)).adjacency == g.adjacency
     assert from_edge_list(to_edge_list(g)).adjacency == g.adjacency
+
+
+def _complement(g):
+    return Graph.from_edges(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                                  if not g.adjacency[u][v]])
+
+
+@st.composite
+def regular_graphs_and_complements(draw):
+    """Seeded random 3-, 4- and 5-regular graphs on up to 20 vertices, or
+    their complements, whose larger degree makes the route fall back."""
+    k = draw(st.sampled_from([3, 4, 5]))
+    n = draw(st.integers(min_value=k + 1, max_value=20).filter(lambda n: n * k % 2 == 0))
+    g = random_regular(n, k, random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    return _complement(g) if draw(st.booleans()) and n > k + 1 else g
+
+
+@seed(20261024)
+@PROPERTY_SETTINGS
+@given(regular_graphs_and_complements())
+@example(_complement(Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])))  # s = 3
+@example(random_regular(20, 3, random.Random(1)))
+def test_moment_route_matches_the_crt_and_bareiss(g):
+    adj = [list(row) for row in g.adjacency]
+    p = charpoly(adj)
+    assert p == charpoly_bareiss(adj)
+    moments = moment_route(g.adjacency_array)
+    if moments is None:  # only when a trace up to t_n could pass 2^62
+        assert g.n * max(g.degrees()) ** g.n >= 2 ** 62
+        return
+    assert moments.charpoly == p
+    if moments.min_poly is not None:
+        assert moments.min_poly == p.exact_div(p.gcd(p.derivative()))
 
 
 @st.composite
@@ -167,6 +208,29 @@ def matmul_operands(draw):
 def test_int_matmul_matches_the_triple_loop(operands):
     a, b = operands
     assert int_matmul(a, b) == matmul_reference(a, b)
+
+
+@st.composite
+def zero_one_times_integer(draw):
+    """A square 0/1 matrix (any pattern, empty rows included) and an
+    integer matrix, small or past int64."""
+    n = draw(st.integers(1, 8))
+    a = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n))
+    entry = st.integers(-9, 9) | st.integers(-2 ** 70, 2 ** 70)
+    p = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return a, p
+
+
+@seed(20261025)
+@settings(max_examples=100, deadline=None, database=None)
+@given(zero_one_times_integer())
+def test_adjacency_times_matches_the_triple_loop(case):
+    a, p = case
+    table = neighbour_table(np.array(a, dtype=np.int64))
+    assert adjacency_times(table, np.array(p, dtype=object)).tolist() == matmul_reference(a, p)
+    if all(abs(x) <= 9 for row in p for x in row):
+        assert adjacency_times(table, np.array(p, dtype=np.int64)).tolist() == \
+            matmul_reference(a, p)
 
 
 _FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=3)

@@ -16,7 +16,6 @@ from walklab.exact import (
     charpoly,
     cyclotomic,
     extract_spectrum,
-    eval_poly_at_matrix,
     int_matmul,
 )
 from walklab.cli import _selfcheck_catalog
@@ -52,6 +51,7 @@ from walklab.oracles import (
     arc_space,
     build_walk_matrices,
     cyclotomic_sieve,
+    eval_poly_at_matrix,
     int_mat_power,
     period_oracle,
     u_charpoly_via_mapping,
@@ -517,6 +517,39 @@ def test_min_poly_from_the_charpoly():
             distinct = Spectrum.from_pairs((v, 1) for v in g.spectrum.values())
             assert m == distinct.charpoly(), name
     assert not isinstance(cycle(7).spectrum, Spectrum)
+
+
+def _hoffman_reference(g):
+    # q(A) = (q(k)/n) J over Q, entry by entry
+    k = g.degree(0)
+    q = g.min_poly.exact_div(Poly([-k, 1]))
+    return all(x == q(k) / g.n for row in eval_poly_at_matrix(q, g.adjacency) for x in row)
+
+
+def test_hoffman_matches_the_rational_reference_on_both_sides_of_the_int64_bound():
+    rng = random.Random(20261018)
+    graphs = [(label, builder()) for label, builder in REALIZATIONS.values()]
+    graphs += [(f"random cubic n={n}", random_regular(n, 3, rng)) for n in (16, 24, 36, 40)]
+    graphs += [("two triangles", Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
+                                                       (3, 4), (4, 5), (3, 5)])),
+               ("CUBIC8", CUBIC8_NOT_WALK_REGULAR), ("complete(9)", complete_graph(9))]
+    past_bound = 0
+    for name, g in graphs:
+        k = g.degree(0)
+        q = g.min_poly.exact_div(Poly([-k, 1]))
+        past_bound += sum(abs(c) * k ** i for i, c in enumerate(q.coeffs)) >= 2 ** 62
+        assert hoffman_check(g) == _hoffman_reference(g), name
+    assert past_bound >= 2  # the object-dtype products ran
+
+
+def test_walk_regularity_matches_matrix_powers_past_the_int64_bound():
+    # Petersen reaches 3^40 > 2^62 and K20 reaches 19^15 > 2^62 before r_max
+    for g, r_max in ((petersen(), 45), (complete_graph(20), 20), (CUBIC8_NOT_WALK_REGULAR, 45),
+                     (cycle(7), 70)):
+        adj = [list(row) for row in g.adjacency]
+        expected = all(len({int_mat_power(adj, r)[i][i] for i in range(g.n)}) == 1
+                       for r in range(2, r_max + 1))
+        assert walk_regularity_check(g, r_max) == expected
 
 
 def test_walk_regularity_default_depth_matches_2n():
