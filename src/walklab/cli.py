@@ -427,8 +427,8 @@ def _check_min_poly() -> bool:
 
 def _check_moment_route() -> bool:
     for name, g in _selfcheck_catalog():
-        moments = moment_route(g.adjacency_array)
-        p = charpoly([list(row) for row in g.adjacency])
+        moments = moment_route(g.neighbour_table)
+        p = charpoly(g.adjacency)
         if moments is None or moments.charpoly != p:
             return False
         if moments.min_poly is not None and moments.min_poly != p.exact_div(p.gcd(p.derivative())):

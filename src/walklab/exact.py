@@ -5,12 +5,15 @@ cyclotomic machinery, and spectra.
 Everything in this module is exact.  No floating point enters any
 computation; integrality, divisibility and sign decisions are made over
 Z and Q only.  Matrices are plain lists of rows with int or Fraction
-entries, or integer numpy arrays kept within stated int64 bounds.
+entries (numpy integers become Python ints on entry), or integer numpy
+arrays whose dtype `exact_dtype` picks from a stated bound; a product
+with a graph's adjacency is a row gather on its neighbour table.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +28,11 @@ Matrix = Sequence[Sequence[int | Fraction]]
 # polynomials
 
 
+def _fraction(x: int | Fraction) -> Fraction:
+    """x as a Fraction of Python ints: one of a numpy integer would wrap."""
+    return x if isinstance(x, Fraction) else Fraction(operator.index(x))
+
+
 class Poly:
     """Dense univariate polynomial over Q, constant term first.
 
@@ -36,7 +44,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int | Fraction]) -> None:
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -327,11 +335,11 @@ class QuadraticNumber:
     __slots__ = ("a", "b", "m")
 
     def __init__(self, a: int | Fraction, b: int | Fraction = 0, m: int | None = None):
-        a, b = Fraction(a), Fraction(b)
+        a, b = _fraction(a), _fraction(b)
         if b != 0:
             if m is None or m < 1:
                 raise ValueError("irrational part requires a positive radicand")
-            m0, s = squarefree_part(m)
+            m0, s = squarefree_part(int(m))
             b *= s
             if m0 == 1:
                 a += b
@@ -765,7 +773,7 @@ def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[l
     int64 once; the native product runs when p * max|a| * max|b| < 2^62
     bounds every partial sum, and exact Python-int (object dtype)
     arithmetic runs otherwise, also when an entry does not fit in int64."""
-    shape_a, shape_b = (len(a), len(b)), (len(b), len(b[0]) if b else 0)
+    shape_a, shape_b = (len(a), len(b)), (len(b), len(b[0]) if len(b) else 0)
     try:
         x = np.array(a, dtype=np.int64).reshape(shape_a)
         y = np.array(b, dtype=np.int64).reshape(shape_b)
@@ -803,6 +811,13 @@ def adjacency_times(table: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def exact_dtype(bound: int) -> type:
+    """The dtype for exact integer arrays whose entries, and every partial
+    sum that forms them, are at most bound in absolute value: int64 below
+    2^62, Python ints (object dtype) from there on."""
+    return np.int64 if bound < _INT64_SAFE else object
+
+
 def _clear_denominators(mat: Matrix) -> tuple[list[list[int]], int]:
     """Return (c * mat as integer matrix, c) with c the global lcm of
     entry denominators."""
@@ -811,7 +826,7 @@ def _clear_denominators(mat: Matrix) -> tuple[list[list[int]], int]:
         for x in row:
             if isinstance(x, Fraction):
                 c = math.lcm(c, x.denominator)
-    out = [[int(x * c) for x in row] for row in mat]
+    out = [[int(_fraction(x) * c) for x in row] for row in mat]
     return out, c
 
 
@@ -1041,10 +1056,10 @@ def _newton(traces: Sequence[int]) -> Poly:
     return Poly(a[::-1])
 
 
-def moment_route(a: np.ndarray) -> Moments | None:
-    """Charpoly and minimal polynomial of a symmetric 0/1 int64 matrix A
-    from the closed-walk counts t_r = tr(A^r), or None when int64 cannot
-    hold the powers the route needs.
+def moment_route(table: np.ndarray) -> Moments | None:
+    """Charpoly and minimal polynomial of the symmetric 0/1 matrix A whose
+    neighbour_table is `table`, from the closed-walk counts t_r = tr(A^r),
+    or None when int64 cannot hold the powers the route needs.
 
     Powers A^i are held as int64 arrays, with t_2i = <A^i, A^i> and
     t_2i+1 = <A^i, A^i+1> (A is symmetric).  A trace t_r is taken only
@@ -1070,10 +1085,9 @@ def moment_route(a: np.ndarray) -> Moments | None:
     certified (s close to n), Newton's identities run on them directly
     and no minimal polynomial is returned.
     """
-    n = a.shape[0]
-    table = neighbour_table(a)
-    delta = table.shape[1]
-    powers = [np.eye(n, dtype=np.int64), a]
+    n, delta = table.shape
+    identity = np.eye(n, dtype=np.int64)
+    powers = [identity, adjacency_times(table, identity)]
     traces: list[int] = []
     bm = _BerlekampMassey()
     rejected = None

@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .exact import QuadraticNumber, Spectrum, int_matmul
+from .exact import QuadraticNumber, Spectrum, adjacency_times, exact_dtype
 from .graphs import (
     Graph,
     bipartite_double,
@@ -381,10 +381,6 @@ def row_existence(row: FeasibleRow) -> str:
     return "?"
 
 
-def _trace(mat: list[list[int]]) -> int:
-    return sum(row[i] for i, row in enumerate(mat))
-
-
 def realizes(g: Graph, row: FeasibleRow) -> bool:
     """Whether g has the row's spectrum {[±k]^1, [±θ]^a, [0]^b}, decided
     from closed-walk counts, with t = θ² (an integer for even k).
@@ -398,19 +394,24 @@ def realizes(g: Graph, row: FeasibleRow) -> bool:
     {0, ±θ, ±k}; the Vandermonde matrix of those five distinct values is
     invertible, so the power sums 0 to 4 fix their multiplicities.
     tr A⁴ is the sum of the squared entries of the symmetric A².
+
+    The powers are row gathers.  An entry of A^r is at most delta^r, delta
+    the largest degree, so no entry or partial sum below passes
+    n delta^5 + (k² + t) delta^3 + k² t.
     """
     if g.n != row.n:
         return False
     k2, t = row.k * row.k, int(row.theta_class.theta_sq(row.k))
-    adj = g.adjacency
-    a2 = int_matmul(adj, adj)
-    a3 = int_matmul(a2, adj)
-    traces = (_trace(a2), _trace(a3), sum(x * x for r in a2 for x in r))
+    table = g.neighbour_table
+    delta = table.shape[1]
+    a = g.adjacency.astype(exact_dtype(g.n * delta ** 5 + (k2 + t) * delta ** 3 + k2 * t))
+    a2 = adjacency_times(table, a)
+    a3 = adjacency_times(table, a2)
+    traces = (int(a2.trace()), int(a3.trace()), int((a2 * a2).sum()))
     if traces != (2 * k2 + 2 * row.a * t, 0, 2 * k2 * k2 + 2 * row.a * t * t):
         return False
-    a5 = int_matmul(a2, a3)
-    return all(x5 - (k2 + t) * x3 + k2 * t * x1 == 0
-               for r5, r3, r1 in zip(a5, a3, adj) for x5, x3, x1 in zip(r5, r3, r1))
+    a5 = adjacency_times(table, adjacency_times(table, a3))
+    return not (a5 - (k2 + t) * a3 + k2 * t * a).any()
 
 
 def verify_realization(row: FeasibleRow) -> bool:

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from .graphs import Graph, GraphError, read_decimal
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -46,19 +48,11 @@ def _g6_decode_size(s: str) -> tuple[int, str]:
 
 def to_graph6(g: Graph) -> str:
     """Canonical graph6 line (no header, no trailing newline)."""
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(g.adjacency[i][j])
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for pos in range(0, len(bits), 6):
-        val = 0
-        for b in bits[pos:pos + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return _g6_encode_size(g.n) + "".join(chars)
+    # the entries (i, j) with i < j, column by column
+    bits = g.adjacency.T[np.tril_indices(g.n, -1)]
+    bits = np.concatenate([bits, np.zeros(-len(bits) % 6, dtype=np.int64)])
+    values = bits.reshape(-1, 6) @ (1 << np.arange(5, -1, -1)) + 63
+    return _g6_encode_size(g.n) + values.astype(np.uint8).tobytes().decode("ascii")
 
 
 def from_graph6(line: str) -> Graph:

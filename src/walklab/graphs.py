@@ -1,6 +1,8 @@
 """Simple undirected graphs with a canonical vertex ordering,
 constructors for the graph families used in the enumeration, structural
-predicates, and exact quadrangle counting."""
+predicates, and exact quadrangle counting.  A graph is one read-only
+int64 adjacency array; each product with it is a row gather on the
+graph's cached neighbour table."""
 
 from __future__ import annotations
 
@@ -17,10 +19,12 @@ from .exact import (
     Poly,
     Spectrum,
     Unresolved,
+    adjacency_times,
     charpoly,
+    exact_dtype,
     extract_spectrum,
-    int_matmul,
     moment_route,
+    neighbour_table,
 )
 
 DEFAULT_MAX_VERTICES = 4096
@@ -69,41 +73,49 @@ def _check_vertex_count(n: int) -> None:
         raise GraphError(f"graph has {n} vertices; cap is {cap}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple graph: symmetric 0/1 adjacency with zero diagonal."""
+    """Immutable simple graph: a read-only int64 copy of the symmetric 0/1
+    adjacency with zero diagonal it is given (nested sequences or an
+    array).  Graphs compare by identity; every count, degree and vertex
+    they return is a Python int."""
 
-    adjacency: tuple[tuple[int, ...], ...]
+    adjacency: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.adjacency)
         if n == 0:
             raise GraphError("graph has no vertices")
         _check_vertex_count(n)
-        for i, row in enumerate(self.adjacency):
-            if len(row) != n:
-                raise GraphError("adjacency matrix is not square")
-            if row[i] != 0:
-                raise GraphError("loops are not allowed")
-            for j, x in enumerate(row):
-                if x not in (0, 1):
-                    raise GraphError("adjacency entries must be 0 or 1")
-                if x != self.adjacency[j][i]:
-                    raise GraphError("adjacency matrix is not symmetric")
+        try:
+            a = np.array(self.adjacency)
+        except ValueError:  # ragged rows
+            raise GraphError("adjacency matrix is not square") from None
+        if a.shape != (n, n):
+            raise GraphError("adjacency matrix is not square")
+        if not ((a == 0) | (a == 1)).all():
+            raise GraphError("adjacency entries must be 0 or 1")
+        a = a.astype(np.int64, copy=False)
+        if a.diagonal().any():
+            raise GraphError("loops are not allowed")
+        if (a != a.T).any():
+            raise GraphError("adjacency matrix is not symmetric")
+        a.setflags(write=False)
+        object.__setattr__(self, "adjacency", a)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         _check_vertex_count(n)
-        adj = [[0] * n for _ in range(n)]
+        adj = np.zeros((n, n), dtype=np.int64)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for {n} vertices")
             if u == v:
                 raise GraphError(f"loop at vertex {u}")
-            if adj[u][v]:
+            if adj[u, v]:
                 raise GraphError(f"duplicate edge ({u},{v})")
-            adj[u][v] = adj[v][u] = 1
-        return cls(tuple(tuple(row) for row in adj))
+            adj[u, v] = adj[v, u] = 1
+        return cls(adj)
 
     @property
     def n(self) -> int:
@@ -111,31 +123,33 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(sum(row) for row in self.adjacency) // 2
+        return int(self.adjacency.sum()) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
-                if self.adjacency[i][j]]
+        """The edges (i, j) with i < j, in row-major order."""
+        return [(i, j) for i, j in np.argwhere(np.triu(self.adjacency)).tolist()]
 
     def degree(self, v: int) -> int:
-        return sum(self.adjacency[v])
+        return int(self.adjacency[v].sum())
 
     def degrees(self) -> list[int]:
-        return [sum(row) for row in self.adjacency]
+        return self.adjacency.sum(axis=1).tolist()
 
     def neighbors(self, v: int) -> list[int]:
-        return [u for u, x in enumerate(self.adjacency[v]) if x]
+        row = self.neighbour_table[v]
+        return row[row < self.n].tolist()
 
     @cached_property
-    def adjacency_array(self) -> np.ndarray:
-        """The adjacency as a read-only int64 array."""
-        a = np.array(self.adjacency, dtype=np.int64)
-        a.setflags(write=False)
-        return a
+    def neighbour_table(self) -> np.ndarray:
+        """The read-only `exact.neighbour_table` of the adjacency: each
+        product with A is a row gather on it (`exact.adjacency_times`)."""
+        table = neighbour_table(self.adjacency)
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def _moments(self) -> Moments | None:
-        return moment_route(self.adjacency_array)
+        return moment_route(self.neighbour_table)
 
     @cached_property
     def charpoly(self) -> Poly:
@@ -144,7 +158,7 @@ class Graph:
         otherwise."""
         if self._moments is not None:
             return self._moments.charpoly
-        return charpoly(self.adjacency_array)
+        return charpoly(self.adjacency)
 
     @cached_property
     def min_poly(self) -> Poly:
@@ -234,10 +248,14 @@ def petersen() -> Graph:
 def line_graph(g: Graph) -> Graph:
     """Line graph: vertices are the edges of g in canonical order,
     adjacent iff the edges share an endpoint."""
-    es = g.edges()
-    edges = ((i, j) for i, j in itertools.combinations(range(len(es)), 2)
-             if set(es[i]) & set(es[j]))
-    return Graph.from_edges(len(es), edges)
+    _check_vertex_count(g.edge_count)
+    ends = np.argwhere(np.triu(g.adjacency))
+    adj = np.zeros((len(ends), len(ends)), dtype=np.int64)
+    for v in range(g.n):
+        at_v = np.flatnonzero((ends == v).any(axis=1))
+        adj[np.ix_(at_v, at_v)] = 1
+    np.fill_diagonal(adj, 0)
+    return Graph(adj)
 
 
 def tensor_allones(g: Graph, m: int) -> Graph:
@@ -246,38 +264,21 @@ def tensor_allones(g: Graph, m: int) -> Graph:
         raise GraphError("blow-up factor must be >= 1")
     if m == 1:
         return g
-    n = g.n
-    _check_vertex_count(n * m)
-    adj = [[g.adjacency[i // m][j // m] for j in range(n * m)] for i in range(n * m)]
-    return Graph(tuple(tuple(row) for row in adj))
+    _check_vertex_count(g.n * m)
+    return Graph(np.kron(g.adjacency, np.ones((m, m), dtype=np.int64)))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """A(g) tensor I + I tensor A(h), vertex order (g-vertex, h-vertex)."""
-    n, m = g.n, h.n
-    _check_vertex_count(n * m)
-    adj = [[0] * (n * m) for _ in range(n * m)]
-    for i in range(n * m):
-        gi, hi = divmod(i, m)
-        for j in range(n * m):
-            gj, hj = divmod(j, m)
-            if (gi == gj and h.adjacency[hi][hj]) or (hi == hj and g.adjacency[gi][gj]):
-                adj[i][j] = 1
-    return Graph(tuple(tuple(row) for row in adj))
+    _check_vertex_count(g.n * h.n)
+    return Graph(np.kron(g.adjacency, np.eye(h.n, dtype=np.int64))
+                 + np.kron(np.eye(g.n, dtype=np.int64), h.adjacency))
 
 
 def kronecker_product(g: Graph, h: Graph) -> Graph:
     """A(g) tensor A(h), vertex order (g-vertex, h-vertex)."""
-    n, m = g.n, h.n
-    _check_vertex_count(n * m)
-    adj = [[0] * (n * m) for _ in range(n * m)]
-    for i in range(n * m):
-        gi, hi = divmod(i, m)
-        for j in range(n * m):
-            gj, hj = divmod(j, m)
-            if g.adjacency[gi][gj] and h.adjacency[hi][hj]:
-                adj[i][j] = 1
-    return Graph(tuple(tuple(row) for row in adj))
+    _check_vertex_count(g.n * h.n)
+    return Graph(np.kron(g.adjacency, h.adjacency))
 
 
 def bipartite_double(g: Graph) -> Graph:
@@ -291,18 +292,16 @@ def bipartite_double(g: Graph) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            if not seen[u]:
-                seen[u] = True
-                count += 1
-                stack.append(u)
-    return count == g.n
+    """Breadth-first search from vertex 0, one frontier at a time."""
+    reached = np.zeros(g.n + 1, dtype=bool)
+    reached[g.n] = True  # the neighbour table's padding
+    frontier = np.array([0])
+    while frontier.size:
+        reached[frontier] = True
+        seen = np.zeros_like(reached)
+        seen[g.neighbour_table[frontier]] = True
+        frontier = np.flatnonzero(seen & ~reached)
+    return bool(reached.all())
 
 
 def is_bipartite(g: Graph) -> PartiteSplit | None:
@@ -332,7 +331,7 @@ def regularity(g: Graph) -> int | None:
     return degs[0] if all(d == degs[0] for d in degs) else None
 
 
-def biadjacency(g: Graph, split: PartiteSplit) -> list[list[int]]:
+def biadjacency(g: Graph, split: PartiteSplit) -> np.ndarray:
     """The block N of the adjacency matrix, rows indexed by part1 and
     columns by part2, both in canonical vertex order."""
     seen = sorted(split.part1 + split.part2)
@@ -342,7 +341,7 @@ def biadjacency(g: Graph, split: PartiteSplit) -> list[list[int]]:
     for u, v in g.edges():
         if (u in part1set) == (v in part1set):
             raise GraphError(f"edge ({u},{v}) stays inside one part")
-    return [[g.adjacency[u][v] for v in split.part2] for u in split.part1]
+    return g.adjacency[np.ix_(split.part1, split.part2)]
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +357,18 @@ def count_quadrangles(g: Graph) -> tuple[int, list[int]]:
     (sum over neighbours y of deg y - 1), and two traversals of each
     quadrangle through x.  Subtracting the degenerate cases from
     (A^4)_{x,x} leaves 2 q_x.
+
+    (A^4)_{x,x} is the squared norm of row x of A^2, one row gather; its
+    partial sums are at most delta^4, delta the largest degree.
     """
-    a = [list(row) for row in g.adjacency]
-    a2 = int_matmul(a, a)
-    a4 = int_matmul(a2, a2)
-    degs = g.degrees()
-    per_vertex = []
-    for x in range(g.n):
-        spoke = degs[x] * degs[x]
-        path2 = sum(degs[y] - 1 for y in g.neighbors(x))
-        walks = a4[x][x] - spoke - path2
-        if walks < 0 or walks % 2:
-            raise AssertionError("closed-walk bookkeeping went negative or odd")
-        per_vertex.append(walks // 2)
+    table = g.neighbour_table
+    a2 = adjacency_times(table, g.adjacency.astype(exact_dtype(table.shape[1] ** 4)))
+    degs = a2.diagonal()
+    path2 = adjacency_times(table, (degs - 1)[:, None])[:, 0]
+    walks = (a2 * a2).sum(axis=1) - degs * degs - path2
+    if (walks < 0).any() or (walks % 2).any():
+        raise AssertionError("closed-walk bookkeeping went negative or odd")
+    per_vertex = (walks // 2).tolist()
     total4 = sum(per_vertex)
     if total4 % 4:
         raise AssertionError("per-vertex quadrangle counts do not sum to 4q")

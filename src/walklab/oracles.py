@@ -177,7 +177,7 @@ def build_walk_matrices(g: Graph) -> WalkMatrices:
     ku = [[2 * (space.arcs[a][0] == space.arcs[b][1]) - k * (b == space.inverse_index[a])
            for b in range(m)] for a in range(m)]
     u = tuple(tuple(Fraction(x, k) for x in row) for row in ku)
-    t = tuple(tuple(Fraction(x, k) for x in row) for row in g.adjacency)
+    t = tuple(tuple(Fraction(x, k) for x in row) for row in g.adjacency.tolist())
     ones = int_matmul(ku, [[x for x in row] for row in zip(*ku)])
     if any(ones[i][j] != (k * k if i == j else 0) for i in range(m) for j in range(m)):
         raise AssertionError("time evolution is not orthogonal")
@@ -301,7 +301,7 @@ def count_quadrangles_brute(g: Graph) -> tuple[int, list[int]]:
     (up to 3 per subset)."""
     per_vertex = [0] * g.n
     q = 0
-    adj = g.adjacency
+    adj = g.adjacency.tolist()
     for quad in itertools.combinations(range(g.n), 4):
         w, x, y, z = quad
         # three cyclic orders on a 4-subset, identified by the pairing

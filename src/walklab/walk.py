@@ -18,17 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import (
-    _INT64_SAFE,
     Poly,
     QuadraticNumber,
     Spectrum,
     Unresolved,
     _div_monic,
     adjacency_times,
-    int_matmul,
+    exact_dtype,
     is_quadratic_algebraic_integer,
     min_poly_2cos,
-    neighbour_table,
 )
 from .graphs import Graph, biadjacency, is_bipartite, is_connected, regularity
 
@@ -183,13 +181,11 @@ def walk_regularity_check(g: Graph, r_max: int | None = None) -> bool:
         r_max = walk_regularity_depth(g)
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    table = neighbour_table(g.adjacency_array)
+    table = g.neighbour_table
     delta = table.shape[1]
-    power = g.adjacency_array
+    power = g.adjacency
     for r in range(2, r_max + 1):
-        if delta ** r >= _INT64_SAFE and power.dtype != object:
-            power = power.astype(object)
-        power = adjacency_times(table, power)
+        power = adjacency_times(table, power.astype(exact_dtype(delta ** r), copy=False))
         diag = power.diagonal()
         if (diag != diag[0]).any():
             return False
@@ -211,12 +207,10 @@ def hoffman_check(g: Graph) -> bool:
     if k is None or k == 0:
         raise NotRegularError("graph is not regular (or has no edges)")
     q = [int(c) for c in g.min_poly.exact_div(Poly([-k, 1])).coeffs]
-    dtype = np.int64 if sum(abs(c) * k ** i for i, c in enumerate(q)) < _INT64_SAFE else object
-    table = neighbour_table(g.adjacency_array)
-    acc = np.zeros((g.n, g.n), dtype=dtype)
+    acc = np.zeros((g.n, g.n), dtype=exact_dtype(sum(abs(c) * k ** i for i, c in enumerate(q))))
     np.fill_diagonal(acc, q[-1])
     for c in reversed(q[:-1]):
-        acc = adjacency_times(table, acc)
+        acc = adjacency_times(g.neighbour_table, acc)
         acc.flat[::g.n + 1] += c
     entry, rem = divmod(sum(c * k ** i for i, c in enumerate(q)), g.n)
     return rem == 0 and bool((acc == entry).all())
@@ -267,6 +261,9 @@ def verify_biadjacency_identities(g: Graph) -> bool:
 
     four eigenvalues:  N N^T       = theta^2 I + (2(k^2 - theta^2)/n) J
     five eigenvalues:  N N^T N     = theta^2 N + (2k/n)(k^2 - theta^2) J
+
+    The entries of N N^T and N N^T N, and their partial sums, are at
+    most k and k^2.
     """
     k = _require_regular_connected(g)
     split = is_bipartite(g)
@@ -281,14 +278,9 @@ def verify_biadjacency_identities(g: Graph) -> bool:
     theta, _, b = shape
     theta_sq = (theta * theta).as_fraction()
     n = g.n
-    nmat = biadjacency(g, split)
-    nnt = int_matmul(nmat, [list(r) for r in zip(*nmat)])
-    half = n // 2
+    nmat = biadjacency(g, split).astype(exact_dtype(k * k))
+    nnt = nmat @ nmat.T
     if b == 0:
-        const = Fraction(2 * (k * k - theta_sq), n)
-        return all(nnt[i][j] == (theta_sq if i == j else 0) + const
-                   for i in range(half) for j in range(half))
-    lhs = int_matmul(nnt, nmat)
-    const = Fraction(2 * k, n) * (k * k - theta_sq)
-    return all(lhs[i][j] == theta_sq * nmat[i][j] + const
-               for i in range(half) for j in range(half))
+        identity = np.eye(len(nmat), dtype=object)
+        return bool((nnt == theta_sq * identity + Fraction(2 * (k * k - theta_sq), n)).all())
+    return bool((nnt @ nmat == theta_sq * nmat + Fraction(2 * k, n) * (k * k - theta_sq)).all())

@@ -79,7 +79,7 @@ def _builtins() -> list[tuple[str, Graph]]:
 
 
 def _spectrum(g: Graph) -> Spectrum:
-    s = extract_spectrum(charpoly([list(r) for r in g.adjacency]))
+    s = extract_spectrum(charpoly(g.adjacency.tolist()))
     assert isinstance(s, Spectrum)
     return s
 
@@ -238,7 +238,7 @@ def test_criterion_7_invariant_suite():
     ortho = 0
     for name, g in _builtins():
         k = regularity(g)
-        spec = extract_spectrum(charpoly([list(r) for r in g.adjacency]))
+        spec = extract_spectrum(charpoly(g.adjacency.tolist()))
         assert isinstance(spec, Spectrum), name
         if k:
             assert spec.power_sum(2) == g.n * k, name

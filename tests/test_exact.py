@@ -58,7 +58,7 @@ from oracles import (
 
 
 def _adj(g):
-    return [list(row) for row in g.adjacency]
+    return g.adjacency.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +131,16 @@ def test_charpoly_rational_entries():
     assert charpoly(m) == Poly([0, -1, 1])
 
 
+def test_numpy_integers_give_the_same_poly_and_charpoly_as_python_ints():
+    # a numpy int64 kept inside a Fraction would wrap at 2^63
+    big = np.int64(2 ** 62)
+    assert Poly([big, np.int64(3)]) * 4 == Poly([2 ** 62, 3]) * 4 == Poly([2 ** 64, 12])
+    assert QuadraticNumber(big, big, np.int64(8)) * 4 == QuadraticNumber(2 ** 62, 2 ** 62, 8) * 4
+    m = [[Fraction(1, 3), big], [big, np.int64(5)]]
+    assert charpoly(m) == charpoly([[Fraction(1, 3), 2 ** 62], [2 ** 62, 5]])
+    assert charpoly(np.array([[0, 1], [1, 0]])) == charpoly([[0, 1], [1, 0]])
+
+
 def test_cayley_hamilton_on_graphs():
     for g in (cycle(4), cycle(6), complete_bipartite(3, 3), hypercube(3),
               petersen(), line_graph(hypercube(3))):
@@ -187,7 +197,7 @@ def _hypercube_charpoly(d):
 
 
 def test_moment_route_certifies_the_minimal_polynomial_of_q7():
-    moments = moment_route(hypercube(7).adjacency_array)
+    moments = moment_route(hypercube(7).neighbour_table)
     assert moments is not None
     assert moments.min_poly.degree() == 8
     assert moments.min_poly == math.prod((Poly([-(7 - 2 * i), 1]) for i in range(8)), start=Poly.one())
@@ -198,7 +208,7 @@ def test_moment_route_falls_back_on_the_bench_shape_graph(monkeypatch):
     # the (5, 42) period-random shape: s = n, and n * 5^r reaches 2^62 at
     # r = 25, long before t_42
     g = random_regular(42, 5, random.Random(7))
-    assert moment_route(g.adjacency_array) is None
+    assert moment_route(g.neighbour_table) is None
     sizes = []
     real = exact.charpoly
     monkeypatch.setattr(graphs, "charpoly", lambda m: sizes.append(len(m)) or real(m))
@@ -208,7 +218,7 @@ def test_moment_route_falls_back_on_the_bench_shape_graph(monkeypatch):
 
 def test_moment_route_stops_where_a_trace_could_reach_2_62():
     # Q8 needs t_18, and n * delta^18 = 2^8 * 8^18 is exactly 2^62
-    assert moment_route(hypercube(8).adjacency_array) is None
+    assert moment_route(hypercube(8).neighbour_table) is None
 
 
 def test_annihilation_is_tested_only_below_2_62():
@@ -232,11 +242,11 @@ def test_a_forged_recurrence_is_rejected_by_the_certificate(monkeypatch):
         return None if c is None else [c[0] + 1] + c[1:]
 
     monkeypatch.setattr(_BerlekampMassey, "candidate", forged)
-    moments = moment_route(g.adjacency_array)
+    moments = moment_route(g.neighbour_table)
     assert moments.min_poly is None
     assert moments.charpoly == charpoly(_adj(g))
     monkeypatch.undo()
-    assert moment_route(g.adjacency_array).min_poly == Poly([6, -5, -2, 1])
+    assert moment_route(g.neighbour_table).min_poly == Poly([6, -5, -2, 1])
 
 
 def test_newton_refuses_traces_of_no_integer_matrix():
@@ -252,7 +262,7 @@ def test_moment_route_matches_the_crt_and_bareiss_on_the_graph_atlas():
         if h.number_of_nodes() == 0:
             continue
         g = Graph.from_edges(h.number_of_nodes(), h.edges())
-        moments = moment_route(g.adjacency_array)
+        moments = moment_route(g.neighbour_table)
         p = charpoly(_adj(g))
         assert moments.charpoly == p == charpoly_bareiss(_adj(g)), h.name
         if moments.min_poly is not None:

@@ -3,6 +3,7 @@ counting (walk bookkeeping against subset enumeration)."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from walklab.exact import QuadraticNumber, Spectrum, charpoly, extract_spectrum
@@ -31,7 +32,7 @@ from walklab.oracles import arc_space, count_quadrangles_brute
 
 
 def _spectrum(g):
-    s = extract_spectrum(charpoly([list(r) for r in g.adjacency]))
+    s = extract_spectrum(charpoly(g.adjacency.tolist()))
     assert isinstance(s, Spectrum)
     return s
 
@@ -79,7 +80,7 @@ def test_hypercube_and_hamming():
     h42 = hamming(4, 2)
     assert _spectrum(h42).render() == "{[±4]^1, [±2]^4, [0]^6}"
     # one-letter words give a complete graph
-    assert hamming(1, 5).adjacency == complete_graph(5).adjacency
+    assert hamming(1, 5).adjacency.tolist() == complete_graph(5).adjacency.tolist()
 
 
 def test_line_graph():
@@ -93,7 +94,7 @@ def test_line_graph():
         assert _spectrum(lg) == _spectrum(cycle(n))
     # line graph of the claw is a triangle
     tri = line_graph(complete_bipartite(1, 3))
-    assert tri.adjacency == complete_graph(3).adjacency
+    assert tri.adjacency.tolist() == complete_graph(3).adjacency.tolist()
 
 
 def test_tensor_allones():
@@ -101,7 +102,7 @@ def test_tensor_allones():
     assert g.n == 12 and regularity(g) == 4
     assert _spectrum(g).render() == "{[±4]^1, [±2]^2, [0]^6}"
     assert tensor_allones(cycle(6), 1) is cycle(6) or \
-        tensor_allones(cycle(6), 1).adjacency == cycle(6).adjacency
+        tensor_allones(cycle(6), 1).adjacency.tolist() == cycle(6).adjacency.tolist()
     g83 = tensor_allones(cycle(8), 3)
     assert g83.n == 24 and regularity(g83) == 6
     assert _spectrum(g83).render() == "{[±6]^1, [±3√2]^2, [0]^18}"
@@ -127,12 +128,31 @@ def test_bipartite_double_law():
         assert is_bipartite(bipartite_double(g)) is not None
 
 
+def test_constructors_match_networkx():
+    # vertex order (g-vertex, h-vertex), and the line graph's vertices are
+    # the edges in canonical order
+    nx = pytest.importorskip("networkx")
+
+    def matrix(h, key=None):
+        return nx.to_numpy_array(h, nodelist=sorted(h, key=key), dtype=np.int64).tolist()
+
+    g, h = cycle(5), cycle(4)
+    ng, nh = nx.cycle_graph(5), nx.cycle_graph(4)
+    assert cartesian_product(g, h).adjacency.tolist() == matrix(nx.cartesian_product(ng, nh))
+    assert kronecker_product(g, h).adjacency.tolist() == matrix(nx.tensor_product(ng, nh))
+    for m in (2, 3):
+        assert tensor_allones(g, m).adjacency.tolist() == \
+            matrix(nx.lexicographic_product(ng, nx.empty_graph(m)))
+    for base, nbase in ((g, ng), (h, nh), (complete_graph(4), nx.complete_graph(4))):
+        assert line_graph(base).adjacency.tolist() == matrix(nx.line_graph(nbase), key=sorted)
+
+
 def test_bipartite_double_small_cases():
     # doubling K2 by the defining formula gives two disjoint edges (the
     # double of a bipartite graph is disconnected); doubling K3 gives C6
     doubled = bipartite_double(complete_graph(2))
-    assert doubled.adjacency == \
-        kronecker_product(complete_graph(2), complete_graph(2)).adjacency
+    assert doubled.adjacency.tolist() == \
+        kronecker_product(complete_graph(2), complete_graph(2)).adjacency.tolist()
     assert not is_connected(doubled)
     assert _spectrum(doubled).render() == "{[±1]^2}"
     hexagon = bipartite_double(complete_graph(3))
@@ -202,7 +222,7 @@ def test_biadjacency_k22():
     g = complete_bipartite(2, 2)
     split = is_bipartite(g)
     n = biadjacency(g, split)
-    assert n == [[1, 1], [1, 1]]
+    assert n.tolist() == [[1, 1], [1, 1]]
 
 
 def test_biadjacency_cycle6_identity():
@@ -230,6 +250,40 @@ def test_loops_and_duplicates_rejected():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError):
         Graph(((0, 1), (0, 0)))  # asymmetric
+
+
+def test_graph_owns_a_read_only_copy_of_its_input():
+    rows = [[0, 1], [1, 0]]
+    array = np.array(rows)
+    for source in (rows, array):
+        g = Graph(source)
+        source[0][1] = 0
+        assert g.adjacency.tolist() == [[0, 1], [1, 0]]
+        assert g.adjacency.dtype == np.int64
+        with pytest.raises(ValueError):
+            g.adjacency[0, 1] = 0
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 1], [1]], "adjacency matrix is not square"),  # ragged
+    ([[0, 1, 0], [1, 0, 1]], "adjacency matrix is not square"),
+    ([[0, 2], [2, 0]], "adjacency entries must be 0 or 1"),
+    ([[1, 1], [1, 0]], "loops are not allowed"),
+    ([[0, 1], [0, 0]], "adjacency matrix is not symmetric"),
+    ([], "graph has no vertices"),
+])
+def test_each_single_fault_keeps_its_message(rows, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        Graph(rows)
+
+
+def test_graph_values_are_python_ints():
+    # json.dumps refuses numpy integers, and a Fraction keeps their width
+    g = hypercube(3)
+    q, per_vertex = count_quadrangles(g)
+    values = [g.n, g.edge_count, g.degree(0), *g.degrees(), *g.neighbors(0), q, *per_vertex]
+    values += [v for edge in g.edges() for v in edge]
+    assert all(type(v) is int for v in values)
 
 
 def test_vertex_cap(monkeypatch):
@@ -290,6 +344,14 @@ def test_quadrangles_examples():
     assert q == 9 and per == [6] * 6 and sum(per) == 4 * q == 36
     q, per = count_quadrangles(cycle(6))
     assert q == 0 and per == [0] * 6
+
+
+def test_quadrangles_of_q9_from_the_closed_form():
+    # each pair of the d coordinates spans one square through a vertex of
+    # Q_d: q_x = C(d,2) and q = 2^d C(d,2) / 4; 512 vertices are out of the
+    # brute-force oracle's reach
+    q, per_vertex = count_quadrangles(hypercube(9))
+    assert q == 4608 and per_vertex == [36] * 512
 
 
 def test_quadrangles_complete_graph():

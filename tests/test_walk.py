@@ -451,7 +451,7 @@ def test_gate_on_decided_builtins():
     for g in (cycle(6), cycle(8), tensor_allones(cycle(6), 2),
               tensor_allones(cycle(8), 3), hamming(4, 2),
               bipartite_double(line_graph(hypercube(3)))):
-        spec = extract_spectrum(charpoly([list(r) for r in g.adjacency]))
+        spec = extract_spectrum(charpoly(g.adjacency.tolist()))
         k = sum(g.adjacency[0])
         positives = [v for v in spec.values() if v.sign() > 0 and v != QuadraticNumber(k)]
         theta = max(positives)
@@ -546,7 +546,7 @@ def test_walk_regularity_matches_matrix_powers_past_the_int64_bound():
     # Petersen reaches 3^40 > 2^62 and K20 reaches 19^15 > 2^62 before r_max
     for g, r_max in ((petersen(), 45), (complete_graph(20), 20), (CUBIC8_NOT_WALK_REGULAR, 45),
                      (cycle(7), 70)):
-        adj = [list(row) for row in g.adjacency]
+        adj = g.adjacency.tolist()
         expected = all(len({int_mat_power(adj, r)[i][i] for i in range(g.n)}) == 1
                        for r in range(2, r_max + 1))
         assert walk_regularity_check(g, r_max) == expected
@@ -578,7 +578,7 @@ def test_quadrangle_report_table_rows():
 
 def test_quadrangle_report_against_brute_force():
     for name, g in SMALL_REGULAR:
-        spec = extract_spectrum(charpoly([list(r) for r in g.adjacency]))
+        spec = extract_spectrum(charpoly(g.adjacency.tolist()))
         if not isinstance(spec, Spectrum):
             continue
         k = sum(g.adjacency[0])
