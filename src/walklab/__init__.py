@@ -32,7 +32,6 @@ from .graphs import (
     Graph,
     GraphError,
     PartiteSplit,
-    biadjacency,
     bipartite_double,
     cartesian_product,
     complete_bipartite,
@@ -65,13 +64,10 @@ from .walk import (
     Periodic,
     PeriodicityVerdict,
     QuadrangleReport,
-    SpectrumShapeError,
-    UnresolvedSpectrumError,
     decide_periodic,
     eigenvalue_gate,
     hoffman_check,
     quadrangle_report,
-    verify_biadjacency_identities,
     walk_regularity_check,
 )
 

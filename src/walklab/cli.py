@@ -29,7 +29,7 @@ import sys
 import time
 
 from . import exact
-from .exact import Poly, Spectrum, charpoly, moment_route
+from .exact import Poly, Spectrum, charpoly, min_poly_route, moment_route, power_sum_of_roots
 from .feasibility import (
     REFERENCE_TABLE,
     ThetaClass,
@@ -64,7 +64,9 @@ from .oracles import (
     cyclotomic_sieve,
     eval_poly_at_matrix,
     period_oracle,
+    u_charpoly_direct,
     u_spectrum_model,
+    verify_biadjacency_identities,
 )
 from .walk import (
     NotConnectedError,
@@ -74,7 +76,6 @@ from .walk import (
     decide_periodic,
     hoffman_check,
     quadrangle_report,
-    verify_biadjacency_identities,
     walk_regularity_check,
     walk_regularity_depth,
 )
@@ -244,7 +245,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         report["hoffman"] = hoffman_check(g)
         report["periodicity"] = decide_periodic(g).render()
         if resolved:
-            rep = quadrangle_report(spec, g.n, k)
+            rep = quadrangle_report(power_sum_of_roots(g.charpoly, 4), g.n, k)
             report["q_spectral"] = str(rep.q_spectral)
             report["q_x_spectral"] = str(rep.qx_spectral)
     if args.format == "json":
@@ -393,14 +394,9 @@ def _check_walk_matrices() -> bool:
 
 
 def _check_mapping_vs_direct() -> bool:
-    for name, g in _selfcheck_catalog():
-        if not regularity(g) or not is_connected(g) or 2 * g.edge_count > 200:
-            continue
-        model = u_spectrum_model(g)
-        wm = build_walk_matrices(g)
-        if charpoly([list(r) for r in wm.time_evolution]) != model.u_charpoly:
-            return False
-    return True
+    return all(u_charpoly_direct(g) == u_spectrum_model(g).u_charpoly
+               for name, g in _selfcheck_catalog()
+               if regularity(g) and is_connected(g) and 2 * g.edge_count <= 200)
 
 
 def _check_power_sums() -> bool:
@@ -427,11 +423,10 @@ def _check_min_poly() -> bool:
 
 def _check_moment_route() -> bool:
     for name, g in _selfcheck_catalog():
-        moments = moment_route(g.neighbour_table)
-        p = charpoly(g.adjacency)
-        if moments is None or moments.charpoly != p:
-            return False
-        if moments.min_poly is not None and moments.min_poly != p.exact_div(p.gcd(p.derivative())):
+        moments, p = moment_route(g.neighbour_table), charpoly(g.adjacency)
+        m = p.exact_div(p.gcd(p.derivative()))
+        if (moments.charpoly != p or moments.min_poly not in (None, m)
+                or min_poly_route(g.neighbour_table) != m):
             return False
     return True
 

@@ -1,5 +1,8 @@
 """Exact algebra kernels: dense rational polynomials, quadratic surds,
-characteristic polynomials (from closed-walk counts, or by CRT),
+the characteristic and minimal polynomials of a graph from its
+closed-walk counts on residues modulo word-size primes (the moment
+route), the CRT characteristic polynomial of any rational matrix (the
+oracle that `selfcheck` and the tests hold the route against),
 cyclotomic machinery, and spectra.
 
 Everything in this module is exact.  No floating point enters any
@@ -12,6 +15,7 @@ with a graph's adjacency is a row gather on its neighbour table.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -605,27 +609,6 @@ class Spectrum:
             raise ValueError("power sum is irrational")
         return rational
 
-    def charpoly(self) -> Poly:
-        """Product of (x - value)^mult; exact, rational coefficients."""
-        out = Poly.one()
-        seen: set[QuadraticNumber] = set()
-        for value, mult in self.entries:
-            if value in seen:
-                continue
-            if value.is_rational:
-                out = out * Poly([-value.a, 1]) ** mult
-            else:
-                conj = value.conjugate()
-                cm = self.multiplicity(conj)
-                if cm != mult:
-                    raise ValueError("conjugate multiplicities differ")
-                quad = Poly([value.a * value.a - value.b * value.b * value.m,
-                             -2 * value.a, 1])
-                out = out * quad ** mult
-                seen.add(conj)
-            seen.add(value)
-        return out
-
     def render(self) -> str:
         """Canonical text form, e.g. "{[±4]^1, [±2√2]^2, [0]^10}" for
         symmetric spectra and a plain descending list otherwise."""
@@ -936,18 +919,20 @@ def _charpoly_modular_int(m: np.ndarray) -> Poly:
         modulus *= p
         if modulus > 2 * coeff_bound + 1:
             break
-    residues = [_charpoly_mod(m, p) for p in primes]
-    coeffs: list[int] = []
-    for i in range(n + 1):
-        x = 0
-        for p, res in zip(primes, residues):
-            mi = modulus // p
-            x += int(res[i]) * mi * pow(mi % p, p - 2, p)
-        x %= modulus
-        if x > modulus // 2:
-            x -= modulus
-        coeffs.append(x)
-    return Poly(coeffs)
+    return Poly(_crt([_charpoly_mod(m, p).tolist() for p in primes], primes))
+
+
+def _crt(residues: Sequence[Sequence[int]], primes: Sequence[int]) -> list[int]:
+    """Entrywise CRT of residue vectors modulo distinct primes: the integers
+    of least absolute value, at most M/2 for M the product of the primes."""
+    modulus = math.prod(primes)
+    out = [0] * len(residues[0])
+    for q, res in zip(primes, residues):
+        share = modulus // q
+        share *= pow(share % q, -1, q)
+        for i, x in enumerate(res):
+            out[i] += x * share
+    return [x - modulus if x > modulus // 2 else x for x in (x % modulus for x in out)]
 
 
 def charpoly(mat: Matrix | np.ndarray) -> Poly:
@@ -972,23 +957,25 @@ def charpoly(mat: Matrix | np.ndarray) -> Poly:
 # the moment route: charpoly and minimal polynomial from tr(A^r)
 
 
-_BM_PRIME = 2 ** 61 - 1
+# Residues below 2^31 multiply within int64, and a row gather of them sums to
+# at most delta * 2^31 < 2^62 for every degree delta below 2^31.
+_ROUTE_PRIMES_BELOW = 2 ** 31
 
 
 @dataclass(frozen=True)
 class Moments:
-    """What the moment route computed: the adjacency charpoly, and the
-    minimal polynomial when a recurrence was certified before the traces
-    reached t_n (None otherwise)."""
+    """What the moment route computed: the adjacency charpoly, and m_A when
+    a recurrence was certified by t_n (None otherwise)."""
 
     charpoly: Poly
     min_poly: Poly | None
 
 
 class _BerlekampMassey:
-    """Berlekamp-Massey over GF(_BM_PRIME), fed one term at a time."""
+    """Berlekamp-Massey over GF(q), fed one term at a time."""
 
-    def __init__(self) -> None:
+    def __init__(self, q: int) -> None:
+        self.q = q
         self.terms: list[int] = []
         self.conn = [1]  # connection polynomial C, constant term first
         self.prev = [1]  # C before the last length change
@@ -997,11 +984,11 @@ class _BerlekampMassey:
         self.length = 0
 
     def push(self, t: int) -> None:
-        q = _BM_PRIME
+        q = self.q
         self.terms.append(t % q)
         r = len(self.terms) - 1
         c = self.conn
-        disc = sum(cj * self.terms[r - j] for j, cj in enumerate(c)) % q
+        disc = sum(map(operator.mul, c, self.terms[r::-1])) % q
         if disc == 0:
             self.shift += 1
             return
@@ -1018,27 +1005,121 @@ class _BerlekampMassey:
         self.conn = new
 
     def candidate(self) -> list[int] | None:
-        """The monic recurrence polynomial x^L C(1/x), constant term first,
-        on symmetric residues, once 2L is below the number of terms."""
+        """The monic recurrence polynomial x^L C(1/x) mod q, constant term
+        first, once 2L is below the number of terms."""
         if 2 * self.length >= len(self.terms):
             return None
-        c = (self.conn + [0] * self.length)[:self.length + 1]
-        half = _BM_PRIME // 2
-        return [x - _BM_PRIME if x > half else x for x in reversed(c)]
+        return (self.conn + [0] * self.length)[self.length::-1]
 
 
-def _annihilates(c: Sequence[int], powers: Sequence[np.ndarray], delta: int) -> bool:
-    """Exact test of sum c_j A^j = 0 on the int64 powers A^j, whose entries
-    lie in [0, delta^j]: every partial sum is at most sum |c_j| delta^j in
-    absolute value, and a candidate with that bound at 2^62 or above is
-    not tested (False)."""
-    if sum(abs(x) * delta ** j for j, x in enumerate(c)) >= _INT64_SAFE:
-        return False
-    acc = np.zeros_like(powers[0])
-    for x, power in zip(c, powers):
-        if x:
-            acc += x * power
-    return not acc.any()
+def _trace_stream(table: np.ndarray, q: int) -> Iterator[int]:
+    """t_0, t_1, ... as t_2i = <A^i, A^i> and t_2i+1 = <A^i, A^i+1>.  All
+    entries are nonnegative, so a partial sum of A^i, or of t_r, is at most
+    delta^i, or n delta^r: each is exact in int64 while that bound is below
+    2^62, and a residue mod q past it."""
+    n, delta = table.shape
+
+    def inner(x, y, x_q, y_q, bound):  # x_q, y_q: the residues in [0, q)
+        if bound < _INT64_SAFE:
+            return int(np.vdot(x, y))
+        xy = x_q * y_q  # below 2^62: its high and low 31 bits each sum within int64
+        return (int((xy >> 31).sum()) * 2 ** 31 + int((xy & (2 ** 31 - 1)).sum())) % q
+
+    low = low_q = np.eye(n, dtype=np.int64)  # A^i, exact or mod q, and its residues
+    low_bound = 1
+    while True:
+        yield inner(low, low, low_q, low_q, n * low_bound ** 2)
+        bound = low_bound * delta
+        exact = bound < _INT64_SAFE
+        high = adjacency_times(table, low) if exact else adjacency_times(table, low_q) % q
+        high_q = high % q if exact and bound >= q else high
+        yield inner(low, high, low_q, high_q, n * low_bound * bound)
+        low, low_q, low_bound = high, high_q, bound
+
+
+def _vanishes_at(table: np.ndarray, c: Sequence[int], q: int) -> tuple[bool, bool]:
+    """Whether c(A) = 0 mod q, and whether c(A) = 0 over Z, for monic
+    residues c, by Horner (acc <- A acc + c_j I) on c lifted to least
+    absolute values.  Each entry of a step, and each partial sum of its
+    product with A, is at most sum |c_j| delta^j: below 2^62 the steps are
+    exact in int64, past it they run mod q (partial sums below delta q)."""
+    n, delta = table.shape
+    lift = _crt([c], [q])
+    exact = sum(abs(x) * delta ** j for j, x in enumerate(lift)) < _INT64_SAFE
+    acc = np.eye(n, dtype=np.int64)  # c is monic
+    for x in reversed(lift[:-1] if exact else [x % q for x in lift[:-1]]):
+        acc = adjacency_times(table, acc)
+        acc.flat[::n + 1] += x
+        if not exact:
+            acc %= q
+    return not (acc % q).any(), exact and not acc.any()
+
+
+def _prime_run(table: np.ndarray, q: int,
+               terms: int) -> tuple[list[int], list[int] | None, bool]:
+    """Up to `terms` traces, exact or mod q, with Berlekamp-Massey mod q on
+    them; stops at the first candidate c with c(A) = 0 mod q.  Returns the
+    traces, c (None if no candidate passed) and whether c(A) = 0 over Z."""
+    traces: list[int] = []
+    bm, rejected = _BerlekampMassey(q), None
+    for t in itertools.islice(_trace_stream(table, q), terms):
+        traces.append(t)
+        bm.push(t)
+        c = bm.candidate()
+        if c is not None and c != rejected:
+            zero_mod_q, zero = _vanishes_at(table, c, q)
+            if zero_mod_q:
+                return traces, c, zero
+            rejected = c
+    return traces, None, False
+
+
+def _recurrence(table: np.ndarray, terms: int, primes: Iterator[int],
+                runs: list[tuple[int, list[int]]]) -> list[int] | None:
+    """m_A, constant term first, from _prime_run on one prime after another
+    (each appended to `runs`); None when a run of n + 1 terms finds none."""
+    n, delta = table.shape
+    # (n * n delta^(2n))^n bounds the Hankel determinant of the proof
+    hankel_bits = n * (2 * n.bit_length() + 2 * n * delta.bit_length())
+    best: list[tuple[int, list[int]]] = []  # the runs with the longest recurrence
+    bad_bits = 0  # a lower bound on log2 of the product of the dropped primes
+    for q in primes:
+        traces, c, zero = _prime_run(table, q, terms)
+        runs.append((q, traces))
+        if zero:
+            return _crt([c], [q])
+        if c is None and terms == n + 1:
+            return None
+        if c is None or (best and len(c) < len(best[0][1])):
+            bad_bits += q.bit_length() - 1
+        else:
+            if best and len(c) > len(best[0][1]):
+                bad_bits += sum(p.bit_length() - 1 for p, _ in best)
+                best = []
+            best.append((q, c))
+            lift = _crt([r for _, r in best], [p for p, _ in best])
+            height = sum(abs(x) * delta ** j for j, x in enumerate(lift))
+            if math.prod(p for p, _ in best) > 2 * height:
+                return lift
+        if bad_bits > hankel_bits:
+            raise AssertionError("more primes failed the moment route than divide "
+                                 "its Hankel determinant")
+    raise AssertionError("the moment route ran out of primes")
+
+
+def _integer_traces(table: np.ndarray, count: int, primes: Iterator[int],
+                    runs: list[tuple[int, list[int]]]) -> list[int]:
+    """t_0 .. t_(count-1) over Z: exact below 2^62, else by CRT over runs
+    of enough traces once their primes' product exceeds 2 n delta^(count-1)."""
+    n, delta = table.shape
+    bound = n * delta ** (count - 1)
+    usable = [(q, t[:count]) for q, t in runs if len(t) >= count]
+    if bound < _INT64_SAFE:
+        return usable[0][1]
+    while math.prod(q for q, _ in usable) <= 2 * bound:
+        q = next(primes)
+        usable.append((q, list(itertools.islice(_trace_stream(table, q), count))))
+    return _crt([t for _, t in usable], [q for q, _ in usable])
 
 
 def _newton(traces: Sequence[int]) -> Poly:
@@ -1056,57 +1137,63 @@ def _newton(traces: Sequence[int]) -> Poly:
     return Poly(a[::-1])
 
 
-def moment_route(table: np.ndarray) -> Moments | None:
+def power_sum_of_roots(p: Poly, r: int) -> int:
+    """The r-th power sum of the roots of the monic integer p by Newton's
+    identities p_k = -k a_k - sum_{i<k} a_i p_(k-i), a_i of x^(deg p - i)."""
+    a = [int(c) for c in reversed(p.coeffs)] + [0] * r
+    sums = [0]
+    for k in range(1, r + 1):
+        sums.append(-k * a[k] - sum(a[i] * sums[k - i] for i in range(1, k)))
+    return sums[r]
+
+
+def moment_route(table: np.ndarray) -> Moments:
     """Charpoly and minimal polynomial of the symmetric 0/1 matrix A whose
-    neighbour_table is `table`, from the closed-walk counts t_r = tr(A^r),
-    or None when int64 cannot hold the powers the route needs.
+    neighbour_table is `table`, from the closed-walk counts t_r = tr(A^r)
+    on residues modulo primes q < 2^31, one prime at a time.
 
-    Powers A^i are held as int64 arrays, with t_2i = <A^i, A^i> and
-    t_2i+1 = <A^i, A^i+1> (A is symmetric).  A trace t_r is taken only
-    while n * delta^r < 2^62, delta the largest row sum.  Every entry is
-    nonnegative, so each partial sum of A A^(i-1) is at most the entry of
-    A^i it forms, at most delta^i, and each partial sum of a trace is at
-    most the trace, at most n * delta^r.
+    Each run (_prime_run) feeds the traces, exact in int64 while their
+    bound is below 2^62 and mod q past it, to Berlekamp-Massey mod q.  Once
+    its length L satisfies 2L < (number of traces), its candidate c_q is
+    kept only if c_q(A) = 0 mod q; otherwise the traces go on.  The runs
+    with the longest L give c by CRT, lifted to least absolute values, and
+    c is accepted once their primes' product M exceeds 2 sum |c_j| delta^j:
+    each entry of c(A) is below M/2 in absolute value and 0 mod M, so
+    c(A) = 0 over Z (seen outright when the Horner steps ran exact).
 
-    Berlekamp-Massey modulo the prime 2^61 - 1 runs on the traces as they
-    come.  Once its length L satisfies 2L < (number of traces), its
-    recurrence polynomial c, lifted to symmetric residues, is accepted
-    only when c(A) = 0 holds exactly over Z.  Then c = m_A: c(A) = 0 gives
-    m_A | c, so s = deg m_A <= L.  And m_A, monic with integer
-    coefficients, generates (t_r) (t_(r+s) + ... = tr(A^r m_A(A)) = 0),
-    also modulo the prime, so the shortest recurrence found there has
-    L <= s.  So c is monic of degree s and divisible by the monic m_A: they
-    are equal.  (Over Q the linear complexity of (t_r) is exactly s, since
-    t_r = sum m_lambda lambda^r with every multiplicity m_lambda > 0.)
+    Then c = m_A: c(A) = 0 gives m_A | c, so s = deg m_A <= L.  And m_A,
+    monic with integer coefficients, generates (t_r) (t_(r+s) + ... =
+    tr(A^r m_A(A)) = 0), also modulo every prime, so L <= s.  So c is
+    monic of degree s and divisible by the monic m_A: they are equal.
+    Over Q the linear complexity of (t_r) is s (t_r = sum m_lambda
+    lambda^r with every m_lambda > 0), so the Hankel determinant
+    det(t_(i+j)), i, j < s, is nonzero.  A prime whose run certifies a
+    shorter recurrence, or none by t_2s, divides it: such primes are
+    dropped, and there are finitely many.
 
-    The certified recurrence, a consequence of c(A) = 0 through
-    tr(A^r c(A)) = 0, extends the traces to t_n, and Newton's identities
-    give det(xI - A).  When the traces reach t_n before a recurrence is
-    certified (s close to n), Newton's identities run on them directly
-    and no minimal polynomial is returned.
+    The recurrence, through tr(A^r c(A)) = 0, extends t_0 .. t_(s-1) to
+    t_n, and Newton's identities give det(xI - A).  A trace t_r <= n
+    delta^r is used as an integer only once the primes' product exceeds
+    2 n delta^r.  When a run reaches t_n with no recurrence certified (s
+    close to n), Newton's identities run on t_0 .. t_n and no m_A is
+    returned; min_poly_route goes on to t_(2n+1).
     """
-    n, delta = table.shape
-    identity = np.eye(n, dtype=np.int64)
-    powers = [identity, adjacency_times(table, identity)]
-    traces: list[int] = []
-    bm = _BerlekampMassey()
-    rejected = None
-    for r in range(n + 1):
-        if n * delta ** r >= _INT64_SAFE:
-            return None
-        i = r // 2
-        if r - i == len(powers):
-            powers.append(adjacency_times(table, powers[-1]))
-        traces.append(int(np.vdot(powers[i], powers[r - i])))
-        bm.push(traces[-1])
-        c = bm.candidate()
-        if c is None or c == rejected:
-            continue
-        if _annihilates(c, powers, delta):
-            s = len(c) - 1
-            while len(traces) <= n:
-                m = len(traces) - s
-                traces.append(-sum(cj * traces[m + j] for j, cj in enumerate(c[:-1])))
-            return Moments(_newton(traces), Poly(c))
-        rejected = c
-    return Moments(_newton(traces), None)
+    n = len(table)
+    primes = _primes_below(_ROUTE_PRIMES_BELOW)
+    runs: list[tuple[int, list[int]]] = []
+    c = _recurrence(table, n + 1, primes, runs)
+    if c is None:
+        return Moments(_newton(_integer_traces(table, n + 1, primes, runs)), None)
+    s = len(c) - 1
+    traces = _integer_traces(table, s, primes, runs)
+    while len(traces) <= n:
+        m = len(traces) - s
+        traces.append(-sum(cj * traces[m + j] for j, cj in enumerate(c[:-1])))
+    return Moments(_newton(traces), Poly(c))
+
+
+def min_poly_route(table: np.ndarray) -> Poly:
+    """m_A by the moment route with runs of up to t_(2n+1): every prime
+    whose traces have linear complexity s = deg m_A certifies m_A mod q by
+    t_2s, so the route always ends with a certified recurrence."""
+    return Poly(_recurrence(table, 2 * len(table) + 2, _primes_below(_ROUTE_PRIMES_BELOW), []))

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 
-from .graphs import Graph, GraphError, read_decimal
+from .graphs import Graph, GraphError, _check_vertex_count, read_decimal
 
 GRAPH6_HEADER = ">>graph6<<"
 _DECIMAL = re.compile(r"[0-9]+")
@@ -48,37 +48,37 @@ def _g6_decode_size(s: str) -> tuple[int, str]:
 
 def to_graph6(g: Graph) -> str:
     """Canonical graph6 line (no header, no trailing newline)."""
-    # the entries (i, j) with i < j, column by column
-    bits = g.adjacency.T[np.tril_indices(g.n, -1)]
+    # the entries (i, j) with i < j, column by column: as A is symmetric,
+    # the strict lower triangle row by row
+    bits = g.adjacency[np.tri(g.n, k=-1, dtype=bool)]
     bits = np.concatenate([bits, np.zeros(-len(bits) % 6, dtype=np.int64)])
     values = bits.reshape(-1, 6) @ (1 << np.arange(5, -1, -1)) + 63
     return _g6_encode_size(g.n) + values.astype(np.uint8).tobytes().decode("ascii")
 
 
 def from_graph6(line: str) -> Graph:
+    """The inverse of to_graph6: every character must lie in '?'..'~', and
+    the body's six bits a character fill the lower triangle, and its mirror."""
     s = line.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
+    values = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32).astype(np.int64) - 63
+    invalid = np.flatnonzero((values < 0) | (values > 63))
+    if invalid.size:
+        raise GraphError(f"invalid graph6 character {s[invalid[0]]!r}")
     n, rest = _g6_decode_size(s)
     need = (n * (n - 1) // 2 + 5) // 6
     if len(rest) != need:
         raise GraphError(f"graph6 body has {len(rest)} characters, expected {need}")
-    bits = []
-    for ch in rest:
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise GraphError(f"invalid graph6 character {ch!r}")
-        bits.extend((val >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                edges.append((i, j))
-            pos += 1
-    if any(bits[pos:]):
+    body = values[len(s) - len(rest):].astype(np.uint8)
+    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()
+    pairs = n * (n - 1) // 2
+    if bits[pairs:].any():
         raise GraphError("nonzero padding bits in graph6 body")
-    return Graph.from_edges(n, edges)
+    _check_vertex_count(n)
+    adj, lower = np.zeros((n, n), dtype=np.int64), np.tri(n, k=-1, dtype=bool)
+    adj[lower] = adj.T[lower] = bits[:pairs]
+    return Graph(adj)
 
 
 def to_edge_list(g: Graph) -> str:

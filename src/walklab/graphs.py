@@ -20,9 +20,9 @@ from .exact import (
     Spectrum,
     Unresolved,
     adjacency_times,
-    charpoly,
     exact_dtype,
     extract_spectrum,
+    min_poly_route,
     moment_route,
     neighbour_table,
 )
@@ -148,27 +148,23 @@ class Graph:
         return table
 
     @cached_property
-    def _moments(self) -> Moments | None:
+    def _moments(self) -> Moments:
         return moment_route(self.neighbour_table)
 
     @cached_property
     def charpoly(self) -> Poly:
-        """Adjacency characteristic polynomial, computed once per graph:
-        from the traces of A's powers when they fit in int64, by CRT
-        otherwise."""
-        if self._moments is not None:
-            return self._moments.charpoly
-        return charpoly(self.adjacency)
+        """Adjacency characteristic polynomial, computed once per graph by
+        the moment route (`exact.moment_route`), which stops at t_n."""
+        return self._moments.charpoly
 
     @cached_property
     def min_poly(self) -> Poly:
         """Minimal polynomial of the adjacency matrix: the recurrence the
-        moment route certified, or p / gcd(p, p'), exact because A is
-        symmetric and therefore diagonalizable."""
-        if self._moments is not None and self._moments.min_poly is not None:
+        moment route certified by t_n, or else the one it certifies when it
+        runs on to t_(2n+1) at most (`exact.min_poly_route`)."""
+        if self._moments.min_poly is not None:
             return self._moments.min_poly
-        p = self.charpoly
-        return p.exact_div(p.gcd(p.derivative()))
+        return min_poly_route(self.neighbour_table)
 
     @cached_property
     def spectrum(self) -> Spectrum | Unresolved:
@@ -329,19 +325,6 @@ def regularity(g: Graph) -> int | None:
     """Common degree, or None when degrees differ."""
     degs = g.degrees()
     return degs[0] if all(d == degs[0] for d in degs) else None
-
-
-def biadjacency(g: Graph, split: PartiteSplit) -> np.ndarray:
-    """The block N of the adjacency matrix, rows indexed by part1 and
-    columns by part2, both in canonical vertex order."""
-    seen = sorted(split.part1 + split.part2)
-    if seen != list(range(g.n)):
-        raise GraphError("split does not cover the vertex set exactly once")
-    part1set = set(split.part1)
-    for u, v in g.edges():
-        if (u in part1set) == (v in part1set):
-            raise GraphError(f"edge ({u},{v}) stays inside one part")
-    return g.adjacency[np.ix_(split.part1, split.part2)]
 
 
 # ---------------------------------------------------------------------------

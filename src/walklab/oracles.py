@@ -1,9 +1,10 @@
 """Reference implementations that `selfcheck` runs against the fast
-paths: the arc space, the walk matrices and the time evolution U, the
-spectral mapping from the adjacency charpoly to the degree-2E U-charpoly,
-the cyclotomic sieve of that charpoly, the matrix-power period, a
-polynomial evaluated at a matrix over Q, and quadrangle counting by
-subset enumeration.
+paths: the arc space, the walk matrices and the time evolution U with its
+charpoly computed directly, the spectral mapping from the adjacency
+charpoly to the degree-2E U-charpoly, the cyclotomic sieve of that
+charpoly, the matrix-power period, a polynomial evaluated at a matrix
+over Q, quadrangle counting by subset enumeration, and the biadjacency
+block identities that `feasibility.realizes` replaced.
 
 `period`, `analyze` and `tables` decide from the adjacency side and never
 call into this module.  Only `walklab.cli` imports it, for `selfcheck`;
@@ -21,8 +22,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import Poly, _clear_denominators, _primes_below, cyclotomic, int_matmul
-from .graphs import Graph
+from .exact import (
+    Poly,
+    QuadraticNumber,
+    Spectrum,
+    Unresolved,
+    _clear_denominators,
+    _primes_below,
+    charpoly,
+    cyclotomic,
+    exact_dtype,
+    int_matmul,
+)
+from .graphs import Graph, GraphError, PartiteSplit, is_bipartite
 from .walk import _require_regular_connected
 
 DIRECT_CHECK_MAX_ARCS = 200
@@ -184,6 +196,12 @@ def build_walk_matrices(g: Graph) -> WalkMatrices:
     return WalkMatrices(shift, t, u, k, space)
 
 
+def u_charpoly_direct(g: Graph) -> Poly:
+    """Charpoly of the time evolution U, by the CRT charpoly of its
+    denominator-cleared matrix."""
+    return charpoly([list(r) for r in build_walk_matrices(g).time_evolution])
+
+
 # ---------------------------------------------------------------------------
 # spectral mapping
 
@@ -316,3 +334,78 @@ def count_quadrangles_brute(g: Graph) -> tuple[int, list[int]]:
             for v in quad:
                 per_vertex[v] += cycles
     return q, per_vertex
+
+
+# ---------------------------------------------------------------------------
+# biadjacency block identities
+
+
+class UnresolvedSpectrumError(ValueError):
+    pass
+
+
+class SpectrumShapeError(ValueError):
+    pass
+
+
+def biadjacency(g: Graph, split: PartiteSplit) -> np.ndarray:
+    """The block N of the adjacency matrix, rows indexed by part1 and
+    columns by part2, both in canonical vertex order."""
+    seen = sorted(split.part1 + split.part2)
+    if seen != list(range(g.n)):
+        raise GraphError("split does not cover the vertex set exactly once")
+    part1set = set(split.part1)
+    for u, v in g.edges():
+        if (u in part1set) == (v in part1set):
+            raise GraphError(f"edge ({u},{v}) stays inside one part")
+    return g.adjacency[np.ix_(split.part1, split.part2)]
+
+
+def _five_eig_shape(spec: Spectrum, k: int) -> tuple[QuadraticNumber, int, int] | None:
+    """Match {[+-k]^1, [+-theta]^a, [0]^b} with a >= 1, b >= 0; returns
+    (theta, a, b) or None."""
+    top = QuadraticNumber(k)
+    if spec.multiplicity(top) != 1 or spec.multiplicity(-top) != 1:
+        return None
+    b = spec.multiplicity(QuadraticNumber(0))
+    others = [(v, m) for v, m in spec.entries
+              if v not in (top, -top) and v.sign() != 0]
+    if len(others) != 2:
+        return None
+    (hi, a1), (lo, a2) = others
+    if hi != -lo or a1 != a2:
+        return None
+    theta = hi if hi.sign() > 0 else lo
+    return theta, a1, b
+
+
+def verify_biadjacency_identities(g: Graph) -> bool:
+    """Exact block identities on the biadjacency matrix N of a connected
+    bipartite regular graph whose spectrum is {[+-k]^1, [+-theta]^a} or
+    {[+-k]^1, [+-theta]^a, [0]^b}:
+
+    four eigenvalues:  N N^T       = theta^2 I + (2(k^2 - theta^2)/n) J
+    five eigenvalues:  N N^T N     = theta^2 N + (2k/n)(k^2 - theta^2) J
+
+    The entries of N N^T and N N^T N, and their partial sums, are at
+    most k and k^2.
+    """
+    k = _require_regular_connected(g)
+    split = is_bipartite(g)
+    if split is None:
+        raise SpectrumShapeError("graph is not bipartite")
+    spec = g.spectrum
+    if isinstance(spec, Unresolved):
+        raise UnresolvedSpectrumError(f"spectrum did not resolve: {spec.residual}")
+    shape = _five_eig_shape(spec, k)
+    if shape is None:
+        raise SpectrumShapeError(f"spectrum {spec} is not of the 4/5-eigenvalue form")
+    theta, _, b = shape
+    theta_sq = (theta * theta).as_fraction()
+    n = g.n
+    nmat = biadjacency(g, split).astype(exact_dtype(k * k))
+    nnt = nmat @ nmat.T
+    if b == 0:
+        identity = np.eye(len(nmat), dtype=object)
+        return bool((nnt == theta_sq * identity + Fraction(2 * (k * k - theta_sq), n)).all())
+    return bool((nnt @ nmat == theta_sq * nmat + Fraction(2 * k, n) * (k * k - theta_sq)).all())

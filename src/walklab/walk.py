@@ -1,7 +1,8 @@
 """Exact Grover-walk engine: the periodicity decision with exact period,
-read off the adjacency charpoly, the eigenvalue gate, and the structural
-identity checks used by the feasibility analysis.  The walk matrices and
-the U-side routes are reference implementations in `walklab.oracles`.
+read off the adjacency charpoly, the eigenvalue gate, and the
+walk-regularity, Hoffman and quadrangle checks of `analyze`.  The walk
+matrices, the U-side routes and the biadjacency block identities are
+reference implementations in `walklab.oracles`.
 
 Restricted to connected regular graphs: for irregular degrees the
 reflection 2d*d - I has irrational entries and the exact rational
@@ -21,14 +22,13 @@ from .exact import (
     Poly,
     QuadraticNumber,
     Spectrum,
-    Unresolved,
     _div_monic,
     adjacency_times,
     exact_dtype,
     is_quadratic_algebraic_integer,
     min_poly_2cos,
 )
-from .graphs import Graph, biadjacency, is_bipartite, is_connected, regularity
+from .graphs import Graph, is_connected, regularity
 
 
 class NotRegularError(ValueError):
@@ -36,14 +36,6 @@ class NotRegularError(ValueError):
 
 
 class NotConnectedError(ValueError):
-    pass
-
-
-class UnresolvedSpectrumError(ValueError):
-    pass
-
-
-class SpectrumShapeError(ValueError):
     pass
 
 
@@ -218,69 +210,16 @@ def hoffman_check(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class QuadrangleReport:
-    """Quadrangle counts read off the spectrum, as exact rationals."""
+    """Quadrangle counts read off the fourth power sum, as exact rationals."""
 
     q_spectral: Fraction
     qx_spectral: Fraction
 
 
-def quadrangle_report(spectrum: Spectrum, n: int, k: int) -> QuadrangleReport:
-    """Quadrangle count from the fourth power sum: the closed 4-walks of a
-    k-regular graph split into 2k^2 - k degenerate walks per vertex plus
-    two traversals of each quadrangle through it."""
-    if spectrum.dimension() != n:
-        raise ValueError("spectrum multiplicities do not sum to n")
-    s4 = spectrum.power_sum(4)
-    q_spectral = (s4 - n * (2 * k * k - k)) / 8
-    qx_spectral = 4 * q_spectral / n
-    return QuadrangleReport(q_spectral, qx_spectral)
-
-
-def _five_eig_shape(spec: Spectrum, k: int) -> tuple[QuadraticNumber, int, int] | None:
-    """Match {[+-k]^1, [+-theta]^a, [0]^b} with a >= 1, b >= 0; returns
-    (theta, a, b) or None."""
-    top = QuadraticNumber(k)
-    if spec.multiplicity(top) != 1 or spec.multiplicity(-top) != 1:
-        return None
-    b = spec.multiplicity(QuadraticNumber(0))
-    others = [(v, m) for v, m in spec.entries
-              if v not in (top, -top) and v.sign() != 0]
-    if len(others) != 2:
-        return None
-    (hi, a1), (lo, a2) = others
-    if hi != -lo or a1 != a2:
-        return None
-    theta = hi if hi.sign() > 0 else lo
-    return theta, a1, b
-
-
-def verify_biadjacency_identities(g: Graph) -> bool:
-    """Exact block identities on the biadjacency matrix N of a connected
-    bipartite regular graph whose spectrum is {[+-k]^1, [+-theta]^a} or
-    {[+-k]^1, [+-theta]^a, [0]^b}:
-
-    four eigenvalues:  N N^T       = theta^2 I + (2(k^2 - theta^2)/n) J
-    five eigenvalues:  N N^T N     = theta^2 N + (2k/n)(k^2 - theta^2) J
-
-    The entries of N N^T and N N^T N, and their partial sums, are at
-    most k and k^2.
-    """
-    k = _require_regular_connected(g)
-    split = is_bipartite(g)
-    if split is None:
-        raise SpectrumShapeError("graph is not bipartite")
-    spec = g.spectrum
-    if isinstance(spec, Unresolved):
-        raise UnresolvedSpectrumError(f"spectrum did not resolve: {spec.residual}")
-    shape = _five_eig_shape(spec, k)
-    if shape is None:
-        raise SpectrumShapeError(f"spectrum {spec} is not of the 4/5-eigenvalue form")
-    theta, _, b = shape
-    theta_sq = (theta * theta).as_fraction()
-    n = g.n
-    nmat = biadjacency(g, split).astype(exact_dtype(k * k))
-    nnt = nmat @ nmat.T
-    if b == 0:
-        identity = np.eye(len(nmat), dtype=object)
-        return bool((nnt == theta_sq * identity + Fraction(2 * (k * k - theta_sq), n)).all())
-    return bool((nnt @ nmat == theta_sq * nmat + Fraction(2 * k, n) * (k * k - theta_sq)).all())
+def quadrangle_report(s4: int | Fraction, n: int, k: int) -> QuadrangleReport:
+    """Quadrangle count from the fourth power sum s4 = tr A^4 of the
+    eigenvalues: the closed 4-walks of a k-regular graph split into
+    2k^2 - k degenerate walks per vertex plus two traversals of each
+    quadrangle through it."""
+    q_spectral = Fraction(s4 - n * (2 * k * k - k), 8)
+    return QuadrangleReport(q_spectral, 4 * q_spectral / n)

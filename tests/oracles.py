@@ -153,6 +153,28 @@ def charpoly_bareiss(mat):
     return poly
 
 
+def spectrum_charpoly(spec):
+    """Reassembly oracle for `extract_spectrum`: the product of
+    (x - value)^mult over a spectrum, conjugate surds paired into one
+    rational quadratic factor."""
+    out = Poly.one()
+    seen = set()
+    for value, mult in spec.entries:
+        if value in seen:
+            continue
+        if value.is_rational:
+            out = out * Poly([-value.a, 1]) ** mult
+        else:
+            conj = value.conjugate()
+            if spec.multiplicity(conj) != mult:
+                raise ValueError("conjugate multiplicities differ")
+            quad = Poly([value.a * value.a - value.b * value.b * value.m, -2 * value.a, 1])
+            out = out * quad ** mult
+            seen.add(conj)
+        seen.add(value)
+    return out
+
+
 def closed_walks_integral(k, theta_sq, n):
     """Whether (2 k^{2r} + (nk - 2k²) θ^{2r-2}) / n is an integer for
     every positive r, decided exactly.

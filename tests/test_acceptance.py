@@ -45,10 +45,15 @@ from walklab.walk import (
     eigenvalue_gate,
     hoffman_check,
     quadrangle_report,
-    verify_biadjacency_identities,
     walk_regularity_check,
 )
-from walklab.oracles import build_walk_matrices, period_oracle, u_spectrum_model
+from walklab.oracles import (
+    build_walk_matrices,
+    period_oracle,
+    u_charpoly_direct,
+    u_spectrum_model,
+    verify_biadjacency_identities,
+)
 
 
 def _builtins() -> list[tuple[str, Graph]]:
@@ -118,9 +123,7 @@ def test_criterion_2_spectral_mapping_identity():
         if not regularity(g) or not is_connected(g) or 2 * g.edge_count > 200:
             continue
         model = u_spectrum_model(g)
-        wm = build_walk_matrices(g)
-        direct = charpoly([list(r) for r in wm.time_evolution])
-        assert direct == model.u_charpoly, name
+        assert u_charpoly_direct(g) == model.u_charpoly, name
         assert model.u_charpoly.degree() == 2 * g.edge_count
         checked += 1
     assert checked >= 15
@@ -222,7 +225,7 @@ def test_criterion_6_quadrangle_lemma():
             continue
         k = regularity(g)
         spec = _spectrum(g)
-        rep = quadrangle_report(spec, g.n, k)
+        rep = quadrangle_report(spec.power_sum(4), g.n, k)
         q, per_vertex = count_quadrangles(g)
         assert rep.q_spectral == q, name
         assert all(c == per_vertex[0] for c in per_vertex), name

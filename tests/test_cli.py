@@ -4,6 +4,7 @@ determinism, file auto-detection, and the selfcheck fault injection."""
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,13 @@ from pathlib import Path
 import pytest
 
 import walklab
-from walklab import exact, graphs, walk
+from walklab import exact, feasibility, graphs, walk
 from walklab.cli import ExprError, main, parse_expr
 from walklab.exact import Poly
 from walklab.graphio import to_graph6
 from walklab.graphs import cycle, petersen, tensor_allones
+
+from oracles import random_regular
 
 
 def _run(capsys, *argv):
@@ -228,6 +231,31 @@ def test_analyze_computes_the_adjacency_charpoly_once(capsys, monkeypatch):
     code, _, _ = _run(capsys, "analyze", "--expr", "cycle(8)")
     assert code == 0
     assert sizes == [8]  # no charpoly of the 16x16 time evolution
+
+
+def test_period_and_analyze_run_neither_the_crt_charpoly_nor_euclid(capsys, monkeypatch, tmp_path):
+    # Q8 and the (5, 42) bench shape pass the int64 line, and the (5, 42)
+    # graph reaches t_n with no recurrence certified: both stay on the
+    # moment route, with the CRT charpoly and Poly.gcd refusing to run
+    for mod in (graphs, walk, feasibility):
+        assert not hasattr(mod, "charpoly")
+
+    def refuse(*args):
+        raise AssertionError("an oracle ran on the hot path")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("walklab") and getattr(mod, "charpoly", None) is exact.charpoly:
+            monkeypatch.setattr(mod, "charpoly", refuse)
+    monkeypatch.setattr(Poly, "gcd", refuse)
+    path = tmp_path / "k5n42.g6"
+    path.write_text(to_graph6(random_regular(42, 5, random.Random(7))) + "\n", encoding="ascii")
+    for source in (["--expr", "hypercube(8)"], ["--file", str(path)]):
+        code, out, err = _run(capsys, "period", *source)
+        assert code == 2 and out.startswith("NOT PERIODIC") and err == ""
+        code, out, err = _run(capsys, "analyze", *source)
+        assert code == 0 and "periodicity: NOT PERIODIC" in out and err == ""
+    code, out, _ = _run(capsys, "period", "--expr", "hypercube(8)")
+    assert out == "NOT PERIODIC witness=3/4\n"
 
 
 def test_analyze_counts_quadrangles_once(capsys, monkeypatch):

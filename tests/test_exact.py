@@ -24,20 +24,30 @@ from walklab.exact import (
     Spectrum,
     Unresolved,
     _SCREEN_POINTS,
-    _annihilates,
     _is_prime,
     _newton,
     _primes_below,
+    _vanishes_at,
     charpoly,
     cyclotomic,
     extract_spectrum,
     is_quadratic_algebraic_integer,
     min_poly_2cos,
+    min_poly_route,
     moment_route,
+    power_sum_of_roots,
     squarefree_part,
 )
 from walklab.feasibility import REALIZATIONS
-from walklab.graphs import Graph, complete_bipartite, cycle, hypercube, line_graph, petersen
+from walklab.graphs import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    cycle,
+    hypercube,
+    line_graph,
+    petersen,
+)
 from walklab.oracles import (
     _totient,
     build_walk_matrices,
@@ -54,6 +64,7 @@ from oracles import (
     order_of_cos_pair,
     random_regular,
     rank,
+    spectrum_charpoly,
 )
 
 
@@ -204,30 +215,37 @@ def test_moment_route_certifies_the_minimal_polynomial_of_q7():
     assert moments.charpoly == _hypercube_charpoly(7)
 
 
-def test_moment_route_falls_back_on_the_bench_shape_graph(monkeypatch):
-    # the (5, 42) period-random shape: s = n, and n * 5^r reaches 2^62 at
-    # r = 25, long before t_42
+def test_moment_route_equals_hessenberg_and_bareiss_on_the_bench_shape_graph():
+    # the (5, 42) period-random shape: s = n, so no recurrence is certified
+    # by t_42, and n * 5^r passes 2^62 at r = 25: t_25 .. t_42 are CRT lifts
     g = random_regular(42, 5, random.Random(7))
-    assert moment_route(g.neighbour_table) is None
-    sizes = []
-    real = exact.charpoly
-    monkeypatch.setattr(graphs, "charpoly", lambda m: sizes.append(len(m)) or real(m))
-    assert g.charpoly == charpoly(_adj(g)) == hessenberg_charpoly(_adj(g))
-    assert sizes == [42]
+    moments = moment_route(g.neighbour_table)
+    assert moments.min_poly is None
+    p = moments.charpoly
+    assert p == charpoly(_adj(g)) == hessenberg_charpoly(_adj(g)) == charpoly_bareiss(_adj(g))
+    assert min_poly_route(g.neighbour_table) == p.exact_div(p.gcd(p.derivative())) == p
 
 
-def test_moment_route_stops_where_a_trace_could_reach_2_62():
-    # Q8 needs t_18, and n * delta^18 = 2^8 * 8^18 is exactly 2^62
-    assert moment_route(hypercube(8).neighbour_table) is None
+def test_moment_route_certifies_q8_past_the_int64_line():
+    # Q8 needs t_18, and n * delta^18 = 2^8 * 8^18 is 2^62: t_18 is a
+    # residue.  Bareiss interpolation on 256 vertices is out of reach, and
+    # Q8's charpoly has a closed form.
+    g = hypercube(8)
+    moments = moment_route(g.neighbour_table)
+    roots = (Poly([-(8 - 2 * i), 1]) for i in range(9))
+    assert moments.min_poly == math.prod(roots, start=Poly.one())
+    assert moments.charpoly == _hypercube_charpoly(8) == charpoly(g.adjacency)
 
 
-def test_annihilation_is_tested_only_below_2_62():
-    a = np.array([[0, 1], [1, 0]], dtype=np.int64)  # K2: m_A = x^2 - 1, delta = 1
-    powers = [np.eye(2, dtype=np.int64), a, a @ a]
-    below = 2 ** 61 - 1  # sum |c_j| delta^j = 2^62 - 2
-    assert _annihilates([-below, 0, below], powers, 1)
-    assert not _annihilates([-2 ** 61, 0, 2 ** 61], powers, 1)  # the sum is 2^62
-    assert not _annihilates([-1, 1, 1], powers, 1)
+def test_certificate_runs_exact_below_2_62_and_mod_q_past_it():
+    # K4 has m_A = x^2 - 2x - 3, and c = x^j m_A has sum |c_i| 3^i = 2 * 3^(j+2):
+    # below 2^62 for j = 36, past it for j = 37
+    table, q = complete_graph(4).neighbour_table, 2 ** 31 - 1
+    for j, exact_steps in ((36, True), (37, False)):
+        c = [0] * j + [-3 % q, -2 % q, 1]
+        assert _vanishes_at(table, c, q) == (True, exact_steps)
+        c[j] += 1  # x^j (x^2 - 2x - 2)
+        assert _vanishes_at(table, c, q) == (False, False)
 
 
 def test_a_forged_recurrence_is_rejected_by_the_certificate(monkeypatch):
@@ -249,6 +267,104 @@ def test_a_forged_recurrence_is_rejected_by_the_certificate(monkeypatch):
     assert moment_route(g.neighbour_table).min_poly == Poly([6, -5, -2, 1])
 
 
+def test_a_forged_recurrence_is_rejected_at_every_prime(monkeypatch):
+    # with every candidate forged, no prime certifies: each run reaches
+    # t_(2n+1), and once the failed primes would multiply past the Hankel
+    # determinant's bound the route reports a broken invariant
+    real_candidate, real_vanishes = _BerlekampMassey.candidate, exact._vanishes_at
+    verdicts = {}
+
+    def forged(self):
+        c = real_candidate(self)
+        return None if c is None else [c[0] + 1] + c[1:]
+
+    def recording(table, c, q):
+        result = real_vanishes(table, c, q)
+        verdicts.setdefault(q, []).append(result)
+        return result
+
+    monkeypatch.setattr(_BerlekampMassey, "candidate", forged)
+    monkeypatch.setattr(exact, "_vanishes_at", recording)
+    with pytest.raises(AssertionError, match="Hankel"):
+        min_poly_route(petersen().neighbour_table)
+    assert len(verdicts) > 10
+    assert all(v == [(False, False)] * len(v) and v for v in verdicts.values())
+
+
+def _record_prime_runs(monkeypatch):
+    """Monkeypatch the route's primes to those below 128 and record, for
+    each run that looks for a recurrence, its prime and the degree found."""
+    monkeypatch.setattr(exact, "_ROUTE_PRIMES_BELOW", 128)
+    real, runs = exact._prime_run, []
+
+    def recording(table, q, terms):
+        traces, c, zero = real(table, q, terms)
+        runs.append((q, None if c is None else len(c) - 1))
+        return traces, c, zero
+
+    monkeypatch.setattr(exact, "_prime_run", recording)
+    return runs
+
+
+@pytest.mark.parametrize("seed, n, k, bad", [
+    (8, 12, 4, [(127, 11)]),  # the first prime certifies too short a recurrence
+    (19, 18, 3, [(109, None), (107, None), (97, 16)]),  # two fail, one is short
+])
+def test_moment_route_drops_bad_primes_near_100(monkeypatch, seed, n, k, bad):
+    g = random_regular(n, k, random.Random(seed))
+    p = charpoly(_adj(g))
+    m = p.exact_div(p.gcd(p.derivative()))
+    runs = _record_prime_runs(monkeypatch)
+    assert moment_route(g.neighbour_table) == exact.Moments(p, None)
+    assert min_poly_route(g.neighbour_table) == m
+    assert [r for r in runs if r[1] != m.degree()][-len(bad):] == bad
+
+
+def test_moment_route_lifts_traces_and_recurrences_over_primes_near_100(monkeypatch):
+    runs = _record_prime_runs(monkeypatch)
+    for g in (hypercube(6), cycle(8), random_regular(16, 3, random.Random(1)), petersen()):
+        p = charpoly(_adj(g))
+        m = p.exact_div(p.gcd(p.derivative()))
+        moments = moment_route(g.neighbour_table)
+        assert moments.charpoly == p and moments.min_poly in (None, m)
+        assert min_poly_route(g.neighbour_table) == m
+    assert len({q for q, _ in runs}) > 3  # Q6's m_A takes the CRT of several
+
+
+@pytest.mark.parametrize("name, g", [
+    ("C8", cycle(8)),
+    ("K2,2", complete_bipartite(2, 2)),
+    ("cubic n=40", random_regular(40, 3, random.Random(3))),
+    ("4-regular n=30", random_regular(30, 4, random.Random(5))),
+])
+def test_min_poly_route_matches_p_over_gcd_past_t_n(name, g):
+    # no recurrence is certified by t_n: 2 deg m_A >= n
+    moments = moment_route(g.neighbour_table)
+    assert moments.min_poly is None
+    p = moments.charpoly
+    assert min_poly_route(g.neighbour_table) == p.exact_div(p.gcd(p.derivative())) == g.min_poly
+
+
+def test_power_sum_of_roots_matches_the_roots():
+    # past the degree too, and with a nonzero trace (an adjacency has none)
+    for roots in ([1, 2, 3], [-2, 5], [0, 0, 4, -1, 7], [3]):
+        p = math.prod((Poly([-x, 1]) for x in roots), start=Poly.one())
+        for r in range(1, 8):
+            assert power_sum_of_roots(p, r) == sum(x ** r for x in roots), (roots, r)
+
+
+def test_moment_route_runs_on_residues_below_the_int64_line(monkeypatch):
+    # with the exact line lowered to 2^31 nearly every power, trace and
+    # Horner step runs mod q, also on graphs far below 2^62
+    monkeypatch.setattr(exact, "_INT64_SAFE", 2 ** 31)
+    for g in (petersen(), hypercube(5), cycle(8), random_regular(16, 3, random.Random(1))):
+        p = charpoly(_adj(g))
+        m = p.exact_div(p.gcd(p.derivative()))
+        moments = moment_route(g.neighbour_table)
+        assert moments.charpoly == p and moments.min_poly in (None, m)
+        assert min_poly_route(g.neighbour_table) == m
+
+
 def test_newton_refuses_traces_of_no_integer_matrix():
     assert _newton([2, 0, 2]) == Poly([-1, 0, 1])  # K2
     with pytest.raises(AssertionError, match="remainder"):
@@ -265,9 +381,11 @@ def test_moment_route_matches_the_crt_and_bareiss_on_the_graph_atlas():
         moments = moment_route(g.neighbour_table)
         p = charpoly(_adj(g))
         assert moments.charpoly == p == charpoly_bareiss(_adj(g)), h.name
+        m = p.exact_div(p.gcd(p.derivative()))
         if moments.min_poly is not None:
-            assert moments.min_poly == p.exact_div(p.gcd(p.derivative())), h.name
+            assert moments.min_poly == m, h.name
             certified += 1
+        assert min_poly_route(g.neighbour_table) == m, h.name
     assert certified == 53  # the others reach t_n first (2s >= n)
 
 
@@ -335,7 +453,7 @@ def test_extract_reassembles_graph_charpolys():
         s = extract_spectrum(p)
         assert isinstance(s, Spectrum), f"unresolved for {g}"
         assert s.dimension() == g.n
-        assert s.charpoly() == p
+        assert spectrum_charpoly(s) == p
 
 
 def test_extract_reassembles_random_products():
@@ -358,7 +476,7 @@ def test_extract_reassembles_random_products():
         s = extract_spectrum(p)
         assert isinstance(s, Spectrum)
         assert s.dimension() == dim == p.degree()
-        assert s.charpoly() == p
+        assert spectrum_charpoly(s) == p
 
 
 def _extraction_from_factor_list(p, sympy):

@@ -159,7 +159,7 @@ def test_row_counting_identities():
 def test_rows_agree_with_walk_engine_quadrangles():
     for (cls, k) in EXPECTED_N_COLUMNS:
         for row in enumerate_rows(cls, k):
-            rep = quadrangle_report(row.spectrum(), row.n, row.k)
+            rep = quadrangle_report(row.spectrum().power_sum(4), row.n, row.k)
             assert rep.q_spectral == row.q
             assert rep.qx_spectral == row.q_x
 

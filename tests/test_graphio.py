@@ -1,6 +1,8 @@
 """graph6 encoding (bit-exact against known strings), edge-list format,
 and the auto-detecting reader."""
 
+import re
+
 import pytest
 
 from walklab.graphio import (
@@ -57,6 +59,13 @@ def test_graph6_rejects_garbage():
         from_graph6("C")  # truncated body
     with pytest.raises(GraphError):
         from_graph6("C~~")  # oversized body
+    faults = {"C\x7f": "invalid graph6 character '\\x7f'",
+              "0" + "A" * 20: "invalid graph6 character '0'",  # a size below '?'
+              "Cw~": "graph6 body has 2 characters, expected 1",
+              "Bx": "nonzero padding bits in graph6 body"}
+    for line, message in faults.items():
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            from_graph6(line)
 
 
 def test_edge_list_roundtrip():

@@ -10,7 +10,6 @@ from walklab.exact import QuadraticNumber, Spectrum, charpoly, extract_spectrum
 from walklab.graphs import (
     Graph,
     GraphError,
-    biadjacency,
     bipartite_double,
     cartesian_product,
     complete_bipartite,
@@ -28,7 +27,7 @@ from walklab.graphs import (
     tensor_allones,
 )
 from walklab.graphio import from_edge_list
-from walklab.oracles import arc_space, count_quadrangles_brute
+from walklab.oracles import arc_space, biadjacency, count_quadrangles_brute
 
 
 def _spectrum(g):

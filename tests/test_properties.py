@@ -1,16 +1,16 @@
 """Property tests on seeded random 3- and 4-regular graphs with at most
 16 vertices: the exact pipeline does not depend on the vertex labels, and
 both file formats round-trip.  On seeded random regular graphs with up
-to 20 vertices and their complements, the moment route's charpoly
-equals the CRT and Bareiss charpolys, its certified m_A equals
-p / gcd(p, p'), and it falls back only past the int64 bound.  On random
-integer matrices with up to 30
-rows, the CRT charpoly equals the rational Hessenberg oracle and the
-Bareiss interpolation route, and its coefficients lie within the CRT
-bound.  Integer division by a monic divisor agrees with division over Q.
-The integer matrix product, and the product of a 0/1 matrix by row
-gathers, agree with the triple loop on both sides of the int64 bound, and the O(s) symmetry test of a spectrum agrees with
-the multiset definition."""
+to 20 vertices and their complements, some of them past the int64
+bound, the moment route's charpoly equals the CRT and Bareiss
+charpolys, and its m_A, certified by t_n or by t_(2n+1), equals
+p / gcd(p, p').  On random integer matrices with up to 30 rows, the CRT
+charpoly equals the rational Hessenberg oracle and the Bareiss
+interpolation route, and its coefficients lie within the CRT bound.
+Integer division by a monic divisor agrees with division over Q.  The
+integer matrix product, and the product of a 0/1 matrix by row gathers,
+agree with the triple loop on both sides of the int64 bound, and the
+O(s) symmetry test of a spectrum agrees with the multiset definition."""
 
 import math
 import random
@@ -31,6 +31,7 @@ from walklab.exact import (
     adjacency_times,
     charpoly,
     int_matmul,
+    min_poly_route,
     moment_route,
     neighbour_table,
 )
@@ -83,7 +84,7 @@ def _complement(g):
 @st.composite
 def regular_graphs_and_complements(draw):
     """Seeded random 3-, 4- and 5-regular graphs on up to 20 vertices, or
-    their complements, whose larger degree makes the route fall back."""
+    their complements, whose larger degree takes traces past 2^62."""
     k = draw(st.sampled_from([3, 4, 5]))
     n = draw(st.integers(min_value=k + 1, max_value=20).filter(lambda n: n * k % 2 == 0))
     g = random_regular(n, k, random.Random(draw(st.integers(0, 2 ** 32 - 1))))
@@ -100,12 +101,11 @@ def test_moment_route_matches_the_crt_and_bareiss(g):
     p = charpoly(adj)
     assert p == charpoly_bareiss(adj)
     moments = moment_route(g.neighbour_table)
-    if moments is None:  # only when a trace up to t_n could pass 2^62
-        assert g.n * max(g.degrees()) ** g.n >= 2 ** 62
-        return
     assert moments.charpoly == p
+    m = p.exact_div(p.gcd(p.derivative()))
     if moments.min_poly is not None:
-        assert moments.min_poly == p.exact_div(p.gcd(p.derivative()))
+        assert moments.min_poly == m
+    assert min_poly_route(g.neighbour_table) == m
 
 
 @st.composite
