@@ -301,13 +301,12 @@ def cmd_quadrangles(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_k_range(text: str) -> list[int]:
+def _parse_k_range(text: str) -> range:
     bounds = text.split("-", 1)
-    try:
-        lo, hi = int(bounds[0]), int(bounds[-1])
-    except ValueError:
-        raise ExprError(f"invalid --k value {text!r}: expected K or KMIN-KMAX") from None
-    ks = [k for k in range(lo, hi + 1) if k % 2 == 0]
+    if not all(b.isascii() and b.isdigit() for b in bounds):
+        raise ExprError(f"invalid --k value {text!r}: expected K or KMIN-KMAX")
+    lo, hi = read_decimal(bounds[0]), read_decimal(bounds[-1])
+    ks = range(lo + lo % 2, hi + 1, 2)
     if not ks:
         raise ExprError(f"no even degrees in range {text!r}")
     return ks
@@ -320,6 +319,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         rows.extend(enumerate_rows(cls, k))
     sys.stdout.write(render_rows(rows, args.format))
     return EXIT_OK
+
+
+def _degree_bound(text: str) -> int:
+    """The --kmax argument: ASCII decimal digits (str.isdigit alone also
+    takes other scripts' digits), read by read_decimal."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    try:
+        return read_decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
@@ -557,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("tables", help="regenerate the feasibility tables")
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--kmax", type=_degree_bound, required=True)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(fn=cmd_tables)
 

@@ -7,10 +7,13 @@ cyclotomic machinery, and spectra.
 
 Everything in this module is exact.  No floating point enters any
 computation; integrality, divisibility and sign decisions are made over
-Z and Q only.  Matrices are plain lists of rows with int or Fraction
-entries (numpy integers become Python ints on entry), or integer numpy
-arrays whose dtype `exact_dtype` picks from a stated bound; a product
-with a graph's adjacency is a row gather on its neighbour table.
+Z and Q only.  A polynomial coefficient or surd part is a Python int
+where it is integral and a Fraction only where not (`_rational`, which
+refuses floats), so integer polynomials compute in ints.  Matrices are
+plain lists of rows with int or Fraction entries (numpy integers become
+Python ints on entry), or integer numpy arrays whose dtype `exact_dtype`
+picks from a stated bound; a product with a graph's adjacency is a row
+gather on its neighbour table.
 """
 
 from __future__ import annotations
@@ -32,26 +35,32 @@ Matrix = Sequence[Sequence[int | Fraction]]
 # polynomials
 
 
-def _fraction(x: int | Fraction) -> Fraction:
-    """x as a Fraction of Python ints: one of a numpy integer would wrap."""
-    return x if isinstance(x, Fraction) else Fraction(operator.index(x))
+def _rational(x: int | Fraction) -> int | Fraction:
+    """The exact number x as a Python int when it is integral (from an
+    int, a numpy integer or an integral Fraction), else as a Fraction.
+    Anything else, a float included, raises TypeError."""
+    if type(x) is Fraction:  # isinstance would run the slow ABC check on ints
+        return x.numerator if x.denominator == 1 else x
+    return operator.index(x)
 
 
 class Poly:
     """Dense univariate polynomial over Q, constant term first.
 
-    Poly([1, 0, 1]) is 1 + x^2.  Coefficients are stored as Fractions and
-    trailing zeros are trimmed, so degree() is the index of the last
-    nonzero coefficient (-1 for the zero polynomial).
+    Poly([1, 0, 1]) is 1 + x^2.  Each coefficient is an int when it is
+    integral and a Fraction otherwise (`_rational`), so a polynomial in
+    Z[x] computes in Python ints alone.  Trailing zeros are trimmed, so
+    degree() is the index of the last nonzero coefficient (-1 for the
+    zero polynomial).
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int | Fraction]) -> None:
-        cs = [_fraction(c) for c in coeffs]
+        cs = [_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[int | Fraction, ...] = tuple(cs)
 
     @classmethod
     def zero(cls) -> Poly:
@@ -75,9 +84,9 @@ class Poly:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(isinstance(c, int) for c in self.coeffs)
 
-    def leading(self) -> Fraction:
+    def leading(self) -> int | Fraction:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -112,7 +121,7 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other: Poly | int | Fraction) -> Poly:
-        return self + (-other if isinstance(other, Poly) else Poly((-Fraction(other),)))
+        return self + (-other if isinstance(other, Poly) else Poly((-other,)))
 
     def __rsub__(self, other: int | Fraction) -> Poly:
         return Poly((other,)) - self
@@ -122,7 +131,7 @@ class Poly:
             return Poly(tuple(c * other for c in self.coeffs))
         if self.is_zero() or other.is_zero():
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -148,16 +157,17 @@ class Poly:
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
+        q = [0] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
         rem = list(self.coeffs)
         d = other.degree()
         lead = other.coeffs[-1]
         for i in range(len(rem) - 1, d - 1, -1):
             if rem[i] == 0:
                 continue
-            t = rem[i] / lead
+            # a monic divisor keeps integer operands in the integers
+            t = rem[i] if lead == 1 else Fraction(rem[i]) / lead
             q[i - d] = t
-            rem[i] = Fraction(0)
+            rem[i] = 0
             for j in range(d):
                 rem[i - d + j] -= t * other.coeffs[j]
         return Poly(q), Poly(rem)
@@ -184,23 +194,21 @@ class Poly:
         a, b = self, other
         while b:
             a, b = b, _primitive(a % b)
-        return a * (1 / a.leading()) if a else a
+        return a * Fraction(1, a.leading()) if a else a
 
     def derivative(self) -> Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def __call__(self, x):
-        """Horner evaluation; works for any value supporting + and *."""
-        if not self.coeffs:
-            return 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-        acc = self.coeffs[-1] * (x ** 0) if not isinstance(x, (int, Fraction)) else self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+    def __call__(self, x: int | Fraction) -> int | Fraction:
+        """Horner evaluation at the number x."""
+        acc = 0
+        for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def scale_arg(self, c: int | Fraction) -> Poly:
         """Return p(c*x)."""
-        out, pw = [], Fraction(1)
+        out, pw = [], 1
         for a in self.coeffs:
             out.append(a * pw)
             pw *= c
@@ -311,7 +319,7 @@ def min_poly_2cos(d: int) -> Poly:
 # quadratic surds
 
 
-def _sign_of_surd(a: Fraction, b: Fraction, m: int) -> int:
+def _sign_of_surd(a: int | Fraction, b: int | Fraction, m: int) -> int:
     """Exact sign of a + b*sqrt(m) (m > 1 square-free)."""
     if b == 0:
         return -1 if a < 0 else (1 if a > 0 else 0)
@@ -330,7 +338,9 @@ def _sign_of_surd(a: Fraction, b: Fraction, m: int) -> int:
 
 class QuadraticNumber:
     """Exact real number a + b*sqrt(m) with a, b rational and m > 1
-    square-free; b == 0 iff the value is rational (then m is None).
+    square-free; b == 0 iff the value is rational (then m is None).  Like
+    a Poly coefficient, a and b are ints when integral and Fractions
+    otherwise (`_rational`).
 
     Arithmetic stays inside one quadratic field: combining two irrational
     values with different radicands raises ValueError.
@@ -339,16 +349,14 @@ class QuadraticNumber:
     __slots__ = ("a", "b", "m")
 
     def __init__(self, a: int | Fraction, b: int | Fraction = 0, m: int | None = None):
-        a, b = _fraction(a), _fraction(b)
+        a, b = _rational(a), _rational(b)
         if b != 0:
             if m is None or m < 1:
                 raise ValueError("irrational part requires a positive radicand")
             m0, s = squarefree_part(int(m))
-            b *= s
+            b = _rational(b * s)
             if m0 == 1:
-                a += b
-                b = Fraction(0)
-                m = None
+                a, b, m = _rational(a + b), 0, None
             else:
                 m = m0
         if b == 0:
@@ -368,7 +376,8 @@ class QuadraticNumber:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self) -> int | Fraction:
+        """The rational value: an int when it is integral, else a Fraction."""
         if not self.is_rational:
             raise ValueError(f"{self} is irrational")
         return self.a
@@ -433,7 +442,7 @@ class QuadraticNumber:
         if o.a == 0 and o.b == 0:
             raise ZeroDivisionError
         if o.b == 0:
-            return QuadraticNumber(self.a / o.a, self.b / o.a, self.m)
+            return QuadraticNumber(Fraction(self.a, o.a), Fraction(self.b, o.a), self.m)
         norm = o.a * o.a - o.b * o.b * o.m
         return (self * o.conjugate()) / QuadraticNumber(norm)
 
@@ -593,21 +602,21 @@ class Spectrum:
             raise ValueError("zero scaling collapses the spectrum")
         return Spectrum.from_pairs((v * factor, m) for v, m in self.entries)
 
-    def power_sum(self, r: int) -> Fraction:
+    def power_sum(self, r: int) -> int | Fraction:
         """Exact sum of the r-th powers of all eigenvalues (a rational
         number: conjugate surd pairs cancel for spectra of rational
         matrices).  Surd contributions are tracked per radicand."""
-        rational = Fraction(0)
-        surd: dict[int, Fraction] = {}
+        rational = 0
+        surd: dict[int, int | Fraction] = {}
         for value, mult in self.entries:
             term = value ** r
             rational += term.a * mult
             if term.b:
                 assert term.m is not None
-                surd[term.m] = surd.get(term.m, Fraction(0)) + term.b * mult
+                surd[term.m] = surd.get(term.m, 0) + term.b * mult
         if any(coeff != 0 for coeff in surd.values()):
             raise ValueError("power sum is irrational")
-        return rational
+        return _rational(rational)
 
     def render(self) -> str:
         """Canonical text form, e.g. "{[±4]^1, [±2√2]^2, [0]^10}" for
@@ -636,29 +645,6 @@ class Unresolved:
     residual: Poly
 
 
-def _div_monic(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
-    """Quotient of two integer coefficient lists (constant term first) by
-    synthetic division over Z, or None when the remainder is nonzero.
-    den must be monic, so no step leaves the integers."""
-    d = len(den) - 1
-    rem = list(num)
-    quot = [0] * max(0, len(rem) - d)
-    for i in range(len(rem) - 1, d - 1, -1):
-        t = rem[i]
-        if t:
-            quot[i - d] = t
-            for j in range(d):
-                rem[i - d + j] -= t * den[j]
-    return None if any(rem[:d]) else quot
-
-
-def _horner(coeffs: Sequence[int], v: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * v + c
-    return acc
-
-
 # Points at which a quadratic candidate f is screened before any division:
 # f is monic, so f | r puts the quotient in Z[x] and f(v) | r(v) follows.
 _SCREEN_POINTS = (1, -1, 2, -2, 3, -3)
@@ -679,10 +665,11 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
     factors, so one pass is complete.  What is left over (degree >= 3)
     is returned as an Unresolved residual.
 
-    The residual r stays a list of ints.  A quadratic candidate f is first
-    screened at the points _SCREEN_POINTS, where f | r forces f(v) | r(v)
-    (and r(v) = 0 where f(v) = 0); it is accepted only when the division
-    of r by f over Z leaves no remainder.
+    The residual r is a monic integer Poly, so each division by a monic
+    factor runs in Python ints.  A quadratic candidate f is first screened
+    at the points _SCREEN_POINTS, where f | r forces f(v) | r(v) (and
+    r(v) = 0 where f(v) = 0); only a candidate that passes is built and
+    divided into r, and it is accepted when no remainder is left.
     """
     if not p.is_monic():
         raise ValueError("spectrum extraction requires a monic polynomial")
@@ -690,28 +677,28 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
         raise ValueError("spectrum extraction requires integer coefficients")
     nz = next(i for i, c in enumerate(p.coeffs) if c)
     pairs = [(QuadraticNumber(0), nz)] if nz else []
-    residual = [int(c) for c in p.coeffs[nz:]]
-    *_, a2, a1, _ = [0, 0] + residual
+    residual = Poly(p.coeffs[nz:])
+    *_, a2, a1, _ = (0, 0) + residual.coeffs
     sq_sum = a1 * a1 - 2 * a2
     if sq_sum < 0:
         raise ValueError(f"the squared roots sum to {sq_sum}, so some roots are not real")
 
-    a0 = abs(residual[0])
+    a0 = abs(residual.coeffs[0])
     for d in range(1, math.isqrt(sq_sum) + 1):
         if a0 % d:
             continue
         for root in (d, -d):
             mult = 0
-            while len(residual) > 1 and _horner(residual, root) == 0:
-                residual = _div_monic(residual, (-root, 1))
+            while residual.degree() > 0 and residual(root) == 0:
+                residual //= Poly((-root, 1))
                 mult += 1
             if mult:
                 pairs.append((QuadraticNumber(root), mult))
 
-    a0 = abs(residual[0])
-    values = [_horner(residual, v) for v in _SCREEN_POINTS]
+    a0 = abs(residual.coeffs[0])
+    values = [residual(v) for v in _SCREEN_POINTS]
     for c_abs in range(1, sq_sum // 2 + 1):
-        if len(residual) < 3:
+        if residual.degree() < 2:
             break
         if a0 % c_abs:
             continue
@@ -720,11 +707,12 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
             for b in range(-b_max, b_max + 1):
                 if b * b <= 4 * c:
                     continue
-                factor = (c, b, 1)
                 at = [v * v + b * v + c for v in _SCREEN_POINTS]
                 mult = 0
-                while (all(r % f == 0 if f else r == 0 for r, f in zip(values, at))
-                       and (quot := _div_monic(residual, factor)) is not None):
+                while all(r % f == 0 if f else r == 0 for r, f in zip(values, at)):
+                    quot, rem = divmod(residual, Poly((c, b, 1)))
+                    if rem:
+                        break
                     residual = quot
                     values = [r // f for r, f in zip(values, at)]
                     mult += 1
@@ -734,8 +722,8 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
                     pairs.append((QuadraticNumber(half_b, half_s, m), mult))
                     pairs.append((QuadraticNumber(half_b, -half_s, m), mult))
 
-    if len(residual) > 1:
-        return Unresolved(tuple(pairs), Poly(residual))
+    if residual.degree() > 0:
+        return Unresolved(tuple(pairs), residual)
     return Spectrum.from_pairs(pairs)
 
 
@@ -809,7 +797,7 @@ def _clear_denominators(mat: Matrix) -> tuple[list[list[int]], int]:
         for x in row:
             if isinstance(x, Fraction):
                 c = math.lcm(c, x.denominator)
-    out = [[int(_fraction(x) * c) for x in row] for row in mat]
+    out = [[int(_rational(x) * c) for x in row] for row in mat]
     return out, c
 
 
@@ -1140,7 +1128,7 @@ def _newton(traces: Sequence[int]) -> Poly:
 def power_sum_of_roots(p: Poly, r: int) -> int:
     """The r-th power sum of the roots of the monic integer p by Newton's
     identities p_k = -k a_k - sum_{i<k} a_i p_(k-i), a_i of x^(deg p - i)."""
-    a = [int(c) for c in reversed(p.coeffs)] + [0] * r
+    a = list(reversed(p.coeffs)) + [0] * r
     sums = [0]
     for k in range(1, r + 1):
         sums.append(-k * a[k] - sum(a[i] * sums[k - i] for i in range(1, k)))

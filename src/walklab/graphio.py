@@ -76,7 +76,7 @@ def from_graph6(line: str) -> Graph:
     if bits[pairs:].any():
         raise GraphError("nonzero padding bits in graph6 body")
     _check_vertex_count(n)
-    adj, lower = np.zeros((n, n), dtype=np.int64), np.tri(n, k=-1, dtype=bool)
+    adj, lower = np.zeros((n, n), dtype=np.uint8), np.tri(n, k=-1, dtype=bool)
     adj[lower] = adj.T[lower] = bits[:pairs]
     return Graph(adj)
 

@@ -106,7 +106,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         _check_vertex_count(n)
-        adj = np.zeros((n, n), dtype=np.int64)
+        adj = np.zeros((n, n), dtype=np.uint8)  # Graph makes the one int64 copy
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for {n} vertices")

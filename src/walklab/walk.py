@@ -22,7 +22,6 @@ from .exact import (
     Poly,
     QuadraticNumber,
     Spectrum,
-    _div_monic,
     adjacency_times,
     exact_dtype,
     is_quadratic_algebraic_integer,
@@ -105,16 +104,18 @@ def decide_periodic(g: Graph) -> PeriodicityVerdict:
                     return NotPeriodic(witness=t_eig, residual=None)
         return NotPeriodic(witness=None, residual=p2t)
     mult: dict[int, int] = {}
-    residual, d = [int(c) for c in p2t.coeffs], 1
-    while len(residual) > 1:
+    residual, d = p2t, 1
+    while residual.degree() > 0:
         # psi_d has degree phi(d)/2 <= n, so d <= 8n^2 (plus d = 1, 2)
         if d > 8 * n * n + 2:
-            raise AssertionError(f"integral p_2T has a residual {Poly(residual)} "
+            raise AssertionError(f"integral p_2T has a residual {residual} "
                                  "without 2cos roots")
-        psi = [int(c) for c in min_poly_2cos(d).coeffs]
-        while (quot := _div_monic(residual, psi)) is not None:
+        psi = min_poly_2cos(d)
+        quot, rem = divmod(residual, psi)
+        while not rem:
             residual = quot
             mult[d] = mult.get(d, 0) + 1
+            quot, rem = divmod(residual, psi)
         d += 1
     mult[1] = mult.get(1, 0) + edges - n + 1
     mult[2] = 2 * mult.get(2, 0) + edges - n
@@ -198,7 +199,7 @@ def hoffman_check(g: Graph) -> bool:
     k = regularity(g)
     if k is None or k == 0:
         raise NotRegularError("graph is not regular (or has no edges)")
-    q = [int(c) for c in g.min_poly.exact_div(Poly([-k, 1])).coeffs]
+    q = g.min_poly.exact_div(Poly([-k, 1])).coeffs
     acc = np.zeros((g.n, g.n), dtype=exact_dtype(sum(abs(c) * k ** i for i, c in enumerate(q))))
     np.fill_diagonal(acc, q[-1])
     for c in reversed(q[:-1]):

@@ -13,7 +13,7 @@ import pytest
 
 import walklab
 from walklab import exact, feasibility, graphs, walk
-from walklab.cli import ExprError, main, parse_expr
+from walklab.cli import ExprError, _parse_k_range, main, parse_expr
 from walklab.exact import Poly
 from walklab.graphio import to_graph6
 from walklab.graphs import cycle, petersen, tensor_allones
@@ -336,6 +336,31 @@ def test_enumerate_names_a_bad_k_value(capsys, bad):
     code, out, err = _run(capsys, "enumerate", "--class", "half", "--k", bad)
     assert code == 1 and out == ""
     assert err.strip() == f"error: invalid --k value {bad!r}: expected K or KMIN-KMAX"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--class", "half", "--k", "1_0"],
+    ["enumerate", "--class", "half", "--k", "\u0664"],      # Arabic-Indic four
+    ["enumerate", "--class", "half", "--k", "+4-+4"],
+    ["tables", "--kmax", "1_0"],
+    ["tables", "--kmax", "\u0664"],
+], ids=["k-underscore", "k-arabic", "k-signs", "kmax-underscore", "kmax-arabic"])
+def test_degree_arguments_accept_only_ascii_digits(capsys, argv):
+    if argv[0] == "enumerate":
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: invalid --k value {argv[-1]!r}: expected K or KMIN-KMAX\n"
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument --kmax: invalid int value: {argv[-1]!r}" in capsys.readouterr().err
+
+
+def test_a_degree_range_is_a_range_not_a_list():
+    # a list would hold every degree of --k 2-10000000000 up front
+    assert _parse_k_range("2-10") == range(2, 11, 2)
+    assert _parse_k_range("3-9") == range(4, 10, 2)
 
 
 def test_tables_csv(capsys):

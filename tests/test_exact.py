@@ -92,6 +92,26 @@ def test_poly_divmod_exact():
         (Poly([1, 1, 1])).exact_div(Poly([1, 1]))
 
 
+def test_integral_values_are_python_ints_and_floats_are_refused():
+    p = Poly([Fraction(6, 3), np.int64(1)])
+    assert p.coeffs == (2, 1) and all(type(c) is int for c in p.coeffs)
+    with pytest.raises(TypeError):
+        Poly([0.5])
+    with pytest.raises(TypeError):
+        QuadraticNumber(0.5)
+    # a divisor that is not monic divides over Q, as before
+    num = Poly([1, 0, 0, 1])
+    q, r = divmod(num, Poly([1, 2]))
+    assert q.coeffs == (Fraction(1, 8), Fraction(-1, 4), Fraction(1, 2))
+    assert r.coeffs == (Fraction(7, 8),)
+    assert q * Poly([1, 2]) + r == num
+    assert (Poly([2, 4]) * Poly([1, 3])).gcd(Poly([3, 6])).coeffs == (Fraction(1, 2), 1)
+    half = QuadraticNumber(3) / 2
+    assert type(half.a) is Fraction and half.a == Fraction(3, 2)
+    assert type((half * 2).a) is int
+    assert type(QuadraticNumber(Fraction(1, 2), Fraction(1, 2), 9).a) is int  # 1/2 + 3/2
+
+
 def test_poly_pow_and_eval():
     p = Poly([1, 1]) ** 3
     assert p == Poly([1, 3, 3, 1])

@@ -26,7 +26,7 @@ from walklab.graphs import (
     regularity,
     tensor_allones,
 )
-from walklab.graphio import from_edge_list
+from walklab.graphio import from_edge_list, from_graph6, to_graph6
 from walklab.oracles import arc_space, biadjacency, count_quadrangles_brute
 
 
@@ -323,6 +323,21 @@ def test_vertex_cap_refuses_before_allocating(monkeypatch, name):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("build", [
+    lambda line: cycle(1024),
+    lambda line: from_graph6(line),
+], ids=["from_edges", "from_graph6"])
+def test_building_a_graph_peaks_below_one_and_three_quarter_adjacencies(build):
+    line = to_graph6(cycle(1024))
+    tracemalloc.start()
+    try:
+        g = build(line)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * g.adjacency.nbytes
 
 
 def test_vertex_cap_rejects_bad_values(monkeypatch):
