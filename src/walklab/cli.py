@@ -306,7 +306,8 @@ def _parse_k_range(text: str) -> range:
     if not all(b.isascii() and b.isdigit() for b in bounds):
         raise ExprError(f"invalid --k value {text!r}: expected K or KMIN-KMAX")
     lo, hi = read_decimal(bounds[0]), read_decimal(bounds[-1])
-    ks = range(lo + lo % 2, hi + 1, 2)
+    # enumerate_rows takes the even degrees from 2 on
+    ks = range(max(2, lo + lo % 2), hi + 1, 2)
     if not ks:
         raise ExprError(f"no even degrees in range {text!r}")
     return ks

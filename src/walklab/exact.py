@@ -184,6 +184,35 @@ class Poly:
             raise ValueError(f"{self} is not divisible by {other}")
         return q
 
+    def deflate(self, f: Poly) -> tuple[Poly, int]:
+        """(q, m) with self = f^m * q and f not dividing q, for a nonzero
+        self and a monic f of degree >= 1.
+
+        Each division by f runs in place on one list of coefficients, so a
+        monic integer f keeps integer coefficients in Python ints; f is
+        accepted only when the remainder is zero, and a Poly is built once,
+        for the final quotient (self itself when m = 0)."""
+        if not self:
+            raise ValueError("the zero polynomial has no multiplicity")
+        if not f.is_monic() or f.degree() < 1:
+            raise ValueError(f"deflation needs a monic divisor of degree >= 1, not {f}")
+        d = f.degree()
+        # the nonzero lower coefficients of f, at their offsets from x^d
+        terms = [(j - d, c) for j, c in enumerate(f.coeffs[:-1]) if c]
+        cs, m = self.coeffs, 0
+        while len(cs) > d:
+            r = list(cs)
+            # after step i, r[i] holds the quotient coefficient of x^(i - d)
+            for i in range(len(r) - 1, d - 1, -1):
+                t = r[i]
+                if t:
+                    for off, c in terms:
+                        r[i + off] -= t * c
+            if any(r[:d]):
+                break
+            cs, m = r[d:], m + 1
+        return (Poly(cs) if m else self), m
+
     def divides(self, other: Poly) -> bool:
         return divmod(other, self)[1].is_zero()
 
@@ -278,13 +307,17 @@ def squarefree_part(d: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> Poly:
-    """d-th cyclotomic polynomial, by exact division of x^d - 1."""
+    """d-th cyclotomic polynomial: x^d - 1 deflated by Phi_e for every
+    proper divisor e of d, each of which must divide it exactly once."""
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
     p = Poly([-1] + [0] * (d - 1) + [1])
     for e in range(1, d):
         if d % e == 0:
-            p = p.exact_div(cyclotomic(e))
+            phi = cyclotomic(e)
+            p, m = p.deflate(phi)
+            if m != 1:
+                raise ValueError(f"x^{d} - 1 has Phi_{e} = {phi} as a factor {m} times, not once")
     return p
 
 
@@ -295,7 +328,9 @@ def min_poly_2cos(d: int) -> Poly:
     For d >= 3 it has degree phi(d)/2 and is obtained from the d-th
     cyclotomic polynomial via the substitution pairing x <-> z + 1/z:
     the cyclotomic polynomial is palindromic, so Phi_d(z)/z^(phi/2) is an
-    integer combination of the Vieta-Lucas basis z^j + z^(-j).
+    integer combination of the Vieta-Lucas basis v_j = z^j + z^(-j).  In
+    x = z + 1/z the basis obeys v_(j+1) = x v_j - v_(j-1), a shift and a
+    subtraction on integer coefficient lists; one Poly is built at the end.
     """
     if d < 1:
         raise ValueError("index must be >= 1")
@@ -303,16 +338,18 @@ def min_poly_2cos(d: int) -> Poly:
         return Poly([-2, 1])
     if d == 2:
         return Poly([2, 1])
-    phi = cyclotomic(d)
-    half = phi.degree() // 2
-    # basis polynomials v_j(x) = z^j + z^-j restated in x = z + 1/z
-    v: list[Poly] = [Poly([2]), Poly.x()]
-    while len(v) <= half:
-        v.append(Poly.x() * v[-1] - v[-2])
-    out = Poly([phi.coeffs[half]])
+    phi = cyclotomic(d).coeffs
+    half = len(phi) // 2
+    out = [phi[half]] + [0] * half
+    prev, cur = [2], [0, 1]  # v_0 and v_1
     for j in range(1, half + 1):
-        out = out + phi.coeffs[half + j] * v[j]
-    return out
+        for i, c in enumerate(cur):
+            out[i] += phi[half + j] * c
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return Poly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +684,8 @@ class Unresolved:
 
 # Points at which a quadratic candidate f is screened before any division:
 # f is monic, so f | r puts the quotient in Z[x] and f(v) | r(v) follows.
+# The point 1 comes first: extract_spectrum tests f(1) | r(1) on its own
+# before it evaluates f at the others.
 _SCREEN_POINTS = (1, -1, 2, -2, 3, -3)
 
 
@@ -665,11 +704,15 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
     factors, so one pass is complete.  What is left over (degree >= 3)
     is returned as an Unresolved residual.
 
-    The residual r is a monic integer Poly, so each division by a monic
-    factor runs in Python ints.  A quadratic candidate f is first screened
-    at the points _SCREEN_POINTS, where f | r forces f(v) | r(v) (and
+    The residual r is a monic integer Poly.  A factor is stripped with
+    all its multiplicity by one `Poly.deflate`, which divides in place in
+    Python ints, accepts the factor only while no remainder is left, and
+    builds one Poly for the quotient.  An integer root is tried only where
+    r(root) = 0.  A quadratic candidate f is first rejected when f(1) =
+    1 + b + c is nonzero and does not divide r(1), then screened at the
+    points _SCREEN_POINTS, where f | r forces f(v) | r(v) (and
     r(v) = 0 where f(v) = 0); only a candidate that passes is built and
-    divided into r, and it is accepted when no remainder is left.
+    deflated out of r.
     """
     if not p.is_monic():
         raise ValueError("spectrum extraction requires a monic polynomial")
@@ -688,11 +731,8 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
         if a0 % d:
             continue
         for root in (d, -d):
-            mult = 0
-            while residual.degree() > 0 and residual(root) == 0:
-                residual //= Poly((-root, 1))
-                mult += 1
-            if mult:
+            if residual(root) == 0:
+                residual, mult = residual.deflate(Poly((-root, 1)))
                 pairs.append((QuadraticNumber(root), mult))
 
     a0 = abs(residual.coeffs[0])
@@ -705,18 +745,15 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
         for c in (c_abs, -c_abs):
             b_max = math.isqrt(sq_sum + 2 * c)
             for b in range(-b_max, b_max + 1):
-                if b * b <= 4 * c:
+                f1 = 1 + b + c  # f(1), and values[0] is r(1)
+                if b * b <= 4 * c or (f1 and values[0] % f1):
                     continue
                 at = [v * v + b * v + c for v in _SCREEN_POINTS]
-                mult = 0
-                while all(r % f == 0 if f else r == 0 for r, f in zip(values, at)):
-                    quot, rem = divmod(residual, Poly((c, b, 1)))
-                    if rem:
-                        break
-                    residual = quot
-                    values = [r // f for r, f in zip(values, at)]
-                    mult += 1
+                if not all(r % f == 0 if f else r == 0 for r, f in zip(values, at)):
+                    continue
+                residual, mult = residual.deflate(Poly((c, b, 1)))
                 if mult:
+                    values = [residual(v) for v in _SCREEN_POINTS]
                     m, s = squarefree_part(b * b - 4 * c)
                     half_b, half_s = Fraction(-b, 2), Fraction(s, 2)
                     pairs.append((QuadraticNumber(half_b, half_s, m), mult))
@@ -1004,7 +1041,8 @@ def _trace_stream(table: np.ndarray, q: int) -> Iterator[int]:
     """t_0, t_1, ... as t_2i = <A^i, A^i> and t_2i+1 = <A^i, A^i+1>.  All
     entries are nonnegative, so a partial sum of A^i, or of t_r, is at most
     delta^i, or n delta^r: each is exact in int64 while that bound is below
-    2^62, and a residue mod q past it."""
+    2^62, and a residue mod q past it.  Arrays are reduced as x - x // q * q,
+    equal to x % q because numpy's // floors, and about twice as fast."""
     n, delta = table.shape
 
     def inner(x, y, x_q, y_q, bound):  # x_q, y_q: the residues in [0, q)
@@ -1019,8 +1057,12 @@ def _trace_stream(table: np.ndarray, q: int) -> Iterator[int]:
         yield inner(low, low, low_q, low_q, n * low_bound ** 2)
         bound = low_bound * delta
         exact = bound < _INT64_SAFE
-        high = adjacency_times(table, low) if exact else adjacency_times(table, low_q) % q
-        high_q = high % q if exact and bound >= q else high
+        if exact:
+            high = adjacency_times(table, low)
+        else:
+            high = adjacency_times(table, low_q)
+            high -= high // q * q
+        high_q = high - high // q * q if exact and bound >= q else high
         yield inner(low, high, low_q, high_q, n * low_bound * bound)
         low, low_q, low_bound = high, high_q, bound
 
@@ -1030,7 +1072,8 @@ def _vanishes_at(table: np.ndarray, c: Sequence[int], q: int) -> tuple[bool, boo
     residues c, by Horner (acc <- A acc + c_j I) on c lifted to least
     absolute values.  Each entry of a step, and each partial sum of its
     product with A, is at most sum |c_j| delta^j: below 2^62 the steps are
-    exact in int64, past it they run mod q (partial sums below delta q)."""
+    exact in int64, past it they run mod q (partial sums below delta q),
+    reduced as x - x // q * q like the traces."""
     n, delta = table.shape
     lift = _crt([c], [q])
     exact = sum(abs(x) * delta ** j for j, x in enumerate(lift)) < _INT64_SAFE
@@ -1039,8 +1082,8 @@ def _vanishes_at(table: np.ndarray, c: Sequence[int], q: int) -> tuple[bool, boo
         acc = adjacency_times(table, acc)
         acc.flat[::n + 1] += x
         if not exact:
-            acc %= q
-    return not (acc % q).any(), exact and not acc.any()
+            acc -= acc // q * q
+    return not (acc - acc // q * q).any(), exact and not acc.any()
 
 
 def _prime_run(table: np.ndarray, q: int,

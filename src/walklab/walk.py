@@ -84,38 +84,37 @@ def decide_periodic(g: Graph) -> PeriodicityVerdict:
     The eigenvalues of 2T = 2A/k lie in [-2, 2], so by Kronecker's theorem
     the walk is periodic iff the monic p_2T(x) = (2/k)^n p_A(kx/2) has
     integer coefficients; its roots are then of the form 2cos(2*pi*j/d).
-    A non-integral p_2T is refuted with a witness eigenvalue lambda/k
-    (2*lambda/k not an algebraic integer) when the vertex spectrum
-    resolves into quadratic surds, and with p_2T itself otherwise.  An
-    integral p_2T is sieved by the minimal polynomials psi_d of
-    2cos(2*pi/d), whose multiplicities map onto the cyclotomic orders of
+    The coefficient of x^i in p_2T is a_i 2^(n-i) / k^(n-i) for a_i that
+    of p_A, so integrality is decided over Z, one divmod per coefficient,
+    and Fractions are built only to report a non-integral p_2T.  That is
+    refuted with a witness eigenvalue lambda/k (2*lambda/k not an
+    algebraic integer) when the vertex spectrum resolves into quadratic
+    surds, and with p_2T itself otherwise.  An integral p_2T is deflated
+    by the minimal polynomials psi_d of 2cos(2*pi/d) (`Poly.deflate`, in
+    Python ints), whose multiplicities map onto the cyclotomic orders of
     U: Phi_d takes that of psi_d for d >= 3, and Phi_1 and Phi_2 add the
     flat +1 and -1 eigenspaces of dimensions E - n + 1 and E - n + ker,
     where ker = mult(psi_2) = dim Ker(A + kI).
     """
     k = _require_regular_connected(g)
     n, edges = g.n, g.edge_count
-    p2t = g.charpoly.scale_arg(Fraction(k, 2)) * Fraction(2 ** n, k ** n)
-    if not p2t.is_integral():
+    terms = [(a << (n - i), k ** (n - i)) for i, a in enumerate(g.charpoly.coeffs)]
+    scaled = [divmod(num, den) for num, den in terms]
+    if any(rem for _, rem in scaled):
         spec = g.spectrum
         if isinstance(spec, Spectrum):
             for t_eig in spec.scaled(Fraction(1, k)).values():
                 if not is_quadratic_algebraic_integer(t_eig * 2):
                     return NotPeriodic(witness=t_eig, residual=None)
-        return NotPeriodic(witness=None, residual=p2t)
+        return NotPeriodic(witness=None, residual=Poly(Fraction(num, den) for num, den in terms))
     mult: dict[int, int] = {}
-    residual, d = p2t, 1
+    residual, d = Poly(q for q, _ in scaled), 1
     while residual.degree() > 0:
         # psi_d has degree phi(d)/2 <= n, so d <= 8n^2 (plus d = 1, 2)
         if d > 8 * n * n + 2:
             raise AssertionError(f"integral p_2T has a residual {residual} "
                                  "without 2cos roots")
-        psi = min_poly_2cos(d)
-        quot, rem = divmod(residual, psi)
-        while not rem:
-            residual = quot
-            mult[d] = mult.get(d, 0) + 1
-            quot, rem = divmod(residual, psi)
+        residual, mult[d] = residual.deflate(min_poly_2cos(d))
         d += 1
     mult[1] = mult.get(1, 0) + edges - n + 1
     mult[2] = 2 * mult.get(2, 0) + edges - n

@@ -3,10 +3,19 @@ modules."""
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from walklab.exact import Poly, QuadraticNumber, _clear_denominators, min_poly_2cos
+from walklab.exact import (
+    Poly,
+    QuadraticNumber,
+    Spectrum,
+    _clear_denominators,
+    is_quadratic_algebraic_integer,
+    min_poly_2cos,
+)
 from walklab.feasibility import REALIZATIONS, FeasibleRow, ThetaClass, multiplicities, n_bounds
-from walklab.graphs import Graph, is_connected
+from walklab.graphs import Graph, is_connected, regularity
+from walklab.walk import NotPeriodic, Periodic
 
 
 def order_of_cos_pair(two_cos: QuadraticNumber, d_max: int = 1000) -> int | None:
@@ -21,6 +30,64 @@ def order_of_cos_pair(two_cos: QuadraticNumber, d_max: int = 1000) -> int | None
         elif value == 0:
             return d
     return None
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(d):
+    """Reference for `exact.cyclotomic`: x^d - 1 divided by Phi_e for each
+    proper divisor e of d, one `exact_div` each."""
+    p = Poly([-1] + [0] * (d - 1) + [1])
+    for e in range(1, d):
+        if d % e == 0:
+            p = p.exact_div(cyclotomic_by_division(e))
+    return p
+
+
+def min_poly_2cos_by_poly(d):
+    """Reference for `exact.min_poly_2cos`: the Vieta-Lucas basis
+    v_(j+1) = x v_j - v_(j-1) built in Poly arithmetic from
+    cyclotomic_by_division."""
+    if d <= 2:
+        return Poly([-2, 1]) if d == 1 else Poly([2, 1])
+    phi = cyclotomic_by_division(d)
+    half = phi.degree() // 2
+    v = [Poly([2]), Poly.x()]
+    while len(v) <= half:
+        v.append(Poly.x() * v[-1] - v[-2])
+    out = Poly([phi.coeffs[half]])
+    for j in range(1, half + 1):
+        out = out + phi.coeffs[half + j] * v[j]
+    return out
+
+
+def decide_periodic_by_fractions(g):
+    """Reference for `walk.decide_periodic` on a connected regular graph:
+    p_2T = (2/k)^n p_A(kx/2) built in Fraction arithmetic (`scale_arg`),
+    integrality read off its coefficients, and the psi_d sieve by one
+    `divmod` per trial with min_poly_2cos_by_poly."""
+    k, n = regularity(g), g.n
+    p2t = g.charpoly.scale_arg(Fraction(k, 2)) * Fraction(2 ** n, k ** n)
+    if not p2t.is_integral():
+        spec = g.spectrum
+        if isinstance(spec, Spectrum):
+            for t_eig in spec.scaled(Fraction(1, k)).values():
+                if not is_quadratic_algebraic_integer(t_eig * 2):
+                    return NotPeriodic(witness=t_eig, residual=None)
+        return NotPeriodic(witness=None, residual=p2t)
+    mult = {}
+    residual, d = p2t, 1
+    while residual.degree() > 0:
+        psi = min_poly_2cos_by_poly(d)
+        quot, rem = divmod(residual, psi)
+        while not rem:
+            residual = quot
+            mult[d] = mult.get(d, 0) + 1
+            quot, rem = divmod(residual, psi)
+        d += 1
+    mult[1] = mult.get(1, 0) + g.edge_count - n + 1
+    mult[2] = 2 * mult.get(2, 0) + g.edge_count - n
+    orders = tuple(sorted((d, m) for d, m in mult.items() if m))
+    return Periodic(period=math.lcm(*(d for d, _ in orders)), cyclotomic_orders=orders)
 
 
 def hessenberg_charpoly(mat):

@@ -363,6 +363,17 @@ def test_a_degree_range_is_a_range_not_a_list():
     assert _parse_k_range("3-9") == range(4, 10, 2)
 
 
+def test_a_degree_range_from_zero_starts_at_two(capsys):
+    assert _parse_k_range("0-4") == range(2, 5, 2)
+    code, out, _ = _run(capsys, "enumerate", "--class", "half", "--k", "0-4")
+    assert code == 0
+    assert out == _run(capsys, "enumerate", "--class", "half", "--k", "2-4")[1]
+    for text in ("0-1", "0"):
+        code, out, err = _run(capsys, "enumerate", "--class", "half", "--k", text)
+        assert (code, out) == (1, "")
+        assert err == f"error: no even degrees in range {text!r}\n"
+
+
 def test_tables_csv(capsys):
     code, out, _ = _run(capsys, "tables", "--kmax", "4", "--format", "csv")
     assert code == 0

@@ -59,8 +59,10 @@ from walklab.oracles import (
 from oracles import (
     bareiss_det,
     charpoly_bareiss,
+    cyclotomic_by_division,
     hessenberg_charpoly,
     kernel_dim,
+    min_poly_2cos_by_poly,
     order_of_cos_pair,
     random_regular,
     rank,
@@ -90,6 +92,20 @@ def test_poly_divmod_exact():
     assert q == Poly([5, -1, 2]) and r == Poly([7])
     with pytest.raises(ValueError):
         (Poly([1, 1, 1])).exact_div(Poly([1, 1]))
+
+
+def test_poly_deflate():
+    f = Poly([-2, 0, 1])
+    p = f ** 3 * Poly([1, 1])
+    assert p.deflate(f) == (Poly([1, 1]), 3)
+    q, m = p.deflate(Poly([3, 1]))
+    assert m == 0 and q is p
+    # a rational dividend deflates over Q
+    assert (p * Fraction(1, 3)).deflate(f) == (Poly([Fraction(1, 3), Fraction(1, 3)]), 3)
+    # the zero polynomial, a constant divisor, a divisor that is not monic
+    for dividend, divisor in ((Poly.zero(), f), (p, Poly.one()), (p, Poly([1, 2]))):
+        with pytest.raises(ValueError):
+            dividend.deflate(divisor)
 
 
 def test_integral_values_are_python_ints_and_floats_are_refused():
@@ -679,6 +695,12 @@ def test_min_poly_2cos_values():
     assert min_poly_2cos(6) == Poly([-1, 1])
     assert min_poly_2cos(8) == Poly([-2, 0, 1])
     assert min_poly_2cos(12) == Poly([-3, 0, 1])
+
+
+def test_cyclotomic_and_min_poly_2cos_match_the_poly_constructions():
+    for d in range(1, 201):
+        assert cyclotomic(d) == cyclotomic_by_division(d), d
+        assert min_poly_2cos(d) == min_poly_2cos_by_poly(d), d
 
 
 def test_cyclotomic_degree_is_totient():

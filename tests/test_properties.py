@@ -7,7 +7,8 @@ charpolys, and its m_A, certified by t_n or by t_(2n+1), equals
 p / gcd(p, p').  On random integer matrices with up to 30 rows, the CRT
 charpoly equals the rational Hessenberg oracle and the Bareiss
 interpolation route, and its coefficients lie within the CRT bound.
-Division by a monic integer divisor is division over Q in Python ints.  The
+Division by a monic integer divisor is division over Q in Python ints, and
+deflation by it is repeated division.  The
 integer matrix product, and the product of a 0/1 matrix by row gathers,
 agree with the triple loop on both sides of the int64 bound, and the
 O(s) symmetry test of a spectrum agrees with the multiset definition."""
@@ -146,6 +147,36 @@ def test_integer_monic_division_matches_division_over_q(case):
     assert all(type(c) is int for c in quot.coeffs + rem.coeffs)
     assert quot * Poly(den) + rem == Poly(num)
     assert rem.degree() < Poly(den).degree()
+
+
+@st.composite
+def deflations(draw):
+    """(p, f): p a product of random monic integer factors, each to a power
+    from 0 to 3, and a cofactor with a nonzero leading coefficient; f one of
+    the factors or a random monic polynomial, which may not divide p."""
+    coeff = st.integers(-9, 9)
+    monic = st.lists(coeff, min_size=1, max_size=3).map(lambda cs: Poly(cs + [1]))
+    factors = draw(st.lists(st.tuples(monic, st.integers(0, 3)), min_size=1, max_size=3))
+    p = Poly(draw(st.lists(coeff, max_size=3)) + [draw(st.integers(1, 4))])
+    for f, m in factors:
+        p = p * f ** m
+    return p, draw(st.one_of(st.sampled_from([f for f, _ in factors]), monic))
+
+
+@seed(20261026)
+@settings(max_examples=300, deadline=None, database=None)
+@given(deflations())
+def test_deflate_matches_repeated_division(case):
+    p, f = case
+    expected, mult = p, 0
+    quot, rem = divmod(expected, f)
+    while not rem:
+        expected, mult = quot, mult + 1
+        quot, rem = divmod(expected, f)
+    q, m = p.deflate(f)
+    assert (q, m) == (expected, mult)
+    assert all(type(c) is int for c in q.coeffs)
+    assert f ** m * q == p
 
 
 @st.composite

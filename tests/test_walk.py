@@ -59,7 +59,13 @@ from walklab.oracles import (
     verify_biadjacency_identities,
 )
 
-from oracles import kernel_dim, order_of_cos_pair, random_regular, spectrum_charpoly
+from oracles import (
+    decide_periodic_by_fractions,
+    kernel_dim,
+    order_of_cos_pair,
+    random_regular,
+    spectrum_charpoly,
+)
 
 SMALL_REGULAR = [
     ("K2", complete_graph(2)),
@@ -293,6 +299,27 @@ def test_vertex_decision_matches_u_side_on_the_graph_atlas():
         _assert_vertex_decision_matches_u_side(f"atlas {h.name}", g)
         checked += 1
     assert checked == 15
+
+
+def test_integer_decision_matches_the_fraction_route_and_the_period_oracle():
+    # the integrality test over Z and the deflation sieve against p_2T in
+    # Fractions with one divmod per trial, and against U^tau = I
+    graphs = [(f"C{n}", cycle(n)) for n in range(3, 31)]
+    rng = random.Random(20261018)
+    graphs += [(f"random k={k} n={n}", random_regular(n, k, rng))
+               for k, sizes in ((3, (8, 10, 12, 16, 20)), (4, (9, 10, 12, 15)), (5, (12,)))
+               for n in sizes]
+    graphs += [(label, builder()) for label, builder in REALIZATIONS.values()]
+    graphs.append(("circulant(9;1,2)", _circulant(9, (1, 2))))
+    for name, g in graphs:
+        verdict = decide_periodic(g)
+        assert verdict == decide_periodic_by_fractions(g), name
+        if 2 * g.edge_count > 200:
+            continue
+        if isinstance(verdict, Periodic):
+            assert period_oracle(g, verdict.period) == verdict.period, name
+        else:
+            assert period_oracle(g, 24) is None, name
 
 
 def test_not_periodic_with_irrational_witness():
