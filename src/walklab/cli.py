@@ -58,16 +58,6 @@ from .graphs import (
     tensor_allones,
 )
 from .graphio import load_path, save_path
-from .oracles import (
-    build_walk_matrices,
-    count_quadrangles_brute,
-    cyclotomic_sieve,
-    eval_poly_at_matrix,
-    period_oracle,
-    u_charpoly_direct,
-    u_spectrum_model,
-    verify_biadjacency_identities,
-)
 from .walk import (
     NotConnectedError,
     NotPeriodic,
@@ -339,7 +329,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selfcheck
+# selfcheck: the checks import walklab.oracles themselves, so that no other
+# command loads the reference routes
 
 
 def _selfcheck_catalog() -> list[tuple[str, Graph]]:
@@ -372,6 +363,8 @@ def _check_cyclotomic_products() -> bool:
 
 
 def _check_sieve_reconstruction() -> bool:
+    from .oracles import cyclotomic_sieve, u_spectrum_model
+
     for name, g in _selfcheck_catalog():
         if not regularity(g) or not is_connected(g):
             continue
@@ -392,6 +385,8 @@ def _check_sieve_reconstruction() -> bool:
 
 
 def _check_walk_matrices() -> bool:
+    from .oracles import build_walk_matrices
+
     for name, g in _selfcheck_catalog():
         if not regularity(g) or not is_connected(g):
             continue
@@ -405,6 +400,8 @@ def _check_walk_matrices() -> bool:
 
 
 def _check_mapping_vs_direct() -> bool:
+    from .oracles import u_charpoly_direct, u_spectrum_model
+
     return all(u_charpoly_direct(g) == u_spectrum_model(g).u_charpoly
                for name, g in _selfcheck_catalog()
                if regularity(g) and is_connected(g) and 2 * g.edge_count <= 200)
@@ -424,6 +421,8 @@ def _check_power_sums() -> bool:
 
 
 def _check_min_poly() -> bool:
+    from .oracles import eval_poly_at_matrix
+
     for name, g in _selfcheck_catalog():
         if not g.min_poly.divides(g.charpoly):
             return False
@@ -443,6 +442,8 @@ def _check_moment_route() -> bool:
 
 
 def _check_quadrangles() -> bool:
+    from .oracles import count_quadrangles_brute
+
     for name, g in _selfcheck_catalog():
         if g.n > 64:
             continue
@@ -459,12 +460,16 @@ def _check_hoffman() -> bool:
 
 
 def _check_biadjacency() -> bool:
+    from .oracles import verify_biadjacency_identities
+
     return all(verify_biadjacency_identities(g) for g in (
         cycle(6), tensor_allones(cycle(6), 2), hamming(4, 2),
         bipartite_double(line_graph(hypercube(3)))))
 
 
 def _check_known_periods() -> bool:
+    from .oracles import period_oracle
+
     for g, expected in ((cycle(6), 6), (tensor_allones(cycle(6), 2), 12),
                         (cycle(8), 8), (tensor_allones(cycle(8), 2), 8)):
         verdict = decide_periodic(g)
@@ -535,58 +540,84 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 # entry point
 
 
-def _add_graph_source(p: argparse.ArgumentParser) -> None:
+def _graph_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--expr", help="builder expression, e.g. 'tensorj(cycle(6),2)'")
     p.add_argument("--file", help="graph file (graph6 or edge list, auto-detected)")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _construct_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--expr", required=True)
+    p.add_argument("--out", required=True, help=".g6 for graph6, else edge list")
+
+
+def _enumerate_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--class", dest="theta_class", required=True,
+                   choices=("half", "sqrt2", "sqrt3"))
+    p.add_argument("--k", required=True, help="even degree or range, e.g. 6 or 4-10")
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+
+
+def _tables_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kmax", type=_degree_bound, required=True)
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+
+
+def _selfcheck_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--verbose", action="store_true")
+
+
+# name: (help line, handler, options), in the order of the help listing
+_COMMANDS = {
+    "analyze": ("full exact report on one graph", cmd_analyze, _graph_options),
+    "period": ("periodicity verdict (exit 2 when not periodic)", cmd_period, _graph_options),
+    "construct": ("build a graph and write it to a file", cmd_construct, _construct_options),
+    "enumerate": ("candidate spectra for one theta-class", cmd_enumerate, _enumerate_options),
+    "tables": ("regenerate the feasibility tables", cmd_tables, _tables_options),
+    "quadrangles": ("exact quadrangle counts", cmd_quadrangles, _graph_options),
+    "selfcheck": ("run the built-in invariant suite", cmd_selfcheck, _selfcheck_options),
+}
+
+
+def _command_parser(name: str, parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """`parser` with the options and the handler of command `name`."""
+    _, fn, add_options = _COMMANDS[name]
+    add_options(parser)
+    parser.set_defaults(fn=fn)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="walklab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full exact report on one graph")
-    _add_graph_source(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("period", help="periodicity verdict (exit 2 when not periodic)")
-    _add_graph_source(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=cmd_period)
-
-    p = sub.add_parser("construct", help="build a graph and write it to a file")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--out", required=True, help=".g6 for graph6, else edge list")
-    p.set_defaults(fn=cmd_construct)
-
-    p = sub.add_parser("enumerate", help="candidate spectra for one theta-class")
-    p.add_argument("--class", dest="theta_class", required=True,
-                   choices=("half", "sqrt2", "sqrt3"))
-    p.add_argument("--k", required=True, help="even degree or range, e.g. 6 or 4-10")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("tables", help="regenerate the feasibility tables")
-    p.add_argument("--kmax", type=_degree_bound, required=True)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(fn=cmd_tables)
-
-    p = sub.add_parser("quadrangles", help="exact quadrangle counts")
-    _add_graph_source(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=cmd_quadrangles)
-
-    p = sub.add_parser("selfcheck", help="run the built-in invariant suite")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(fn=cmd_selfcheck)
-
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=help_line))
     return parser
 
 
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """build_parser().parse_args(argv) (argv defaults to sys.argv[1:]),
+    building only one command's parser when argv[0] names a command.
+
+    The full parser hands every word after a command name to that
+    command's subparser (prog "walklab NAME"), whose parse_known_args sets
+    the options and raises every error about them, and it rejects the
+    words left over.  The same parser built alone does the same, so the
+    full parser is built only for what it alone reports: no command, an
+    unknown one, the top-level help and leftover words.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        parser = _command_parser(argv[0], argparse.ArgumentParser(prog=f"walklab {argv[0]}"))
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.fn(args)
     except NotRegularError as exc:

@@ -819,6 +819,15 @@ def adjacency_times(table: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def table_matrix(table: np.ndarray) -> np.ndarray:
+    """The 0/1 matrix A of neighbour_table(A), in int64, by one scatter."""
+    n = len(table)
+    real = table < n
+    a = np.zeros((n, n), dtype=np.int64)
+    a[np.nonzero(real)[0], table[real]] = 1
+    return a
+
+
 def exact_dtype(bound: int) -> type:
     """The dtype for exact integer arrays whose entries, and every partial
     sum that forms them, are at most bound in absolute value: int64 below
@@ -1038,8 +1047,9 @@ class _BerlekampMassey:
 
 
 def _trace_stream(table: np.ndarray, q: int) -> Iterator[int]:
-    """t_0, t_1, ... as t_2i = <A^i, A^i> and t_2i+1 = <A^i, A^i+1>.  All
-    entries are nonnegative, so a partial sum of A^i, or of t_r, is at most
+    """t_0, t_1, ... as t_2i = <A^i, A^i> and t_2i+1 = <A^i, A^i+1>, from
+    t_0 = n, t_1 = tr A and A by one scatter (table_matrix).  All entries
+    are nonnegative, so a partial sum of A^i, or of t_r, is at most
     delta^i, or n delta^r: each is exact in int64 while that bound is below
     2^62, and a residue mod q past it.  Arrays are reduced as x - x // q * q,
     equal to x % q because numpy's // floors, and about twice as fast."""
@@ -1051,8 +1061,10 @@ def _trace_stream(table: np.ndarray, q: int) -> Iterator[int]:
         xy = x_q * y_q  # below 2^62: its high and low 31 bits each sum within int64
         return (int((xy >> 31).sum()) * 2 ** 31 + int((xy & (2 ** 31 - 1)).sum())) % q
 
-    low = low_q = np.eye(n, dtype=np.int64)  # A^i, exact or mod q, and its residues
-    low_bound = 1
+    low = low_q = table_matrix(table)  # A^i, exact or mod q, and its residues
+    yield n
+    yield int(low.trace())
+    low_bound = delta
     while True:
         yield inner(low, low, low_q, low_q, n * low_bound ** 2)
         bound = low_bound * delta
@@ -1077,9 +1089,13 @@ def _vanishes_at(table: np.ndarray, c: Sequence[int], q: int) -> tuple[bool, boo
     n, delta = table.shape
     lift = _crt([c], [q])
     exact = sum(abs(x) * delta ** j for j, x in enumerate(lift)) < _INT64_SAFE
-    acc = np.eye(n, dtype=np.int64)  # c is monic
-    for x in reversed(lift[:-1] if exact else [x % q for x in lift[:-1]]):
-        acc = adjacency_times(table, acc)
+    coeffs = lift[:-1] if exact else [x % q for x in lift[:-1]]
+    # c is monic of degree >= 1 (q does not divide t_0 = n), so the first
+    # step is A + c_(s-1) I, with no product
+    acc = table_matrix(table)
+    for j, x in enumerate(reversed(coeffs)):
+        if j:
+            acc = adjacency_times(table, acc)
         acc.flat[::n + 1] += x
         if not exact:
             acc -= acc // q * q

@@ -7,8 +7,8 @@ over Q, quadrangle counting by subset enumeration, and the biadjacency
 block identities that `feasibility.realizes` replaced.
 
 `period`, `analyze` and `tables` decide from the adjacency side and never
-call into this module.  Only `walklab.cli` imports it, for `selfcheck`;
-the tests compare each decision with these routes.
+call into this module.  Only the selfcheck checks in `walklab.cli` import
+it, when they run; the tests compare each decision with these routes.
 """
 
 from __future__ import annotations

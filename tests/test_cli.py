@@ -1,10 +1,15 @@
 """Command-line interface: exit-code contract, builder grammar, output
-determinism, file auto-detection, and the selfcheck fault injection."""
+determinism, file auto-detection, the selfcheck fault injection, and the
+one-command parse against the full parser."""
 
+import contextlib
 import dataclasses
+import importlib
+import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +18,7 @@ import pytest
 
 import walklab
 from walklab import exact, feasibility, graphs, walk
-from walklab.cli import ExprError, _parse_k_range, main, parse_expr
+from walklab.cli import ExprError, _parse_k_range, build_parser, main, parse_args, parse_expr
 from walklab.exact import Poly
 from walklab.graphio import to_graph6
 from walklab.graphs import cycle, petersen, tensor_allones
@@ -418,19 +423,28 @@ def test_selfcheck_is_byte_identical_across_runs(capsys):
 
 
 def test_import_walklab_leaves_the_oracles_out():
-    # the package and the hot-path modules never import walklab.oracles;
-    # only the CLI does, for selfcheck
+    # the package, the hot-path modules and the CLI never import
+    # walklab.oracles; only the selfcheck command does
     src = str(Path(walklab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    script = ("import sys, walklab; "
+    script = ("import sys, walklab, walklab.cli; "
               "assert 'walklab.oracles' not in sys.modules; "
               "import walklab.oracles")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    script = ("import sys; from walklab.cli import main; "
+              "code = main(['period', '--expr', 'cycle(6)']); "
+              "assert code == 0 and 'walklab.oracles' not in sys.modules")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_selfcheck_detects_corrupted_cyclotomic(capsys, monkeypatch):
+    # walklab.oracles binds exact.cyclotomic by name when it is imported:
+    # import it before the corruption, so that it keeps the real Phi_d
+    importlib.import_module("walklab.oracles")
     real = exact.cyclotomic.__wrapped__
 
     def corrupted(d):
@@ -474,3 +488,70 @@ def test_broken_invariant_exits_internal(capsys, monkeypatch):
     code, out, err = _run(capsys, "period", "--expr", "cycle(6)")
     assert code == 3 and out == ""
     assert err.startswith("error: internal: ")
+
+
+# ---------------------------------------------------------------------------
+# parsing: one command's parser against the full parser
+
+# help, usage errors and the forms that only the full parser reports
+PARSE_FORMS = (
+    [], ["-h"], ["--help"], ["nope"], ["analyze", "-h"], ["tables", "--help"],
+    ["period", "--expr", "cycle(6)", "extra"],
+    ["tables", "--kmax", "40", "--rmax", "4"],
+    ["period", "--expr", "cycle(6)", "--format", "csv"],
+    ["tables", "--kmax", "1_0"], ["tables"], ["construct", "--expr", "cycle(6)"],
+    ["enumerate", "--class", "cube", "--k", "4"],
+    ["selfcheck", "--seed", "1"], ["period", "--ex", "cycle(6)"],
+    ["--", "period", "--expr", "cycle(6)"], ["period", "--", "--expr", "cycle(6)"],
+    ["period", "--expr", "cycle(6)", "--"],
+)
+
+
+def _parse_outcome(parse, argv):
+    """vars() of the Namespace, or the SystemExit code, with what the parse
+    wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _full_parse(argv):
+    return build_parser().parse_args(argv)
+
+
+def _golden_argvs():
+    golden = Path(__file__).resolve().parent / "golden" / "cli.txt"
+    return [shlex.split(line[2:]) for line in golden.read_text(encoding="utf-8").splitlines()
+            if line.startswith("$ ")]
+
+
+@pytest.mark.parametrize("argv", _golden_argvs() + list(PARSE_FORMS), ids=shlex.join)
+def test_parse_args_equals_the_full_parser(argv):
+    assert _parse_outcome(parse_args, argv) == _parse_outcome(_full_parse, argv)
+
+
+def test_parse_args_reads_sys_argv(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["walklab", "tables", "--kmax", "12"])
+    assert vars(parse_args()) == vars(_full_parse(["tables", "--kmax", "12"]))
+
+
+def test_parse_args_equals_the_full_parser_on_random_argvs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    words = ("analyze", "period", "construct", "enumerate", "tables", "quadrangles",
+             "selfcheck", "--expr", "--file", "--format", "--out", "--class", "--k",
+             "--kmax", "--verbose", "--ex", "--kma", "--form", "cycle(6)", "g.g6",
+             "text", "json", "csv", "half", "sqrt2", "4", "4-10", "1_0", "-h",
+             "--help", "--", "-", "nope", "-x", "--zzz", "--format=json", "")
+
+    @hypothesis.seed(20261018)
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.sampled_from(words), max_size=6))
+    def check(argv):
+        assert _parse_outcome(parse_args, argv) == _parse_outcome(_full_parse, argv)
+
+    check()

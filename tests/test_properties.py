@@ -34,6 +34,7 @@ from walklab.exact import (
     min_poly_route,
     moment_route,
     neighbour_table,
+    table_matrix,
 )
 from walklab.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
 from walklab.graphs import Graph
@@ -258,6 +259,7 @@ def zero_one_times_integer(draw):
 def test_adjacency_times_matches_the_triple_loop(case):
     a, p = case
     table = neighbour_table(np.array(a, dtype=np.int64))
+    assert table_matrix(table).tolist() == a
     assert adjacency_times(table, np.array(p, dtype=object)).tolist() == matmul_reference(a, p)
     if all(abs(x) <= 9 for row in p for x in row):
         assert adjacency_times(table, np.array(p, dtype=np.int64)).tolist() == \

@@ -253,6 +253,16 @@ def test_not_periodic_with_residual_certificate():
     assert period_oracle(_circulant(9, (1, 2)), 200) is None
 
 
+def test_a_constant_term_alone_off_the_integers_refutes_periodicity():
+    # no connected regular graph of the atlas has a p_2T that fails to be
+    # integral only in a_0 2^n / k^n, so the cached charpoly of C6xJ2,
+    # x^12 - 24x^10 + 144x^8 - 256x^6, is given a_0 = 1
+    g = tensor_allones(cycle(6), 2)
+    g.__dict__["charpoly"] = Poly((1,) + g.charpoly.coeffs[1:])
+    assert decide_periodic(g).render() == (
+        "NOT PERIODIC residual=x^12 - 6*x^10 + 9*x^8 - 4*x^6 + 1/4096")
+
+
 def _assert_vertex_decision_matches_u_side(name, g):
     """The vertex-side decision against the U-side oracles: the cyclotomic
     sieve of the mapped U-charpoly and, up to 200 arcs, the direct
