@@ -36,25 +36,33 @@ from .graphs import (
     line_graph,
     tensor_allones,
 )
+from .walk import quadrangle_report
+
+
+def _half_degree(k: int) -> int:
+    if k % 2:
+        raise ValueError("degree must be even")
+    return k // 2
 
 
 class ThetaClass(Enum):
     """The three admissible second-largest eigenvalues for even degree k:
-    k/2, (sqrt(2)/2) k, and (sqrt(3)/2) k."""
+    θ = (k/2)√c with c = 1, 2, 3.  θ is an algebraic integer only for
+    even k, where θ² = c(k/2)² is an integer."""
 
     HALF = "half"
     SQRT2 = "sqrt2"
     SQRT3 = "sqrt3"
 
-    def theta_sq(self, k: int) -> Fraction:
-        sq = {"half": Fraction(1, 4), "sqrt2": Fraction(1, 2), "sqrt3": Fraction(3, 4)}
-        return sq[self.value] * k * k
+    @property
+    def c(self) -> int:
+        return {"half": 1, "sqrt2": 2, "sqrt3": 3}[self.value]
+
+    def theta_sq(self, k: int) -> int:
+        return self.c * _half_degree(k) ** 2
 
     def theta(self, k: int) -> QuadraticNumber:
-        if self is ThetaClass.HALF:
-            return QuadraticNumber(Fraction(k, 2))
-        radicand = 2 if self is ThetaClass.SQRT2 else 3
-        return QuadraticNumber.sqrt(radicand, Fraction(k, 2))
+        return QuadraticNumber.sqrt(self.c, _half_degree(k))
 
     def __str__(self) -> str:
         return self.value
@@ -103,12 +111,12 @@ class FeasibleRow:
                          (-theta, self.a), (-k, 1)))
 
 
-def multiplicities(k: int, theta_sq: Fraction | int, n: int) -> tuple[int, int] | None:
+def multiplicities(k: int, theta_sq: int, n: int) -> tuple[int, int] | None:
     """Multiplicities (a, b) of (±θ, 0) forced by the power sums, when
     both are positive integers: a = (nk - 2k²)/(2θ²), b = n - 2 - 2a."""
     if theta_sq <= 0:
         raise ValueError("theta^2 must be positive")
-    a, rem = divmod((n * k - 2 * k * k) * theta_sq.denominator, 2 * theta_sq.numerator)
+    a, rem = divmod(n * k - 2 * k * k, 2 * theta_sq)
     if rem or a <= 0:
         return None
     b = n - 2 - 2 * a
@@ -117,16 +125,13 @@ def multiplicities(k: int, theta_sq: Fraction | int, n: int) -> tuple[int, int] 
     return a, b
 
 
-def n_bounds(k: int, theta_sq: Fraction | int) -> tuple[Fraction, int]:
-    """Vertex-count window 2(k²+θ²)/k <= n <= 2k(k²-θ²)."""
-    theta_sq = Fraction(theta_sq)
+def n_bounds(k: int, theta_sq: int) -> tuple[int, int]:
+    """The least and the largest integer n in the vertex-count window
+    2(k²+θ²)/k <= n <= 2k(k²-θ²).  The lower end is exactly the
+    condition a >= 1, which `multiplicities` enforces."""
     if theta_sq >= k * k:
         raise ValueError("theta^2 must be below k^2")
-    lo = Fraction(2) * (k * k + theta_sq) / k
-    hi = 2 * k * (k * k - theta_sq)
-    if hi != int(hi):
-        raise ValueError("upper bound is not an integer")
-    return lo, int(hi)
+    return -(-2 * (k * k + theta_sq) // k), 2 * k * (k * k - theta_sq)
 
 
 def _closed_walk_divisors(k: int, theta_sq: int) -> list[int]:
@@ -159,27 +164,24 @@ def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
     """All candidate rows for one θ-class and even degree k: n runs over
     the divisors of 2k²(k² - θ²) inside the window, which makes every
     closed-walk count integral, filtered by parity and integral
-    multiplicities; quadrangle failures are kept, annotated."""
+    multiplicities; quadrangle failures are kept, annotated.  The
+    quadrangle counts come from the fourth power sum 2k⁴ + 2aθ⁴."""
     if k < 2 or k % 2:
         raise ValueError("degree must be even and at least 2")
     theta_sq = theta_class.theta_sq(k)
-    if theta_sq.denominator != 1:
-        raise ValueError("theta^2 must be integral for an even degree")
-    theta_sq_int = int(theta_sq)
-    lo, hi = n_bounds(k, theta_sq)
+    hi = n_bounds(k, theta_sq)[1]
     rows = []
-    for n in _closed_walk_divisors(k, theta_sq_int):
-        if n < lo or n > hi or n % 2:
+    for n in _closed_walk_divisors(k, theta_sq):
+        if n > hi or n % 2:
             continue
-        mult = multiplicities(k, theta_sq_int, n)
+        mult = multiplicities(k, theta_sq, n)
         if mult is None:
             continue
         a, b = mult
-        power4 = 2 * k ** 4 + 2 * a * theta_sq_int ** 2
-        q = Fraction(power4 - n * (2 * k * k - k), 8)
-        q_x = 4 * q / n
+        quads = quadrangle_report(2 * k ** 4 + 2 * a * theta_sq ** 2, n, k)
         label = REALIZATIONS.get((theta_class, k, n), (None, None))[0]
-        rows.append(FeasibleRow(theta_class, k, n, a, b, q, q_x, label))
+        rows.append(FeasibleRow(theta_class, k, n, a, b, quads.q_spectral,
+                                quads.qx_spectral, label))
     return rows
 
 
@@ -196,19 +198,15 @@ def classify_four_eigenvalue(k_max: int) -> list[tuple[int, int, Spectrum]]:
             if not k > theta_sq:
                 continue
             # four-eigenvalue shape: a = n/2 - 1, so theta^2 (n-2) = nk - 2k^2
-            denom = k - theta_sq
-            n = 2 * (k * k - theta_sq) / denom
-            if n.denominator != 1:
-                continue
-            n_int = int(n)
-            if n_int < 4 or n_int % 2 or n_int // 2 - 1 < 1:
+            n, rem = divmod(2 * (k * k - theta_sq), k - theta_sq)
+            if rem or n < 4 or n % 2:
                 continue
             theta = cls.theta(k)
             spec = Spectrum.from_pairs([
                 (QuadraticNumber(k), 1), (QuadraticNumber(-k), 1),
-                (theta, n_int // 2 - 1), (-theta, n_int // 2 - 1),
+                (theta, n // 2 - 1), (-theta, n // 2 - 1),
             ])
-            out.append((k, n_int, spec))
+            out.append((k, n, spec))
     return out
 
 
@@ -401,7 +399,7 @@ def realizes(g: Graph, row: FeasibleRow) -> bool:
     """
     if g.n != row.n:
         return False
-    k2, t = row.k * row.k, int(row.theta_class.theta_sq(row.k))
+    k2, t = row.k * row.k, row.theta_class.theta_sq(row.k)
     table = g.neighbour_table
     delta = table.shape[1]
     a = g.adjacency.astype(exact_dtype(g.n * delta ** 5 + (k2 + t) * delta ** 3 + k2 * t))

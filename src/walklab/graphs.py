@@ -195,7 +195,8 @@ def cycle(n: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError("complete graph needs at least 1 vertex")
-    return Graph.from_edges(n, itertools.combinations(range(n), 2))
+    _check_vertex_count(n)
+    return Graph(1 - np.eye(n, dtype=np.uint8))  # J - I
 
 
 def complete_bipartite(p: int, q: int) -> Graph:

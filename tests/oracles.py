@@ -273,21 +273,18 @@ def enumerate_rows_by_window(theta_class: ThetaClass, k: int) -> list[FeasibleRo
     if k < 2 or k % 2:
         raise ValueError("degree must be even and at least 2")
     theta_sq = theta_class.theta_sq(k)
-    if theta_sq.denominator != 1:
-        raise ValueError("theta^2 must be integral for an even degree")
-    theta_sq_int = int(theta_sq)
     lo, hi = n_bounds(k, theta_sq)
     rows = []
-    for n in range(math.ceil(lo), hi + 1):
+    for n in range(lo, hi + 1):
         if n % 2:
             continue
         mult = multiplicities(k, theta_sq, n)
         if mult is None:
             continue
-        if not closed_walks_integral(k, theta_sq_int, n):
+        if not closed_walks_integral(k, theta_sq, n):
             continue
         a, b = mult
-        power4 = 2 * k ** 4 + 2 * a * theta_sq_int ** 2
+        power4 = 2 * k ** 4 + 2 * a * theta_sq ** 2
         q = Fraction(power4 - n * (2 * k * k - k), 8)
         q_x = 4 * q / n
         label = REALIZATIONS.get((theta_class, k, n), (None, None))[0]

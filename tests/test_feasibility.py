@@ -2,12 +2,14 @@
 reference tables, the closed-form oracle for one block, realization
 verification, and the four-eigenvalue classification."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 import numpy as np
 
+from walklab import feasibility
 from walklab.exact import QuadraticNumber, Spectrum, extract_spectrum
 from walklab.feasibility import (
     REFERENCE_TABLE,
@@ -57,11 +59,47 @@ def test_multiplicities_examples():
 
 
 def test_n_bounds_examples():
-    assert n_bounds(4, 4) == (Fraction(10), 96)
-    assert n_bounds(4, 8) == (Fraction(12), 64)
-    assert n_bounds(2, 2) == (Fraction(6), 8)
+    assert n_bounds(4, 4) == (10, 96)
+    assert n_bounds(4, 8) == (12, 64)
+    assert n_bounds(2, 2) == (6, 8)
+    assert n_bounds(4, 5) == (11, 88)  # the window starts at 10.5
     with pytest.raises(ValueError):
         n_bounds(2, 4)
+
+
+def test_theta_sq_is_an_int_for_even_degrees():
+    quarters = {ThetaClass.HALF: 1, ThetaClass.SQRT2: 2, ThetaClass.SQRT3: 3}
+    for cls, c in quarters.items():
+        for k in range(2, 201, 2):
+            theta_sq = cls.theta_sq(k)
+            assert type(theta_sq) is int and 4 * theta_sq == c * k * k, (cls, k)
+            assert cls.theta(k) * cls.theta(k) == QuadraticNumber(theta_sq)
+        for k in (1, 3, 5, 41):
+            with pytest.raises(ValueError):
+                cls.theta_sq(k)
+            with pytest.raises(ValueError):
+                cls.theta(k)
+
+
+@pytest.mark.parametrize("cls", list(ThetaClass))
+def test_window_starts_at_the_least_n_with_a_at_least_one(cls):
+    for k in range(2, 41, 2):
+        theta_sq = cls.theta_sq(k)
+        lo, hi = n_bounds(k, theta_sq)
+        assert type(lo) is int and type(hi) is int
+        assert [n for n in range(1, lo + 1) if multiplicities(k, theta_sq, n)] == [lo], (cls, k)
+        assert multiplicities(k, theta_sq, lo)[0] == 1
+
+
+def test_the_integer_layer_builds_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("feasibility built a Fraction")
+
+    monkeypatch.setattr(feasibility, "Fraction", refuse)
+    rows = all_rows(40)
+    assert len(rows) == 819
+    assert [(k, n) for k, n, _ in classify_four_eigenvalue(40)] == [(2, 6)]
+    assert all(verify_realization(row) for row in rows if row.known_realization)
 
 
 def test_closed_walks_examples():
@@ -141,7 +179,7 @@ def test_all_rows_past_the_window_scan_reach():
         theta_sq = row.theta_class.theta_sq(row.k)
         assert 2 + 2 * row.a + row.b == row.n
         assert 2 * row.k ** 2 + 2 * row.a * theta_sq == row.n * row.k
-        assert closed_walks_integral(row.k, int(theta_sq), row.n)
+        assert closed_walks_integral(row.k, theta_sq, row.n)
 
 
 def test_row_counting_identities():
@@ -226,7 +264,7 @@ def _closed_walk_conditions(g, row):
     """The certificate's three conditions, each computed on its own with
     numpy int64 powers: (n matches, traces match, annihilated)."""
     a = np.array(g.adjacency, dtype=np.int64)
-    k2, t = row.k ** 2, int(row.theta_class.theta_sq(row.k))
+    k2, t = row.k ** 2, row.theta_class.theta_sq(row.k)
     powers = [np.linalg.matrix_power(a, r) for r in range(6)]
     traces = [int(np.trace(p)) for p in powers[:5]]
     want = [row.n, 0, 2 * k2 + 2 * row.a * t, 0, 2 * k2 ** 2 + 2 * row.a * t * t]
@@ -354,3 +392,18 @@ def test_render_tables_json_exact_strings():
 
 def test_render_tables_deterministic():
     assert render_tables(8, "csv") == render_tables(8, "csv")
+
+
+# sha256 of render_tables(40, fmt): the bytes the bench's tables workload
+# prints, pinned so that a change to the tables is a deliberate one
+TABLE_DIGESTS = {
+    "text": "4c2632e57263da56b14c89a1311970d134daba2dc6680c2423011cc1fc075485",
+    "csv": "747a82e2aab3b7f8f0381503d070192e8b5dee6461c41d6768f76dffd8eb718d",
+    "json": "90025893fc732a5dee5a75896ec2cbc112f200095d850fc38d54694c81cfa685",
+}
+
+
+@pytest.mark.parametrize("fmt", list(TABLE_DIGESTS))
+def test_tables_at_kmax_40_are_byte_identical(fmt):
+    digest = hashlib.sha256(render_tables(40, fmt).encode()).hexdigest()
+    assert digest == TABLE_DIGESTS[fmt]

@@ -1,6 +1,7 @@
 """Graph constructors, predicates, product spectra laws, and quadrangle
 counting (walk bookkeeping against subset enumeration)."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,12 @@ def test_cycle_requires_three():
 
 def test_odd_cycle_not_bipartite():
     assert is_bipartite(cycle(5)) is None
+
+
+def test_complete_graph_equals_the_edge_construction():
+    for n in range(1, 31):
+        by_edges = Graph.from_edges(n, itertools.combinations(range(n), 2))
+        assert complete_graph(n).adjacency.tolist() == by_edges.adjacency.tolist(), n
 
 
 def test_complete_bipartite():
@@ -298,6 +305,7 @@ _OVER_CAP = {
     "from_edges": (lambda: (3000, []), Graph.from_edges),
     "edge list": (lambda: ("3000 0\n",), from_edge_list),
     "cycle": (lambda: (3000,), cycle),
+    "complete": (lambda: (3000,), complete_graph),
     "kbip": (lambda: (1500, 1500), complete_bipartite),
     "hamming": (lambda: (5, 5), hamming),
     "line": (lambda: (complete_graph(78),), line_graph),
