@@ -10,7 +10,6 @@ from .exact import (
     QuadraticNumber,
     Spectrum,
     Unresolved,
-    charpoly,
     cyclotomic,
     extract_spectrum,
     is_quadratic_algebraic_integer,
@@ -65,8 +64,6 @@ from .walk import (
     PeriodicityVerdict,
     QuadrangleReport,
     decide_periodic,
-    eigenvalue_gate,
-    hoffman_check,
     quadrangle_report,
     walk_regularity_check,
 )

@@ -1,19 +1,19 @@
 """Exact algebra kernels: dense rational polynomials, quadratic surds,
 the characteristic and minimal polynomials of a graph from its
 closed-walk counts on residues modulo word-size primes (the moment
-route), the CRT characteristic polynomial of any rational matrix (the
-oracle that `selfcheck` and the tests hold the route against),
-cyclotomic machinery, and spectra.
+route), cyclotomic machinery, and spectra.  The reference routes that
+`selfcheck` and the tests hold these against (the CRT charpoly of any
+rational matrix, `int_matmul` and Euclid's gcd over Q) live in
+`walklab.oracles`.
 
 Everything in this module is exact.  No floating point enters any
 computation; integrality, divisibility and sign decisions are made over
 Z and Q only.  A polynomial coefficient or surd part is a Python int
 where it is integral and a Fraction only where not (`_rational`, which
 refuses floats), so integer polynomials compute in ints.  Matrices are
-plain lists of rows with int or Fraction entries (numpy integers become
-Python ints on entry), or integer numpy arrays whose dtype `exact_dtype`
-picks from a stated bound; a product with a graph's adjacency is a row
-gather on its neighbour table.
+integer numpy arrays whose dtype `exact_dtype` picks from a stated
+bound; a product with a graph's adjacency is a row gather on its
+neighbour table.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-Matrix = Sequence[Sequence[int | Fraction]]
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +83,6 @@ class Poly:
 
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.coeffs)
-
-    def leading(self) -> int | Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -216,32 +209,12 @@ class Poly:
     def divides(self, other: Poly) -> bool:
         return divmod(other, self)[1].is_zero()
 
-    def gcd(self, other: Poly) -> Poly:
-        """Monic greatest common divisor (zero when both are zero), by
-        Euclid with each remainder scaled to coprime integer coefficients
-        so that the rationals do not grow from step to step."""
-        a, b = self, other
-        while b:
-            a, b = b, _primitive(a % b)
-        return a * Fraction(1, a.leading()) if a else a
-
-    def derivative(self) -> Poly:
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __call__(self, x: int | Fraction) -> int | Fraction:
         """Horner evaluation at the number x."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def scale_arg(self, c: int | Fraction) -> Poly:
-        """Return p(c*x)."""
-        out, pw = [], 1
-        for a in self.coeffs:
-            out.append(a * pw)
-            pw *= c
-        return Poly(out)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -266,12 +239,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-def _primitive(p: Poly) -> Poly:
-    """The multiple of p with coprime integer coefficients."""
-    (ints,), _ = _clear_denominators([p.coeffs])
-    return Poly([x // math.gcd(*ints) for x in ints])
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +595,6 @@ class Spectrum:
         return all(m == mw and v == -w
                    for (v, m), (w, mw) in zip(self.entries, reversed(self.entries)))
 
-    def negated(self) -> Spectrum:
-        return Spectrum.from_pairs((-v, m) for v, m in self.entries)
-
-    def union(self, other: Spectrum) -> Spectrum:
-        return Spectrum.from_pairs(tuple(self.entries) + tuple(other.entries))
-
     def scaled(self, factor: int | Fraction) -> Spectrum:
         if factor == 0:
             raise ValueError("zero scaling collapses the spectrum")
@@ -771,30 +732,6 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
 _INT64_SAFE = 2 ** 62
 
 
-def _abs_max(x: np.ndarray) -> int:
-    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
-
-
-def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact product of an r x p and a p x c integer matrix (p = len(b),
-    c = len(b[0]), or 0 when b is empty).  Both operands are converted to
-    int64 once; the native product runs when p * max|a| * max|b| < 2^62
-    bounds every partial sum, and exact Python-int (object dtype)
-    arithmetic runs otherwise, also when an entry does not fit in int64."""
-    shape_a, shape_b = (len(a), len(b)), (len(b), len(b[0]) if len(b) else 0)
-    try:
-        x = np.array(a, dtype=np.int64).reshape(shape_a)
-        y = np.array(b, dtype=np.int64).reshape(shape_b)
-    except OverflowError:
-        pass
-    else:
-        if _abs_max(x) * _abs_max(y) * len(b) < _INT64_SAFE:
-            return (x @ y).tolist()
-    x = np.array(a, dtype=object).reshape(shape_a)
-    y = np.array(b, dtype=object).reshape(shape_b)
-    return (x @ y).tolist()
-
-
 def neighbour_table(a: np.ndarray) -> np.ndarray:
     """Row i lists the columns of the ones in row i of the square 0/1
     array a, padded to the largest row sum with n, the index of the zero
@@ -835,20 +772,8 @@ def exact_dtype(bound: int) -> type:
     return np.int64 if bound < _INT64_SAFE else object
 
 
-def _clear_denominators(mat: Matrix) -> tuple[list[list[int]], int]:
-    """Return (c * mat as integer matrix, c) with c the global lcm of
-    entry denominators."""
-    c = 1
-    for row in mat:
-        for x in row:
-            if isinstance(x, Fraction):
-                c = math.lcm(c, x.denominator)
-    out = [[int(_rational(x) * c) for x in row] for row in mat]
-    return out, c
-
-
 # ---------------------------------------------------------------------------
-# characteristic polynomials
+# word-size primes and CRT
 
 
 _MILLER_RABIN_EXACT_BELOW = 4_759_123_141
@@ -885,77 +810,6 @@ def _primes_below(limit: int) -> Iterator[int]:
     return (p for p in range(limit - 1, 1, -1) if _is_prime(p))
 
 
-def _charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
-    """Charpoly coefficients mod p, via Hessenberg reduction mod p with
-    vectorized row/column updates."""
-    n = mat.shape[0]
-    h = np.mod(mat, p).astype(np.int64)
-    for j in range(n - 2):
-        col = h[j + 1:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = j + 1 + int(nz[0])
-        if piv != j + 1:
-            h[[piv, j + 1], :] = h[[j + 1, piv], :]
-            h[:, [piv, j + 1]] = h[:, [j + 1, piv]]
-        inv = pow(int(h[j + 1, j]), p - 2, p)
-        t = (h[j + 2:, j] * inv) % p
-        h[j + 2:, j:] = (h[j + 2:, j:] - t[:, None] * h[j + 1, j:][None, :]) % p
-        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2:] @ t) % p
-    polys: list[np.ndarray] = [np.array([1], dtype=np.int64)]
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        cur = np.zeros(m + 1, dtype=np.int64)
-        cur[1:m + 1] = prev
-        cur[:m] = (cur[:m] - int(h[m - 1, m - 1]) * prev) % p
-        prod = 1
-        for idx in range(m - 2, -1, -1):
-            prod = (prod * int(h[idx + 1, idx])) % p
-            if prod == 0:
-                break
-            coeff = (int(h[idx][m - 1]) * prod) % p
-            if coeff:
-                cur[:idx + 1] = (cur[:idx + 1] - coeff * polys[idx]) % p
-        polys.append(np.mod(cur, p))
-    return polys[n]
-
-
-def _charpoly_coeff_bound(m: Sequence[Sequence[int]] | np.ndarray) -> int:
-    """An integer above |c_(n-i)| for every coefficient of det(xI - m).
-
-    c_(n-i) is, up to sign, the sum of the C(n,i) principal i x i minors.
-    Hadamard bounds each by the product of its columns' norms, and those
-    by the norms r_j of the full columns, so |c_(n-i)| <= e_i(r_1..r_n).
-    Maclaurin's inequality and the power-mean inequality give
-    e_i(r) <= C(n,i) (sum r_j / n)^i <= C(n,i) (F/n)^(i/2) with
-    F = sum of the squared entries.  This holds for every square matrix,
-    symmetric or not; isqrt(C(n,i)^2 F^i // n^i) + 1 exceeds that bound.
-    """
-    n = len(m)
-    fro = int((np.asarray(m, dtype=object) ** 2).sum())
-    return max(math.isqrt(math.comb(n, i) ** 2 * fro ** i // n ** i) + 1
-               for i in range(n + 1))
-
-
-def _charpoly_modular_int(m: np.ndarray) -> Poly:
-    """Exact charpoly of a square integer array (int64, or object dtype
-    for larger entries) by CRT over word-size primes, enough of them that
-    their product exceeds twice _charpoly_coeff_bound(m)."""
-    n = len(m)
-    coeff_bound = _charpoly_coeff_bound(m)
-    # primes small enough that dot products of residues fit in int64
-    pmax = math.isqrt(_INT64_SAFE // max(n, 1))
-    primes: list[int] = []
-    modulus = 1
-    for p in _primes_below(pmax):
-        primes.append(p)
-        modulus *= p
-        if modulus > 2 * coeff_bound + 1:
-            break
-    return Poly(_crt([_charpoly_mod(m, p).tolist() for p in primes], primes))
-
-
 def _crt(residues: Sequence[Sequence[int]], primes: Sequence[int]) -> list[int]:
     """Entrywise CRT of residue vectors modulo distinct primes: the integers
     of least absolute value, at most M/2 for M the product of the primes."""
@@ -967,24 +821,6 @@ def _crt(residues: Sequence[Sequence[int]], primes: Sequence[int]) -> list[int]:
         for i, x in enumerate(res):
             out[i] += x * share
     return [x - modulus if x > modulus // 2 else x for x in (x % modulus for x in out)]
-
-
-def charpoly(mat: Matrix | np.ndarray) -> Poly:
-    """Exact monic characteristic polynomial det(xI - mat), by CRT over
-    word-size primes on the denominator-cleared integer matrix; an int64
-    array is used as it is.  Integer input yields integer coefficients.
-    """
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("charpoly requires a square matrix")
-    if isinstance(mat, np.ndarray) and mat.dtype == np.int64:
-        return _charpoly_modular_int(mat)
-    ints, c = _clear_denominators(mat)
-    p = _charpoly_modular_int(np.array(ints, dtype=object).reshape(n, n))
-    if c == 1:
-        return p
-    # det(xI - M/c) = c^-n * det(cx I - M)
-    return p.scale_arg(c) * Fraction(1, c ** n)
 
 
 # ---------------------------------------------------------------------------

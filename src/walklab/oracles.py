@@ -1,20 +1,25 @@
-"""Reference implementations that `selfcheck` runs against the fast
-paths: the arc space, the walk matrices and the time evolution U with its
-charpoly computed directly, the spectral mapping from the adjacency
-charpoly to the degree-2E U-charpoly, the cyclotomic sieve of that
-charpoly, the matrix-power period, a polynomial evaluated at a matrix
-over Q, quadrangle counting by subset enumeration, and the biadjacency
-block identities that `feasibility.realizes` replaced.
+"""Reference implementations, and the `selfcheck` suite that runs them
+against the fast paths: Euclid's gcd over Q, the integer matrix product
+and the CRT characteristic polynomial of any rational matrix; the arc
+space, the walk matrices and the time evolution U with its charpoly
+computed directly, the spectral mapping from the adjacency charpoly to
+the degree-2E U-charpoly, its cyclotomic sieve, and the matrix-power
+period; a polynomial evaluated at a matrix over Q, quadrangle counting
+by subset enumeration, the biadjacency block identities that
+`feasibility.realizes` replaced, the eigenvalue gate of the paper's
+algebraic-integer argument, and the Hoffman identity that `analyze`
+reports by Hoffman's theorem.
 
-`period`, `analyze` and `tables` decide from the adjacency side and never
-call into this module.  Only the selfcheck checks in `walklab.cli` import
-it, when they run; the tests compare each decision with these routes.
+`period`, `analyze` and `tables` never import this module; only
+`selfcheck` does, when it runs.  The tests compare each decision with
+these routes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,22 +27,187 @@ from typing import Sequence
 
 import numpy as np
 
+from . import exact
 from .exact import (
+    _INT64_SAFE,
     Poly,
     QuadraticNumber,
     Spectrum,
     Unresolved,
-    _clear_denominators,
+    _crt,
     _primes_below,
-    charpoly,
+    _rational,
+    adjacency_times,
     cyclotomic,
     exact_dtype,
-    int_matmul,
+    is_quadratic_algebraic_integer,
+    min_poly_route,
+    moment_route,
 )
-from .graphs import Graph, GraphError, PartiteSplit, is_bipartite
-from .walk import _require_regular_connected
+from .feasibility import REFERENCE_TABLE, classify_four_eigenvalue, enumerate_rows, render_tables
+from .graphs import (Graph, GraphError, PartiteSplit, bipartite_double, complete_bipartite,
+                     complete_graph, count_quadrangles, cycle, hamming, hypercube, is_bipartite,
+                     is_connected, line_graph, petersen, regularity, tensor_allones)
+from .walk import NotRegularError, Periodic, _require_regular_connected, decide_periodic
 
 DIRECT_CHECK_MAX_ARCS = 200
+
+Matrix = Sequence[Sequence[int | Fraction]]
+
+
+# ---------------------------------------------------------------------------
+# polynomials and matrices over Q, and the CRT characteristic polynomial
+
+
+def gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor (zero when both are zero), by
+    Euclid with each remainder scaled to coprime integer coefficients
+    so that the rationals do not grow from step to step."""
+    while b:
+        a, b = b, _primitive(a % b)
+    return a * Fraction(1, a.coeffs[-1]) if a else a
+
+
+def _primitive(p: Poly) -> Poly:
+    """The multiple of p with coprime integer coefficients."""
+    (ints,), _ = _clear_denominators([p.coeffs])
+    return Poly([x // math.gcd(*ints) for x in ints])
+
+
+def derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def scale_arg(p: Poly, c: int | Fraction) -> Poly:
+    """Return p(c*x)."""
+    out, pw = [], 1
+    for a in p.coeffs:
+        out.append(a * pw)
+        pw *= c
+    return Poly(out)
+
+
+def radical(p: Poly) -> Poly:
+    """p / gcd(p, p'), each distinct root of p once: for the monic charpoly
+    of a symmetric matrix, its minimal polynomial."""
+    return p.exact_div(gcd(p, derivative(p)))
+
+
+def _abs_max(x: np.ndarray) -> int:
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
+def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Exact product of an r x p and a p x c integer matrix (p = len(b),
+    c = len(b[0]), or 0 when b is empty).  Both operands are converted to
+    int64 once; the native product runs when p * max|a| * max|b| < 2^62
+    bounds every partial sum, and exact Python-int (object dtype)
+    arithmetic runs otherwise, also when an entry does not fit in int64."""
+    shape_a, shape_b = (len(a), len(b)), (len(b), len(b[0]) if len(b) else 0)
+    try:
+        x = np.array(a, dtype=np.int64).reshape(shape_a)
+        y = np.array(b, dtype=np.int64).reshape(shape_b)
+    except OverflowError:
+        pass
+    else:
+        if _abs_max(x) * _abs_max(y) * len(b) < _INT64_SAFE:
+            return (x @ y).tolist()
+    x = np.array(a, dtype=object).reshape(shape_a)
+    y = np.array(b, dtype=object).reshape(shape_b)
+    return (x @ y).tolist()
+
+
+def _clear_denominators(mat: Matrix) -> tuple[list[list[int]], int]:
+    """Return (c * mat as integer matrix, c) with c the global lcm of
+    entry denominators."""
+    c = 1
+    for row in mat:
+        for x in row:
+            if isinstance(x, Fraction):
+                c = math.lcm(c, x.denominator)
+    out = [[int(_rational(x) * c) for x in row] for row in mat]
+    return out, c
+
+
+def _charpoly_mod(mat: np.ndarray, p: int) -> np.ndarray:
+    """Charpoly coefficients mod p, via Hessenberg reduction mod p with
+    vectorized row/column updates."""
+    n = mat.shape[0]
+    h = np.mod(mat, p).astype(np.int64)
+    for j in range(n - 2):
+        col = h[j + 1:, j]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        piv = j + 1 + int(nz[0])
+        if piv != j + 1:
+            h[[piv, j + 1], :] = h[[j + 1, piv], :]
+            h[:, [piv, j + 1]] = h[:, [j + 1, piv]]
+        inv = pow(int(h[j + 1, j]), p - 2, p)
+        t = (h[j + 2:, j] * inv) % p
+        h[j + 2:, j:] = (h[j + 2:, j:] - t[:, None] * h[j + 1, j:][None, :]) % p
+        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2:] @ t) % p
+    polys: list[np.ndarray] = [np.array([1], dtype=np.int64)]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        cur = np.zeros(m + 1, dtype=np.int64)
+        cur[1:m + 1] = prev
+        cur[:m] = (cur[:m] - int(h[m - 1, m - 1]) * prev) % p
+        prod = 1
+        for idx in range(m - 2, -1, -1):
+            prod = (prod * int(h[idx + 1, idx])) % p
+            if prod == 0:
+                break
+            coeff = (int(h[idx][m - 1]) * prod) % p
+            if coeff:
+                cur[:idx + 1] = (cur[:idx + 1] - coeff * polys[idx]) % p
+        polys.append(np.mod(cur, p))
+    return polys[n]
+
+
+def _charpoly_coeff_bound(m: Sequence[Sequence[int]] | np.ndarray) -> int:
+    """An integer above |c_(n-i)| for every coefficient of det(xI - m).
+
+    c_(n-i) is, up to sign, the sum of the C(n,i) principal i x i minors.
+    Hadamard bounds each by the product of its columns' norms, and those
+    by the norms r_j of the full columns, so |c_(n-i)| <= e_i(r_1..r_n).
+    Maclaurin's inequality and the power-mean inequality give
+    e_i(r) <= C(n,i) (sum r_j / n)^i <= C(n,i) (F/n)^(i/2) with
+    F = sum of the squared entries.  This holds for every square matrix,
+    symmetric or not; isqrt(C(n,i)^2 F^i // n^i) + 1 exceeds that bound.
+    """
+    n = len(m)
+    fro = int((np.asarray(m, dtype=object) ** 2).sum())
+    return max(math.isqrt(math.comb(n, i) ** 2 * fro ** i // n ** i) + 1
+               for i in range(n + 1))
+
+
+def charpoly(mat: Matrix | np.ndarray) -> Poly:
+    """Exact monic characteristic polynomial det(xI - mat), by CRT over
+    word-size primes on the denominator-cleared integer matrix (an int64
+    array is used as it is), enough of them that their product exceeds
+    twice _charpoly_coeff_bound.  Integer input yields integer
+    coefficients."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("charpoly requires a square matrix")
+    if isinstance(mat, np.ndarray) and mat.dtype == np.int64:
+        m, c = mat, 1
+    else:
+        ints, c = _clear_denominators(mat)
+        m = np.array(ints, dtype=object).reshape(n, n)
+    coeff_bound = _charpoly_coeff_bound(m)
+    # primes small enough that dot products of residues fit in int64
+    primes: list[int] = []
+    modulus = 1
+    for q in _primes_below(math.isqrt(_INT64_SAFE // max(n, 1))):
+        primes.append(q)
+        modulus *= q
+        if modulus > 2 * coeff_bound + 1:
+            break
+    p = Poly(_crt([_charpoly_mod(m, q).tolist() for q in primes], primes))
+    # det(xI - M/c) = c^-n * det(cx I - M)
+    return p if c == 1 else scale_arg(p, c) * Fraction(1, c ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +401,7 @@ def u_charpoly_via_mapping(adj_charpoly: Poly, k: int, edges: int, vertices: int
     if adj_charpoly.degree() != vertices:
         raise ValueError("adjacency charpoly degree does not match vertex count")
     # monic discriminant polynomial p(t) = p_A(k t) / k^n
-    p_t = adj_charpoly.scale_arg(k) * Fraction(1, k ** vertices)
+    p_t = scale_arg(adj_charpoly, k) * Fraction(1, k ** vertices)
     g = p_t.exact_div(Poly([-1, 1]))
     for _ in range(ker_dim_t_plus_i):
         g = g.exact_div(Poly([1, 1]))
@@ -285,7 +455,7 @@ def period_oracle(g: Graph, tau_max: int = 2 * math.lcm(*range(1, 25))) -> int |
     """
     k = _require_regular_connected(g)
     if 2 * g.edge_count > DIRECT_CHECK_MAX_ARCS:
-        raise ValueError("period oracle limited to 200 arcs")
+        raise ValueError(f"period oracle limited to {DIRECT_CHECK_MAX_ARCS} arcs")
     ku = build_walk_matrices(g).scaled_evolution()
     m = len(ku)
     pmax = math.isqrt(2 ** 62 // max(m, 1))  # residue dot products fit int64
@@ -409,3 +579,251 @@ def verify_biadjacency_identities(g: Graph) -> bool:
         identity = np.eye(len(nmat), dtype=object)
         return bool((nnt == theta_sq * identity + Fraction(2 * (k * k - theta_sq), n)).all())
     return bool((nnt @ nmat == theta_sq * nmat + Fraction(2 * k, n) * (k * k - theta_sq)).all())
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue gate
+
+
+def eigenvalue_gate(k: int, theta: QuadraticNumber) -> bool:
+    """Admissibility of a second-largest eigenvalue for a periodic
+    bipartite regular graph with four or five distinct eigenvalues.
+
+    Replays the algebraic-integer argument: 2*theta/k must be an
+    algebraic integer in the open interval (0, 2); a rational value is
+    then forced to 1 and an irrational one to sqrt(2) or sqrt(3); theta
+    itself must be an algebraic integer, which forces k even.
+    """
+    if k < 1:
+        raise ValueError("degree must be positive")
+    if not isinstance(theta, QuadraticNumber):
+        theta = QuadraticNumber(theta)
+    if theta.sign() <= 0:
+        raise ValueError("theta must be positive")
+    ratio = theta * 2 / k
+    if not (QuadraticNumber(0) < ratio < QuadraticNumber(2)):
+        return False
+    if not is_quadratic_algebraic_integer(ratio):
+        return False
+    if ratio.is_rational:
+        if ratio != QuadraticNumber(1):
+            return False
+    elif ratio.a != 0:
+        # eigenvalues with rational square are pure surds
+        return False
+    return is_quadratic_algebraic_integer(theta)
+
+
+# ---------------------------------------------------------------------------
+# Hoffman identity
+
+
+def hoffman_check(g: Graph) -> bool:
+    """Exact check of n q(A) = q(k) J with q = m_A / (x - k), the product
+    of (x - lambda) over the distinct non-principal eigenvalues.  Holds for
+    connected regular graphs; fails when the graph is disconnected.
+
+    q is monic with integer coefficients, so both sides are integer
+    matrices: the identity says q(k) is divisible by n and every entry of
+    q(A) is q(k)/n.  Every entry of a Horner step of q(A), and every
+    partial sum of its product with A, is at most sum |q_i| k^i in
+    absolute value; Horner runs in int64 below 2^62 and in Python ints
+    (object dtype) from there on."""
+    k = regularity(g)
+    if k is None or k == 0:
+        raise NotRegularError("graph is not regular (or has no edges)")
+    q = g.min_poly.exact_div(Poly([-k, 1])).coeffs
+    acc = np.zeros((g.n, g.n), dtype=exact_dtype(sum(abs(c) * k ** i for i, c in enumerate(q))))
+    np.fill_diagonal(acc, q[-1])
+    for c in reversed(q[:-1]):
+        acc = adjacency_times(g.neighbour_table, acc)
+        acc.flat[::g.n + 1] += c
+    entry, rem = divmod(sum(c * k ** i for i, c in enumerate(q)), g.n)
+    return rem == 0 and bool((acc == entry).all())
+
+
+# ---------------------------------------------------------------------------
+# selfcheck
+
+
+def _selfcheck_catalog() -> list[tuple[str, Graph]]:
+    c6 = cycle(6)
+    return [
+        ("K2", complete_graph(2)),
+        ("K2,2", complete_bipartite(2, 2)),
+        ("C6", c6),
+        ("C8", cycle(8)),
+        ("K3,3", complete_bipartite(3, 3)),
+        ("Q3", hypercube(3)),
+        ("petersen", petersen()),
+        ("L(Q3)", line_graph(hypercube(3))),
+        ("C6⊗J2", tensor_allones(c6, 2)),
+        ("C8⊗J2", tensor_allones(cycle(8), 2)),
+        ("H(4,2)", hamming(4, 2)),
+        ("L(Q3)⊗K2", bipartite_double(line_graph(hypercube(3)))),
+    ]
+
+
+def _check_cyclotomic_products() -> bool:
+    for n in (1, 2, 6, 12, 30, 60, 100):
+        prod = Poly.one()
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = prod * exact.cyclotomic(d)
+        if prod != Poly([-1] + [0] * (n - 1) + [1]):
+            return False
+    return True
+
+
+def _check_sieve_reconstruction() -> bool:
+    for name, g in _selfcheck_catalog():
+        if not regularity(g) or not is_connected(g):
+            continue
+        model = u_spectrum_model(g)
+        res = cyclotomic_sieve(model.u_charpoly)
+        rebuilt = Poly.one()
+        for d, mult in res.orders:
+            rebuilt = rebuilt * exact.cyclotomic(d) ** mult
+        if rebuilt * res.residual != model.u_charpoly:
+            return False
+        # the vertex-side decision must find the same cyclotomic orders
+        verdict = decide_periodic(g)
+        if isinstance(verdict, Periodic) != res.full:
+            return False
+        if res.full and verdict.cyclotomic_orders != res.orders:
+            return False
+    return True
+
+
+def _check_walk_matrices() -> bool:
+    for name, g in _selfcheck_catalog():
+        if not regularity(g) or not is_connected(g):
+            continue
+        wm = build_walk_matrices(g)
+        m = len(wm.shift)
+        s = [list(r) for r in wm.shift]
+        s2 = int_matmul(s, s)
+        if any(s2[i][j] != (1 if i == j else 0) for i in range(m) for j in range(m)):
+            return False
+    return True
+
+
+def _check_mapping_vs_direct() -> bool:
+    return all(u_charpoly_direct(g) == u_spectrum_model(g).u_charpoly
+               for name, g in _selfcheck_catalog()
+               if regularity(g) and is_connected(g)
+               and 2 * g.edge_count <= DIRECT_CHECK_MAX_ARCS)
+
+
+def _check_power_sums() -> bool:
+    for name, g in _selfcheck_catalog():
+        kk = regularity(g)
+        spec = g.spectrum
+        if not isinstance(spec, Spectrum):
+            return False
+        if kk is not None and spec.power_sum(2) != g.n * kk:
+            return False
+        if is_bipartite(g) and not spec.is_symmetric():
+            return False
+    return True
+
+
+def _check_min_poly() -> bool:
+    for name, g in _selfcheck_catalog():
+        if not g.min_poly.divides(g.charpoly):
+            return False
+        if any(any(row) for row in eval_poly_at_matrix(g.min_poly, g.adjacency)):
+            return False
+    return True
+
+
+def _check_moment_route() -> bool:
+    for name, g in _selfcheck_catalog():
+        moments, p = moment_route(g.neighbour_table), charpoly(g.adjacency)
+        m = radical(p)
+        if (moments.charpoly != p or moments.min_poly not in (None, m)
+                or min_poly_route(g.neighbour_table) != m):
+            return False
+    return True
+
+
+def _check_quadrangles() -> bool:
+    for name, g in _selfcheck_catalog():
+        if g.n > 64:
+            continue
+        q1, pv1 = count_quadrangles(g)
+        q2, pv2 = count_quadrangles_brute(g)
+        if q1 != q2 or pv1 != pv2 or sum(pv1) != 4 * q1:
+            return False
+    return True
+
+
+def _check_hoffman() -> bool:
+    return all(hoffman_check(g) for name, g in _selfcheck_catalog()
+               if regularity(g) and is_connected(g))
+
+
+def _check_biadjacency() -> bool:
+    return all(verify_biadjacency_identities(g) for g in (
+        cycle(6), tensor_allones(cycle(6), 2), hamming(4, 2),
+        bipartite_double(line_graph(hypercube(3)))))
+
+
+def _check_known_periods() -> bool:
+    for g, expected in ((cycle(6), 6), (tensor_allones(cycle(6), 2), 12),
+                        (cycle(8), 8), (tensor_allones(cycle(8), 2), 8)):
+        verdict = decide_periodic(g)
+        if not isinstance(verdict, Periodic) or verdict.period != expected:
+            return False
+        if period_oracle(g, 2 * expected) != expected:
+            return False
+    return True
+
+
+def _check_tables() -> bool:
+    render_tables(10, "csv")
+    expected_cols: dict = {}
+    for (cls, k, n) in REFERENCE_TABLE:
+        expected_cols.setdefault((cls, k), set()).add(n)
+    return all({r.n for r in enumerate_rows(cls, k)} == ns
+               for (cls, k), ns in expected_cols.items())
+
+
+def _check_four_eigenvalue() -> bool:
+    four = classify_four_eigenvalue(100)
+    return len(four) == 1 and four[0][0] == 2 and four[0][1] == 6
+
+
+_SELFCHECKS = (
+    ("cyclotomic product identity (x^n - 1)", _check_cyclotomic_products),
+    ("cyclotomic sieve reconstruction", _check_sieve_reconstruction),
+    ("shift involution and orthogonal evolution", _check_walk_matrices),
+    ("spectral mapping equals direct charpoly", _check_mapping_vs_direct),
+    ("power sums and bipartite symmetry", _check_power_sums),
+    ("minimal polynomial annihilates A and divides the charpoly", _check_min_poly),
+    ("moment route equals the CRT charpoly and p / gcd(p, p')", _check_moment_route),
+    ("quadrangle counts (walk bookkeeping = enumeration)", _check_quadrangles),
+    ("hoffman identity on connected regular graphs", _check_hoffman),
+    ("biadjacency block identities", _check_biadjacency),
+    ("known periods (decision = matrix-power oracle)", _check_known_periods),
+    ("feasibility tables match the reference rows", _check_tables),
+    ("four-eigenvalue classification is C6 only", _check_four_eigenvalue),
+)
+
+
+def run_selfcheck(verbose: bool = False) -> tuple[bool, str]:
+    lines: list[str] = []
+    all_ok = True
+    for name, fn in _SELFCHECKS:
+        note = ""
+        start = time.monotonic()
+        try:
+            ok = fn()
+        except Exception as exc:  # an invariant blowing up is a failure
+            ok = False
+            note = f" ({type(exc).__name__}: {exc})"
+        if verbose:  # timing stays behind the flag: default output is stable
+            note += f" [{time.monotonic() - start:.2f}s]"
+        all_ok &= ok
+        lines.append(f"{'ok  ' if ok else 'FAIL'} {name}{note}")
+    return all_ok, "\n".join(lines) + "\n"

@@ -1,8 +1,8 @@
 """Exact Grover-walk engine: the periodicity decision with exact period,
-read off the adjacency charpoly, the eigenvalue gate, and the
-walk-regularity, Hoffman and quadrangle checks of `analyze`.  The walk
-matrices, the U-side routes and the biadjacency block identities are
-reference implementations in `walklab.oracles`.
+read off the adjacency charpoly, and the walk-regularity and quadrangle
+checks of `analyze`.  The walk matrices, the U-side routes, the
+biadjacency block identities, the eigenvalue gate and the Hoffman
+identity check are reference implementations in `walklab.oracles`.
 
 Restricted to connected regular graphs: for irregular degrees the
 reflection 2d*d - I has irrational entries and the exact rational
@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .exact import (
     Poly,
@@ -123,35 +121,6 @@ def decide_periodic(g: Graph) -> PeriodicityVerdict:
                     cyclotomic_orders=orders)
 
 
-def eigenvalue_gate(k: int, theta: QuadraticNumber) -> bool:
-    """Admissibility of a second-largest eigenvalue for a periodic
-    bipartite regular graph with four or five distinct eigenvalues.
-
-    Replays the algebraic-integer argument: 2*theta/k must be an
-    algebraic integer in the open interval (0, 2); a rational value is
-    then forced to 1 and an irrational one to sqrt(2) or sqrt(3); theta
-    itself must be an algebraic integer, which forces k even.
-    """
-    if k < 1:
-        raise ValueError("degree must be positive")
-    if not isinstance(theta, QuadraticNumber):
-        theta = QuadraticNumber(theta)
-    if theta.sign() <= 0:
-        raise ValueError("theta must be positive")
-    ratio = theta * 2 / k
-    if not (QuadraticNumber(0) < ratio < QuadraticNumber(2)):
-        return False
-    if not is_quadratic_algebraic_integer(ratio):
-        return False
-    if ratio.is_rational:
-        if ratio != QuadraticNumber(1):
-            return False
-    elif ratio.a != 0:
-        # eigenvalues with rational square are pure surds
-        return False
-    return is_quadratic_algebraic_integer(theta)
-
-
 # ---------------------------------------------------------------------------
 # structural checks
 
@@ -182,30 +151,6 @@ def walk_regularity_check(g: Graph, r_max: int | None = None) -> bool:
         if (diag != diag[0]).any():
             return False
     return True
-
-
-def hoffman_check(g: Graph) -> bool:
-    """Exact check of n q(A) = q(k) J with q = m_A / (x - k), the product
-    of (x - lambda) over the distinct non-principal eigenvalues.  Holds for
-    connected regular graphs; fails when the graph is disconnected.
-
-    q is monic with integer coefficients, so both sides are integer
-    matrices: the identity says q(k) is divisible by n and every entry of
-    q(A) is q(k)/n.  Every entry of a Horner step of q(A), and every
-    partial sum of its product with A, is at most sum |q_i| k^i in
-    absolute value; Horner runs in int64 below 2^62 and in Python ints
-    (object dtype) from there on."""
-    k = regularity(g)
-    if k is None or k == 0:
-        raise NotRegularError("graph is not regular (or has no edges)")
-    q = g.min_poly.exact_div(Poly([-k, 1])).coeffs
-    acc = np.zeros((g.n, g.n), dtype=exact_dtype(sum(abs(c) * k ** i for i, c in enumerate(q))))
-    np.fill_diagonal(acc, q[-1])
-    for c in reversed(q[:-1]):
-        acc = adjacency_times(g.neighbour_table, acc)
-        acc.flat[::g.n + 1] += c
-    entry, rem = divmod(sum(c * k ** i for i, c in enumerate(q)), g.n)
-    return rem == 0 and bool((acc == entry).all())
 
 
 @dataclass(frozen=True)

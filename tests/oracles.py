@@ -9,12 +9,12 @@ from walklab.exact import (
     Poly,
     QuadraticNumber,
     Spectrum,
-    _clear_denominators,
     is_quadratic_algebraic_integer,
     min_poly_2cos,
 )
 from walklab.feasibility import REALIZATIONS, FeasibleRow, ThetaClass, multiplicities, n_bounds
 from walklab.graphs import Graph, is_connected, regularity
+from walklab.oracles import _clear_denominators, scale_arg
 from walklab.walk import NotPeriodic, Periodic
 
 
@@ -66,7 +66,7 @@ def decide_periodic_by_fractions(g):
     integrality read off its coefficients, and the psi_d sieve by one
     `divmod` per trial with min_poly_2cos_by_poly."""
     k, n = regularity(g), g.n
-    p2t = g.charpoly.scale_arg(Fraction(k, 2)) * Fraction(2 ** n, k ** n)
+    p2t = scale_arg(g.charpoly, Fraction(k, 2)) * Fraction(2 ** n, k ** n)
     if not p2t.is_integral():
         spec = g.spectrum
         if isinstance(spec, Spectrum):

@@ -10,9 +10,7 @@ from fractions import Fraction
 from walklab.exact import (
     QuadraticNumber,
     Spectrum,
-    charpoly,
     extract_spectrum,
-    int_matmul,
 )
 from walklab.feasibility import (
     REFERENCE_TABLE,
@@ -42,13 +40,15 @@ from walklab.walk import (
     NotPeriodic,
     Periodic,
     decide_periodic,
-    eigenvalue_gate,
-    hoffman_check,
     quadrangle_report,
     walk_regularity_check,
 )
 from walklab.oracles import (
     build_walk_matrices,
+    charpoly,
+    eigenvalue_gate,
+    hoffman_check,
+    int_matmul,
     period_oracle,
     u_charpoly_direct,
     u_spectrum_model,

@@ -8,6 +8,7 @@ import importlib
 import io
 import json
 import os
+import pkgutil
 import random
 import shlex
 import subprocess
@@ -17,11 +18,11 @@ from pathlib import Path
 import pytest
 
 import walklab
-from walklab import exact, feasibility, graphs, walk
+from walklab import cli, exact, feasibility, graphs, oracles, walk
 from walklab.cli import ExprError, _parse_k_range, build_parser, main, parse_args, parse_expr
 from walklab.exact import Poly
 from walklab.graphio import to_graph6
-from walklab.graphs import cycle, petersen, tensor_allones
+from walklab.graphs import Graph, cycle, petersen, tensor_allones
 
 from oracles import random_regular
 
@@ -216,8 +217,7 @@ def test_analyze_unresolved_spectrum_gets_hoffman_and_min_poly_depth(capsys):
 
 
 def test_analyze_computes_the_adjacency_charpoly_once(capsys, monkeypatch):
-    # either route may compute it: the moment route, or the CRT charpoly
-    # when the moment route returns no result
+    # counted on the moment route and on the CRT charpoly of walklab.oracles
     sizes = []
 
     def counting(real):
@@ -228,8 +228,8 @@ def test_analyze_computes_the_adjacency_charpoly_once(capsys, monkeypatch):
             return result
         return wrapper
 
-    for fn_name in ("charpoly", "moment_route"):
-        real = getattr(exact, fn_name)
+    for real in (oracles.charpoly, exact.moment_route):
+        fn_name = real.__name__
         for name, mod in list(sys.modules.items()):
             if name.startswith("walklab") and getattr(mod, fn_name, None) is real:
                 monkeypatch.setattr(mod, fn_name, counting(real))
@@ -241,17 +241,20 @@ def test_analyze_computes_the_adjacency_charpoly_once(capsys, monkeypatch):
 def test_period_and_analyze_run_neither_the_crt_charpoly_nor_euclid(capsys, monkeypatch, tmp_path):
     # Q8 and the (5, 42) bench shape pass the int64 line, and the (5, 42)
     # graph reaches t_n with no recurrence certified: both stay on the
-    # moment route, with the CRT charpoly and Poly.gcd refusing to run
-    for mod in (graphs, walk, feasibility):
-        assert not hasattr(mod, "charpoly")
+    # moment route, with the CRT charpoly, int_matmul, Euclid's gcd and the
+    # Hoffman identity check refusing to run
+    for mod in (graphs, walk, feasibility, exact, cli):
+        assert not hasattr(mod, "charpoly") and not hasattr(mod, "int_matmul")
+    assert not hasattr(Poly, "gcd")
 
     def refuse(*args):
         raise AssertionError("an oracle ran on the hot path")
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("walklab") and getattr(mod, "charpoly", None) is exact.charpoly:
-            monkeypatch.setattr(mod, "charpoly", refuse)
-    monkeypatch.setattr(Poly, "gcd", refuse)
+    for fn_name in ("charpoly", "int_matmul", "gcd", "hoffman_check"):
+        real = getattr(oracles, fn_name)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("walklab") and getattr(mod, fn_name, None) is real:
+                monkeypatch.setattr(mod, fn_name, refuse)
     path = tmp_path / "k5n42.g6"
     path.write_text(to_graph6(random_regular(42, 5, random.Random(7))) + "\n", encoding="ascii")
     for source in (["--expr", "hypercube(8)"], ["--file", str(path)]):
@@ -284,6 +287,20 @@ def test_analyze_irregular_graph(capsys):
     code, out, _ = _run(capsys, "analyze", "--expr", "kbip(1,3)")
     assert code == 0
     assert "regular: no" in out and "periodicity: n/a" in out
+
+
+def test_analyze_reports_no_hoffman_line_where_the_identity_fails(capsys, tmp_path):
+    # two triangles: regular but disconnected, so Hoffman's theorem does
+    # not apply and the oracle finds n q(A) != q(k) J
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert not oracles.hoffman_check(two_triangles)
+    path = tmp_path / "two_triangles.txt"
+    path.write_text("6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n", encoding="ascii")
+    code, out, _ = _run(capsys, "analyze", "--file", str(path))
+    assert code == 0 and "hoffman" not in out
+    assert "regular: k=2" in out and "periodicity: n/a" in out
+    code, out, _ = _run(capsys, "analyze", "--file", str(path), "--format", "json")
+    assert code == 0 and "hoffman" not in json.loads(out)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +456,20 @@ def test_import_walklab_leaves_the_oracles_out():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    # the reference routes are defined in walklab.oracles and bound by no
+    # other module of the package
+    moved = {"charpoly", "_charpoly_mod", "_charpoly_coeff_bound", "_clear_denominators",
+             "int_matmul", "_abs_max", "gcd", "_primitive", "derivative", "scale_arg",
+             "hoffman_check", "eigenvalue_gate", "run_selfcheck", "_selfcheck_catalog",
+             "_SELFCHECKS"} | {fn.__name__ for _, fn in oracles._SELFCHECKS}
+    assert all(hasattr(oracles, name) for name in moved)
+    for info in pkgutil.iter_modules(walklab.__path__, "walklab."):
+        if info.name != "walklab.oracles":
+            bound = moved & set(vars(importlib.import_module(info.name)))
+            assert not bound, (info.name, bound)
+    assert not moved & set(vars(walklab))
+    assert not {"gcd", "derivative", "scale_arg"} & set(dir(Poly))
+    assert not {"union", "negated"} & set(dir(exact.Spectrum))
 
 
 def test_selfcheck_detects_corrupted_cyclotomic(capsys, monkeypatch):

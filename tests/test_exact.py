@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from walklab import exact, graphs
+from walklab import exact, graphs, oracles
 from walklab.exact import (
     _BerlekampMassey,
     Poly,
@@ -28,7 +28,6 @@ from walklab.exact import (
     _newton,
     _primes_below,
     _vanishes_at,
-    charpoly,
     cyclotomic,
     extract_spectrum,
     is_quadratic_algebraic_integer,
@@ -51,9 +50,13 @@ from walklab.graphs import (
 from walklab.oracles import (
     _totient,
     build_walk_matrices,
+    charpoly,
     cyclotomic_sieve,
+    derivative,
     eval_poly_at_matrix,
+    gcd,
     mat_identity,
+    radical,
 )
 
 from oracles import (
@@ -121,7 +124,7 @@ def test_integral_values_are_python_ints_and_floats_are_refused():
     assert q.coeffs == (Fraction(1, 8), Fraction(-1, 4), Fraction(1, 2))
     assert r.coeffs == (Fraction(7, 8),)
     assert q * Poly([1, 2]) + r == num
-    assert (Poly([2, 4]) * Poly([1, 3])).gcd(Poly([3, 6])).coeffs == (Fraction(1, 2), 1)
+    assert gcd(Poly([2, 4]) * Poly([1, 3]), Poly([3, 6])).coeffs == (Fraction(1, 2), 1)
     half = QuadraticNumber(3) / 2
     assert type(half.a) is Fraction and half.a == Fraction(3, 2)
     assert type((half * 2).a) is int
@@ -166,8 +169,8 @@ def test_charpoly_three_routes_agree():
 def test_charpoly_of_a_cubic_graph_on_20_vertices_needs_one_prime(monkeypatch):
     # the bound C(n,i) (F/n)^(i/2) is about 10^8 here, below one word-size prime
     calls = []
-    real = exact._charpoly_mod
-    monkeypatch.setattr(exact, "_charpoly_mod", lambda mat, p: calls.append(p) or real(mat, p))
+    real = oracles._charpoly_mod
+    monkeypatch.setattr(oracles, "_charpoly_mod", lambda mat, p: calls.append(p) or real(mat, p))
     m = _adj(random_regular(20, 3, random.Random(1)))
     assert charpoly(m) == hessenberg_charpoly(m)
     assert len(calls) == 1
@@ -259,7 +262,7 @@ def test_moment_route_equals_hessenberg_and_bareiss_on_the_bench_shape_graph():
     assert moments.min_poly is None
     p = moments.charpoly
     assert p == charpoly(_adj(g)) == hessenberg_charpoly(_adj(g)) == charpoly_bareiss(_adj(g))
-    assert min_poly_route(g.neighbour_table) == p.exact_div(p.gcd(p.derivative())) == p
+    assert min_poly_route(g.neighbour_table) == radical(p) == p
 
 
 def test_moment_route_certifies_q8_past_the_int64_line():
@@ -349,7 +352,7 @@ def _record_prime_runs(monkeypatch):
 def test_moment_route_drops_bad_primes_near_100(monkeypatch, seed, n, k, bad):
     g = random_regular(n, k, random.Random(seed))
     p = charpoly(_adj(g))
-    m = p.exact_div(p.gcd(p.derivative()))
+    m = radical(p)
     runs = _record_prime_runs(monkeypatch)
     assert moment_route(g.neighbour_table) == exact.Moments(p, None)
     assert min_poly_route(g.neighbour_table) == m
@@ -360,7 +363,7 @@ def test_moment_route_lifts_traces_and_recurrences_over_primes_near_100(monkeypa
     runs = _record_prime_runs(monkeypatch)
     for g in (hypercube(6), cycle(8), random_regular(16, 3, random.Random(1)), petersen()):
         p = charpoly(_adj(g))
-        m = p.exact_div(p.gcd(p.derivative()))
+        m = radical(p)
         moments = moment_route(g.neighbour_table)
         assert moments.charpoly == p and moments.min_poly in (None, m)
         assert min_poly_route(g.neighbour_table) == m
@@ -378,7 +381,7 @@ def test_min_poly_route_matches_p_over_gcd_past_t_n(name, g):
     moments = moment_route(g.neighbour_table)
     assert moments.min_poly is None
     p = moments.charpoly
-    assert min_poly_route(g.neighbour_table) == p.exact_div(p.gcd(p.derivative())) == g.min_poly
+    assert min_poly_route(g.neighbour_table) == radical(p) == g.min_poly
 
 
 def test_power_sum_of_roots_matches_the_roots():
@@ -395,7 +398,7 @@ def test_moment_route_runs_on_residues_below_the_int64_line(monkeypatch):
     monkeypatch.setattr(exact, "_INT64_SAFE", 2 ** 31)
     for g in (petersen(), hypercube(5), cycle(8), random_regular(16, 3, random.Random(1))):
         p = charpoly(_adj(g))
-        m = p.exact_div(p.gcd(p.derivative()))
+        m = radical(p)
         moments = moment_route(g.neighbour_table)
         assert moments.charpoly == p and moments.min_poly in (None, m)
         assert min_poly_route(g.neighbour_table) == m
@@ -417,7 +420,7 @@ def test_moment_route_matches_the_crt_and_bareiss_on_the_graph_atlas():
         moments = moment_route(g.neighbour_table)
         p = charpoly(_adj(g))
         assert moments.charpoly == p == charpoly_bareiss(_adj(g)), h.name
-        m = p.exact_div(p.gcd(p.derivative()))
+        m = radical(p)
         if moments.min_poly is not None:
             assert moments.min_poly == m, h.name
             certified += 1
@@ -832,15 +835,15 @@ def test_rank_against_gauss_oracle():
 def test_poly_gcd_and_derivative():
     a = Poly([-1, 1]) ** 2 * Poly([2, 1])
     b = Poly([-1, 1]) * Poly([3, 1]) * 5
-    assert a.gcd(b) == Poly([-1, 1])
-    assert b.gcd(a) == Poly([-1, 1])
-    assert a.gcd(a.derivative()) == Poly([-1, 1])
-    assert (a * Fraction(1, 3)).gcd(b) == Poly([-1, 1])
-    assert Poly([1, 1]).gcd(Poly([2, 1])) == Poly.one()
-    assert a.gcd(Poly.zero()) == a
-    assert Poly.zero().gcd(Poly.zero()) == Poly.zero()
-    assert Poly([5, 0, 0, 2]).derivative() == Poly([0, 0, 6])
-    assert Poly([7]).derivative() == Poly.zero()
+    assert gcd(a, b) == Poly([-1, 1])
+    assert gcd(b, a) == Poly([-1, 1])
+    assert gcd(a, derivative(a)) == Poly([-1, 1])
+    assert gcd(a * Fraction(1, 3), b) == Poly([-1, 1])
+    assert gcd(Poly([1, 1]), Poly([2, 1])) == Poly.one()
+    assert gcd(a, Poly.zero()) == a
+    assert gcd(Poly.zero(), Poly.zero()) == Poly.zero()
+    assert derivative(Poly([5, 0, 0, 2])) == Poly([0, 0, 6])
+    assert derivative(Poly([7])) == Poly.zero()
 
 
 def test_hoffman_polynomial_evaluation():

@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import random
 import shlex
 import sys
 from pathlib import Path
 
-from walklab.cli import main
+from walklab.cli import _load_graph, build_parser, main
 from walklab.graphio import to_graph6
+from walklab.graphs import is_connected, regularity
+from walklab.oracles import hoffman_check
 
 from oracles import random_regular
 
@@ -96,6 +99,28 @@ def test_cli_output_matches_the_golden_transcript(tmp_path):
     for i, (want, line) in enumerate(zip(expected, got), start=1):
         assert line == want, f"{GOLDEN.name} line {i}"
     assert len(got) == len(expected)
+
+
+def test_analyze_reports_hoffman_as_the_oracle_finds_on_the_golden_graphs(tmp_path):
+    # analyze reports the identity by Hoffman's theorem; the oracle
+    # evaluates n q(A) = q(k) J on every connected regular graph of the
+    # transcript
+    sources = set()
+    for argv in command_set(write_random_graphs(tmp_path)):
+        if argv[0] in ("analyze", "period") and argv not in INPUT_ERRORS:
+            sources.add(tuple(a.replace("{tmp}", str(tmp_path)) for a in argv[1:3]))
+    checked = 0
+    for source in sorted(sources):
+        g = _load_graph(build_parser().parse_args(["analyze", *source]))
+        if not regularity(g) or not is_connected(g):
+            continue
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["analyze", *source, "--format", "json"]) == 0
+        assert json.loads(out.getvalue())["hoffman"] is hoffman_check(g) is True, source
+        checked += 1
+    # 18 families, C3 .. C12 less C8 (a family) and the 10 random graphs
+    assert checked == len(sources) == 37
 
 
 if __name__ == "__main__":

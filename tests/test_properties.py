@@ -4,17 +4,24 @@ both file formats round-trip.  On seeded random regular graphs with up
 to 20 vertices and their complements, some of them past the int64
 bound, the moment route's charpoly equals the CRT and Bareiss
 charpolys, and its m_A, certified by t_n or by t_(2n+1), equals
-p / gcd(p, p').  On random integer matrices with up to 30 rows, the CRT
-charpoly equals the rational Hessenberg oracle and the Bareiss
-interpolation route, and its coefficients lie within the CRT bound.
+p / gcd(p, p'); on those of degree at most 5, `analyze` reports the
+Hoffman identity that the oracle finds.  On random integer matrices
+with up to 30 rows, the CRT charpoly equals the rational Hessenberg
+oracle and the Bareiss interpolation route, and its coefficients lie
+within the CRT bound.
 Division by a monic integer divisor is division over Q in Python ints, and
 deflation by it is repeated division.  The
 integer matrix product, and the product of a 0/1 matrix by row gathers,
 agree with the triple loop on both sides of the int64 bound, and the
 O(s) symmetry test of a spectrum agrees with the multiset definition."""
 
+import contextlib
+import io
+import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,14 +30,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from walklab.cli import main
 from walklab.exact import (
     Poly,
     QuadraticNumber,
     Spectrum,
-    _charpoly_coeff_bound,
     adjacency_times,
-    charpoly,
-    int_matmul,
     min_poly_route,
     moment_route,
     neighbour_table,
@@ -38,6 +43,7 @@ from walklab.exact import (
 )
 from walklab.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
 from walklab.graphs import Graph
+from walklab.oracles import _charpoly_coeff_bound, charpoly, hoffman_check, int_matmul, radical
 from walklab.walk import decide_periodic
 
 from oracles import charpoly_bareiss, hessenberg_charpoly, matmul_reference, random_regular
@@ -83,13 +89,20 @@ def _complement(g):
 
 
 @st.composite
-def regular_graphs_and_complements(draw):
-    """Seeded random 3-, 4- and 5-regular graphs on up to 20 vertices, or
-    their complements, whose larger degree takes traces past 2^62."""
+def low_degree_regular_graphs(draw):
+    """Seeded random 3-, 4- and 5-regular graphs on up to 20 vertices
+    (connected, as random_regular draws them)."""
     k = draw(st.sampled_from([3, 4, 5]))
     n = draw(st.integers(min_value=k + 1, max_value=20).filter(lambda n: n * k % 2 == 0))
-    g = random_regular(n, k, random.Random(draw(st.integers(0, 2 ** 32 - 1))))
-    return _complement(g) if draw(st.booleans()) and n > k + 1 else g
+    return random_regular(n, k, random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+
+
+@st.composite
+def regular_graphs_and_complements(draw):
+    """low_degree_regular_graphs, or their complements, whose larger
+    degree takes traces past 2^62."""
+    g = draw(low_degree_regular_graphs())
+    return _complement(g) if draw(st.booleans()) and g.n > g.degree(0) + 1 else g
 
 
 @seed(20261024)
@@ -103,10 +116,23 @@ def test_moment_route_matches_the_crt_and_bareiss(g):
     assert p == charpoly_bareiss(adj)
     moments = moment_route(g.neighbour_table)
     assert moments.charpoly == p
-    m = p.exact_div(p.gcd(p.derivative()))
+    m = radical(p)
     if moments.min_poly is not None:
         assert moments.min_poly == m
     assert min_poly_route(g.neighbour_table) == m
+
+
+@seed(20261027)
+@PROPERTY_SETTINGS
+@given(low_degree_regular_graphs())
+def test_analyze_reports_the_hoffman_identity_that_the_oracle_finds(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.g6"
+        path.write_text(to_graph6(g) + "\n", encoding="ascii")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["analyze", "--file", str(path), "--format", "json"]) == 0
+    assert json.loads(out.getvalue())["hoffman"] is hoffman_check(g) is True
 
 
 @st.composite
