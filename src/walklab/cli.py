@@ -26,8 +26,9 @@ import argparse
 import json
 import string
 import sys
+from fractions import Fraction
 
-from .exact import Spectrum, power_sum_of_roots
+from .exact import Spectrum
 from .feasibility import (
     ThetaClass,
     enumerate_rows,
@@ -60,7 +61,6 @@ from .walk import (
     NotRegularError,
     Periodic,
     decide_periodic,
-    quadrangle_report,
     walk_regularity_check,
     walk_regularity_depth,
 )
@@ -230,9 +230,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         report["hoffman"] = True  # Hoffman's theorem: connected, regular, m_A certified
         report["periodicity"] = decide_periodic(g).render()
         if resolved:
-            rep = quadrangle_report(power_sum_of_roots(g.charpoly, 4), g.n, k)
-            report["q_spectral"] = str(rep.q_spectral)
-            report["q_x_spectral"] = str(rep.qx_spectral)
+            # tr A^4 = 8q + n(2k^2 - k) for k-regular g, and the charpoly came from tr A^r
+            report["q_spectral"] = str(q)
+            report["q_x_spectral"] = str(Fraction(4 * q, g.n))
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))
         return EXIT_OK

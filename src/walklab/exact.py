@@ -1,10 +1,12 @@
 """Exact algebra kernels: dense rational polynomials, quadratic surds,
 the characteristic and minimal polynomials of a graph from its
 closed-walk counts on residues modulo word-size primes (the moment
-route), cyclotomic machinery, and spectra.  The reference routes that
-`selfcheck` and the tests hold these against (the CRT charpoly of any
-rational matrix, `int_matmul` and Euclid's gcd over Q) live in
-`walklab.oracles`.
+route), cyclotomic machinery, and spectra.  The moment route sums the
+counts over the vertices in its own stream, reduced modulo a prime past
+2^62; the exact per-vertex counts are `graphs.closed_walks`.  The
+reference routes that `selfcheck` and the tests hold these against (the
+CRT charpoly of any rational matrix, `int_matmul` and Euclid's gcd over
+Q) live in `walklab.oracles`.
 
 Everything in this module is exact.  No floating point enters any
 computation; integrality, divisibility and sign decisions are made over
@@ -1018,16 +1020,6 @@ def _newton(traces: Sequence[int]) -> Poly:
             raise AssertionError(f"Newton's identities left remainder {rem} at r = {r}")
         a.append(quot)
     return Poly(a[::-1])
-
-
-def power_sum_of_roots(p: Poly, r: int) -> int:
-    """The r-th power sum of the roots of the monic integer p by Newton's
-    identities p_k = -k a_k - sum_{i<k} a_i p_(k-i), a_i of x^(deg p - i)."""
-    a = list(reversed(p.coeffs)) + [0] * r
-    sums = [0]
-    for k in range(1, r + 1):
-        sums.append(-k * a[k] - sum(a[i] * sums[k - i] for i in range(1, k)))
-    return sums[r]
 
 
 def moment_route(table: np.ndarray) -> Moments:

@@ -18,17 +18,19 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .exact import QuadraticNumber, Spectrum, adjacency_times, exact_dtype
+from .exact import QuadraticNumber, Spectrum
 from .graphs import (
     Graph,
     bipartite_double,
     cartesian_product,
+    closed_walks,
     complete_bipartite,
     cycle,
     hamming,
@@ -81,7 +83,6 @@ class FeasibleRow:
     b: int
     q: Fraction
     q_x: Fraction
-    known_realization: str | None = None
 
     @property
     def feasible(self) -> bool:
@@ -179,9 +180,7 @@ def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
             continue
         a, b = mult
         quads = quadrangle_report(2 * k ** 4 + 2 * a * theta_sq ** 2, n, k)
-        label = REALIZATIONS.get((theta_class, k, n), (None, None))[0]
-        rows.append(FeasibleRow(theta_class, k, n, a, b, quads.q_spectral,
-                                quads.qx_spectral, label))
+        rows.append(FeasibleRow(theta_class, k, n, a, b, quads.q_spectral, quads.qx_spectral))
     return rows
 
 
@@ -214,46 +213,24 @@ def classify_four_eigenvalue(k_max: int) -> list[tuple[int, int, Spectrum]]:
 # known realizations and reference annotations
 
 
-def _c6_blowup(m: int) -> Callable[[], Graph]:
-    return lambda: tensor_allones(cycle(6), m)
-
-
-def _c8_blowup(m: int) -> Callable[[], Graph]:
-    return lambda: tensor_allones(cycle(8), m)
+def _blowup(build: Callable[[], Graph], m: int) -> Callable[[], Graph]:
+    return lambda: tensor_allones(build(), m)
 
 
 def _lq3_double() -> Graph:
     return bipartite_double(line_graph(hypercube(3)))
 
 
-REALIZATIONS: dict[tuple[ThetaClass, int, int], tuple[str, Callable[[], Graph]]] = {
-    (ThetaClass.HALF, 4, 12): ("C6⊗J2", _c6_blowup(2)),
-    (ThetaClass.HALF, 4, 16): ("H(4,2)", lambda: hamming(4, 2)),
-    (ThetaClass.HALF, 4, 24): ("L(Q3)⊗K2", _lq3_double),
-    (ThetaClass.HALF, 6, 18): ("C6⊗J3", _c6_blowup(3)),
-    (ThetaClass.HALF, 6, 54): ("H(3,3)⊗K2", lambda: bipartite_double(hamming(3, 3))),
-    (ThetaClass.HALF, 8, 24): ("C6⊗J4", _c6_blowup(4)),
-    (ThetaClass.HALF, 8, 32): ("H(4,2)⊗J2", lambda: tensor_allones(hamming(4, 2), 2)),
-    (ThetaClass.HALF, 8, 48): ("L(Q3)⊗K2⊗J2", lambda: tensor_allones(_lq3_double(), 2)),
-    (ThetaClass.HALF, 8, 64): ("K4,4□K4,4", lambda: cartesian_product(
-        complete_bipartite(4, 4), complete_bipartite(4, 4))),
-    (ThetaClass.HALF, 10, 30): ("C6⊗J5", _c6_blowup(5)),
-    (ThetaClass.SQRT2, 2, 8): ("C8", lambda: cycle(8)),
-    (ThetaClass.SQRT2, 4, 16): ("C8⊗J2", _c8_blowup(2)),
-    (ThetaClass.SQRT2, 6, 24): ("C8⊗J3", _c8_blowup(3)),
-    (ThetaClass.SQRT2, 8, 32): ("C8⊗J4", _c8_blowup(4)),
-    (ThetaClass.SQRT2, 10, 40): ("C8⊗J5", _c8_blowup(5)),
-}
-
-
 @dataclass(frozen=True)
 class ReferenceRow:
     """Static annotation carried over from the reference tables: the
-    existence column verbatim and the stated elimination category."""
+    existence column verbatim, the stated elimination category, and for
+    a known realization its registry graph."""
 
     existence: str
     elimination: str | None = None
     note: str = ""
+    build: Callable[[], Graph] | None = None
 
 
 _QX = "qx_nonintegral"
@@ -262,26 +239,29 @@ _QNEG = "q_negative"
 
 REFERENCE_TABLE: dict[tuple[ThetaClass, int, int], ReferenceRow] = {
     # theta = k/2
-    (ThetaClass.HALF, 4, 12): ReferenceRow("C6⊗J2"),
-    (ThetaClass.HALF, 4, 16): ReferenceRow("H(4,2)"),
-    (ThetaClass.HALF, 4, 24): ReferenceRow("L(Q3)⊗K2"),
+    (ThetaClass.HALF, 4, 12): ReferenceRow("C6⊗J2", build=_blowup(lambda: cycle(6), 2)),
+    (ThetaClass.HALF, 4, 16): ReferenceRow("H(4,2)", build=lambda: hamming(4, 2)),
+    (ThetaClass.HALF, 4, 24): ReferenceRow("L(Q3)⊗K2", build=_lq3_double),
     (ThetaClass.HALF, 4, 32): ReferenceRow("IG(AG(2,4)\\pc)", None, "q=0"),
     (ThetaClass.HALF, 4, 48): ReferenceRow("-", None, "[S]"),
     (ThetaClass.HALF, 4, 64): ReferenceRow("-", None, "[S]"),
     (ThetaClass.HALF, 4, 96): ReferenceRow("-", None, "[S]"),
-    (ThetaClass.HALF, 6, 18): ReferenceRow("C6⊗J3"),
+    (ThetaClass.HALF, 6, 18): ReferenceRow("C6⊗J3", build=_blowup(lambda: cycle(6), 3)),
     (ThetaClass.HALF, 6, 24): ReferenceRow("-", _QX),
     (ThetaClass.HALF, 6, 36): ReferenceRow("?"),
-    (ThetaClass.HALF, 6, 54): ReferenceRow("H(3,3)⊗K2"),
+    (ThetaClass.HALF, 6, 54): ReferenceRow(
+        "H(3,3)⊗K2", build=lambda: bipartite_double(hamming(3, 3))),
     (ThetaClass.HALF, 6, 72): ReferenceRow("-", _QX),
     (ThetaClass.HALF, 6, 108): ReferenceRow("?"),
     (ThetaClass.HALF, 6, 162): ReferenceRow("IG(pg(5,5,2))", None, "q=0"),
     (ThetaClass.HALF, 6, 216): ReferenceRow("-", _QNEG),
     (ThetaClass.HALF, 6, 324): ReferenceRow("-", _QNEG),
-    (ThetaClass.HALF, 8, 24): ReferenceRow("C6⊗J4"),
-    (ThetaClass.HALF, 8, 32): ReferenceRow("H(4,2)⊗J2"),
-    (ThetaClass.HALF, 8, 48): ReferenceRow("L(Q3)⊗K2⊗J2"),
-    (ThetaClass.HALF, 8, 64): ReferenceRow("K4,4□K4,4"),
+    (ThetaClass.HALF, 8, 24): ReferenceRow("C6⊗J4", build=_blowup(lambda: cycle(6), 4)),
+    (ThetaClass.HALF, 8, 32): ReferenceRow(
+        "H(4,2)⊗J2", build=_blowup(lambda: hamming(4, 2), 2)),
+    (ThetaClass.HALF, 8, 48): ReferenceRow("L(Q3)⊗K2⊗J2", build=_blowup(_lq3_double, 2)),
+    (ThetaClass.HALF, 8, 64): ReferenceRow("K4,4□K4,4", build=lambda: cartesian_product(
+        complete_bipartite(4, 4), complete_bipartite(4, 4))),
     (ThetaClass.HALF, 8, 96): ReferenceRow("?"),
     (ThetaClass.HALF, 8, 128): ReferenceRow("?"),
     (ThetaClass.HALF, 8, 192): ReferenceRow("?"),
@@ -289,7 +269,7 @@ REFERENCE_TABLE: dict[tuple[ThetaClass, int, int], ReferenceRow] = {
     (ThetaClass.HALF, 8, 384): ReferenceRow("?"),
     (ThetaClass.HALF, 8, 512): ReferenceRow("?"),
     (ThetaClass.HALF, 8, 768): ReferenceRow("?"),
-    (ThetaClass.HALF, 10, 30): ReferenceRow("C6⊗J5"),
+    (ThetaClass.HALF, 10, 30): ReferenceRow("C6⊗J5", build=_blowup(lambda: cycle(6), 5)),
     (ThetaClass.HALF, 10, 40): ReferenceRow("-", _QX),
     (ThetaClass.HALF, 10, 50): ReferenceRow("?"),
     (ThetaClass.HALF, 10, 60): ReferenceRow("?"),
@@ -306,12 +286,12 @@ REFERENCE_TABLE: dict[tuple[ThetaClass, int, int], ReferenceRow] = {
     (ThetaClass.HALF, 10, 1250): ReferenceRow("?"),
     (ThetaClass.HALF, 10, 1500): ReferenceRow("?"),
     # theta = (sqrt2/2) k
-    (ThetaClass.SQRT2, 2, 8): ReferenceRow("C8"),
-    (ThetaClass.SQRT2, 4, 16): ReferenceRow("C8⊗J2"),
+    (ThetaClass.SQRT2, 2, 8): ReferenceRow("C8", build=lambda: cycle(8)),
+    (ThetaClass.SQRT2, 4, 16): ReferenceRow("C8⊗J2", build=_blowup(lambda: cycle(8), 2)),
     (ThetaClass.SQRT2, 4, 32): ReferenceRow("TD1(2,4)⊗J2,1", None, "[vDS]"),
     (ThetaClass.SQRT2, 4, 64): ReferenceRow("?"),
     (ThetaClass.SQRT2, 6, 18): ReferenceRow("-", _QN),
-    (ThetaClass.SQRT2, 6, 24): ReferenceRow("C8⊗J3"),
+    (ThetaClass.SQRT2, 6, 24): ReferenceRow("C8⊗J3", build=_blowup(lambda: cycle(8), 3)),
     (ThetaClass.SQRT2, 6, 36): ReferenceRow("?"),
     (ThetaClass.SQRT2, 6, 48): ReferenceRow("-", _QX),
     (ThetaClass.SQRT2, 6, 54): ReferenceRow("-", _QN),
@@ -320,12 +300,12 @@ REFERENCE_TABLE: dict[tuple[ThetaClass, int, int], ReferenceRow] = {
     (ThetaClass.SQRT2, 6, 144): ReferenceRow("-", _QX),
     (ThetaClass.SQRT2, 6, 162): ReferenceRow("-", _QN),
     (ThetaClass.SQRT2, 6, 216): ReferenceRow("?"),
-    (ThetaClass.SQRT2, 8, 32): ReferenceRow("C8⊗J4"),
+    (ThetaClass.SQRT2, 8, 32): ReferenceRow("C8⊗J4", build=_blowup(lambda: cycle(8), 4)),
     (ThetaClass.SQRT2, 8, 64): ReferenceRow("TD1(2,4)⊗J2,1⊗J2", None, "[vDS]"),
     (ThetaClass.SQRT2, 8, 128): ReferenceRow("?"),
     (ThetaClass.SQRT2, 8, 256): ReferenceRow("?"),
     (ThetaClass.SQRT2, 8, 512): ReferenceRow("?"),
-    (ThetaClass.SQRT2, 10, 40): ReferenceRow("C8⊗J5"),
+    (ThetaClass.SQRT2, 10, 40): ReferenceRow("C8⊗J5", build=_blowup(lambda: cycle(8), 5)),
     (ThetaClass.SQRT2, 10, 50): ReferenceRow("-", _QN),
     (ThetaClass.SQRT2, 10, 80): ReferenceRow("-", _QX),
     (ThetaClass.SQRT2, 10, 100): ReferenceRow("?"),
@@ -342,6 +322,10 @@ REFERENCE_TABLE: dict[tuple[ThetaClass, int, int], ReferenceRow] = {
     (ThetaClass.SQRT3, 10, 200): ReferenceRow("-", _QN),
     (ThetaClass.SQRT3, 10, 500): ReferenceRow("?"),
 }
+
+# the known realizations, (existence, build) by row
+REALIZATIONS = {key: (ref.existence, ref.build) for key, ref in REFERENCE_TABLE.items()
+                if ref.build}
 
 _ELIM_TEXT = {
     _QX: "q_x not integral",
@@ -371,54 +355,46 @@ def row_comment(row: FeasibleRow) -> str:
 
 
 def row_existence(row: FeasibleRow) -> str:
-    if row.known_realization is not None:
-        return row.known_realization
     ref = REFERENCE_TABLE.get((row.theta_class, row.k, row.n))
-    if ref is not None:
-        return ref.existence
-    return "?"
+    return "?" if ref is None else ref.existence
 
 
 def realizes(g: Graph, row: FeasibleRow) -> bool:
     """Whether g has the row's spectrum {[±k]^1, [±θ]^a, [0]^b}, decided
-    from closed-walk counts, with t = θ² (an integer for even k).
+    from the closed-walk counts t_r = tr A^r, with t = θ² (an integer for
+    even k).
 
     The adjacency matrix A of g has that spectrum exactly when
       1. g has row.n vertices,
-      2. tr A² = 2k² + 2at, tr A³ = 0 and tr A⁴ = 2k⁴ + 2at²
-         (tr A = 0 holds, as g has no loops), and
-      3. A⁵ - (k² + t)A³ + k²tA = 0.
+      2. t_2 = 2k² + 2at, t_3 = 0 and t_4 = 2k⁴ + 2at²
+         (t_1 = 0 holds, as g has no loops), and
+      3. M = A⁵ - uA³ + vA = 0, with u = k² + t and v = k²t.
     A is symmetric, hence diagonalizable, so 3 puts every eigenvalue in
     {0, ±θ, ±k}; the Vandermonde matrix of those five distinct values is
-    invertible, so the power sums 0 to 4 fix their multiplicities.
-    tr A⁴ is the sum of the squared entries of the symmetric A².
-
-    The powers are row gathers.  An entry of A^r is at most delta^r, delta
-    the largest degree, so no entry or partial sum below passes
-    n delta^5 + (k² + t) delta^3 + k² t.
+    invertible, so the power sums 0 to 4 fix their multiplicities.  M is
+    symmetric too, so M = 0 exactly when tr M² = t_10 - 2u t_8 +
+    (u² + 2v) t_6 - 2uv t_4 + v² t_2, the sum of its squared entries, is 0.
+    The t_r are the sums of `graphs.closed_walks`, as Python ints.
     """
     if g.n != row.n:
         return False
     k2, t = row.k * row.k, row.theta_class.theta_sq(row.k)
-    table = g.neighbour_table
-    delta = table.shape[1]
-    a = g.adjacency.astype(exact_dtype(g.n * delta ** 5 + (k2 + t) * delta ** 3 + k2 * t))
-    a2 = adjacency_times(table, a)
-    a3 = adjacency_times(table, a2)
-    traces = (int(a2.trace()), int(a3.trace()), int((a2 * a2).sum()))
-    if traces != (2 * k2 + 2 * row.a * t, 0, 2 * k2 * k2 + 2 * row.a * t * t):
+    walks = closed_walks(g)
+    traces = [int(w.sum()) for w in itertools.islice(walks, 3)]
+    if traces != [2 * k2 + 2 * row.a * t, 0, 2 * k2 * k2 + 2 * row.a * t * t]:
         return False
-    a5 = adjacency_times(table, adjacency_times(table, a3))
-    return not (a5 - (k2 + t) * a3 + k2 * t * a).any()
+    t2, _, t4, _, t6, _, t8, _, t10 = traces + [int(w.sum()) for w in itertools.islice(walks, 6)]
+    u, v = k2 + t, k2 * t
+    return t10 - 2 * u * t8 + (u * u + 2 * v) * t6 - 2 * u * v * t4 + v * v * t2 == 0
 
 
 def verify_realization(row: FeasibleRow) -> bool:
     """Construct the registry graph for the row, if it has one, and
     certify its spectrum by `realizes`."""
-    entry = REALIZATIONS.get((row.theta_class, row.k, row.n))
-    if entry is None:
+    ref = REFERENCE_TABLE.get((row.theta_class, row.k, row.n))
+    if ref is None or ref.build is None:
         return True
-    return realizes(entry[1](), row)
+    return realizes(ref.build(), row)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Simple undirected graphs with a canonical vertex ordering,
 constructors for the graph families used in the enumeration, structural
-predicates, and exact quadrangle counting.  A graph is one read-only
-int64 adjacency array; each product with it is a row gather on the
-graph's cached neighbour table."""
+predicates, the closed-walk counts at every vertex, and exact quadrangle
+counting.  A graph is one read-only int64 adjacency array; each product
+with it is a row gather on the graph's cached neighbour table, and
+`closed_walks` is the one loop of such products that walk-regularity,
+the quadrangle counts and the feasibility certificates read."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -329,7 +331,34 @@ def regularity(g: Graph) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# quadrangles
+# closed walks and quadrangles
+
+
+def closed_walks(g: Graph) -> Iterator[np.ndarray]:
+    """W_2, W_3, ...: the closed-walk counts W_r(x) = (A^r)_xx at every
+    vertex x, one array per r, with no end.
+
+    A is symmetric, so W_2i(x) is the squared norm of row x of A^i and
+    W_2i+1(x) the product of the rows x of A^i and A^(i+1): each row
+    gather gives two counts, and W_2i is yielded before the gather that
+    forms A^(i+1), so reading W_2 .. W_r takes floor((r - 1)/2) gathers.
+    W_2 is the degree, as A is 0/1, in int64.  For r >= 3 the entries
+    of A^i, the partial sums that form them, W_r(x) and its sum over the
+    vertices are all at most n delta^r, delta the largest degree: the
+    arrays for W_r are int64 while that bound is below 2^62 and Python
+    ints (object dtype) from there on.
+    """
+    table = g.neighbour_table
+    n, delta = table.shape
+    low, r = g.adjacency, 3  # low = A^((r - 1)/2)
+    yield low.sum(axis=1)
+    while True:
+        low = low.astype(exact_dtype(n * delta ** r), copy=False)
+        high = adjacency_times(table, low)
+        yield (low * high).sum(axis=1)
+        low = high.astype(exact_dtype(n * delta ** (r + 1)), copy=False)
+        yield (low * low).sum(axis=1)
+        r += 2
 
 
 def count_quadrangles(g: Graph) -> tuple[int, list[int]]:
@@ -339,17 +368,12 @@ def count_quadrangles(g: Graph) -> tuple[int, list[int]]:
     Closed 4-walks at x split into: back-and-forth on one edge (deg x),
     two spokes (deg x * (deg x - 1)), a length-2 path walked out and back
     (sum over neighbours y of deg y - 1), and two traversals of each
-    quadrangle through x.  Subtracting the degenerate cases from
-    (A^4)_{x,x} leaves 2 q_x.
-
-    (A^4)_{x,x} is the squared norm of row x of A^2, one row gather; its
-    partial sums are at most delta^4, delta the largest degree.
+    quadrangle through x.  Subtracting the degenerate cases from W_4(x)
+    leaves 2 q_x; deg x is W_2(x).
     """
-    table = g.neighbour_table
-    a2 = adjacency_times(table, g.adjacency.astype(exact_dtype(table.shape[1] ** 4)))
-    degs = a2.diagonal()
-    path2 = adjacency_times(table, (degs - 1)[:, None])[:, 0]
-    walks = (a2 * a2).sum(axis=1) - degs * degs - path2
+    degs, _, w4 = itertools.islice(closed_walks(g), 3)
+    path2 = adjacency_times(g.neighbour_table, (degs - 1)[:, None])[:, 0]
+    walks = w4 - degs * degs - path2
     if (walks < 0).any() or (walks % 2).any():
         raise AssertionError("closed-walk bookkeeping went negative or odd")
     per_vertex = (walks // 2).tolist()

@@ -1,8 +1,11 @@
 """Exact Grover-walk engine: the periodicity decision with exact period,
-read off the adjacency charpoly, and the walk-regularity and quadrangle
-checks of `analyze`.  The walk matrices, the U-side routes, the
-biadjacency block identities, the eigenvalue gate and the Hoffman
-identity check are reference implementations in `walklab.oracles`.
+read off the adjacency charpoly; the walk-regularity check of `analyze`,
+on the per-vertex closed-walk counts of `graphs.closed_walks` (apart
+from the traces of the moment route); and the quadrangle counts of a
+fourth power sum, which the feasibility rows read.  The walk matrices,
+the U-side routes, the biadjacency block identities, the eigenvalue
+gate and the Hoffman identity check are reference implementations in
+`walklab.oracles`.
 
 Restricted to connected regular graphs: for irregular degrees the
 reflection 2d*d - I has irrational entries and the exact rational
@@ -20,12 +23,10 @@ from .exact import (
     Poly,
     QuadraticNumber,
     Spectrum,
-    adjacency_times,
-    exact_dtype,
     is_quadratic_algebraic_integer,
     min_poly_2cos,
 )
-from .graphs import Graph, is_connected, regularity
+from .graphs import Graph, closed_walks, is_connected, regularity
 
 
 class NotRegularError(ValueError):
@@ -101,9 +102,9 @@ def decide_periodic(g: Graph) -> PeriodicityVerdict:
     if any(rem for _, rem in scaled):
         spec = g.spectrum
         if isinstance(spec, Spectrum):
-            for t_eig in spec.scaled(Fraction(1, k)).values():
-                if not is_quadratic_algebraic_integer(t_eig * 2):
-                    return NotPeriodic(witness=t_eig, residual=None)
+            for lam in spec.values():
+                if not is_quadratic_algebraic_integer(lam * Fraction(2, k)):
+                    return NotPeriodic(witness=lam / k, residual=None)
         return NotPeriodic(witness=None, residual=Poly(Fraction(num, den) for num, den in terms))
     mult: dict[int, int] = {}
     residual, d = Poly(q for q, _ in scaled), 1
@@ -134,23 +135,14 @@ def walk_regularity_depth(g: Graph) -> int:
 
 def walk_regularity_check(g: Graph, r_max: int | None = None) -> bool:
     """True iff diag(A^r) is constant for all 2 <= r <= r_max (default
-    walk_regularity_depth, which decides it for every r).  The entries
-    of A^r and the partial sums that form them lie in [0, delta^r], delta
-    the largest degree; the powers are int64 while delta^r < 2^62 and
-    Python ints (object dtype) from there on."""
+    walk_regularity_depth, which decides it for every r), read off the
+    closed-walk counts of `graphs.closed_walks` and stopped at the first
+    r where they differ."""
     if r_max is None:
         r_max = walk_regularity_depth(g)
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    table = g.neighbour_table
-    delta = table.shape[1]
-    power = g.adjacency
-    for r in range(2, r_max + 1):
-        power = adjacency_times(table, power.astype(exact_dtype(delta ** r), copy=False))
-        diag = power.diagonal()
-        if (diag != diag[0]).any():
-            return False
-    return True
+    return all((w == w[0]).all() for _, w in zip(range(2, r_max + 1), closed_walks(g)))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from walklab.exact import (
     is_quadratic_algebraic_integer,
     min_poly_2cos,
 )
-from walklab.feasibility import REALIZATIONS, FeasibleRow, ThetaClass, multiplicities, n_bounds
+from walklab.feasibility import FeasibleRow, ThetaClass, multiplicities, n_bounds
 from walklab.graphs import Graph, is_connected, regularity
 from walklab.oracles import _clear_denominators, scale_arg
 from walklab.walk import NotPeriodic, Periodic
@@ -287,8 +287,7 @@ def enumerate_rows_by_window(theta_class: ThetaClass, k: int) -> list[FeasibleRo
         power4 = 2 * k ** 4 + 2 * a * theta_sq ** 2
         q = Fraction(power4 - n * (2 * k * k - k), 8)
         q_x = 4 * q / n
-        label = REALIZATIONS.get((theta_class, k, n), (None, None))[0]
-        rows.append(FeasibleRow(theta_class, k, n, a, b, q, q_x, label))
+        rows.append(FeasibleRow(theta_class, k, n, a, b, q, q_x))
     return rows
 
 

@@ -34,7 +34,6 @@ from walklab.exact import (
     min_poly_2cos,
     min_poly_route,
     moment_route,
-    power_sum_of_roots,
     squarefree_part,
 )
 from walklab.feasibility import REALIZATIONS
@@ -382,14 +381,6 @@ def test_min_poly_route_matches_p_over_gcd_past_t_n(name, g):
     assert moments.min_poly is None
     p = moments.charpoly
     assert min_poly_route(g.neighbour_table) == radical(p) == g.min_poly
-
-
-def test_power_sum_of_roots_matches_the_roots():
-    # past the degree too, and with a nonzero trace (an adjacency has none)
-    for roots in ([1, 2, 3], [-2, 5], [0, 0, 4, -1, 7], [3]):
-        p = math.prod((Poly([-x, 1]) for x in roots), start=Poly.one())
-        for r in range(1, 8):
-            assert power_sum_of_roots(p, r) == sum(x ** r for x in roots), (roots, r)
 
 
 def test_moment_route_runs_on_residues_below_the_int64_line(monkeypatch):

@@ -24,6 +24,7 @@ from walklab.feasibility import (
     realizes,
     render_tables,
     row_comment,
+    row_existence,
     verify_realization,
 )
 from walklab.graphs import Graph, cycle
@@ -99,7 +100,8 @@ def test_the_integer_layer_builds_no_fraction(monkeypatch):
     rows = all_rows(40)
     assert len(rows) == 819
     assert [(k, n) for k, n, _ in classify_four_eigenvalue(40)] == [(2, 6)]
-    assert all(verify_realization(row) for row in rows if row.known_realization)
+    realized = [row for row in rows if (row.theta_class, row.k, row.n) in REALIZATIONS]
+    assert len(realized) == 15 and all(verify_realization(row) for row in realized)
 
 
 def test_closed_walks_examples():
@@ -241,7 +243,7 @@ def test_eliminated_rows_are_retained():
 def test_realizations_verify():
     for (cls, k, n), (label, builder) in REALIZATIONS.items():
         row = next(r for r in enumerate_rows(cls, k) if r.n == n)
-        assert row.known_realization == label
+        assert row_existence(row) == label
         assert verify_realization(row), label
 
 

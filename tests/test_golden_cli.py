@@ -21,12 +21,14 @@ import json
 import random
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from walklab.cli import _load_graph, build_parser, main
+from walklab.exact import Spectrum, extract_spectrum
 from walklab.graphio import to_graph6
 from walklab.graphs import is_connected, regularity
-from walklab.oracles import hoffman_check
+from walklab.oracles import charpoly, hoffman_check
 
 from oracles import random_regular
 
@@ -101,26 +103,59 @@ def test_cli_output_matches_the_golden_transcript(tmp_path):
     assert len(got) == len(expected)
 
 
+def _analyze_sources(directory: Path) -> list[tuple[str, str]]:
+    """The graph sources (--expr or --file and its value) of the analyze
+    and period commands of the transcript, sorted."""
+    sources = set()
+    for argv in command_set(write_random_graphs(directory)):
+        if argv[0] in ("analyze", "period") and argv not in INPUT_ERRORS:
+            sources.add(tuple(a.replace("{tmp}", str(directory)) for a in argv[1:3]))
+    return sorted(sources)
+
+
+def _analyze_json(source: tuple[str, str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", *source, "--format", "json"]) == 0
+    return json.loads(out.getvalue())
+
+
 def test_analyze_reports_hoffman_as_the_oracle_finds_on_the_golden_graphs(tmp_path):
     # analyze reports the identity by Hoffman's theorem; the oracle
     # evaluates n q(A) = q(k) J on every connected regular graph of the
     # transcript
-    sources = set()
-    for argv in command_set(write_random_graphs(tmp_path)):
-        if argv[0] in ("analyze", "period") and argv not in INPUT_ERRORS:
-            sources.add(tuple(a.replace("{tmp}", str(tmp_path)) for a in argv[1:3]))
+    sources = _analyze_sources(tmp_path)
     checked = 0
-    for source in sorted(sources):
+    for source in sources:
         g = _load_graph(build_parser().parse_args(["analyze", *source]))
         if not regularity(g) or not is_connected(g):
             continue
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["analyze", *source, "--format", "json"]) == 0
-        assert json.loads(out.getvalue())["hoffman"] is hoffman_check(g) is True, source
+        assert _analyze_json(source)["hoffman"] is hoffman_check(g) is True, source
         checked += 1
     # 18 families, C3 .. C12 less C8 (a family) and the 10 random graphs
     assert checked == len(sources) == 37
+
+
+def test_analyze_reports_the_spectral_quadrangles_of_the_oracle_spectrum(tmp_path):
+    # analyze prints the quadrangle count as the spectral one by the
+    # identity tr A^4 = 8q + n(2k^2 - k); the CRT charpoly's spectrum
+    # gives the fourth power sum on its own
+    resolved = 0
+    for source in _analyze_sources(tmp_path):
+        g = _load_graph(build_parser().parse_args(["analyze", *source]))
+        k = regularity(g)
+        report = _analyze_json(source)
+        spec = extract_spectrum(charpoly(g.adjacency.tolist()))
+        if not isinstance(spec, Spectrum):
+            assert "q_spectral" not in report and "q_x_spectral" not in report, source
+            continue
+        q = Fraction(spec.power_sum(4) - g.n * (2 * k * k - k), 8)
+        assert report["q_spectral"] == str(q), source
+        assert report["q_x_spectral"] == str(4 * q / g.n), source
+        resolved += 1
+    # of the 37 connected regular graphs, C7, C9, C11 and 9 random ones
+    # do not resolve
+    assert resolved == 25
 
 
 if __name__ == "__main__":

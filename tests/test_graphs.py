@@ -14,6 +14,7 @@ from walklab.graphs import (
     bipartite_double,
     cartesian_product,
     complete_bipartite,
+    closed_walks,
     complete_graph,
     count_quadrangles,
     cycle,
@@ -357,7 +358,18 @@ def test_vertex_cap_rejects_bad_values(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# quadrangles
+# closed walks and quadrangles
+
+
+def test_closed_walks_of_k100_from_the_closed_form():
+    # K_n has eigenvalues n - 1 and -1 (n - 1 times), and every vertex the
+    # same closed-walk counts; n delta^r = 100 * 99^r passes 2^62 at r = 9
+    n = 100
+    walks = list(itertools.islice(closed_walks(complete_graph(n)), 11))
+    for r, w in enumerate(walks, start=2):
+        expected = ((n - 1) ** r + (n - 1) * (-1) ** r) // n
+        assert w.tolist() == [expected] * n, r
+        assert w.dtype == (np.int64 if r <= 8 else object), r
 
 
 def test_quadrangles_examples():

@@ -3,9 +3,10 @@
 both file formats round-trip.  On seeded random regular graphs with up
 to 20 vertices and their complements, some of them past the int64
 bound, the moment route's charpoly equals the CRT and Bareiss
-charpolys, and its m_A, certified by t_n or by t_(2n+1), equals
-p / gcd(p, p'); on those of degree at most 5, `analyze` reports the
-Hoffman identity that the oracle finds.  On random integer matrices
+charpolys, its m_A, certified by t_n or by t_(2n+1), equals
+p / gcd(p, p'), and the closed-walk counts at each vertex are the
+diagonals of the matrix powers; on those of degree at most 5,
+`analyze` reports the Hoffman identity that the oracle finds.  On random integer matrices
 with up to 30 rows, the CRT charpoly equals the rational Hessenberg
 oracle and the Bareiss interpolation route, and its coefficients lie
 within the CRT bound.
@@ -42,8 +43,15 @@ from walklab.exact import (
     table_matrix,
 )
 from walklab.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
-from walklab.graphs import Graph
-from walklab.oracles import _charpoly_coeff_bound, charpoly, hoffman_check, int_matmul, radical
+from walklab.graphs import Graph, closed_walks
+from walklab.oracles import (
+    _charpoly_coeff_bound,
+    charpoly,
+    hoffman_check,
+    int_mat_power,
+    int_matmul,
+    radical,
+)
 from walklab.walk import decide_periodic
 
 from oracles import charpoly_bareiss, hessenberg_charpoly, matmul_reference, random_regular
@@ -120,6 +128,18 @@ def test_moment_route_matches_the_crt_and_bareiss(g):
     if moments.min_poly is not None:
         assert moments.min_poly == m
     assert min_poly_route(g.neighbour_table) == m
+
+
+@seed(20261028)
+@PROPERTY_SETTINGS
+@given(regular_graphs_and_complements())
+@example(_complement(random_regular(20, 3, random.Random(1))))  # 20 * 16^r > 2^62 from r = 15
+def test_closed_walks_are_the_diagonals_of_the_matrix_powers(g):
+    # up to r = 16, where n delta^r passes 2^62 for the larger complements
+    adj = g.adjacency.tolist()
+    for r, w in zip(range(2, 17), closed_walks(g)):
+        power = int_mat_power(adj, r)
+        assert w.tolist() == [power[x][x] for x in range(g.n)], r
 
 
 @seed(20261027)

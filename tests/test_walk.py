@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from walklab import graphs
 from walklab.exact import (
     Poly,
     QuadraticNumber,
@@ -221,6 +222,14 @@ def test_not_periodic_q3():
     v = decide_periodic(hypercube(3))
     assert isinstance(v, NotPeriodic)
     assert v.witness == QuadraticNumber(Fraction(1, 3))
+
+
+def test_the_witness_is_the_first_eigenvalue_whose_double_is_no_algebraic_integer():
+    # C4 x C3 (k = 4) has eigenvalues 4, 2, 1, 0, -1, -3: 2*2/4 = 1 is an
+    # integer and 2*1/4 = 1/2 is not, so the witness is 1/4; 2/4 is not one
+    v = decide_periodic(cartesian_product(cycle(4), cycle(3)))
+    assert isinstance(v, NotPeriodic)
+    assert v.witness == QuadraticNumber(Fraction(1, 4))
 
 
 def test_periodic_line_graph_of_q3():
@@ -505,6 +514,29 @@ def test_walk_regularity():
     for n in (4, 5, 6, 8):
         assert walk_regularity_check(cycle(n))
     assert walk_regularity_check(petersen())
+
+
+def test_walk_regularity_gathers_once_per_two_depths(monkeypatch):
+    # W_2i is read before the gather that forms A^(i+1), so the depths
+    # 2 .. r take floor((r - 1)/2) row gathers, and an early exit fewer
+    real, calls = graphs.adjacency_times, []
+
+    def counting(table, p):
+        calls.append(p.shape)
+        return real(table, p)
+
+    monkeypatch.setattr(graphs, "adjacency_times", counting)
+    for g in (hypercube(9), petersen(), cycle(7)):
+        for r in range(2, 13):
+            calls.clear()
+            assert walk_regularity_check(g, r)
+            assert len(calls) == (r - 1) // 2, (g, r)
+    calls.clear()
+    assert not walk_regularity_check(CUBIC8_NOT_WALK_REGULAR, 9)
+    assert len(calls) == 1  # cubic, but vertex 2 is on two triangles and vertex 0 on one
+    calls.clear()
+    assert not walk_regularity_check(complete_bipartite(1, 3), 9)
+    assert calls == []
 
 
 def test_hoffman_examples():
