@@ -46,12 +46,10 @@ from .graphs import (
     hamming,
     hypercube,
     is_bipartite,
-    is_connected,
     kronecker_product,
     line_graph,
     petersen,
     read_decimal,
-    regularity,
     tensor_allones,
 )
 from .graphio import load_path, save_path
@@ -205,9 +203,9 @@ def cmd_period(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    k = regularity(g)
+    k = g.regularity
     split = is_bipartite(g)
-    connected = is_connected(g)
+    connected = g.is_connected
     spec = g.spectrum
     resolved = isinstance(spec, Spectrum)
     q, per_vertex = count_quadrangles(g)

@@ -597,11 +597,6 @@ class Spectrum:
         return all(m == mw and v == -w
                    for (v, m), (w, mw) in zip(self.entries, reversed(self.entries)))
 
-    def scaled(self, factor: int | Fraction) -> Spectrum:
-        if factor == 0:
-            raise ValueError("zero scaling collapses the spectrum")
-        return Spectrum.from_pairs((v * factor, m) for v, m in self.entries)
-
     def power_sum(self, r: int) -> int | Fraction:
         """Exact sum of the r-th powers of all eigenvalues (a rational
         number: conjugate surd pairs cancel for spectra of rational
@@ -940,22 +935,44 @@ def _vanishes_at(table: np.ndarray, c: Sequence[int], q: int) -> tuple[bool, boo
     return not (acc - acc // q * q).any(), exact and not acc.any()
 
 
+def _trace_form(c: Sequence[int], traces: Sequence[int], q: int,
+                exact: bool) -> tuple[bool, bool]:
+    """Whether F(c) = sum_{i,j<=L} c_i c_j t_(i+j) is 0 mod q, and whether
+    it is 0 over Z, for monic residues c of degree L, lifted to least
+    absolute values, and t_0 .. t_2L, all exact (`exact`) or some of them
+    residues mod q.  F(c) is tr c(A)^2, the squared Frobenius norm of the
+    symmetric c(A) (moment_route)."""
+    lift = Poly(_crt([c], [q]))
+    form = sum(map(operator.mul, (lift * lift).coeffs, traces))
+    return form % q == 0, exact and form == 0
+
+
 def _prime_run(table: np.ndarray, q: int,
                terms: int) -> tuple[list[int], list[int] | None, bool]:
     """Up to `terms` traces, exact or mod q, with Berlekamp-Massey mod q on
-    them; stops at the first candidate c with c(A) = 0 mod q.  Returns the
+    them; stops at the first candidate c with c(A) = 0 mod q.  Each
+    candidate is decided by its trace form (_trace_form) where that can
+    decide it, and by Horner (_vanishes_at) where it cannot.  Returns the
     traces, c (None if no candidate passed) and whether c(A) = 0 over Z."""
+    n, delta = table.shape
     traces: list[int] = []
     bm, rejected = _BerlekampMassey(q), None
     for t in itertools.islice(_trace_stream(table, q), terms):
         traces.append(t)
         bm.push(t)
         c = bm.candidate()
-        if c is not None and c != rejected:
+        if c is None or c == rejected:
+            continue
+        # t_0 .. t_2L are exact while n delta^(2L) is below 2^62
+        form_zero_mod_q, zero = _trace_form(c, traces, q,
+                                            n * delta ** (2 * len(c) - 2) < _INT64_SAFE)
+        if zero:
+            return traces, c, True
+        if form_zero_mod_q:
             zero_mod_q, zero = _vanishes_at(table, c, q)
             if zero_mod_q:
                 return traces, c, zero
-            rejected = c
+        rejected = c
     return traces, None, False
 
 
@@ -1007,14 +1024,30 @@ def _integer_traces(table: np.ndarray, count: int, primes: Iterator[int],
     return _crt([t for _, t in usable], [q for q, _ in usable])
 
 
-def _newton(traces: Sequence[int]) -> Poly:
-    """det(xI - A) from t_r = tr(A^r), r = 0..n, by Newton's identities
-    r a_r = -sum_{i=1}^{r} a_(r-i) t_i over Z for the coefficient a_r of
-    x^(n-r).  The division by r is exact for an integer matrix."""
-    n = len(traces) - 1
+def _newton(traces: Sequence[int], c: Sequence[int] | None = None) -> Poly:
+    """det(xI - A) for an integer matrix A of order n = t_0, from its traces
+    t_r = tr(A^r) and the monic recurrence c of degree s they obey, constant
+    term first.  With M_j = c_(s-j) and U_j = sum_{i=1}^{j} t_i M_(j-i), the
+    coefficient a_r of x^(n-r) satisfies (moment_route proves it)
+
+        r a_r = -sum_{j=1}^{min(r,s)} (M_j (r - j) + U_j) a_(r-j),
+
+    which reads t_0 .. t_(s-1) only, as U_s = -n c_0 by the recurrence.
+    With no recurrence (c None), M = 1 and U_j = t_j on t_0 .. t_n: these
+    are Newton's identities r a_r = -sum_{j=1}^{r} t_j a_(r-j).  The
+    division by r is exact for an integer matrix."""
+    n = traces[0]
+    if c is not None:
+        s = len(c) - 1
+        m = c[::-1]
+        u = [sum(traces[i] * m[j - i] for i in range(1, j + 1)) for j in range(s)]
+        u.append(-n * c[0])
     a = [1]
     for r in range(1, n + 1):
-        total = -sum(a[r - i] * traces[i] for i in range(1, r + 1) if traces[i])
+        if c is None:
+            total = -sum(a[r - j] * traces[j] for j in range(1, r + 1) if traces[j])
+        else:
+            total = -sum((m[j] * (r - j) + u[j]) * a[r - j] for j in range(1, min(r, s) + 1))
         quot, rem = divmod(total, r)
         if rem:
             raise AssertionError(f"Newton's identities left remainder {rem} at r = {r}")
@@ -1034,7 +1067,18 @@ def moment_route(table: np.ndarray) -> Moments:
     with the longest L give c by CRT, lifted to least absolute values, and
     c is accepted once their primes' product M exceeds 2 sum |c_j| delta^j:
     each entry of c(A) is below M/2 in absolute value and 0 mod M, so
-    c(A) = 0 over Z (seen outright when the Horner steps ran exact).
+    c(A) = 0 over Z.  A single run shows c(A) = 0 over Z outright when its
+    trace form vanishes over Z, or when the Horner steps ran exact.
+
+    The trace form decides a candidate c of degree L from the traces
+    alone.  c(A) is symmetric, so F(c) = sum_{i,j<=L} c_i c_j t_(i+j) =
+    tr c(A)^2 is the sum of the squares of its entries.  If c(A) = 0 mod q
+    then F(c) = 0 mod q, so F(c) != 0 mod q rejects c.  F(c) = 0 over Z,
+    computed from the lift of c and exact t_0 .. t_2L (n delta^(2L) <
+    2^62), makes every entry of c(A) zero.  Only a candidate with F(c) = 0
+    mod q whose F(c) is not known to vanish over Z (traces past 2^62, or a
+    lift that differs from c over Z because a coefficient passes q/2) goes
+    on to Horner (_vanishes_at), which evaluates c(A) mod q.
 
     Then c = m_A: c(A) = 0 gives m_A | c, so s = deg m_A <= L.  And m_A,
     monic with integer coefficients, generates (t_r) (t_(r+s) + ... =
@@ -1046,12 +1090,29 @@ def moment_route(table: np.ndarray) -> Moments:
     shorter recurrence, or none by t_2s, divides it: such primes are
     dropped, and there are finitely many.
 
-    The recurrence, through tr(A^r c(A)) = 0, extends t_0 .. t_(s-1) to
-    t_n, and Newton's identities give det(xI - A).  A trace t_r <= n
-    delta^r is used as an integer only once the primes' product exceeds
-    2 n delta^r.  When a run reaches t_n with no recurrence certified (s
-    close to n), Newton's identities run on t_0 .. t_n and no m_A is
-    returned; min_poly_route goes on to t_(2n+1).
+    With m = m_A certified, p = det(xI - A) = sum_r a_r x^(n-r) comes
+    from t_0 .. t_(s-1) in O(n s) steps (_newton).  Over the distinct
+    eigenvalues lambda, of multiplicities m_lambda, p'/p = sum
+    m_lambda/(x - lambda) = sum_r t_r x^(-r-1).  Every lambda is a simple
+    root of m, so N = m p'/p = sum m_lambda m/(x - lambda) is a polynomial
+    of degree s - 1: the polynomial part of m(x) sum_r t_r x^(-r-1), whose
+    other coefficients sum_j M_j t_(e-j), e >= s, vanish by the
+    recurrence (M_j = c_(s-j)).  With U_j = sum_{i=1}^{j} t_i M_(j-i),
+    N = sum_{e<s} (n M_e + U_e) x^(s-1-e).  The coefficients of
+    x^(n+s-1-r) in m p' = N p give sum_{j<=min(r,s)} M_j (n - r + j)
+    a_(r-j) = sum_{e<=min(r,s-1)} (n M_e + U_e) a_(r-e).  The terms j =
+    e = 0 leave -r a_r, and U_s = -n M_s (sum_{i=0}^{s} t_i M_(s-i) = 0)
+    lets the term j = s join the others:
+
+        r a_r = -sum_{j=1}^{min(r,s)} (M_j (r - j) + U_j) a_(r-j).
+
+    The same comparison for m = 1, of p' = N p with the power series
+    N = sum_r t_r x^(-r-1), gives Newton's identities on t_0 .. t_n, the
+    case M = 1 and U_j = t_j.  A trace t_r <= n delta^r is used as an
+    integer only once the primes' product exceeds 2 n delta^r.  When a run
+    reaches t_n with no recurrence certified (s close to n), Newton's
+    identities run on t_0 .. t_n and no m_A is returned; min_poly_route
+    goes on to t_(2n+1).
     """
     n = len(table)
     primes = _primes_below(_ROUTE_PRIMES_BELOW)
@@ -1059,12 +1120,7 @@ def moment_route(table: np.ndarray) -> Moments:
     c = _recurrence(table, n + 1, primes, runs)
     if c is None:
         return Moments(_newton(_integer_traces(table, n + 1, primes, runs)), None)
-    s = len(c) - 1
-    traces = _integer_traces(table, s, primes, runs)
-    while len(traces) <= n:
-        m = len(traces) - s
-        traces.append(-sum(cj * traces[m + j] for j, cj in enumerate(c[:-1])))
-    return Moments(_newton(traces), Poly(c))
+    return Moments(_newton(_integer_traces(table, len(c) - 1, primes, runs), c), Poly(c))
 
 
 def min_poly_route(table: np.ndarray) -> Poly:

@@ -150,6 +150,18 @@ class Graph:
         return table
 
     @cached_property
+    def regularity(self) -> int | None:
+        """The common degree, or None when degrees differ (`regularity`),
+        computed once per graph."""
+        return regularity(self)
+
+    @cached_property
+    def is_connected(self) -> bool:
+        """Whether the graph is connected (`is_connected`), computed once
+        per graph."""
+        return is_connected(self)
+
+    @cached_property
     def _moments(self) -> Moments:
         return moment_route(self.neighbour_table)
 

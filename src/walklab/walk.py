@@ -26,7 +26,7 @@ from .exact import (
     is_quadratic_algebraic_integer,
     min_poly_2cos,
 )
-from .graphs import Graph, closed_walks, is_connected, regularity
+from .graphs import Graph, closed_walks
 
 
 class NotRegularError(ValueError):
@@ -38,10 +38,10 @@ class NotConnectedError(ValueError):
 
 
 def _require_regular_connected(g: Graph) -> int:
-    k = regularity(g)
+    k = g.regularity
     if k is None or k == 0:
         raise NotRegularError("graph is not regular (or has no edges)")
-    if not is_connected(g):
+    if not g.is_connected:
         raise NotConnectedError("graph is not connected")
     return k
 

@@ -18,6 +18,13 @@ from walklab.oracles import _clear_denominators, scale_arg
 from walklab.walk import NotPeriodic, Periodic
 
 
+def scaled(spec: Spectrum, factor: int | Fraction) -> Spectrum:
+    """The spectrum of factor * M for M of spectrum spec (factor != 0)."""
+    if factor == 0:
+        raise ValueError("zero scaling collapses the spectrum")
+    return Spectrum.from_pairs((v * factor, m) for v, m in spec.entries)
+
+
 def order_of_cos_pair(two_cos: QuadraticNumber, d_max: int = 1000) -> int | None:
     """Smallest d such that two_cos equals 2cos(2*pi*j/d) for some j
     coprime to d, found by exact evaluation of the minimal polynomials."""
@@ -70,7 +77,7 @@ def decide_periodic_by_fractions(g):
     if not p2t.is_integral():
         spec = g.spectrum
         if isinstance(spec, Spectrum):
-            for t_eig in spec.scaled(Fraction(1, k)).values():
+            for t_eig in scaled(spec, Fraction(1, k)).values():
                 if not is_quadratic_algebraic_integer(t_eig * 2):
                     return NotPeriodic(witness=t_eig, residual=None)
         return NotPeriodic(witness=None, residual=p2t)

@@ -27,6 +27,7 @@ from walklab.exact import (
     _is_prime,
     _newton,
     _primes_below,
+    _trace_form,
     _vanishes_at,
     cyclotomic,
     extract_spectrum,
@@ -305,28 +306,73 @@ def test_a_forged_recurrence_is_rejected_by_the_certificate(monkeypatch):
     assert moment_route(g.neighbour_table).min_poly == Poly([6, -5, -2, 1])
 
 
+def test_the_trace_form_is_the_squared_norm_of_c_of_a():
+    # K4 has t_r = 3^r + 3(-1)^r and m_A = x^2 - 2x - 3; m_A + 1 maps A to I,
+    # whose squared norm is 4
+    traces, q = [4, 0, 12, 24, 84], 2 ** 31 - 1
+    m_a = [-3 % q, -2 % q, 1]
+    assert _trace_form(m_a, traces, q, True) == (True, True)
+    assert _trace_form(m_a, traces, q, False) == (True, False)  # not known over Z
+    forged = [m_a[0] + 1] + m_a[1:]
+    assert _trace_form(forged, traces, q, True) == (False, False)
+    assert _trace_form([x % 2 for x in forged], traces, 2, True) == (True, False)
+
+
+def _count_horner(monkeypatch):
+    """Wrap the Horner certificate to record each call's prime and result."""
+    real, calls = exact._vanishes_at, []
+
+    def counting(table, c, q):
+        result = real(table, c, q)
+        calls.append((q, result))
+        return result
+
+    monkeypatch.setattr(exact, "_vanishes_at", counting)
+    return calls
+
+
+def test_the_trace_form_certifies_m_a_on_the_analyze_families_graphs(monkeypatch):
+    # the bench's analyze graphs: every trace up to t_2s is exact, so no
+    # candidate needs Horner, and all but C8 (2s >= n) certify m_A by t_n
+    horner = _count_horner(monkeypatch)
+    graphs = [builder() for _, builder in REALIZATIONS.values()]
+    graphs += [petersen(), hypercube(6), line_graph(hypercube(4))]
+    certified = 0
+    for g in graphs:
+        moments = moment_route(g.neighbour_table)
+        assert moments.charpoly == charpoly(g.adjacency)
+        if moments.min_poly is not None:
+            assert moments.min_poly == radical(moments.charpoly)
+            certified += 1
+    assert certified == len(graphs) - 1
+    assert horner == []
+
+
 def test_a_forged_recurrence_is_rejected_at_every_prime(monkeypatch):
     # with every candidate forged, no prime certifies: each run reaches
     # t_(2n+1), and once the failed primes would multiply past the Hankel
-    # determinant's bound the route reports a broken invariant
-    real_candidate, real_vanishes = _BerlekampMassey.candidate, exact._vanishes_at
+    # determinant's bound the route reports a broken invariant.  The trace
+    # form rejects each forged candidate, so Horner never runs
+    real_candidate, real_form = _BerlekampMassey.candidate, exact._trace_form
     verdicts = {}
 
     def forged(self):
         c = real_candidate(self)
         return None if c is None else [c[0] + 1] + c[1:]
 
-    def recording(table, c, q):
-        result = real_vanishes(table, c, q)
+    def recording(c, traces, q, exact_traces):
+        result = real_form(c, traces, q, exact_traces)
         verdicts.setdefault(q, []).append(result)
         return result
 
     monkeypatch.setattr(_BerlekampMassey, "candidate", forged)
-    monkeypatch.setattr(exact, "_vanishes_at", recording)
+    monkeypatch.setattr(exact, "_trace_form", recording)
+    horner = _count_horner(monkeypatch)
     with pytest.raises(AssertionError, match="Hankel"):
         min_poly_route(petersen().neighbour_table)
     assert len(verdicts) > 10
     assert all(v == [(False, False)] * len(v) and v for v in verdicts.values())
+    assert horner == []
 
 
 def _record_prime_runs(monkeypatch):
@@ -360,6 +406,7 @@ def test_moment_route_drops_bad_primes_near_100(monkeypatch, seed, n, k, bad):
 
 def test_moment_route_lifts_traces_and_recurrences_over_primes_near_100(monkeypatch):
     runs = _record_prime_runs(monkeypatch)
+    horner = _count_horner(monkeypatch)
     for g in (hypercube(6), cycle(8), random_regular(16, 3, random.Random(1)), petersen()):
         p = charpoly(_adj(g))
         m = radical(p)
@@ -367,6 +414,9 @@ def test_moment_route_lifts_traces_and_recurrences_over_primes_near_100(monkeypa
         assert moments.charpoly == p and moments.min_poly in (None, m)
         assert min_poly_route(g.neighbour_table) == m
     assert len({q for q, _ in runs}) > 3  # Q6's m_A takes the CRT of several
+    # a coefficient past q/2 lifts to a c with F(c) = 0 mod q but not over Z:
+    # only Horner shows c(A) = 0 mod q there
+    assert any(zero_mod_q for _, (zero_mod_q, _) in horner)
 
 
 @pytest.mark.parametrize("name, g", [
@@ -399,6 +449,11 @@ def test_newton_refuses_traces_of_no_integer_matrix():
     assert _newton([2, 0, 2]) == Poly([-1, 0, 1])  # K2
     with pytest.raises(AssertionError, match="remainder"):
         _newton([2, 0, 1])  # 2 a_2 = -1
+    # from m_A = x^2 - 1 and t_0, t_1: K2, and tr A = 1, which no
+    # integer A of order 2 with A^2 = I has (2 a_2 = -1)
+    assert _newton([2, 0], [-1, 0, 1]) == Poly([-1, 0, 1])
+    with pytest.raises(AssertionError, match="remainder"):
+        _newton([2, 1], [-1, 0, 1])
 
 
 def test_moment_route_matches_the_crt_and_bareiss_on_the_graph_atlas():

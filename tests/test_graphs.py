@@ -31,6 +31,8 @@ from walklab.graphs import (
 from walklab.graphio import from_edge_list, from_graph6, to_graph6
 from walklab.oracles import arc_space, biadjacency, charpoly, count_quadrangles_brute
 
+from oracles import scaled
+
 
 def _spectrum(g):
     s = extract_spectrum(charpoly(g.adjacency.tolist()))
@@ -123,7 +125,7 @@ def test_tensor_allones_spectrum_law():
         for m in (2, 3):
             blown = _spectrum(tensor_allones(g, m))
             expected = Spectrum.from_pairs(
-                list(base.scaled(m).entries) + [(QuadraticNumber(0), g.n * (m - 1))])
+                list(scaled(base, m).entries) + [(QuadraticNumber(0), g.n * (m - 1))])
             assert blown == expected, (g, m)
 
 

@@ -2,14 +2,15 @@
 16 vertices: the exact pipeline does not depend on the vertex labels, and
 both file formats round-trip.  On seeded random regular graphs with up
 to 20 vertices and their complements, some of them past the int64
-bound, the moment route's charpoly equals the CRT and Bareiss
-charpolys, its m_A, certified by t_n or by t_(2n+1), equals
-p / gcd(p, p'), and the closed-walk counts at each vertex are the
-diagonals of the matrix powers; on those of degree at most 5,
-`analyze` reports the Hoffman identity that the oracle finds.  On random integer matrices
-with up to 30 rows, the CRT charpoly equals the rational Hessenberg
-oracle and the Bareiss interpolation route, and its coefficients lie
-within the CRT bound.
+bound, and on blow-ups of random regular graphs by J_2 and J_3, the
+moment route's charpoly equals the CRT and Bareiss charpolys, its m_A,
+certified by t_n or by t_(2n+1), equals p / gcd(p, p'), and the
+closed-walk counts at each vertex are the diagonals of the matrix
+powers; on those of degree at most 5, `analyze` reports the Hoffman
+identity that the oracle finds.  On random integer matrices with up to
+30 rows, the CRT charpoly equals the rational Hessenberg oracle and the
+Bareiss interpolation route, and its coefficients lie within the CRT
+bound.
 Division by a monic integer divisor is division over Q in Python ints, and
 deflation by it is repeated division.  The
 integer matrix product, and the product of a 0/1 matrix by row gathers,
@@ -43,7 +44,7 @@ from walklab.exact import (
     table_matrix,
 )
 from walklab.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
-from walklab.graphs import Graph, closed_walks
+from walklab.graphs import Graph, closed_walks, tensor_allones
 from walklab.oracles import (
     _charpoly_coeff_bound,
     charpoly,
@@ -113,11 +114,25 @@ def regular_graphs_and_complements(draw):
     return _complement(g) if draw(st.booleans()) and g.n > g.degree(0) + 1 else g
 
 
+@st.composite
+def blow_ups(draw):
+    """A seeded random 3-, 4- or 5-regular graph on b <= 12 vertices
+    tensored with J_m, m = 2 or 3.  A (x) J_m has the eigenvalues
+    m lambda and 0 only, so deg m_A <= b + 1: for m = 3 (n = 3b) the
+    route certifies m_A by t_n and builds p_A from it."""
+    k = draw(st.sampled_from([3, 4, 5]))
+    n = draw(st.integers(min_value=k + 1, max_value=12).filter(lambda n: n * k % 2 == 0))
+    base = random_regular(n, k, random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    return tensor_allones(base, draw(st.sampled_from([2, 3])))
+
+
 @seed(20261024)
 @PROPERTY_SETTINGS
-@given(regular_graphs_and_complements())
+@given(st.one_of(regular_graphs_and_complements(), blow_ups()))
 @example(_complement(Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])))  # s = 3
 @example(random_regular(20, 3, random.Random(1)))
+# s = 11 and 30 * 9^22 > 2^62: t_22 is a residue, so Horner certifies m_A
+@example(tensor_allones(random_regular(10, 3, random.Random(1)), 3))
 def test_moment_route_matches_the_crt_and_bareiss(g):
     adj = g.adjacency.tolist()
     p = charpoly(adj)

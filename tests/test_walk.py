@@ -67,6 +67,7 @@ from oracles import (
     kernel_dim,
     order_of_cos_pair,
     random_regular,
+    scaled,
     spectrum_charpoly,
 )
 
@@ -481,7 +482,7 @@ def test_cos_pair_orders_match_sieve():
     assert isinstance(verdict, Periodic)
     orders = set(verdict.orders_dict())
     pair_orders = set()
-    for t_eig in g.spectrum.scaled(Fraction(1, 4)).values():
+    for t_eig in scaled(g.spectrum, Fraction(1, 4)).values():
         d = order_of_cos_pair(t_eig * 2, 100)
         assert d is not None
         pair_orders.add(d)
