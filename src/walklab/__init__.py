@@ -62,9 +62,7 @@ from .walk import (
     NotRegularError,
     Periodic,
     PeriodicityVerdict,
-    QuadrangleReport,
     decide_periodic,
-    quadrangle_report,
     walk_regularity_check,
 )
 

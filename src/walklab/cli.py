@@ -46,6 +46,7 @@ from .graphs import (
     hamming,
     hypercube,
     is_bipartite,
+    is_connected,
     kronecker_product,
     line_graph,
     petersen,
@@ -205,7 +206,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     k = g.regularity
     split = is_bipartite(g)
-    connected = g.is_connected
+    connected = is_connected(g)
     spec = g.spectrum
     resolved = isinstance(spec, Spectrum)
     q, per_vertex = count_quadrangles(g)

@@ -118,9 +118,6 @@ class Poly:
     def __sub__(self, other: Poly | int | Fraction) -> Poly:
         return self + (-other if isinstance(other, Poly) else Poly((-other,)))
 
-    def __rsub__(self, other: int | Fraction) -> Poly:
-        return Poly((other,)) - self
-
     def __mul__(self, other: Poly | int | Fraction) -> Poly:
         if isinstance(other, (int, Fraction)):
             return Poly(tuple(c * other for c in self.coeffs))
@@ -166,9 +163,6 @@ class Poly:
             for j in range(d):
                 rem[i - d + j] -= t * other.coeffs[j]
         return Poly(q), Poly(rem)
-
-    def __floordiv__(self, other: Poly) -> Poly:
-        return divmod(self, other)[0]
 
     def __mod__(self, other: Poly) -> Poly:
         return divmod(self, other)[1]
@@ -421,9 +415,6 @@ class QuadraticNumber:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other) -> QuadraticNumber:
-        return (-self) + other
-
     def __mul__(self, other) -> QuadraticNumber:
         o = self._coerced(other)
         if o is None:
@@ -451,10 +442,6 @@ class QuadraticNumber:
             return QuadraticNumber(Fraction(self.a, o.a), Fraction(self.b, o.a), self.m)
         norm = o.a * o.a - o.b * o.b * o.m
         return (self * o.conjugate()) / QuadraticNumber(norm)
-
-    def __rtruediv__(self, other) -> QuadraticNumber:
-        o = self._coerced(other)
-        return o / self
 
     def __pow__(self, e: int) -> QuadraticNumber:
         if e < 0:
@@ -510,9 +497,6 @@ class QuadraticNumber:
 
     def __ge__(self, other) -> bool:
         return self._cmp(other) >= 0
-
-    def __abs__(self) -> QuadraticNumber:
-        return -self if self.sign() < 0 else self
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -571,12 +555,6 @@ class Spectrum:
             merged[value] = merged.get(value, 0) + mult
         ordered = sorted(merged.items(), key=lambda e: e[0], reverse=True)
         return cls(tuple(ordered))
-
-    def dimension(self) -> int:
-        return sum(mult for _, mult in self.entries)
-
-    def distinct_count(self) -> int:
-        return len(self.entries)
 
     def values(self) -> Iterator[QuadraticNumber]:
         for value, _ in self.entries:

@@ -38,7 +38,6 @@ from .graphs import (
     line_graph,
     tensor_allones,
 )
-from .walk import quadrangle_report
 
 
 def _half_degree(k: int) -> int:
@@ -73,16 +72,25 @@ class ThetaClass(Enum):
 @dataclass(frozen=True)
 class FeasibleRow:
     """One candidate spectrum {[±k]^1, [±θ]^a, [0]^b} that passes the
-    multiplicity, window, parity and closed-walk tests, with its exact
-    quadrangle counts; `elimination` names the quadrangle test it fails."""
+    multiplicity, window, parity and closed-walk tests, with 8q for its
+    exact quadrangle count q; `elimination` names the quadrangle test it
+    fails."""
 
     theta_class: ThetaClass
     k: int
     n: int
     a: int
     b: int
-    q: Fraction
-    q_x: Fraction
+    q8: int
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self.q8, 8)
+
+    @property
+    def q_x(self) -> Fraction:
+        """The quadrangles through each vertex, 4q/n."""
+        return Fraction(self.q8, 2 * self.n)
 
     @property
     def feasible(self) -> bool:
@@ -93,15 +101,14 @@ class FeasibleRow:
         return "feasible" if self.feasible else "eliminated"
 
     def elimination(self) -> str | None:
-        """Category of the quadrangle-based elimination, if any."""
-        if self.q.denominator != 1:
+        """Category of the quadrangle-based elimination, if any; q_x has
+        the sign of q."""
+        if self.q8 % 8:
             return "q_nonintegral"
-        if self.q < 0:
+        if self.q8 < 0:
             return "q_negative"
-        if self.q_x.denominator != 1:
+        if self.q8 % (2 * self.n):
             return "qx_nonintegral"
-        if self.q_x < 0:
-            return "qx_negative"
         return None
 
     def spectrum(self) -> Spectrum:
@@ -165,8 +172,10 @@ def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
     """All candidate rows for one θ-class and even degree k: n runs over
     the divisors of 2k²(k² - θ²) inside the window, which makes every
     closed-walk count integral, filtered by parity and integral
-    multiplicities; quadrangle failures are kept, annotated.  The
-    quadrangle counts come from the fourth power sum 2k⁴ + 2aθ⁴."""
+    multiplicities; quadrangle failures are kept, annotated.  The closed
+    4-walks at a vertex are 2k² - k degenerate ones plus two traversals
+    of each quadrangle through it, so the fourth power sum 2k⁴ + 2aθ⁴ is
+    8q + n(2k² - k), and each vertex lies on q_x = 4q/n quadrangles."""
     if k < 2 or k % 2:
         raise ValueError("degree must be even and at least 2")
     theta_sq = theta_class.theta_sq(k)
@@ -179,8 +188,8 @@ def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
         if mult is None:
             continue
         a, b = mult
-        quads = quadrangle_report(2 * k ** 4 + 2 * a * theta_sq ** 2, n, k)
-        rows.append(FeasibleRow(theta_class, k, n, a, b, quads.q_spectral, quads.qx_spectral))
+        q8 = 2 * k ** 4 + 2 * a * theta_sq ** 2 - n * (2 * k * k - k)
+        rows.append(FeasibleRow(theta_class, k, n, a, b, q8))
     return rows
 
 
@@ -331,7 +340,6 @@ _ELIM_TEXT = {
     _QX: "q_x not integral",
     _QN: "q not integral",
     _QNEG: "q < 0",
-    "qx_negative": "q_x < 0",
     None: "",
 }
 

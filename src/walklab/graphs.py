@@ -4,7 +4,9 @@ predicates, the closed-walk counts at every vertex, and exact quadrangle
 counting.  A graph is one read-only int64 adjacency array; each product
 with it is a row gather on the graph's cached neighbour table, and
 `closed_walks` is the one loop of such products that walk-regularity,
-the quadrangle counts and the feasibility certificates read."""
+the quadrangle counts and the feasibility certificates read.  One
+breadth-first 2-colouring on the same table, cached per graph, answers
+both connectivity and bipartiteness."""
 
 from __future__ import annotations
 
@@ -137,10 +139,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return self.adjacency.sum(axis=1).tolist()
 
-    def neighbors(self, v: int) -> list[int]:
-        row = self.neighbour_table[v]
-        return row[row < self.n].tolist()
-
     @cached_property
     def neighbour_table(self) -> np.ndarray:
         """The read-only `exact.neighbour_table` of the adjacency: each
@@ -156,10 +154,10 @@ class Graph:
         return regularity(self)
 
     @cached_property
-    def is_connected(self) -> bool:
-        """Whether the graph is connected (`is_connected`), computed once
-        per graph."""
-        return is_connected(self)
+    def colouring(self) -> tuple[int, np.ndarray]:
+        """The number of components and the read-only colours of
+        `colouring`, computed once per graph."""
+        return colouring(self)
 
     @cached_property
     def _moments(self) -> Moments:
@@ -231,15 +229,17 @@ def hamming(d: int, q: int) -> Graph:
         if count >= _HUGE_COUNT:
             break
     _check_vertex_count(count)
-    words = list(itertools.product(range(q), repeat=d))
-    index = {w: i for i, w in enumerate(words)}
-    edges = []
-    for w in words:
-        for pos in range(d):
-            for sym in range(w[pos] + 1, q):
-                other = w[:pos] + (sym,) + w[pos + 1:]
-                edges.append((index[w], index[other]))
-    return Graph.from_edges(len(words), edges)
+    # a word is its base-q index, first letter most significant: changing
+    # the digit at place q^i from x to (x + s) mod q moves it by that
+    # difference times q^i
+    adj = np.zeros((count, count), dtype=np.uint8)  # Graph makes the one int64 copy
+    words, place = np.arange(count), 1
+    for _ in range(d):
+        digit = words // place % q
+        for shift in range(1, q):
+            adj[words, words + ((digit + shift) % q - digit) * place] = 1
+        place *= q
+    return Graph(adj)
 
 
 def hypercube(d: int) -> Graph:
@@ -302,38 +302,42 @@ def bipartite_double(g: Graph) -> Graph:
 # predicates
 
 
+def colouring(g: Graph) -> tuple[int, np.ndarray]:
+    """Breadth-first 2-colouring: the number of components, and the
+    parity of each vertex's distance from the least vertex of its
+    component.  Each component is searched from its least unreached
+    vertex, one frontier at a time on the neighbour table; the table's
+    padding n gets colour 2, which no vertex has."""
+    table, n = g.neighbour_table, g.n
+    colour = np.full(n + 1, -1, dtype=np.int8)  # -1: not reached yet
+    colour[n] = 2
+    components, unreached = 0, np.array([0])
+    while unreached.size:
+        components += 1
+        frontier, side = unreached[:1], 0
+        while frontier.size:
+            colour[frontier] = side
+            seen = np.zeros(n + 1, dtype=bool)
+            seen[table[frontier]] = True
+            frontier, side = np.flatnonzero(seen & (colour < 0)), 1 - side
+        unreached = np.flatnonzero(colour < 0)
+    colour.setflags(write=False)
+    return components, colour
+
+
 def is_connected(g: Graph) -> bool:
-    """Breadth-first search from vertex 0, one frontier at a time."""
-    reached = np.zeros(g.n + 1, dtype=bool)
-    reached[g.n] = True  # the neighbour table's padding
-    frontier = np.array([0])
-    while frontier.size:
-        reached[frontier] = True
-        seen = np.zeros_like(reached)
-        seen[g.neighbour_table[frontier]] = True
-        frontier = np.flatnonzero(seen & ~reached)
-    return bool(reached.all())
+    """Whether the 2-colouring found one component."""
+    return g.colouring[0] == 1
 
 
 def is_bipartite(g: Graph) -> PartiteSplit | None:
-    """BFS 2-coloring over all components; None when an odd cycle exists."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in g.neighbors(v):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    part1 = tuple(v for v in range(g.n) if color[v] == 0)
-    part2 = tuple(v for v in range(g.n) if color[v] == 1)
-    return PartiteSplit(part1, part2)
+    """The two colour classes of the 2-colouring in ascending order, or
+    None when an edge joins two vertices of one colour (an odd cycle)."""
+    colour = g.colouring[1]
+    if (colour[g.neighbour_table] == colour[:-1, None]).any():
+        return None
+    return PartiteSplit(tuple(np.flatnonzero(colour == 0).tolist()),
+                        tuple(np.flatnonzero(colour == 1).tolist()))
 
 
 def regularity(g: Graph) -> int | None:

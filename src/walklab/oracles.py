@@ -326,7 +326,7 @@ class ArcSpace:
 
 
 def arc_space(g: Graph) -> ArcSpace:
-    arcs = sorted((i, j) for i in range(g.n) for j in g.neighbors(i))
+    arcs = [(i, j) for i, j in np.argwhere(g.adjacency).tolist()]  # row-major: sorted
     index = {arc: pos for pos, arc in enumerate(arcs)}
     inverse = tuple(index[(j, i)] for (i, j) in arcs)
     return ArcSpace(tuple(arcs), inverse)

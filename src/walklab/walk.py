@@ -1,8 +1,7 @@
 """Exact Grover-walk engine: the periodicity decision with exact period,
-read off the adjacency charpoly; the walk-regularity check of `analyze`,
-on the per-vertex closed-walk counts of `graphs.closed_walks` (apart
-from the traces of the moment route); and the quadrangle counts of a
-fourth power sum, which the feasibility rows read.  The walk matrices,
+read off the adjacency charpoly, and the walk-regularity check of
+`analyze`, on the per-vertex closed-walk counts of `graphs.closed_walks`
+(apart from the traces of the moment route).  The walk matrices,
 the U-side routes, the biadjacency block identities, the eigenvalue
 gate and the Hoffman identity check are reference implementations in
 `walklab.oracles`.
@@ -26,7 +25,7 @@ from .exact import (
     is_quadratic_algebraic_integer,
     min_poly_2cos,
 )
-from .graphs import Graph, closed_walks
+from .graphs import Graph, closed_walks, is_connected
 
 
 class NotRegularError(ValueError):
@@ -41,7 +40,7 @@ def _require_regular_connected(g: Graph) -> int:
     k = g.regularity
     if k is None or k == 0:
         raise NotRegularError("graph is not regular (or has no edges)")
-    if not g.is_connected:
+    if not is_connected(g):
         raise NotConnectedError("graph is not connected")
     return k
 
@@ -54,9 +53,6 @@ def _require_regular_connected(g: Graph) -> int:
 class Periodic:
     period: int
     cyclotomic_orders: tuple[tuple[int, int], ...]
-
-    def orders_dict(self) -> dict[int, int]:
-        return dict(self.cyclotomic_orders)
 
     def render(self) -> str:
         orders = ",".join(str(d) for d, _ in self.cyclotomic_orders)
@@ -143,20 +139,3 @@ def walk_regularity_check(g: Graph, r_max: int | None = None) -> bool:
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     return all((w == w[0]).all() for _, w in zip(range(2, r_max + 1), closed_walks(g)))
-
-
-@dataclass(frozen=True)
-class QuadrangleReport:
-    """Quadrangle counts read off the fourth power sum, as exact rationals."""
-
-    q_spectral: Fraction
-    qx_spectral: Fraction
-
-
-def quadrangle_report(s4: int | Fraction, n: int, k: int) -> QuadrangleReport:
-    """Quadrangle count from the fourth power sum s4 = tr A^4 of the
-    eigenvalues: the closed 4-walks of a k-regular graph split into
-    2k^2 - k degenerate walks per vertex plus two traversals of each
-    quadrangle through it."""
-    q_spectral = Fraction(s4 - n * (2 * k * k - k), 8)
-    return QuadrangleReport(q_spectral, 4 * q_spectral / n)

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from walklab.exact import (
     Poly,
     QuadraticNumber,
@@ -13,9 +15,60 @@ from walklab.exact import (
     min_poly_2cos,
 )
 from walklab.feasibility import FeasibleRow, ThetaClass, multiplicities, n_bounds
-from walklab.graphs import Graph, is_connected, regularity
+from walklab.graphs import Graph, PartiteSplit, is_connected, regularity
 from walklab.oracles import _clear_denominators, scale_arg
 from walklab.walk import NotPeriodic, Periodic
+
+
+def dimension(spec: Spectrum) -> int:
+    """The number of eigenvalues of spec, counted with multiplicity."""
+    return sum(mult for _, mult in spec.entries)
+
+
+def distinct_count(spec: Spectrum) -> int:
+    """The number of distinct eigenvalues of spec."""
+    return len(spec.entries)
+
+
+def orders_dict(verdict: Periodic) -> dict[int, int]:
+    """The cyclotomic orders of a periodic verdict with their
+    multiplicities."""
+    return dict(verdict.cyclotomic_orders)
+
+
+def spectral_quadrangles(s4, n, k):
+    """(q, q_x) of a k-regular graph on n vertices from s4 = tr A^4, as
+    Fractions: the closed 4-walks at a vertex are 2k^2 - k degenerate
+    ones plus two traversals of each quadrangle through it."""
+    q = Fraction(s4 - n * (2 * k * k - k), 8)
+    return q, 4 * q / n
+
+
+def colouring_by_search(g):
+    """Reference for `graphs.is_connected` and `graphs.is_bipartite`: a
+    stack search from each uncoloured vertex in turn over the rows of
+    the adjacency, giving (is_connected, PartiteSplit or None)."""
+    neighbours = [np.flatnonzero(row).tolist() for row in g.adjacency]
+    color = [-1] * g.n
+    components, odd_cycle = 0, False
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        components += 1
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in neighbours[v]:
+                if color[u] == -1:
+                    color[u] = 1 - color[v]
+                    stack.append(u)
+                elif color[u] == color[v]:
+                    odd_cycle = True
+    if odd_cycle:
+        return components == 1, None
+    return components == 1, PartiteSplit(tuple(v for v in range(g.n) if color[v] == 0),
+                                         tuple(v for v in range(g.n) if color[v] == 1))
 
 
 def scaled(spec: Spectrum, factor: int | Fraction) -> Spectrum:
@@ -273,10 +326,11 @@ def closed_walks_integral(k, theta_sq, n):
     return True
 
 
-def enumerate_rows_by_window(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
+def enumerate_rows_by_window(theta_class: ThetaClass, k: int):
     """Reference for `enumerate_rows`: n runs over the whole vertex-count
     window, filtered by parity, integral multiplicities and integral
-    closed-walk counts; quadrangle failures are kept, annotated."""
+    closed-walk counts; each row comes with its (q, q_x) from
+    `spectral_quadrangles`."""
     if k < 2 or k % 2:
         raise ValueError("degree must be even and at least 2")
     theta_sq = theta_class.theta_sq(k)
@@ -291,10 +345,8 @@ def enumerate_rows_by_window(theta_class: ThetaClass, k: int) -> list[FeasibleRo
         if not closed_walks_integral(k, theta_sq, n):
             continue
         a, b = mult
-        power4 = 2 * k ** 4 + 2 * a * theta_sq ** 2
-        q = Fraction(power4 - n * (2 * k * k - k), 8)
-        q_x = 4 * q / n
-        rows.append(FeasibleRow(theta_class, k, n, a, b, q, q_x))
+        q, q_x = spectral_quadrangles(2 * k ** 4 + 2 * a * theta_sq ** 2, n, k)
+        rows.append((FeasibleRow(theta_class, k, n, a, b, int(8 * q)), q, q_x))
     return rows
 
 

@@ -321,6 +321,19 @@ def test_quadrangles_command(capsys):
     code, out, _ = _run(capsys, "quadrangles", "--expr", "kbip(3,3)")
     assert code == 0
     assert out.strip() == "q=9 per-vertex constant: yes q_x=6"
+    assert _run(capsys, "quadrangles", "--expr", "kbip(3,3)", "--format", "json") == \
+        (0, '{"per_vertex_constant": true, "q": 9, "q_x": 6}\n', "")
+    # K_{2,3}: the two-vertex side lies on 3 quadrangles, the other on 2
+    assert _run(capsys, "quadrangles", "--expr", "kbip(2,3)", "--format", "json") == \
+        (0, '{"per_vertex_constant": false, "q": 3, "q_x": null}\n', "")
+
+
+def test_a_disconnected_graph_has_no_period_but_an_analysis(capsys):
+    assert _run(capsys, "period", "--expr", "bdouble(cycle(4))") == \
+        (1, "", "error: NotConnected: graph is not connected\n")
+    code, out, err = _run(capsys, "analyze", "--expr", "bdouble(cycle(4))")
+    assert code == 0 and err == ""
+    assert "connected: no\nbipartite: yes (parts 4/4)\n" in out
 
 
 # ---------------------------------------------------------------------------

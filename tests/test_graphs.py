@@ -1,6 +1,7 @@
 """Graph constructors, predicates, product spectra laws, and quadrangle
 counting (walk bookkeeping against subset enumeration)."""
 
+import functools
 import itertools
 import tracemalloc
 
@@ -287,11 +288,24 @@ def test_each_single_fault_keeps_its_message(rows, message):
         Graph(rows)
 
 
+def test_hamming_is_the_cartesian_power_of_the_complete_graph():
+    # vertex order too: the first factor's vertex is the first letter
+    for q in range(2, 257):
+        d = 1
+        while q ** d <= 256:
+            power = functools.reduce(cartesian_product, [complete_graph(q)] * d)
+            assert (hamming(d, q).adjacency == power.adjacency).all(), (d, q)
+            d += 1
+    with pytest.raises(GraphError, match=r"at least 10\^100 vertices"):
+        hamming(20000, 2)
+
+
 def test_graph_values_are_python_ints():
     # json.dumps refuses numpy integers, and a Fraction keeps their width
     g = hypercube(3)
     q, per_vertex = count_quadrangles(g)
-    values = [g.n, g.edge_count, g.degree(0), *g.degrees(), *g.neighbors(0), q, *per_vertex]
+    values = [g.n, g.edge_count, g.degree(0), *g.degrees(), q, *per_vertex]
+    values += [*is_bipartite(g).part1, *is_bipartite(g).part2]
     values += [v for edge in g.edges() for v in edge]
     assert all(type(v) is int for v in values)
 

@@ -11,6 +11,9 @@ identity that the oracle finds.  On random integer matrices with up to
 30 rows, the CRT charpoly equals the rational Hessenberg oracle and the
 Bareiss interpolation route, and its coefficients lie within the CRT
 bound.
+The breadth-first 2-colouring gives the same connectivity and parts as
+a per-vertex search on seeded random regular graphs, on bipartite
+graphs with several components and on isolated vertices.
 Division by a monic integer divisor is division over Q in Python ints, and
 deflation by it is repeated division.  The
 integer matrix product, and the product of a 0/1 matrix by row gathers,
@@ -44,7 +47,16 @@ from walklab.exact import (
     table_matrix,
 )
 from walklab.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
-from walklab.graphs import Graph, closed_walks, tensor_allones
+from walklab.graphs import (
+    Graph,
+    bipartite_double,
+    closed_walks,
+    complete_graph,
+    cycle,
+    is_bipartite,
+    is_connected,
+    tensor_allones,
+)
 from walklab.oracles import (
     _charpoly_coeff_bound,
     charpoly,
@@ -55,7 +67,13 @@ from walklab.oracles import (
 )
 from walklab.walk import decide_periodic
 
-from oracles import charpoly_bareiss, hessenberg_charpoly, matmul_reference, random_regular
+from oracles import (
+    charpoly_bareiss,
+    colouring_by_search,
+    hessenberg_charpoly,
+    matmul_reference,
+    random_regular,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
 
@@ -168,6 +186,27 @@ def test_analyze_reports_the_hoffman_identity_that_the_oracle_finds(g):
         with contextlib.redirect_stdout(out):
             assert main(["analyze", "--file", str(path), "--format", "json"]) == 0
     assert json.loads(out.getvalue())["hoffman"] is hoffman_check(g) is True
+
+
+@st.composite
+def colouring_cases(draw):
+    """A low_degree_regular_graphs graph; the bipartite double of its
+    bipartite double, a bipartite graph with at least two components;
+    or 1 to 12 isolated vertices."""
+    kind = draw(st.sampled_from(["random", "double", "isolated"]))
+    if kind == "isolated":
+        return tensor_allones(complete_graph(1), draw(st.integers(1, 12)))
+    g = draw(low_degree_regular_graphs())
+    return g if kind == "random" else bipartite_double(bipartite_double(g))
+
+
+@seed(20261029)
+@PROPERTY_SETTINGS
+@given(colouring_cases())
+@example(bipartite_double(cycle(4)))
+@example(cycle(5))
+def test_the_breadth_first_colouring_matches_the_search_oracle(g):
+    assert (is_connected(g), is_bipartite(g)) == colouring_by_search(g)
 
 
 @st.composite

@@ -38,7 +38,6 @@ from walklab.walk import (
     NotRegularError,
     Periodic,
     decide_periodic,
-    quadrangle_report,
     walk_regularity_check,
 )
 from walklab.oracles import (
@@ -66,8 +65,10 @@ from oracles import (
     decide_periodic_by_fractions,
     kernel_dim,
     order_of_cos_pair,
+    orders_dict,
     random_regular,
     scaled,
+    spectral_quadrangles,
     spectrum_charpoly,
 )
 
@@ -197,7 +198,7 @@ def test_mapping_degree_mismatch_rejected():
 def test_periodic_c6():
     v = decide_periodic(cycle(6))
     assert isinstance(v, Periodic)
-    assert v.period == 6 and v.orders_dict() == {1: 2, 2: 2, 3: 2, 6: 2}
+    assert v.period == 6 and orders_dict(v) == {1: 2, 2: 2, 3: 2, 6: 2}
 
 
 def test_periodic_blowups_of_c6():
@@ -480,7 +481,7 @@ def test_cos_pair_orders_match_sieve():
     g = tensor_allones(cycle(6), 2)
     verdict = decide_periodic(g)
     assert isinstance(verdict, Periodic)
-    orders = set(verdict.orders_dict())
+    orders = set(orders_dict(verdict))
     pair_orders = set()
     for t_eig in scaled(g.spectrum, Fraction(1, 4)).values():
         d = order_of_cos_pair(t_eig * 2, 100)
@@ -634,15 +635,13 @@ def test_quadrangle_report_table_rows():
         (QuadraticNumber(6), 1), (QuadraticNumber(-6), 1),
         (QuadraticNumber(3), 4), (QuadraticNumber(-3), 4),
         (QuadraticNumber(0), 14)])
-    rep = quadrangle_report(spec.power_sum(4), 24, 6)
-    assert rep.q_spectral == 207 and rep.qx_spectral == Fraction(69, 2)
+    assert spectral_quadrangles(spec.power_sum(4), 24, 6) == (207, Fraction(69, 2))
     # k=6, n=216 candidate: negative quadrangle count
     spec = Spectrum.from_pairs([
         (QuadraticNumber(6), 1), (QuadraticNumber(-6), 1),
         (QuadraticNumber(3), 68), (QuadraticNumber(-3), 68),
         (QuadraticNumber(0), 78)])
-    rep = quadrangle_report(spec.power_sum(4), 216, 6)
-    assert rep.q_spectral == -81
+    assert spectral_quadrangles(spec.power_sum(4), 216, 6)[0] == -81
 
 
 def test_quadrangle_report_against_brute_force():
@@ -651,11 +650,11 @@ def test_quadrangle_report_against_brute_force():
         if not isinstance(spec, Spectrum):
             continue
         k = sum(g.adjacency[0])
-        rep = quadrangle_report(spec.power_sum(4), g.n, k)
+        q_spectral, qx_spectral = spectral_quadrangles(spec.power_sum(4), g.n, k)
         q, per_vertex = count_quadrangles(g)
-        assert rep.q_spectral == q, name
+        assert q_spectral == q, name
         assert all(c == per_vertex[0] for c in per_vertex)
-        assert rep.qx_spectral == Fraction(4 * q, g.n)
+        assert qx_spectral == Fraction(4 * q, g.n)
 
 
 def test_biadjacency_identities():
