@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import string
 import sys
 from fractions import Fraction
 
@@ -36,22 +35,13 @@ from .feasibility import (
     render_tables,
 )
 from .graphs import (
+    ExprError,
     Graph,
-    bipartite_double,
-    cartesian_product,
-    complete_bipartite,
-    complete_graph,
     count_quadrangles,
-    cycle,
-    hamming,
-    hypercube,
     is_bipartite,
     is_connected,
-    kronecker_product,
-    line_graph,
-    petersen,
+    parse_expr,
     read_decimal,
-    tensor_allones,
 )
 from .graphio import load_path, save_path
 from .walk import (
@@ -68,101 +58,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOT_PERIODIC = 2
 EXIT_INTERNAL = 3
-
-
-class ExprError(ValueError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# builder expressions
-
-_BUILDERS = {
-    "cycle": ("i", cycle),
-    "kbip": ("ii", complete_bipartite),
-    "hamming": ("ii", hamming),
-    "hypercube": ("i", hypercube),
-    "petersen": ("", petersen),
-    "complete": ("i", complete_graph),
-    "line": ("e", line_graph),
-    "tensorj": ("ei", tensor_allones),
-    "cart": ("ee", cartesian_product),
-    "kron": ("ee", kronecker_product),
-    "bdouble": ("e", bipartite_double),
-}
-
-
-# ASCII only: str.isalnum and str.isdigit also accept digits of other
-# scripts, fullwidth forms and superscripts
-_NAME_CHARS = string.ascii_letters + string.digits + "_"
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "(),":
-            tokens.append(ch)
-            i += 1
-        elif ch in string.ascii_letters:
-            j = i
-            while j < len(text) and text[j] in _NAME_CHARS:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch in string.digits:
-            j = i
-            while j < len(text) and text[j] in string.digits:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ExprError(f"unexpected character {ch!r} in expression")
-    return tokens
-
-
-def parse_expr(text: str) -> Graph:
-    tokens = _tokenize(text)
-    pos = 0
-
-    def expect(tok: str) -> None:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != tok:
-            got = tokens[pos] if pos < len(tokens) else "end of input"
-            raise ExprError(f"expected {tok!r}, got {got!r}")
-        pos += 1
-
-    def parse_node() -> Graph:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ExprError("unexpected end of expression")
-        name = tokens[pos]
-        if name not in _BUILDERS:
-            raise ExprError(f"unknown builder {name!r}")
-        pos += 1
-        sig, fn = _BUILDERS[name]
-        expect("(")
-        args = []
-        for idx, kind in enumerate(sig):
-            if idx:
-                expect(",")
-            if kind == "i":
-                if pos >= len(tokens) or not tokens[pos].isdigit():
-                    raise ExprError(f"builder {name!r} expects an integer argument")
-                args.append(read_decimal(tokens[pos]))
-                pos += 1
-            else:
-                args.append(parse_node())
-        expect(")")
-        return fn(*args)
-
-    g = parse_node()
-    if pos != len(tokens):
-        raise ExprError(f"trailing input after expression: {tokens[pos]!r}")
-    return g
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:

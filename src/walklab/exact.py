@@ -913,25 +913,21 @@ def _vanishes_at(table: np.ndarray, c: Sequence[int], q: int) -> tuple[bool, boo
     return not (acc - acc // q * q).any(), exact and not acc.any()
 
 
-def _trace_form(c: Sequence[int], traces: Sequence[int], q: int,
-                exact: bool) -> tuple[bool, bool]:
-    """Whether F(c) = sum_{i,j<=L} c_i c_j t_(i+j) is 0 mod q, and whether
-    it is 0 over Z, for monic residues c of degree L, lifted to least
-    absolute values, and t_0 .. t_2L, all exact (`exact`) or some of them
-    residues mod q.  F(c) is tr c(A)^2, the squared Frobenius norm of the
-    symmetric c(A) (moment_route)."""
+def _trace_form(c: Sequence[int], traces: Sequence[int], q: int) -> int:
+    """F(c) = sum_{i,j<=L} c_i c_j t_(i+j) = tr c(A)^2 over Z, for monic
+    residues c of degree L, lifted to least absolute values, and exact
+    t_0 .. t_2L.  It is 0 mod q for every candidate (moment_route)."""
     lift = Poly(_crt([c], [q]))
-    form = sum(map(operator.mul, (lift * lift).coeffs, traces))
-    return form % q == 0, exact and form == 0
+    return sum(map(operator.mul, (lift * lift).coeffs, traces))
 
 
 def _prime_run(table: np.ndarray, q: int,
                terms: int) -> tuple[list[int], list[int] | None, bool]:
     """Up to `terms` traces, exact or mod q, with Berlekamp-Massey mod q on
-    them; stops at the first candidate c with c(A) = 0 mod q.  Each
-    candidate is decided by its trace form (_trace_form) where that can
-    decide it, and by Horner (_vanishes_at) where it cannot.  Returns the
-    traces, c (None if no candidate passed) and whether c(A) = 0 over Z."""
+    them; stops at the first candidate c with c(A) = 0 mod q.  A trace form
+    of 0 (_trace_form), from exact traces, accepts c over Z; Horner
+    (_vanishes_at) decides every other candidate.  Returns the traces, c
+    (None if no candidate passed) and whether c(A) = 0 over Z."""
     n, delta = table.shape
     traces: list[int] = []
     bm, rejected = _BerlekampMassey(q), None
@@ -942,14 +938,11 @@ def _prime_run(table: np.ndarray, q: int,
         if c is None or c == rejected:
             continue
         # t_0 .. t_2L are exact while n delta^(2L) is below 2^62
-        form_zero_mod_q, zero = _trace_form(c, traces, q,
-                                            n * delta ** (2 * len(c) - 2) < _INT64_SAFE)
-        if zero:
+        if n * delta ** (2 * len(c) - 2) < _INT64_SAFE and _trace_form(c, traces, q) == 0:
             return traces, c, True
-        if form_zero_mod_q:
-            zero_mod_q, zero = _vanishes_at(table, c, q)
-            if zero_mod_q:
-                return traces, c, zero
+        zero_mod_q, zero = _vanishes_at(table, c, q)
+        if zero_mod_q:
+            return traces, c, zero
         rejected = c
     return traces, None, False
 
@@ -1048,15 +1041,15 @@ def moment_route(table: np.ndarray) -> Moments:
     c(A) = 0 over Z.  A single run shows c(A) = 0 over Z outright when its
     trace form vanishes over Z, or when the Horner steps ran exact.
 
-    The trace form decides a candidate c of degree L from the traces
-    alone.  c(A) is symmetric, so F(c) = sum_{i,j<=L} c_i c_j t_(i+j) =
-    tr c(A)^2 is the sum of the squares of its entries.  If c(A) = 0 mod q
-    then F(c) = 0 mod q, so F(c) != 0 mod q rejects c.  F(c) = 0 over Z,
-    computed from the lift of c and exact t_0 .. t_2L (n delta^(2L) <
-    2^62), makes every entry of c(A) zero.  Only a candidate with F(c) = 0
-    mod q whose F(c) is not known to vanish over Z (traces past 2^62, or a
-    lift that differs from c over Z because a coefficient passes q/2) goes
-    on to Horner (_vanishes_at), which evaluates c(A) mod q.
+    The trace form F(c) = sum_{i,j<=L} c_i c_j t_(i+j) = tr c(A)^2 is the
+    sum of the squared entries of the symmetric c(A): F(c) = 0 over Z,
+    from the lift of c and exact t_0 .. t_2L (n delta^(2L) < 2^62), makes
+    c(A) = 0.  Mod q it is 0 for every candidate.  Berlekamp-Massey offers
+    c of degree L only when 2L < N, N the traces pushed, and c then
+    generates them: sum_{i<=L} c_i t_(m+i) = 0 mod q for 0 <= m <= N-1-L, a
+    range that holds 0 .. L.  So each inner sum of F(c) = sum_m c_m sum_i
+    c_i t_(m+i) is 0 mod q, from exact traces or residues.  Every other
+    candidate goes on to Horner (_vanishes_at), which evaluates c(A) mod q.
 
     Then c = m_A: c(A) = 0 gives m_A | c, so s = deg m_A <= L.  And m_A,
     monic with integer coefficients, generates (t_r) (t_(r+s) + ... =

@@ -11,7 +11,9 @@ when n | 2k²(k² - θ²) (r = 2 gives the converse).  So the candidates are
 the divisors of that number inside the vertex-count window, and every
 one of them has integral closed-walk counts by construction.  Rows
 eliminated by the quadrangle checks are kept with their elimination
-reason so the generated tables mirror the reference ones.
+reason so the generated tables mirror the reference ones.  A known
+realization is a builder expression (`graphs.parse_expr`, as `--expr`);
+the tables build it and certify its spectrum (`realizes`).
 """
 
 from __future__ import annotations
@@ -23,21 +25,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
 
 from .exact import QuadraticNumber, Spectrum
-from .graphs import (
-    Graph,
-    bipartite_double,
-    cartesian_product,
-    closed_walks,
-    complete_bipartite,
-    cycle,
-    hamming,
-    hypercube,
-    line_graph,
-    tensor_allones,
-)
+from .graphs import Graph, closed_walks, parse_expr
 
 
 def _half_degree(k: int) -> int:
@@ -222,24 +212,17 @@ def classify_four_eigenvalue(k_max: int) -> list[tuple[int, int, Spectrum]]:
 # known realizations and reference annotations
 
 
-def _blowup(build: Callable[[], Graph], m: int) -> Callable[[], Graph]:
-    return lambda: tensor_allones(build(), m)
-
-
-def _lq3_double() -> Graph:
-    return bipartite_double(line_graph(hypercube(3)))
-
-
 @dataclass(frozen=True)
 class ReferenceRow:
     """Static annotation carried over from the reference tables: the
     existence column verbatim, the stated elimination category, and for
-    a known realization its registry graph."""
+    a known realization its registry graph as a builder expression
+    (`graphs.parse_expr`)."""
 
     existence: str
     elimination: str | None = None
     note: str = ""
-    build: Callable[[], Graph] | None = None
+    expr: str | None = None
 
 
 _QX = "qx_nonintegral"
@@ -248,29 +231,27 @@ _QNEG = "q_negative"
 
 REFERENCE_TABLE: dict[tuple[ThetaClass, int, int], ReferenceRow] = {
     # theta = k/2
-    (ThetaClass.HALF, 4, 12): ReferenceRow("C6⊗J2", build=_blowup(lambda: cycle(6), 2)),
-    (ThetaClass.HALF, 4, 16): ReferenceRow("H(4,2)", build=lambda: hamming(4, 2)),
-    (ThetaClass.HALF, 4, 24): ReferenceRow("L(Q3)⊗K2", build=_lq3_double),
+    (ThetaClass.HALF, 4, 12): ReferenceRow("C6⊗J2", expr="tensorj(cycle(6),2)"),
+    (ThetaClass.HALF, 4, 16): ReferenceRow("H(4,2)", expr="hamming(4,2)"),
+    (ThetaClass.HALF, 4, 24): ReferenceRow("L(Q3)⊗K2", expr="bdouble(line(hypercube(3)))"),
     (ThetaClass.HALF, 4, 32): ReferenceRow("IG(AG(2,4)\\pc)", None, "q=0"),
     (ThetaClass.HALF, 4, 48): ReferenceRow("-", None, "[S]"),
     (ThetaClass.HALF, 4, 64): ReferenceRow("-", None, "[S]"),
     (ThetaClass.HALF, 4, 96): ReferenceRow("-", None, "[S]"),
-    (ThetaClass.HALF, 6, 18): ReferenceRow("C6⊗J3", build=_blowup(lambda: cycle(6), 3)),
+    (ThetaClass.HALF, 6, 18): ReferenceRow("C6⊗J3", expr="tensorj(cycle(6),3)"),
     (ThetaClass.HALF, 6, 24): ReferenceRow("-", _QX),
     (ThetaClass.HALF, 6, 36): ReferenceRow("?"),
-    (ThetaClass.HALF, 6, 54): ReferenceRow(
-        "H(3,3)⊗K2", build=lambda: bipartite_double(hamming(3, 3))),
+    (ThetaClass.HALF, 6, 54): ReferenceRow("H(3,3)⊗K2", expr="bdouble(hamming(3,3))"),
     (ThetaClass.HALF, 6, 72): ReferenceRow("-", _QX),
     (ThetaClass.HALF, 6, 108): ReferenceRow("?"),
     (ThetaClass.HALF, 6, 162): ReferenceRow("IG(pg(5,5,2))", None, "q=0"),
     (ThetaClass.HALF, 6, 216): ReferenceRow("-", _QNEG),
     (ThetaClass.HALF, 6, 324): ReferenceRow("-", _QNEG),
-    (ThetaClass.HALF, 8, 24): ReferenceRow("C6⊗J4", build=_blowup(lambda: cycle(6), 4)),
-    (ThetaClass.HALF, 8, 32): ReferenceRow(
-        "H(4,2)⊗J2", build=_blowup(lambda: hamming(4, 2), 2)),
-    (ThetaClass.HALF, 8, 48): ReferenceRow("L(Q3)⊗K2⊗J2", build=_blowup(_lq3_double, 2)),
-    (ThetaClass.HALF, 8, 64): ReferenceRow("K4,4□K4,4", build=lambda: cartesian_product(
-        complete_bipartite(4, 4), complete_bipartite(4, 4))),
+    (ThetaClass.HALF, 8, 24): ReferenceRow("C6⊗J4", expr="tensorj(cycle(6),4)"),
+    (ThetaClass.HALF, 8, 32): ReferenceRow("H(4,2)⊗J2", expr="tensorj(hamming(4,2),2)"),
+    (ThetaClass.HALF, 8, 48): ReferenceRow(
+        "L(Q3)⊗K2⊗J2", expr="tensorj(bdouble(line(hypercube(3))),2)"),
+    (ThetaClass.HALF, 8, 64): ReferenceRow("K4,4□K4,4", expr="cart(kbip(4,4),kbip(4,4))"),
     (ThetaClass.HALF, 8, 96): ReferenceRow("?"),
     (ThetaClass.HALF, 8, 128): ReferenceRow("?"),
     (ThetaClass.HALF, 8, 192): ReferenceRow("?"),
@@ -278,7 +259,7 @@ REFERENCE_TABLE: dict[tuple[ThetaClass, int, int], ReferenceRow] = {
     (ThetaClass.HALF, 8, 384): ReferenceRow("?"),
     (ThetaClass.HALF, 8, 512): ReferenceRow("?"),
     (ThetaClass.HALF, 8, 768): ReferenceRow("?"),
-    (ThetaClass.HALF, 10, 30): ReferenceRow("C6⊗J5", build=_blowup(lambda: cycle(6), 5)),
+    (ThetaClass.HALF, 10, 30): ReferenceRow("C6⊗J5", expr="tensorj(cycle(6),5)"),
     (ThetaClass.HALF, 10, 40): ReferenceRow("-", _QX),
     (ThetaClass.HALF, 10, 50): ReferenceRow("?"),
     (ThetaClass.HALF, 10, 60): ReferenceRow("?"),
@@ -295,12 +276,12 @@ REFERENCE_TABLE: dict[tuple[ThetaClass, int, int], ReferenceRow] = {
     (ThetaClass.HALF, 10, 1250): ReferenceRow("?"),
     (ThetaClass.HALF, 10, 1500): ReferenceRow("?"),
     # theta = (sqrt2/2) k
-    (ThetaClass.SQRT2, 2, 8): ReferenceRow("C8", build=lambda: cycle(8)),
-    (ThetaClass.SQRT2, 4, 16): ReferenceRow("C8⊗J2", build=_blowup(lambda: cycle(8), 2)),
+    (ThetaClass.SQRT2, 2, 8): ReferenceRow("C8", expr="cycle(8)"),
+    (ThetaClass.SQRT2, 4, 16): ReferenceRow("C8⊗J2", expr="tensorj(cycle(8),2)"),
     (ThetaClass.SQRT2, 4, 32): ReferenceRow("TD1(2,4)⊗J2,1", None, "[vDS]"),
     (ThetaClass.SQRT2, 4, 64): ReferenceRow("?"),
     (ThetaClass.SQRT2, 6, 18): ReferenceRow("-", _QN),
-    (ThetaClass.SQRT2, 6, 24): ReferenceRow("C8⊗J3", build=_blowup(lambda: cycle(8), 3)),
+    (ThetaClass.SQRT2, 6, 24): ReferenceRow("C8⊗J3", expr="tensorj(cycle(8),3)"),
     (ThetaClass.SQRT2, 6, 36): ReferenceRow("?"),
     (ThetaClass.SQRT2, 6, 48): ReferenceRow("-", _QX),
     (ThetaClass.SQRT2, 6, 54): ReferenceRow("-", _QN),
@@ -309,12 +290,12 @@ REFERENCE_TABLE: dict[tuple[ThetaClass, int, int], ReferenceRow] = {
     (ThetaClass.SQRT2, 6, 144): ReferenceRow("-", _QX),
     (ThetaClass.SQRT2, 6, 162): ReferenceRow("-", _QN),
     (ThetaClass.SQRT2, 6, 216): ReferenceRow("?"),
-    (ThetaClass.SQRT2, 8, 32): ReferenceRow("C8⊗J4", build=_blowup(lambda: cycle(8), 4)),
+    (ThetaClass.SQRT2, 8, 32): ReferenceRow("C8⊗J4", expr="tensorj(cycle(8),4)"),
     (ThetaClass.SQRT2, 8, 64): ReferenceRow("TD1(2,4)⊗J2,1⊗J2", None, "[vDS]"),
     (ThetaClass.SQRT2, 8, 128): ReferenceRow("?"),
     (ThetaClass.SQRT2, 8, 256): ReferenceRow("?"),
     (ThetaClass.SQRT2, 8, 512): ReferenceRow("?"),
-    (ThetaClass.SQRT2, 10, 40): ReferenceRow("C8⊗J5", build=_blowup(lambda: cycle(8), 5)),
+    (ThetaClass.SQRT2, 10, 40): ReferenceRow("C8⊗J5", expr="tensorj(cycle(8),5)"),
     (ThetaClass.SQRT2, 10, 50): ReferenceRow("-", _QN),
     (ThetaClass.SQRT2, 10, 80): ReferenceRow("-", _QX),
     (ThetaClass.SQRT2, 10, 100): ReferenceRow("?"),
@@ -332,9 +313,9 @@ REFERENCE_TABLE: dict[tuple[ThetaClass, int, int], ReferenceRow] = {
     (ThetaClass.SQRT3, 10, 500): ReferenceRow("?"),
 }
 
-# the known realizations, (existence, build) by row
-REALIZATIONS = {key: (ref.existence, ref.build) for key, ref in REFERENCE_TABLE.items()
-                if ref.build}
+# the known realizations, (existence, expr) by row
+REALIZATIONS = {key: (ref.existence, ref.expr) for key, ref in REFERENCE_TABLE.items()
+                if ref.expr}
 
 _ELIM_TEXT = {
     _QX: "q_x not integral",
@@ -397,12 +378,12 @@ def realizes(g: Graph, row: FeasibleRow) -> bool:
 
 
 def verify_realization(row: FeasibleRow) -> bool:
-    """Construct the registry graph for the row, if it has one, and
-    certify its spectrum by `realizes`."""
+    """Build the registry graph for the row from its expression, if it
+    has one, and certify its spectrum by `realizes`."""
     ref = REFERENCE_TABLE.get((row.theta_class, row.k, row.n))
-    if ref is None or ref.build is None:
+    if ref is None or ref.expr is None:
         return True
-    return realizes(ref.build(), row)
+    return realizes(parse_expr(ref.expr), row)
 
 
 # ---------------------------------------------------------------------------

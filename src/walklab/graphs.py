@@ -1,17 +1,20 @@
 """Simple undirected graphs with a canonical vertex ordering,
-constructors for the graph families used in the enumeration, structural
-predicates, the closed-walk counts at every vertex, and exact quadrangle
-counting.  A graph is one read-only int64 adjacency array; each product
-with it is a row gather on the graph's cached neighbour table, and
-`closed_walks` is the one loop of such products that walk-regularity,
-the quadrangle counts and the feasibility certificates read.  One
-breadth-first 2-colouring on the same table, cached per graph, answers
-both connectivity and bipartiteness."""
+constructors for the graph families used in the enumeration, the
+builder grammar over them that the command line and the feasibility
+registry read (`parse_expr`), structural predicates, the closed-walk
+counts at every vertex, and exact quadrangle counting.  A graph is one
+read-only int64 adjacency array; each product with it is a row gather
+on the graph's cached neighbour table, and `closed_walks` is the one
+loop of such products that walk-regularity, the quadrangle counts and
+the feasibility certificates read.  One breadth-first 2-colouring on
+the same table, cached per graph, answers both connectivity and
+bipartiteness."""
 
 from __future__ import annotations
 
 import itertools
 import os
+import string
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -299,28 +302,131 @@ def bipartite_double(g: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# builder expressions
+
+
+class ExprError(ValueError):
+    pass
+
+
+_BUILDERS = {
+    "cycle": ("i", cycle),
+    "kbip": ("ii", complete_bipartite),
+    "hamming": ("ii", hamming),
+    "hypercube": ("i", hypercube),
+    "petersen": ("", petersen),
+    "complete": ("i", complete_graph),
+    "line": ("e", line_graph),
+    "tensorj": ("ei", tensor_allones),
+    "cart": ("ee", cartesian_product),
+    "kron": ("ee", kronecker_product),
+    "bdouble": ("e", bipartite_double),
+}
+
+
+# ASCII only: str.isalnum and str.isdigit also accept digits of other
+# scripts, fullwidth forms and superscripts
+_NAME_CHARS = string.ascii_letters + string.digits + "_"
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "(),":
+            tokens.append(ch)
+            i += 1
+        elif ch in string.ascii_letters:
+            j = i
+            while j < len(text) and text[j] in _NAME_CHARS:
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        elif ch in string.digits:
+            j = i
+            while j < len(text) and text[j] in string.digits:
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        else:
+            raise ExprError(f"unexpected character {ch!r} in expression")
+    return tokens
+
+
+def parse_expr(text: str) -> Graph:
+    tokens = _tokenize(text)
+    pos = 0
+
+    def expect(tok: str) -> None:
+        nonlocal pos
+        if pos >= len(tokens) or tokens[pos] != tok:
+            got = tokens[pos] if pos < len(tokens) else "end of input"
+            raise ExprError(f"expected {tok!r}, got {got!r}")
+        pos += 1
+
+    def parse_node() -> Graph:
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ExprError("unexpected end of expression")
+        name = tokens[pos]
+        if name not in _BUILDERS:
+            raise ExprError(f"unknown builder {name!r}")
+        pos += 1
+        sig, fn = _BUILDERS[name]
+        expect("(")
+        args = []
+        for idx, kind in enumerate(sig):
+            if idx:
+                expect(",")
+            if kind == "i":
+                if pos >= len(tokens) or not tokens[pos].isdigit():
+                    raise ExprError(f"builder {name!r} expects an integer argument")
+                args.append(read_decimal(tokens[pos]))
+                pos += 1
+            else:
+                args.append(parse_node())
+        expect(")")
+        return fn(*args)
+
+    g = parse_node()
+    if pos != len(tokens):
+        raise ExprError(f"trailing input after expression: {tokens[pos]!r}")
+    return g
+
+
+# ---------------------------------------------------------------------------
 # predicates
 
 
 def colouring(g: Graph) -> tuple[int, np.ndarray]:
     """Breadth-first 2-colouring: the number of components, and the
     parity of each vertex's distance from the least vertex of its
-    component.  Each component is searched from its least unreached
-    vertex, one frontier at a time on the neighbour table; the table's
-    padding n gets colour 2, which no vertex has."""
+    component.  A forward scan finds each component's least unreached
+    vertex; a step gathers the frontier's table rows, keeps the vertices
+    not reached yet and drops repeats by index (`slot`), so the search is
+    O(n + m).  The table's padding n gets colour 2, which no vertex has."""
     table, n = g.neighbour_table, g.n
     colour = np.full(n + 1, -1, dtype=np.int8)  # -1: not reached yet
     colour[n] = 2
-    components, unreached = 0, np.array([0])
-    while unreached.size:
+    slot = np.empty(n + 1, dtype=np.intp)
+    components, start = 0, 0
+    while start < n:
         components += 1
-        frontier, side = unreached[:1], 0
+        frontier, side = np.array([start]), 0
         while frontier.size:
             colour[frontier] = side
-            seen = np.zeros(n + 1, dtype=bool)
-            seen[table[frontier]] = True
-            frontier, side = np.flatnonzero(seen & (colour < 0)), 1 - side
-        unreached = np.flatnonzero(colour < 0)
+            reached = table.take(frontier, axis=0).ravel()
+            reached = reached[colour.take(reached) < 0]
+            if reached.size > 1:  # a repeat needs two entries
+                order = np.arange(reached.size)
+                slot[reached] = order  # of a vertex's writes, one stands
+                reached = reached[slot.take(reached) == order]
+            frontier, side = reached, 1 - side
+        while start < n and colour[start] >= 0:
+            start += 1
     colour.setflags(write=False)
     return components, colour
 

@@ -2,6 +2,7 @@
 reference tables, the closed-form oracle for one block, realization
 verification, and the four-eigenvalue classification."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 import numpy as np
 
-from walklab import feasibility
+from walklab import feasibility, graphs
 from walklab.exact import QuadraticNumber, Spectrum, extract_spectrum
 from walklab.feasibility import (
     REFERENCE_TABLE,
@@ -27,7 +28,7 @@ from walklab.feasibility import (
     row_existence,
     verify_realization,
 )
-from walklab.graphs import Graph, cycle
+from walklab.graphs import Graph, cycle, parse_expr
 from walklab.walk import Periodic, decide_periodic
 
 from oracles import (
@@ -248,17 +249,52 @@ def test_eliminated_rows_are_retained():
 
 
 def test_realizations_verify():
-    for (cls, k, n), (label, builder) in REALIZATIONS.items():
+    for (cls, k, n), (label, expr) in REALIZATIONS.items():
         row = next(r for r in enumerate_rows(cls, k) if r.n == n)
         assert row_existence(row) == label
         assert verify_realization(row), label
 
 
+# the constructor call behind each registry expression, written out
+_HALF, _SQRT2 = ThetaClass.HALF, ThetaClass.SQRT2
+REGISTRY_CALLS = {
+    (_HALF, 4, 12): lambda: graphs.tensor_allones(graphs.cycle(6), 2),
+    (_HALF, 4, 16): lambda: graphs.hamming(4, 2),
+    (_HALF, 4, 24): lambda: graphs.bipartite_double(graphs.line_graph(graphs.hypercube(3))),
+    (_HALF, 6, 18): lambda: graphs.tensor_allones(graphs.cycle(6), 3),
+    (_HALF, 6, 54): lambda: graphs.bipartite_double(graphs.hamming(3, 3)),
+    (_HALF, 8, 24): lambda: graphs.tensor_allones(graphs.cycle(6), 4),
+    (_HALF, 8, 32): lambda: graphs.tensor_allones(graphs.hamming(4, 2), 2),
+    (_HALF, 8, 48): lambda: graphs.tensor_allones(
+        graphs.bipartite_double(graphs.line_graph(graphs.hypercube(3))), 2),
+    (_HALF, 8, 64): lambda: graphs.cartesian_product(
+        graphs.complete_bipartite(4, 4), graphs.complete_bipartite(4, 4)),
+    (_HALF, 10, 30): lambda: graphs.tensor_allones(graphs.cycle(6), 5),
+    (_SQRT2, 2, 8): lambda: graphs.cycle(8),
+    (_SQRT2, 4, 16): lambda: graphs.tensor_allones(graphs.cycle(8), 2),
+    (_SQRT2, 6, 24): lambda: graphs.tensor_allones(graphs.cycle(8), 3),
+    (_SQRT2, 8, 32): lambda: graphs.tensor_allones(graphs.cycle(8), 4),
+    (_SQRT2, 10, 40): lambda: graphs.tensor_allones(graphs.cycle(8), 5),
+}
+
+
+def test_registry_expressions_build_the_constructor_graphs():
+    # equal adjacency arrays: the same graph in the same vertex order
+    assert REALIZATIONS.keys() == REGISTRY_CALLS.keys()
+    for key, (label, expr) in REALIZATIONS.items():
+        assert np.array_equal(parse_expr(expr).adjacency, REGISTRY_CALLS[key]().adjacency), label
+    # the registry is data: feasibility reaches the graphs only by parse_expr
+    constructors = {id(fn) for _, fn in graphs._BUILDERS.values()}
+    assert not [name for name, value in vars(feasibility).items() if id(value) in constructors]
+    assert not [(key, field.name) for key, ref in REFERENCE_TABLE.items()
+                for field in dataclasses.fields(ref) if callable(getattr(ref, field.name))]
+
+
 def test_certificate_agrees_with_the_spectrum_oracle_on_every_realization():
     # each registry graph against every row of its degree, in all three
     # classes: rows with its own n but another θ included
-    for (cls, k, n), (label, builder) in REALIZATIONS.items():
-        g = builder()
+    for (cls, k, n), (label, expr) in REALIZATIONS.items():
+        g = parse_expr(expr)
         for other in ThetaClass:
             for row in enumerate_rows(other, k):
                 own = (other, row.n) == (cls, n)
@@ -330,8 +366,8 @@ def test_row_spectrum_equals_the_sorted_spectrum_of_its_pairs():
 
 
 def test_realization_graphs_are_periodic():
-    for (cls, k, n), (label, builder) in REALIZATIONS.items():
-        g = builder()
+    for (cls, k, n), (label, expr) in REALIZATIONS.items():
+        g = parse_expr(expr)
         verdict = decide_periodic(g)
         assert isinstance(verdict, Periodic), label
         assert verdict.period == (12 if cls is ThetaClass.HALF else 8), label

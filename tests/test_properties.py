@@ -4,7 +4,8 @@ both file formats round-trip.  On seeded random regular graphs with up
 to 20 vertices and their complements, some of them past the int64
 bound, and on blow-ups of random regular graphs by J_2 and J_3, the
 moment route's charpoly equals the CRT and Bareiss charpolys, its m_A,
-certified by t_n or by t_(2n+1), equals p / gcd(p, p'), and the
+certified by t_n or by t_(2n+1), equals p / gcd(p, p'), every candidate
+recurrence c it offers has a trace form F(c) that is 0 mod q, and the
 closed-walk counts at each vertex are the diagonals of the matrix
 powers; on those of degree at most 5, `analyze` reports the Hoffman
 identity that the oracle finds.  On random integer matrices with up to
@@ -13,7 +14,8 @@ Bareiss interpolation route, and its coefficients lie within the CRT
 bound.
 The breadth-first 2-colouring gives the same connectivity and parts as
 a per-vertex search on seeded random regular graphs, on bipartite
-graphs with several components and on isolated vertices.
+graphs with several components, on isolated vertices, on disjoint edges
+and on a long cycle.
 Division by a monic integer divisor is division over Q in Python ints, and
 deflation by it is repeated division.  The
 integer matrix product, and the product of a 0/1 matrix by row gathers,
@@ -40,6 +42,8 @@ from walklab.exact import (
     Poly,
     QuadraticNumber,
     Spectrum,
+    _BerlekampMassey,
+    _trace_form,
     adjacency_times,
     min_poly_route,
     moment_route,
@@ -163,6 +167,32 @@ def test_moment_route_matches_the_crt_and_bareiss(g):
     assert min_poly_route(g.neighbour_table) == m
 
 
+@seed(20261030)
+@PROPERTY_SETTINGS
+@given(st.one_of(low_degree_regular_graphs(), blow_ups()))
+# 30 * 9^r > 2^62 from r = 19: the later traces reach the route as residues
+@example(tensor_allones(random_regular(10, 3, random.Random(1)), 3))
+def test_every_route_candidate_has_a_trace_form_of_zero_mod_q(g):
+    # Berlekamp-Massey offers c of degree L once 2L < N, N the traces it
+    # has: c generates them mod q, sum_i c_i t_(m+i) = 0 for m <= N-1-L,
+    # and m <= L is in that range, so each inner sum of F(c) = sum_m c_m
+    # sum_i c_i t_(m+i) is 0 mod q.  Only F(c) over Z can reject c
+    real, candidates = _BerlekampMassey.candidate, []
+
+    def recording(self):
+        c = real(self)
+        if c is not None:
+            candidates.append((c, list(self.terms), self.q))
+        return c
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_BerlekampMassey, "candidate", recording)
+        moment_route(g.neighbour_table)
+        min_poly_route(g.neighbour_table)
+    assert candidates
+    assert all(_trace_form(c, traces, q) % q == 0 for c, traces, q in candidates)
+
+
 @seed(20261028)
 @PROPERTY_SETTINGS
 @given(regular_graphs_and_complements())
@@ -205,6 +235,11 @@ def colouring_cases(draw):
 @given(colouring_cases())
 @example(bipartite_double(cycle(4)))
 @example(cycle(5))
+# many components, and a long diameter: each step of the search costs its
+# frontier's rows, not n
+@example(tensor_allones(complete_graph(1), 1024))
+@example(Graph.from_edges(1024, [(2 * i, 2 * i + 1) for i in range(512)]))
+@example(cycle(1024))
 def test_the_breadth_first_colouring_matches_the_search_oracle(g):
     assert (is_connected(g), is_bipartite(g)) == colouring_by_search(g)
 

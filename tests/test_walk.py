@@ -29,6 +29,7 @@ from walklab.graphs import (
     hamming,
     hypercube,
     line_graph,
+    parse_expr,
     petersen,
     tensor_allones,
 )
@@ -298,7 +299,7 @@ def _assert_vertex_decision_matches_u_side(name, g):
 
 def test_vertex_decision_matches_u_side_oracles():
     graphs = list(_selfcheck_catalog())
-    graphs += [(label, builder()) for label, builder in REALIZATIONS.values()]
+    graphs += [(label, parse_expr(expr)) for label, expr in REALIZATIONS.values()]
     graphs += [(f"C{n}", cycle(n)) for n in range(3, 13)]
     graphs += [(f"circulant({n};1,2)", _circulant(n, (1, 2))) for n in (8, 9)]
     rng = random.Random(20211)
@@ -332,7 +333,7 @@ def test_integer_decision_matches_the_fraction_route_and_the_period_oracle():
     graphs += [(f"random k={k} n={n}", random_regular(n, k, rng))
                for k, sizes in ((3, (8, 10, 12, 16, 20)), (4, (9, 10, 12, 15)), (5, (12,)))
                for n in sizes]
-    graphs += [(label, builder()) for label, builder in REALIZATIONS.values()]
+    graphs += [(label, parse_expr(expr)) for label, expr in REALIZATIONS.values()]
     graphs.append(("circulant(9;1,2)", _circulant(9, (1, 2))))
     for name, g in graphs:
         verdict = decide_periodic(g)
@@ -598,7 +599,7 @@ def _hoffman_reference(g):
 
 def test_hoffman_matches_the_rational_reference_on_both_sides_of_the_int64_bound():
     rng = random.Random(20261018)
-    graphs = [(label, builder()) for label, builder in REALIZATIONS.values()]
+    graphs = [(label, parse_expr(expr)) for label, expr in REALIZATIONS.values()]
     graphs += [(f"random cubic n={n}", random_regular(n, 3, rng)) for n in (16, 24, 36, 40)]
     graphs += [("two triangles", Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
                                                        (3, 4), (4, 5), (3, 5)])),
