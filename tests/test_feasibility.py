@@ -2,8 +2,11 @@
 reference tables, the closed-form oracle for one block, realization
 verification, and the four-eigenvalue classification."""
 
+import csv
 import dataclasses
 import hashlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,8 +14,10 @@ import pytest
 import numpy as np
 
 from walklab import feasibility, graphs
+from walklab.cli import main
 from walklab.exact import QuadraticNumber, Spectrum, extract_spectrum
 from walklab.feasibility import (
+    CSV_FIELDS,
     REFERENCE_TABLE,
     REALIZATIONS,
     ThetaClass,
@@ -23,6 +28,7 @@ from walklab.feasibility import (
     n_bounds,
     read_tables_csv,
     realizes,
+    render_rows,
     render_tables,
     row_comment,
     row_existence,
@@ -109,6 +115,20 @@ def test_the_integer_layer_builds_no_fraction(monkeypatch):
     assert [(k, n) for k, n, _ in classify_four_eigenvalue(40)] == [(2, 6)]
     realized = [row for row in rows if (row.theta_class, row.k, row.n) in REALIZATIONS]
     assert len(realized) == 15 and all(verify_realization(row) for row in realized)
+    # the tables render from the rows' ints, and certify the registry rows only
+    for name in ("QuadraticNumber", "Spectrum"):
+        monkeypatch.setattr(feasibility, name, refuse)
+    certified = []
+
+    def count(row):
+        certified.append((row.theta_class, row.k, row.n))
+        return verify_realization(row)
+
+    monkeypatch.setattr(feasibility, "verify_realization", count)
+    for fmt, digest in TABLE_DIGESTS.items():
+        certified.clear()
+        assert hashlib.sha256(render_tables(40, fmt).encode()).hexdigest() == digest
+        assert certified == list(REALIZATIONS), fmt
 
 
 def test_closed_walks_examples():
@@ -363,6 +383,9 @@ def test_row_spectrum_equals_the_sorted_spectrum_of_its_pairs():
         pairs = [(QuadraticNumber(row.k), 1), (QuadraticNumber(-row.k), 1),
                  (theta, row.a), (-theta, row.a), (QuadraticNumber(0), row.b)]
         assert row.spectrum() == Spectrum.from_pairs(pairs), (row.theta_class, row.k, row.n)
+        # the text table writes the spectrum column from the row's ints
+        column = render_rows([row], "text").split(" | ")[2]
+        assert column == row.spectrum().render(), (row.theta_class, row.k, row.n)
 
 
 def test_realization_graphs_are_periodic():
@@ -404,16 +427,33 @@ def test_classification_window():
 # rendering
 
 
-def test_render_tables_csv_roundtrip():
-    text = render_tables(6, "csv")
-    rows = read_tables_csv(text)
-    import csv
-    import io
+def _dict_writer_csv(records):
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=tuple(rows[0].keys()), lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
     writer.writeheader()
-    writer.writerows(rows)
-    assert buf.getvalue() == text
+    writer.writerows(records)
+    return buf.getvalue()
+
+
+def test_render_tables_csv_roundtrip():
+    text = render_tables(40, "csv")
+    assert _dict_writer_csv(read_tables_csv(text)) == text
+
+
+def test_writers_equal_the_standard_library_writers(capsys):
+    # each record built from the exact objects, written by json.dumps and
+    # csv.DictWriter
+    rows = all_rows(40)
+    records = [dict(zip(CSV_FIELDS, (
+        row.theta_class.value, str(row.k), str(row.n), str(row.a), str(row.b),
+        str(row.q), str(row.q_x), row.status, row_comment(row), row_existence(row))))
+        for row in rows]
+    assert render_rows(rows, "json") == json.dumps(records, indent=2, ensure_ascii=False) + "\n"
+    assert render_rows(rows, "csv") == _dict_writer_csv(records)
+    # a degree with no rows
+    for fmt, empty in (("json", "[]\n"), ("csv", ",".join(CSV_FIELDS) + "\n"), ("text", "")):
+        assert main(["enumerate", "--class", "sqrt3", "--k", "2", "--format", fmt]) == 0
+        assert capsys.readouterr().out == empty, fmt
 
 
 def test_render_tables_text_layout():
@@ -427,7 +467,6 @@ def test_render_tables_text_layout():
 
 
 def test_render_tables_json_exact_strings():
-    import json
     rows = json.loads(render_tables(10, "json"))
     rec = next(r for r in rows
                if r["class"] == "sqrt3" and r["k"] == "10" and r["n"] == "200")
