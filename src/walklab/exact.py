@@ -1,12 +1,13 @@
 """Exact algebra kernels: dense rational polynomials, quadratic surds,
 the characteristic and minimal polynomials of a graph from its
 closed-walk counts on residues modulo word-size primes (the moment
-route), cyclotomic machinery, and spectra.  The moment route sums the
-counts over the vertices in its own stream, reduced modulo a prime past
-2^62; the exact per-vertex counts are `graphs.closed_walks`.  The
-reference routes that `selfcheck` and the tests hold these against (the
-CRT charpoly of any rational matrix, `int_matmul` and Euclid's gcd over
-Q) live in `walklab.oracles`.
+route), cyclotomic machinery, and spectra: read off m_A and its traces
+where the route certified m_A, else off the charpoly.  The moment route
+sums the counts over the vertices in its own stream, reduced modulo a
+prime past 2^62; the exact per-vertex counts are `graphs.closed_walks`.
+The reference routes that `selfcheck` and the tests hold these against
+(the CRT charpoly of any rational matrix, `int_matmul` and Euclid's gcd
+over Q) live in `walklab.oracles`.
 
 Everything in this module is exact.  No floating point enters any
 computation; integrality, divisibility and sign decisions are made over
@@ -25,7 +26,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -556,6 +557,12 @@ class Spectrum:
         ordered = sorted(merged.items(), key=lambda e: e[0], reverse=True)
         return cls(tuple(ordered))
 
+    @classmethod
+    def from_factors(cls, factors: Iterable[tuple[Poly, int]]) -> Spectrum:
+        """The roots of factors x - r and x^2 + bx + c (`_roots`), each
+        with the multiplicity of its factor."""
+        return cls.from_pairs((root, mult) for f, mult in factors for root in _roots(f))
+
     def values(self) -> Iterator[QuadraticNumber]:
         for value, _ in self.entries:
             yield value
@@ -625,37 +632,17 @@ class Unresolved:
 _SCREEN_POINTS = (1, -1, 2, -2, 3, -3)
 
 
-def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
-    """Resolve the roots of the characteristic polynomial of a real
-    symmetric matrix, a monic integer polynomial whose roots are all
-    real, into exact rational and quadratic-surd form.
-
-    After the root 0 is stripped, the residual x^d + a_1 x^(d-1) +
-    a_2 x^(d-2) + ... + a_0 has S = a_1^2 - 2a_2 as the sum of its
-    squared roots (2E for a graph), so every root r has r^2 <= S.  One
-    pass strips the integer roots (the only rational ones) r | a_0 with
-    r^2 <= S, then the quadratic factors x^2 + bx + c with irrational
-    roots α, β: c | a_0 and 4c < b^2 <= S + 2c, because b^2 - 4c =
-    (α - β)^2 and b^2 - 2c = α^2 + β^2.  The residual only loses
-    factors, so one pass is complete.  What is left over (degree >= 3)
-    is returned as an Unresolved residual.
-
-    The residual r is a monic integer Poly.  A factor is stripped with
-    all its multiplicity by one `Poly.deflate`, which divides in place in
-    Python ints, accepts the factor only while no remainder is left, and
-    builds one Poly for the quotient.  An integer root is tried only where
-    r(root) = 0.  A quadratic candidate f is first rejected when f(1) =
-    1 + b + c is nonzero and does not divide r(1), then screened at the
-    points _SCREEN_POINTS, where f | r forces f(v) | r(v) (and
-    r(v) = 0 where f(v) = 0); only a candidate that passes is built and
-    deflated out of r.
-    """
+def _factors(p: Poly) -> tuple[list[tuple[Poly, int]], Poly]:
+    """The factors of the monic integer, real-rooted p that
+    extract_spectrum resolves, each monic x - r (r an integer) or
+    x^2 + bx + c with irrational roots, with its multiplicity, in the
+    order found; and the monic residual left over."""
     if not p.is_monic():
         raise ValueError("spectrum extraction requires a monic polynomial")
     if not p.is_integral():
         raise ValueError("spectrum extraction requires integer coefficients")
     nz = next(i for i, c in enumerate(p.coeffs) if c)
-    pairs = [(QuadraticNumber(0), nz)] if nz else []
+    factors = [(Poly.x(), nz)] if nz else []
     residual = Poly(p.coeffs[nz:])
     *_, a2, a1, _ = (0, 0) + residual.coeffs
     sq_sum = a1 * a1 - 2 * a2
@@ -668,13 +655,14 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
             continue
         for root in (d, -d):
             if residual(root) == 0:
-                residual, mult = residual.deflate(Poly((-root, 1)))
-                pairs.append((QuadraticNumber(root), mult))
+                f = Poly((-root, 1))
+                residual, mult = residual.deflate(f)
+                factors.append((f, mult))
 
     a0 = abs(residual.coeffs[0])
     values = [residual(v) for v in _SCREEN_POINTS]
     for c_abs in range(1, sq_sum // 2 + 1):
-        if residual.degree() < 2:
+        if residual.degree() <= 2:
             break
         if a0 % c_abs:
             continue
@@ -687,17 +675,66 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
                 at = [v * v + b * v + c for v in _SCREEN_POINTS]
                 if not all(r % f == 0 if f else r == 0 for r, f in zip(values, at)):
                     continue
-                residual, mult = residual.deflate(Poly((c, b, 1)))
+                f = Poly((c, b, 1))
+                residual, mult = residual.deflate(f)
                 if mult:
                     values = [residual(v) for v in _SCREEN_POINTS]
-                    m, s = squarefree_part(b * b - 4 * c)
-                    half_b, half_s = Fraction(-b, 2), Fraction(s, 2)
-                    pairs.append((QuadraticNumber(half_b, half_s, m), mult))
-                    pairs.append((QuadraticNumber(half_b, -half_s, m), mult))
+                    factors.append((f, mult))
 
+    # no integer root is left, so a quadratic residual is irreducible
+    if residual.degree() == 2 and residual.coeffs[1] ** 2 > 4 * residual.coeffs[0]:
+        factors.append((residual, 1))
+        residual = Poly.one()
+    return factors, residual
+
+
+def _roots(f: Poly) -> tuple[QuadraticNumber, ...]:
+    """The roots of a factor from _factors: r for x - r, and the conjugate
+    surds (-b ± sqrt(b^2 - 4c))/2 for x^2 + bx + c."""
+    if f.degree() == 1:
+        return (QuadraticNumber(-f.coeffs[0]),)
+    c, b, _ = f.coeffs
+    m, s = squarefree_part(b * b - 4 * c)
+    half_b, half_s = Fraction(-b, 2), Fraction(s, 2)
+    return QuadraticNumber(half_b, half_s, m), QuadraticNumber(half_b, -half_s, m)
+
+
+def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
+    """Resolve the roots of the characteristic polynomial of a real
+    symmetric matrix, a monic integer polynomial whose roots are all
+    real, into exact rational and quadratic-surd form (`_factors`).
+
+    After the root 0 is stripped, the residual x^d + a_1 x^(d-1) +
+    a_2 x^(d-2) + ... + a_0 has S = a_1^2 - 2a_2 as the sum of its
+    squared roots (2E for a graph), so every root r has r^2 <= S.  One
+    pass strips the integer roots (the only rational ones) r | a_0 with
+    r^2 <= S, then the quadratic factors x^2 + bx + c with irrational
+    roots α, β: c | a_0 and 4c < b^2 <= S + 2c, because b^2 - 4c =
+    (α - β)^2 and b^2 - 2c = α^2 + β^2.  The residual only loses
+    factors, so one pass is complete.  A residual of degree 2 has no
+    rational root left, so it is irreducible: it is taken as the last
+    pair, of multiplicity 1, without the search.  What is left over
+    (degree >= 3) is returned as an Unresolved residual.
+
+    The residual r is a monic integer Poly.  A factor is stripped with
+    all its multiplicity by one `Poly.deflate`, which divides in place in
+    Python ints, accepts the factor only while no remainder is left, and
+    builds one Poly for the quotient.  An integer root is tried only where
+    r(root) = 0.  A quadratic candidate f is first rejected when f(1) =
+    1 + b + c is nonzero and does not divide r(1), then screened at the
+    points _SCREEN_POINTS, where f | r forces f(v) | r(v) (and
+    r(v) = 0 where f(v) = 0); only a candidate that passes is built and
+    deflated out of r.
+
+    This is the spectrum of a graph whose moment route certified no m_A,
+    or whose m_A has a root beyond quadratic surds; every other graph
+    reads its spectrum off m_A (`min_poly_factors`).
+    """
+    factors, residual = _factors(p)
     if residual.degree() > 0:
-        return Unresolved(tuple(pairs), residual)
-    return Spectrum.from_pairs(pairs)
+        return Unresolved(tuple((root, mult) for f, mult in factors for root in _roots(f)),
+                          residual)
+    return Spectrum.from_factors(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -809,11 +846,17 @@ _ROUTE_PRIMES_BELOW = 2 ** 31
 
 @dataclass(frozen=True)
 class Moments:
-    """What the moment route computed: the adjacency charpoly, and m_A when
-    a recurrence was certified by t_n (None otherwise)."""
+    """What the moment route computed: m_A of degree s, when a recurrence
+    was certified by t_n, with the exact traces t_0 .. t_(s-1); otherwise
+    min_poly None and t_0 .. t_n.  The charpoly is built from them
+    (`_newton`) only when it is first read."""
 
-    charpoly: Poly
+    traces: tuple[int, ...]
     min_poly: Poly | None
+
+    @cached_property
+    def charpoly(self) -> Poly:
+        return _newton(self.traces, None if self.min_poly is None else self.min_poly.coeffs)
 
 
 class _BerlekampMassey:
@@ -995,35 +1038,76 @@ def _integer_traces(table: np.ndarray, count: int, primes: Iterator[int],
     return _crt([t for _, t in usable], [q for q, _ in usable])
 
 
+def _trace_numerator(traces: Sequence[int], c: Sequence[int]) -> list[int]:
+    """w_e = sum_{i<=e} t_i M_(e-i) for e < s, with M_j = c_(s-j), from
+    t_0 .. t_(s-1) and the monic recurrence c of degree s, constant term
+    first: the coefficient of x^(s-1-e) in N = c p'/p (moment_route)."""
+    m = c[::-1]
+    return [sum(traces[i] * m[e - i] for i in range(e + 1)) for e in range(len(c) - 1)]
+
+
 def _newton(traces: Sequence[int], c: Sequence[int] | None = None) -> Poly:
     """det(xI - A) for an integer matrix A of order n = t_0, from its traces
     t_r = tr(A^r) and the monic recurrence c of degree s they obey, constant
-    term first.  With M_j = c_(s-j) and U_j = sum_{i=1}^{j} t_i M_(j-i), the
-    coefficient a_r of x^(n-r) satisfies (moment_route proves it)
+    term first.  With M_j = c_(s-j), w_j (`_trace_numerator`) for j < s and
+    w_s = 0, the coefficient a_r of x^(n-r) satisfies (moment_route proves
+    it)
 
-        r a_r = -sum_{j=1}^{min(r,s)} (M_j (r - j) + U_j) a_(r-j),
+        r a_r = -sum_{j=1}^{min(r,s)} (M_j (r - j - n) + w_j) a_(r-j),
 
-    which reads t_0 .. t_(s-1) only, as U_s = -n c_0 by the recurrence.
-    With no recurrence (c None), M = 1 and U_j = t_j on t_0 .. t_n: these
-    are Newton's identities r a_r = -sum_{j=1}^{r} t_j a_(r-j).  The
-    division by r is exact for an integer matrix."""
+    which reads t_0 .. t_(s-1) only.  With no recurrence (c None) these
+    are Newton's identities r a_r = -sum_{j=1}^{r} t_j a_(r-j) on t_0 ..
+    t_n.  The division by r is exact for an integer matrix."""
     n = traces[0]
     if c is not None:
         s = len(c) - 1
         m = c[::-1]
-        u = [sum(traces[i] * m[j - i] for i in range(1, j + 1)) for j in range(s)]
-        u.append(-n * c[0])
+        w = _trace_numerator(traces, c) + [0]
     a = [1]
     for r in range(1, n + 1):
         if c is None:
             total = -sum(a[r - j] * traces[j] for j in range(1, r + 1) if traces[j])
         else:
-            total = -sum((m[j] * (r - j) + u[j]) * a[r - j] for j in range(1, min(r, s) + 1))
+            total = -sum((m[j] * (r - j - n) + w[j]) * a[r - j] for j in range(1, min(r, s) + 1))
         quot, rem = divmod(total, r)
         if rem:
             raise AssertionError(f"Newton's identities left remainder {rem} at r = {r}")
         a.append(quot)
     return Poly(a[::-1])
+
+
+def min_poly_factors(m: Poly, traces: Sequence[int]) -> list[tuple[Poly, int]] | None:
+    """The factors of the certified m_A of degree s (`_factors`), each with
+    the multiplicity in p_A of each of its roots, from the exact traces
+    t_0 .. t_(s-1); None when a root of m_A is beyond quadratic surds.
+
+    Over the distinct eigenvalues lambda, of multiplicities m_lambda,
+    N = m_A p_A'/p_A = sum m_lambda m_A/(x - lambda), so N(lambda) =
+    m_lambda m_A'(lambda); N has the coefficients of `_trace_numerator`
+    (moment_route).  For an integer root r, m_r = N(r)/m_A'(r).  Conjugate
+    surds share one multiplicity, since p_A is rational: for the roots of
+    f = x^2 + bx + c, N = m_lambda m_A' modulo f, so m_lambda is the ratio
+    of the two remainders.  All of it runs in Python ints; a root of m_A
+    that is not simple, or a ratio that is not one positive integer, is a
+    broken invariant."""
+    factors, residual = _factors(m)
+    if residual.degree() > 0:
+        return None
+    numer = Poly(_trace_numerator(traces, m.coeffs)[::-1])
+    deriv = Poly([i * c for i, c in enumerate(m.coeffs)][1:])
+    out = []
+    for f, once in factors:
+        if f.degree() == 1:
+            num, den = (numer(-f.coeffs[0]),), (deriv(-f.coeffs[0]),)
+        else:
+            num, den = (numer % f).coeffs, (deriv % f).coeffs
+        ok = once == 1 and num and len(num) == len(den) and den[-1]
+        mult = num[-1] // den[-1] if ok else 0
+        if mult < 1 or num != tuple(d * mult for d in den):
+            raise AssertionError(f"m_A = {m} gives its factor {f} no positive "
+                                 f"integer multiplicity: N = {numer}")
+        out.append((f, mult))
+    return out
 
 
 def moment_route(table: np.ndarray) -> Moments:
@@ -1061,37 +1145,39 @@ def moment_route(table: np.ndarray) -> Moments:
     shorter recurrence, or none by t_2s, divides it: such primes are
     dropped, and there are finitely many.
 
-    With m = m_A certified, p = det(xI - A) = sum_r a_r x^(n-r) comes
-    from t_0 .. t_(s-1) in O(n s) steps (_newton).  Over the distinct
-    eigenvalues lambda, of multiplicities m_lambda, p'/p = sum
-    m_lambda/(x - lambda) = sum_r t_r x^(-r-1).  Every lambda is a simple
-    root of m, so N = m p'/p = sum m_lambda m/(x - lambda) is a polynomial
-    of degree s - 1: the polynomial part of m(x) sum_r t_r x^(-r-1), whose
-    other coefficients sum_j M_j t_(e-j), e >= s, vanish by the
-    recurrence (M_j = c_(s-j)).  With U_j = sum_{i=1}^{j} t_i M_(j-i),
-    N = sum_{e<s} (n M_e + U_e) x^(s-1-e).  The coefficients of
+    With m = m_A certified, the route keeps t_0 .. t_(s-1) beside it.
+    Over the distinct eigenvalues lambda, of multiplicities m_lambda,
+    p'/p = sum m_lambda/(x - lambda) = sum_r t_r x^(-r-1), for p =
+    det(xI - A) = sum_r a_r x^(n-r).  Every lambda is a simple root of m,
+    so N = m p'/p = sum m_lambda m/(x - lambda) is a polynomial of degree
+    s - 1: the polynomial part of m(x) sum_r t_r x^(-r-1), whose other
+    coefficients sum_j M_j t_(e-j), e >= s, vanish by the recurrence
+    (M_j = c_(s-j)).  So N = sum_{e<s} w_e x^(s-1-e) with w_e =
+    sum_{i<=e} t_i M_(e-i) (`_trace_numerator`), and N(lambda) =
+    m_lambda m'(lambda) gives the multiplicities on the roots of m
+    (`min_poly_factors`).  p itself comes from t_0 .. t_(s-1) in
+    O(n s) steps (_newton), only where it is read: the coefficients of
     x^(n+s-1-r) in m p' = N p give sum_{j<=min(r,s)} M_j (n - r + j)
-    a_(r-j) = sum_{e<=min(r,s-1)} (n M_e + U_e) a_(r-e).  The terms j =
-    e = 0 leave -r a_r, and U_s = -n M_s (sum_{i=0}^{s} t_i M_(s-i) = 0)
-    lets the term j = s join the others:
+    a_(r-j) = sum_{e<=min(r,s)} w_e a_(r-e), with w_s = 0.  The terms
+    j = e = 0 leave -r a_r (w_0 = t_0 = n), so
 
-        r a_r = -sum_{j=1}^{min(r,s)} (M_j (r - j) + U_j) a_(r-j).
+        r a_r = -sum_{j=1}^{min(r,s)} (M_j (r - j - n) + w_j) a_(r-j).
 
     The same comparison for m = 1, of p' = N p with the power series
-    N = sum_r t_r x^(-r-1), gives Newton's identities on t_0 .. t_n, the
-    case M = 1 and U_j = t_j.  A trace t_r <= n delta^r is used as an
-    integer only once the primes' product exceeds 2 n delta^r.  When a run
-    reaches t_n with no recurrence certified (s close to n), Newton's
-    identities run on t_0 .. t_n and no m_A is returned; min_poly_route
-    goes on to t_(2n+1).
+    N = sum_r t_r x^(-r-1), gives Newton's identities on t_0 .. t_n.  A
+    trace t_r <= n delta^r is used as an integer only once the primes'
+    product exceeds 2 n delta^r.  When a run reaches t_n with no
+    recurrence certified (s close to n), no m_A is returned, p comes from
+    Newton's identities on t_0 .. t_n and the spectrum from p
+    (`extract_spectrum`); min_poly_route goes on to t_(2n+1).
     """
     n = len(table)
     primes = _primes_below(_ROUTE_PRIMES_BELOW)
     runs: list[tuple[int, list[int]]] = []
     c = _recurrence(table, n + 1, primes, runs)
     if c is None:
-        return Moments(_newton(_integer_traces(table, n + 1, primes, runs)), None)
-    return Moments(_newton(_integer_traces(table, len(c) - 1, primes, runs), c), Poly(c))
+        return Moments(tuple(_integer_traces(table, n + 1, primes, runs)), None)
+    return Moments(tuple(_integer_traces(table, len(c) - 1, primes, runs)), Poly(c))
 
 
 def min_poly_route(table: np.ndarray) -> Poly:

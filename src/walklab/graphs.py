@@ -29,6 +29,7 @@ from .exact import (
     adjacency_times,
     exact_dtype,
     extract_spectrum,
+    min_poly_factors,
     min_poly_route,
     moment_route,
     neighbour_table,
@@ -168,8 +169,11 @@ class Graph:
 
     @cached_property
     def charpoly(self) -> Poly:
-        """Adjacency characteristic polynomial, computed once per graph by
-        the moment route (`exact.moment_route`), which stops at t_n."""
+        """Adjacency characteristic polynomial, computed once per graph from
+        the traces of the moment route (`exact.moment_route`), which stops
+        at t_n.  Nothing on the paths of `period` and `analyze` reads it
+        when the route certified m_A and every root of m_A resolves
+        (`route_factors`)."""
         return self._moments.charpoly
 
     @cached_property
@@ -182,9 +186,28 @@ class Graph:
         return min_poly_route(self.neighbour_table)
 
     @cached_property
+    def route_factors(self) -> list[tuple[Poly, int]] | None:
+        """The factors of the m_A that the moment route certified, each with
+        the multiplicity of its roots, solved from the route's traces
+        t_0 .. t_(s-1) (`exact.min_poly_factors`); None when the route
+        certified no m_A or a root of m_A is beyond quadratic surds.  This
+        one test chooses between the m_A path and the charpoly path, for
+        `spectrum` and for `walk.decide_periodic`."""
+        moments = self._moments
+        if moments.min_poly is None:
+            return None
+        return min_poly_factors(moments.min_poly, moments.traces)
+
+    @cached_property
     def spectrum(self) -> Spectrum | Unresolved:
-        """Exact adjacency spectrum, or what resisted extraction."""
-        return extract_spectrum(self.charpoly)
+        """Exact adjacency spectrum, or what resisted extraction: the roots
+        of the `route_factors` where there are any, else the roots of the
+        charpoly (`exact.extract_spectrum`).  Both give the same spectrum
+        wherever both resolve."""
+        factors = self.route_factors
+        if factors is None:
+            return extract_spectrum(self.charpoly)
+        return Spectrum.from_factors(factors)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"

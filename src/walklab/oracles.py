@@ -40,6 +40,7 @@ from .exact import (
     adjacency_times,
     cyclotomic,
     exact_dtype,
+    extract_spectrum,
     is_quadratic_algebraic_integer,
     min_poly_route,
     moment_route,
@@ -48,7 +49,8 @@ from .feasibility import REFERENCE_TABLE, classify_four_eigenvalue, enumerate_ro
 from .graphs import (Graph, GraphError, PartiteSplit, bipartite_double, complete_bipartite,
                      complete_graph, count_quadrangles, cycle, hamming, hypercube, is_bipartite,
                      is_connected, line_graph, petersen, regularity, tensor_allones)
-from .walk import NotRegularError, Periodic, _require_regular_connected, decide_periodic
+from .walk import (NotRegularError, Periodic, _require_regular_connected, decide_periodic,
+                   decide_periodic_by_charpoly)
 
 DIRECT_CHECK_MAX_ARCS = 200
 
@@ -747,6 +749,20 @@ def _check_moment_route() -> bool:
     return True
 
 
+def _check_route_spectrum() -> bool:
+    checked = 0
+    for name, g in _selfcheck_catalog():
+        if g.route_factors is None:
+            continue
+        if g.spectrum != extract_spectrum(g.charpoly):
+            return False
+        if (regularity(g) and is_connected(g)
+                and decide_periodic(g) != decide_periodic_by_charpoly(g)):
+            return False
+        checked += 1
+    return checked > 0
+
+
 def _check_quadrangles() -> bool:
     for name, g in _selfcheck_catalog():
         if g.n > 64:
@@ -802,6 +818,7 @@ _SELFCHECKS = (
     ("power sums and bipartite symmetry", _check_power_sums),
     ("minimal polynomial annihilates A and divides the charpoly", _check_min_poly),
     ("moment route equals the CRT charpoly and p / gcd(p, p')", _check_moment_route),
+    ("spectrum and verdict from m_A equal those from p_A and p_2T", _check_route_spectrum),
     ("quadrangle counts (walk bookkeeping = enumeration)", _check_quadrangles),
     ("hoffman identity on connected regular graphs", _check_hoffman),
     ("biadjacency block identities", _check_biadjacency),

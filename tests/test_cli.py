@@ -238,6 +238,33 @@ def test_analyze_computes_the_adjacency_charpoly_once(capsys, monkeypatch):
     assert sizes == [8]  # no charpoly of the 16x16 time evolution
 
 
+def test_analyze_builds_p_a_only_where_the_route_certified_no_m_a(capsys, monkeypatch):
+    # C6xJ2 (s = 5): the route certifies m_A, so the spectrum and the
+    # verdict come from m_A and its traces, no p_A is built, and nothing of
+    # degree above s is deflated.  C8 (2s >= n) certifies no m_A by t_8 and
+    # builds p_A once
+    newton, deflated = [], []
+    real_newton, real_deflate = exact._newton, Poly.deflate
+
+    def counting_newton(traces, c=None):
+        newton.append(traces[0])
+        return real_newton(traces, c)
+
+    def recording_deflate(self, f):
+        deflated.append(self.degree())
+        return real_deflate(self, f)
+
+    monkeypatch.setattr(exact, "_newton", counting_newton)
+    monkeypatch.setattr(Poly, "deflate", recording_deflate)
+    code, out, _ = _run(capsys, "analyze", "--expr", "tensorj(cycle(6),2)")
+    assert code == 0 and "periodicity: PERIODIC period=12" in out
+    assert newton == []
+    assert deflated and max(deflated) <= 5
+    code, out, _ = _run(capsys, "analyze", "--expr", "cycle(8)")
+    assert code == 0 and "periodicity: PERIODIC period=8" in out
+    assert newton == [8]
+
+
 def test_period_and_analyze_run_neither_the_crt_charpoly_nor_euclid(capsys, monkeypatch, tmp_path):
     # Q8 and the (5, 42) bench shape pass the int64 line, and the (5, 42)
     # graph reaches t_n with no recurrence certified: both stay on the
@@ -517,6 +544,31 @@ def test_selfcheck_detects_a_wrong_minimal_polynomial(capsys, monkeypatch):
     code, out, _ = _run(capsys, "selfcheck")
     assert code == 1
     assert "FAIL minimal polynomial annihilates A and divides the charpoly" in out
+
+
+ROUTE_SPECTRUM_LINE = "FAIL spectrum and verdict from m_A equal those from p_A and p_2T"
+
+
+def test_selfcheck_detects_a_wrong_multiplicity_from_m_a(capsys, monkeypatch):
+    # every multiplicity read off m_A gains one
+    real = graphs.min_poly_factors
+
+    def wrong(m, traces):
+        factors = real(m, traces)
+        return None if factors is None else [(f, mult + 1) for f, mult in factors]
+
+    monkeypatch.setattr(graphs, "min_poly_factors", wrong)
+    code, out, _ = _run(capsys, "selfcheck")
+    assert code == 1
+    assert ROUTE_SPECTRUM_LINE in out
+
+
+def test_selfcheck_detects_a_wrong_order_of_a_2cos_value(capsys, monkeypatch):
+    # psi_6 = x - 1, the minimal polynomial of 2cos(2pi/6), is given the order 3
+    monkeypatch.setitem(walk._ORDER_OF_PSI, (-1, 1), 3)
+    code, out, _ = _run(capsys, "selfcheck")
+    assert code == 1
+    assert ROUTE_SPECTRUM_LINE in out
 
 
 def test_period_rejects_the_removed_no_oracle_flag(capsys):

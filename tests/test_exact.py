@@ -33,6 +33,7 @@ from walklab.exact import (
     extract_spectrum,
     is_quadratic_algebraic_integer,
     min_poly_2cos,
+    min_poly_factors,
     min_poly_route,
     moment_route,
     squarefree_part,
@@ -390,7 +391,8 @@ def test_moment_route_drops_bad_primes_near_100(monkeypatch, seed, n, k, bad):
     p = charpoly(_adj(g))
     m = radical(p)
     runs = _record_prime_runs(monkeypatch)
-    assert moment_route(g.neighbour_table) == exact.Moments(p, None)
+    moments = moment_route(g.neighbour_table)
+    assert moments.min_poly is None and moments.charpoly == p
     assert min_poly_route(g.neighbour_table) == m
     assert [r for r in runs if r[1] != m.degree()][-len(bad):] == bad
 
@@ -460,9 +462,61 @@ def test_moment_route_matches_the_crt_and_bareiss_on_the_graph_atlas():
         m = radical(p)
         if moments.min_poly is not None:
             assert moments.min_poly == m, h.name
+            factors, reference = min_poly_factors(m, moments.traces), extract_spectrum(p)
+            if isinstance(reference, Spectrum):
+                assert Spectrum.from_factors(factors) == reference, h.name
+            else:
+                assert factors is None, h.name
             certified += 1
         assert min_poly_route(g.neighbour_table) == m, h.name
     assert certified == 53  # the others reach t_n first (2s >= n)
+
+
+def test_the_multiplicities_on_m_a_are_solved_from_traces():
+    # Q10: m_A = prod_i (x - (10 - 2i)) and t_0 .. t_10 give C(10, i)
+    g = hypercube(10)
+    moments = moment_route(g.neighbour_table)
+    assert len(moments.traces) == moments.min_poly.degree() == 11
+    factors = min_poly_factors(moments.min_poly, moments.traces)
+    assert Spectrum.from_factors(factors).entries == tuple(
+        (QuadraticNumber(10 - 2 * i), math.comb(10, i)) for i in range(11))
+    # C8xJ3: the conjugate pair ±3√2 shares one multiplicity
+    moments = moment_route(parse_expr("tensorj(cycle(8),3)").neighbour_table)
+    factors = min_poly_factors(moments.min_poly, moments.traces)
+    assert (Poly([-18, 0, 1]), 2) in factors
+    assert Spectrum.from_factors(factors).render() == "{[±6]^1, [±3√2]^2, [0]^18}"
+
+
+def test_the_multiplicities_on_m_a_refuse_traces_of_no_integer_matrix():
+    # K4: m_A = (x - 3)(x + 1) and t_0, t_1 = 4, 0.  With t_1 = 1 the
+    # multiplicities would be 5/4 and 11/4; with t_1 = -12, -2 and 6
+    m = Poly([-3, -2, 1])
+    assert min_poly_factors(m, (4, 0)) == [(Poly([1, 1]), 3), (Poly([-3, 1]), 1)]
+    for traces in ((4, 1), (4, -12)):
+        with pytest.raises(AssertionError, match="multiplicity"):
+            min_poly_factors(m, traces)
+    # m_A of C9xJ2 has the cubic factor of 2cos(2pi/9): nothing is solved
+    moments = moment_route(parse_expr("tensorj(cycle(9),2)").neighbour_table)
+    assert min_poly_factors(moments.min_poly, moments.traces) is None
+
+
+def test_a_quadratic_residual_is_the_last_pair_without_a_search(monkeypatch):
+    # m_A of C8xJ5 is x(x - 10)(x + 10)(x^2 - 50): once the integer roots
+    # are stripped, x^2 - 50 is taken as it is, so no quadratic candidate
+    # is deflated (the search would try about 400 before c = -50)
+    real, divisors = Poly.deflate, []
+
+    def recording(self, f):
+        divisors.append(f.degree())
+        return real(self, f)
+
+    monkeypatch.setattr(Poly, "deflate", recording)
+    m = Poly([0, -100, 0, 1]) * Poly([-50, 0, 1])
+    assert extract_spectrum(m).render() == "{[±10]^1, [±5√2]^1, [0]^1}"
+    assert divisors == [1, 1]
+    # a quadratic residual with no real roots stays unresolved
+    assert extract_spectrum(Poly([-9, 0, 1]) * Poly([1, 1, 1])) == Unresolved(
+        ((QuadraticNumber(3), 1), (QuadraticNumber(-3), 1)), Poly([1, 1, 1]))
 
 
 # ---------------------------------------------------------------------------

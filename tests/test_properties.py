@@ -4,7 +4,9 @@ both file formats round-trip.  On seeded random regular graphs with up
 to 20 vertices and their complements, some of them past the int64
 bound, and on blow-ups of random regular graphs by J_2 and J_3, the
 moment route's charpoly equals the CRT and Bareiss charpolys, its m_A,
-certified by t_n or by t_(2n+1), equals p / gcd(p, p'), every candidate
+certified by t_n or by t_(2n+1), equals p / gcd(p, p'), the spectrum
+read off a certified m_A and its traces equals the roots of p and the
+verdict from it the p_2T sieve, every candidate
 recurrence c it offers has a trace form F(c) that is 0 mod q, and the
 closed-walk counts at each vertex are the diagonals of the matrix
 powers; on those of degree at most 5, `analyze` reports the Hoffman
@@ -45,6 +47,7 @@ from walklab.exact import (
     _BerlekampMassey,
     _trace_form,
     adjacency_times,
+    extract_spectrum,
     min_poly_route,
     moment_route,
     neighbour_table,
@@ -74,6 +77,7 @@ from walklab.walk import decide_periodic
 from oracles import (
     charpoly_bareiss,
     colouring_by_search,
+    decide_periodic_by_fractions,
     hessenberg_charpoly,
     matmul_reference,
     random_regular,
@@ -165,6 +169,35 @@ def test_moment_route_matches_the_crt_and_bareiss(g):
     if moments.min_poly is not None:
         assert moments.min_poly == m
     assert min_poly_route(g.neighbour_table) == m
+
+
+@seed(20261031)
+@PROPERTY_SETTINGS
+@given(st.one_of(regular_graphs_and_complements(), blow_ups()))
+@example(tensor_allones(cycle(7), 3))  # m_A has the cubic factor of 2cos(2pi/7): p_2T path
+@example(tensor_allones(cycle(9), 2))  # period 36, also on the p_2T path
+@example(tensor_allones(cycle(8), 3))  # the conjugate pairs ±3√2
+@example(complete_graph(7))  # the witness -1/6
+def test_the_spectrum_and_verdict_from_m_a_equal_those_from_p_a(g):
+    # the spectrum from a certified m_A and its traces equals the roots of
+    # p_A, and Kronecker on it equals the p_2T sieve of the Fraction oracle
+    reference = extract_spectrum(g.charpoly)
+    assert g.spectrum == reference
+    certified = g._moments.min_poly is not None
+    assert (g.route_factors is not None) == (certified and isinstance(reference, Spectrum))
+    if is_connected(g):
+        assert decide_periodic(g) == decide_periodic_by_fractions(g)
+
+
+def test_the_m_a_path_on_its_pinned_graphs():
+    for g, route, verdict in (
+            (tensor_allones(cycle(7), 3), False, "PERIODIC period=28 orders={1,2,4,7}"),
+            (tensor_allones(cycle(9), 2), False, "PERIODIC period=36 orders={1,2,3,4,9}"),
+            (tensor_allones(cycle(8), 3), True, "PERIODIC period=8 orders={1,2,4,8}"),
+            (complete_graph(7), True, "NOT PERIODIC witness=-1/6")):
+        assert g._moments.min_poly is not None
+        assert (g.route_factors is not None) is route
+        assert decide_periodic(g).render() == verdict
 
 
 @seed(20261030)

@@ -9,13 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from walklab import graphs
+from walklab import graphs, walk
 from walklab.exact import (
     Poly,
     QuadraticNumber,
     Spectrum,
     cyclotomic,
     extract_spectrum,
+    min_poly_2cos,
 )
 from walklab.feasibility import REALIZATIONS
 from walklab.graphs import (
@@ -39,6 +40,7 @@ from walklab.walk import (
     NotRegularError,
     Periodic,
     decide_periodic,
+    decide_periodic_by_charpoly,
     walk_regularity_check,
 )
 from walklab.oracles import (
@@ -270,11 +272,26 @@ def test_not_periodic_with_residual_certificate():
 def test_a_constant_term_alone_off_the_integers_refutes_periodicity():
     # no connected regular graph of the atlas has a p_2T that fails to be
     # integral only in a_0 2^n / k^n, so the cached charpoly of C6xJ2,
-    # x^12 - 24x^10 + 144x^8 - 256x^6, is given a_0 = 1
+    # x^12 - 24x^10 + 144x^8 - 256x^6, is given a_0 = 1.  The route
+    # certifies m_A for C6xJ2, so decide_periodic reads the spectrum off
+    # m_A and never the charpoly: the p_2T decision is called directly
     g = tensor_allones(cycle(6), 2)
     g.__dict__["charpoly"] = Poly((1,) + g.charpoly.coeffs[1:])
-    assert decide_periodic(g).render() == (
+    assert decide_periodic_by_charpoly(g).render() == (
         "NOT PERIODIC residual=x^12 - 6*x^10 + 9*x^8 - 4*x^6 + 1/4096")
+    assert decide_periodic(g).render() == "PERIODIC period=12 orders={1,2,3,4,6}"
+
+
+def test_the_psi_d_of_degree_at_most_2_are_the_nine_orders_of_the_table():
+    # phi(d) > 4 for every d > 12
+    table = {}
+    for d in range(1, 31):
+        psi = min_poly_2cos(d)
+        if psi.degree() <= 2:
+            assert d <= 12
+            table[psi.coeffs] = d
+    assert table == walk._ORDER_OF_PSI
+    assert sorted(table.values()) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
 
 
 def _assert_vertex_decision_matches_u_side(name, g):
