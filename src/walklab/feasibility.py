@@ -13,22 +13,25 @@ one of them has integral closed-walk counts by construction.  Rows
 eliminated by the quadrangle checks are kept with their elimination
 reason so the generated tables mirror the reference ones.  A known
 realization is a builder expression (`graphs.parse_expr`, as `--expr`);
-the tables build it and certify its spectrum (`realizes`).
+the tables certify its spectrum (`realizes`) from its closed-walk
+traces, which `graphs.expression_traces` composes from the traces of
+its factors, building only the factors that no trace rule covers, each
+once per `render_tables` call.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring
+from typing import Sequence
 
 from .exact import QuadraticNumber, Spectrum
-from .graphs import Graph, closed_walks, parse_expr
+from .graphs import Graph, closed_walk_traces, expression_traces, parse_tree
 
 
 def _half_degree(k: int) -> int:
@@ -363,42 +366,42 @@ def row_existence(row: FeasibleRow) -> str:
     return _row_fields(row)[-1]
 
 
-def realizes(g: Graph, row: FeasibleRow) -> bool:
-    """Whether g has the row's spectrum {[±k]^1, [±θ]^a, [0]^b}, decided
-    from the closed-walk counts t_r = tr A^r, with t = θ² (an integer for
-    even k).
+def realizes(traces: Sequence[int] | Graph, row: FeasibleRow) -> bool:
+    """Whether a graph with the closed-walk counts t_0 .. t_10,
+    t_r = tr A^r, has the row's spectrum {[±k]^1, [±θ]^a, [0]^b}, with
+    t = θ² (an integer for even k).  Given a graph, its own counts are
+    read (`graphs.closed_walk_traces`).
 
-    The adjacency matrix A of g has that spectrum exactly when
-      1. g has row.n vertices,
+    The adjacency matrix A of the graph has that spectrum exactly when
+      1. t_0 = row.n,
       2. t_2 = 2k² + 2at, t_3 = 0 and t_4 = 2k⁴ + 2at²
-         (t_1 = 0 holds, as g has no loops), and
+         (t_1 = 0 holds, as a graph has no loops), and
       3. M = A⁵ - uA³ + vA = 0, with u = k² + t and v = k²t.
     A is symmetric, hence diagonalizable, so 3 puts every eigenvalue in
     {0, ±θ, ±k}; the Vandermonde matrix of those five distinct values is
     invertible, so the power sums 0 to 4 fix their multiplicities.  M is
     symmetric too, so M = 0 exactly when tr M² = t_10 - 2u t_8 +
     (u² + 2v) t_6 - 2uv t_4 + v² t_2, the sum of its squared entries, is 0.
-    The t_r are the sums of `graphs.closed_walks`, as Python ints.
     """
-    if g.n != row.n:
-        return False
+    if isinstance(traces, Graph):
+        traces = closed_walk_traces(traces, 11)
+    t0, _, t2, t3, t4, _, t6, _, t8, _, t10 = traces
     k2, t = row.k * row.k, row.theta_class.theta_sq(row.k)
-    walks = closed_walks(g)
-    traces = [int(w.sum()) for w in itertools.islice(walks, 3)]
-    if traces != [2 * k2 + 2 * row.a * t, 0, 2 * k2 * k2 + 2 * row.a * t * t]:
+    if [t0, t2, t3, t4] != [row.n, 2 * k2 + 2 * row.a * t, 0, 2 * k2 * k2 + 2 * row.a * t * t]:
         return False
-    t2, _, t4, _, t6, _, t8, _, t10 = traces + [int(w.sum()) for w in itertools.islice(walks, 6)]
     u, v = k2 + t, k2 * t
     return t10 - 2 * u * t8 + (u * u + 2 * v) * t6 - 2 * u * v * t4 + v * v * t2 == 0
 
 
-def verify_realization(row: FeasibleRow) -> bool:
-    """Build the registry graph for the row from its expression, if it
-    has one, and certify its spectrum by `realizes`."""
+def verify_realization(row: FeasibleRow, memo: dict) -> bool:
+    """Certify the spectrum of the row's registry graph, if it has one,
+    by `realizes` on the traces of its expression
+    (`graphs.expression_traces`); `memo` carries the traces of the
+    expressions' nodes from one registry row to the next."""
     ref = REFERENCE_TABLE.get((row.theta_class, row.k, row.n))
     if ref is None or ref.expr is None:
         return True
-    return realizes(parse_expr(ref.expr), row)
+    return realizes(expression_traces(parse_tree(ref.expr), 11, memo), row)
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +465,15 @@ def render_rows(rows: list[FeasibleRow], fmt: str) -> str:
 
 def render_tables(k_max: int, fmt: str = "text") -> str:
     """Deterministic table of all rows for even k <= k_max, sorted by
-    (class, k, n).  Registry realizations are reconstructed and their
-    spectra certified by closed-walk counts before rendering."""
+    (class, k, n).  The spectra of the registry realizations are
+    certified from their closed-walk traces before rendering; one memo
+    per call shares the traces of common factors between the rows, so
+    each factor graph is built once per call and none across calls."""
     rows = all_rows(k_max)
+    memo: dict = {}
     for row in rows:
-        if (row.theta_class, row.k, row.n) in REALIZATIONS and not verify_realization(row):
+        if ((row.theta_class, row.k, row.n) in REALIZATIONS
+                and not verify_realization(row, memo)):
             raise AssertionError(
                 f"registry spectrum mismatch at ({row.theta_class}, {row.k}, {row.n})")
     if fmt != "text":

@@ -1,23 +1,25 @@
 """Simple undirected graphs with a canonical vertex ordering,
 constructors for the graph families used in the enumeration, the
 builder grammar over them that the command line and the feasibility
-registry read (`parse_expr`), structural predicates, the closed-walk
-counts at every vertex, and exact quadrangle counting.  A graph is one
-read-only int64 adjacency array; each product with it is a row gather
-on the graph's cached neighbour table, and `closed_walks` is the one
-loop of such products that walk-regularity, the quadrangle counts and
-the feasibility certificates read.  One breadth-first 2-colouring on
-the same table, cached per graph, answers both connectivity and
-bipartiteness."""
+registry read (`parse_expr`, or `parse_tree` for its nodes), structural
+predicates, the closed-walk counts at every vertex, the traces of an
+expression from its factors' (`expression_traces`), and exact
+quadrangle counting.  A graph is one read-only int64 adjacency array;
+each product with it is a row gather on the graph's cached neighbour
+table, and `closed_walks` is the one loop of such products that
+walk-regularity, the quadrangle counts and the feasibility certificates
+read.  One breadth-first 2-colouring on the same table, cached per
+graph, answers both connectivity and bipartiteness."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import string
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -36,6 +38,8 @@ from .exact import (
 )
 
 DEFAULT_MAX_VERTICES = 4096
+
+_Node = TypeVar("_Node")
 
 
 class GraphError(ValueError):
@@ -295,11 +299,15 @@ def line_graph(g: Graph) -> Graph:
     return Graph(adj)
 
 
-def tensor_allones(g: Graph, m: int) -> Graph:
-    """Blow-up: adjacency A(g) tensor J_m, vertex order (g-vertex, copy)."""
+def _blowup_factor(m: int) -> int:
     if m < 1:
         raise GraphError("blow-up factor must be >= 1")
-    if m == 1:
+    return m
+
+
+def tensor_allones(g: Graph, m: int) -> Graph:
+    """Blow-up: adjacency A(g) tensor J_m, vertex order (g-vertex, copy)."""
+    if _blowup_factor(m) == 1:
         return g
     _check_vertex_count(g.n * m)
     return Graph(np.kron(g.adjacency, np.ones((m, m), dtype=np.int64)))
@@ -379,7 +387,11 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def parse_expr(text: str) -> Graph:
+def _parse(text: str, make: Callable[[str, list], _Node]) -> _Node:
+    """The one recursive-descent reading of the grammar: each node
+    `name(arg, ...)` becomes `make(name, args)`, called as soon as its
+    closing parenthesis is read, with its integer arguments as ints and
+    its expression arguments as what `make` returned for them."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -390,7 +402,7 @@ def parse_expr(text: str) -> Graph:
             raise ExprError(f"expected {tok!r}, got {got!r}")
         pos += 1
 
-    def parse_node() -> Graph:
+    def parse_node() -> _Node:
         nonlocal pos
         if pos >= len(tokens):
             raise ExprError("unexpected end of expression")
@@ -398,10 +410,9 @@ def parse_expr(text: str) -> Graph:
         if name not in _BUILDERS:
             raise ExprError(f"unknown builder {name!r}")
         pos += 1
-        sig, fn = _BUILDERS[name]
         expect("(")
-        args = []
-        for idx, kind in enumerate(sig):
+        args: list = []
+        for idx, kind in enumerate(_BUILDERS[name][0]):
             if idx:
                 expect(",")
             if kind == "i":
@@ -412,12 +423,35 @@ def parse_expr(text: str) -> Graph:
             else:
                 args.append(parse_node())
         expect(")")
-        return fn(*args)
+        return make(name, args)
 
-    g = parse_node()
+    node = parse_node()
     if pos != len(tokens):
         raise ExprError(f"trailing input after expression: {tokens[pos]!r}")
-    return g
+    return node
+
+
+def _construct(name: str, args: list) -> Graph:
+    return _BUILDERS[name][1](*args)
+
+
+def parse_expr(text: str) -> Graph:
+    """The graph an expression names, each node built by its constructor
+    as soon as it is read, so a constructor's refusal comes before any
+    later syntax error."""
+    return _parse(text, _construct)
+
+
+def parse_tree(text: str) -> tuple:
+    """An expression as nested, hashable nodes (name, args), one key for
+    the graph however the text is spaced; no constructor runs."""
+    return _parse(text, lambda name, args: (name, tuple(args)))
+
+
+def _build(tree: tuple) -> Graph:
+    """The graph of a `parse_tree` node, by its constructors."""
+    name, args = tree
+    return _construct(name, [_build(a) if isinstance(a, tuple) else a for a in args])
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +538,51 @@ def closed_walks(g: Graph) -> Iterator[np.ndarray]:
         low = high.astype(exact_dtype(n * delta ** (r + 1)), copy=False)
         yield (low * low).sum(axis=1)
         r += 2
+
+
+def closed_walk_traces(g: Graph, count: int) -> list[int]:
+    """t_0 .. t_(count-1) for count >= 2, t_r = tr A^r: n, 0 (A has no
+    loops), then the vertex sums of `closed_walks`, as Python ints."""
+    return [g.n, 0] + [int(w.sum()) for w in itertools.islice(closed_walks(g), count - 2)]
+
+
+def expression_traces(tree: tuple, count: int, memo: dict) -> list[int]:
+    """t_0 .. t_(count-1), count >= 2, of the graph a `parse_tree` node
+    denotes, each node's traces computed once per memo, a dict keyed by
+    (node, count).
+
+    Four operations follow from their operands' traces:
+      tensorj(G, m)  t_0 = m t_0(G) and t_r = m^r t_r(G), as J^r = m^(r-1) J
+      kron(G, H)     t_r = t_r(G) t_r(H)
+      bdouble(G)     t_r = (1 + (-1)^r) t_r(G), as kron(G, K_2)
+      cart(G, H)     t_r = sum_j C(r, j) t_j(G) t_(r-j)(H), as A(G) x I and
+                     I x A(H) commute.
+    Every other node is built by its constructors (`_build`), and its
+    traces are read off `closed_walks` (`closed_walk_traces`).  Operands
+    are taken left to right and a rule refuses what its constructor
+    refuses, with the same text; the vertex cap bounds only the graphs
+    that are built."""
+    key = (tree, count)
+    if key in memo:
+        return memo[key]
+    name, args = tree
+    if name == "tensorj":
+        t, m = expression_traces(args[0], count, memo), _blowup_factor(args[1])
+        traces = [m ** max(r, 1) * x for r, x in enumerate(t)]
+    elif name == "kron":
+        t, s = (expression_traces(a, count, memo) for a in args)
+        traces = [x * y for x, y in zip(t, s)]
+    elif name == "bdouble":
+        t = expression_traces(args[0], count, memo)
+        traces = [(1 + (-1) ** r) * x for r, x in enumerate(t)]
+    elif name == "cart":
+        t, s = (expression_traces(a, count, memo) for a in args)
+        traces = [sum(math.comb(r, j) * t[j] * s[r - j] for j in range(r + 1))
+                  for r in range(count)]
+    else:
+        traces = closed_walk_traces(_build(tree), count)
+    memo[key] = traces
+    return traces
 
 
 def count_quadrangles(g: Graph) -> tuple[int, list[int]]:

@@ -7,8 +7,9 @@ the degree-2E U-charpoly, its cyclotomic sieve, and the matrix-power
 period; a polynomial evaluated at a matrix over Q, quadrangle counting
 by subset enumeration, the biadjacency block identities that
 `feasibility.realizes` replaced, the eigenvalue gate of the paper's
-algebraic-integer argument, and the Hoffman identity that `analyze`
-reports by Hoffman's theorem.
+algebraic-integer argument, the Hoffman identity that `analyze`
+reports by Hoffman's theorem, and the closed-walk traces of the built
+registry graphs, which the tables compose from their factors'.
 
 `period`, `analyze` and `tables` never import this module; only
 `selfcheck` does, when it runs.  The tests compare each decision with
@@ -45,10 +46,12 @@ from .exact import (
     min_poly_route,
     moment_route,
 )
-from .feasibility import REFERENCE_TABLE, classify_four_eigenvalue, enumerate_rows, render_tables
-from .graphs import (Graph, GraphError, PartiteSplit, bipartite_double, complete_bipartite,
-                     complete_graph, count_quadrangles, cycle, hamming, hypercube, is_bipartite,
-                     is_connected, line_graph, petersen, regularity, tensor_allones)
+from .feasibility import (REALIZATIONS, REFERENCE_TABLE, classify_four_eigenvalue, enumerate_rows,
+                          render_tables)
+from .graphs import (Graph, GraphError, PartiteSplit, bipartite_double, closed_walk_traces,
+                     complete_bipartite, complete_graph, count_quadrangles, cycle,
+                     expression_traces, hamming, hypercube, is_bipartite, is_connected,
+                     line_graph, parse_expr, parse_tree, petersen, regularity, tensor_allones)
 from .walk import (NotRegularError, Periodic, _require_regular_connected, decide_periodic,
                    decide_periodic_by_charpoly)
 
@@ -805,6 +808,11 @@ def _check_tables() -> bool:
                for (cls, k), ns in expected_cols.items())
 
 
+def _check_expression_traces() -> bool:
+    return all(expression_traces(parse_tree(expr), 11, {})
+               == closed_walk_traces(parse_expr(expr), 11) for _, expr in REALIZATIONS.values())
+
+
 def _check_four_eigenvalue() -> bool:
     four = classify_four_eigenvalue(100)
     return len(four) == 1 and four[0][0] == 2 and four[0][1] == 6
@@ -824,6 +832,7 @@ _SELFCHECKS = (
     ("biadjacency block identities", _check_biadjacency),
     ("known periods (decision = matrix-power oracle)", _check_known_periods),
     ("feasibility tables match the reference rows", _check_tables),
+    ("registry traces from the factors equal those of the built graphs", _check_expression_traces),
     ("four-eigenvalue classification is C6 only", _check_four_eigenvalue),
 )
 

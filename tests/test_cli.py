@@ -22,7 +22,8 @@ from walklab import cli, exact, feasibility, graphs, oracles, walk
 from walklab.cli import ExprError, _parse_k_range, build_parser, main, parse_args, parse_expr
 from walklab.exact import Poly
 from walklab.graphio import to_graph6
-from walklab.graphs import Graph, cycle, petersen, tensor_allones
+from walklab.graphs import (Graph, GraphError, cycle, expression_traces, parse_tree, petersen,
+                            tensor_allones)
 
 from oracles import random_regular
 
@@ -58,6 +59,58 @@ def test_parse_expr_errors():
                 "cycle(6)extra", "tensorj(cycle(6))", ""):
         with pytest.raises(ExprError):
             parse_expr(bad)
+
+
+# malformed expressions and the error each one gave before the grammar
+# got its second reading (`parse_tree`): a constructor's refusal still
+# comes before a later syntax error
+PARSE_ERRORS = [
+    ("tensorj(cycle(2),x)", GraphError, "a cycle needs at least 3 vertices"),
+    ("kron(cycle(2),cycle(", GraphError, "a cycle needs at least 3 vertices"),
+    ("cart(kbip(0,1),)", GraphError, "both parts need at least one vertex"),
+    ("tensorj(cycle(6),0)", GraphError, "blow-up factor must be >= 1"),
+    ("cart(cycle(60),cycle(70))", GraphError, "graph has 4200 vertices; cap is 4096"),
+    ("cycle(6", ExprError, "expected ')', got 'end of input'"),
+    ("cart(cycle(6))", ExprError, "expected ',', got ')'"),
+    ("line(petersen(),)", ExprError, "expected ')', got ','"),
+    ("cycle(6))", ExprError, "trailing input after expression: ')'"),
+    ("cycle(3) (", ExprError, "trailing input after expression: '('"),
+    ("cycle()", ExprError, "builder 'cycle' expects an integer argument"),
+    ("unknown(2)", ExprError, "unknown builder 'unknown'"),
+    ("", ExprError, "unexpected end of expression"),
+    ("cycle(6)$", ExprError, "unexpected character '$' in expression"),
+]
+
+
+@pytest.mark.parametrize("expr, error, text", PARSE_ERRORS)
+def test_parse_expr_error_texts(expr, error, text):
+    with pytest.raises(error) as info:
+        parse_expr(expr)
+    assert type(info.value) is error and str(info.value) == text
+    if error is ExprError:  # syntax: the tree reading refuses it alike
+        with pytest.raises(ExprError) as info:
+            parse_tree(expr)
+        assert str(info.value) == text
+
+
+def test_trace_rules_refuse_what_their_constructors_refuse():
+    for expr in ("tensorj(cycle(6),0)", "tensorj(cycle(2),0)", "kron(cycle(6),kbip(0,1))",
+                 "cart(line(complete(1)),cycle(6))", "bdouble(hamming(1,1))"):
+        tree = parse_tree(expr)
+        with pytest.raises(GraphError) as built:
+            parse_expr(expr)
+        with pytest.raises(GraphError) as traced:
+            expression_traces(tree, 11, {})
+        assert str(traced.value) == str(built.value), expr
+    with pytest.raises(GraphError, match="^blow-up factor must be >= 1$"):
+        expression_traces(parse_tree("tensorj(cycle(6),0)"), 11, {})
+
+
+def test_parse_tree_is_one_key_however_spaced():
+    tree = parse_tree("tensorj(cycle(6),2)")
+    assert tree == ("tensorj", (("cycle", (6,)), 2))
+    assert parse_tree(" tensorj ( cycle( 6 ) , 2 ) ") == tree
+    assert hash(parse_tree("tensorj(cycle(006),2)")) == hash(tree)
 
 
 @pytest.mark.parametrize("expr, ch", [("cycle(\u0666)", "\u0666"),       # Arabic-Indic six

@@ -10,7 +10,9 @@ verdict from it the p_2T sieve, every candidate
 recurrence c it offers has a trace form F(c) that is 0 mod q, and the
 closed-walk counts at each vertex are the diagonals of the matrix
 powers; on those of degree at most 5, `analyze` reports the Hoffman
-identity that the oracle finds.  On random integer matrices with up to
+identity that the oracle finds.  On random builder expressions with at
+most 200 vertices, the traces composed from the factors' equal those
+of the built graph.  On random integer matrices with up to
 30 rows, the CRT charpoly equals the rational Hessenberg oracle and the
 Bareiss interpolation route, and its coefficients lie within the CRT
 bound.
@@ -57,11 +59,15 @@ from walklab.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
 from walklab.graphs import (
     Graph,
     bipartite_double,
+    closed_walk_traces,
     closed_walks,
     complete_graph,
     cycle,
+    expression_traces,
     is_bipartite,
     is_connected,
+    parse_expr,
+    parse_tree,
     tensor_allones,
 )
 from walklab.oracles import (
@@ -236,6 +242,55 @@ def test_closed_walks_are_the_diagonals_of_the_matrix_powers(g):
     for r, w in zip(range(2, 17), closed_walks(g)):
         power = int_mat_power(adj, r)
         assert w.tolist() == [power[x][x] for x in range(g.n)], r
+
+
+# (text, vertices, edges) of the families the grammar names, up to 512 vertices
+_FAMILIES = ([(f"complete({c})", c, c * (c - 1) // 2) for c in range(1, 13)]
+             + [(f"cycle({c})", c, c) for c in range(3, 41)]
+             + [(f"kbip({p},{q})", p + q, p * q) for p in range(1, 9) for q in range(p, 9)]
+             + [(f"hamming({d},{q})", q ** d, q ** d * d * (q - 1) // 2)
+                for d in range(1, 4) for q in range(2, 6)]
+             + [("petersen()", 10, 15)])
+
+
+@st.composite
+def expressions(draw, budget=200, depth=3):
+    """A builder expression with at most `budget` vertices, as (text, n):
+    tensorj, kron, cart and bdouble nested up to `depth` deep over the
+    families and their line graphs."""
+    ops = ["family", "line"] + (["tensorj", "kron", "cart", "bdouble"] if depth and budget >= 2
+                                else [])
+    op = draw(st.sampled_from(ops))
+    if op == "family":
+        text, n, _ = draw(st.sampled_from([f for f in _FAMILIES if f[1] <= budget]))
+        return text, n
+    if op == "line":
+        text, _, edges = draw(st.sampled_from([f for f in _FAMILIES if 1 <= f[2] <= budget]))
+        return f"line({text})", edges
+    if op == "tensorj":
+        m = draw(st.integers(1, min(4, budget)))
+        text, n = draw(expressions(budget // m, depth - 1))
+        return f"tensorj({text},{m})", n * m
+    if op == "bdouble":
+        text, n = draw(expressions(budget // 2, depth - 1))
+        return f"bdouble({text})", 2 * n
+    left, n = draw(expressions(budget // 2, depth - 1))
+    right, p = draw(expressions(budget // n, depth - 1))
+    return f"{op}({left},{right})", n * p
+
+
+@seed(20261032)
+@PROPERTY_SETTINGS
+@given(expressions())
+@example(("kron(cycle(5),complete(2))", 10))
+@example(("cart(cycle(9),complete(5))", 45))
+@example(("tensorj(tensorj(cycle(6),2),3)", 36))
+@example(("bdouble(petersen())", 20))
+def test_expression_traces_equal_those_of_the_built_graph(drawn):
+    text, n = drawn
+    g = parse_expr(text)
+    assert g.n == n <= 200
+    assert expression_traces(parse_tree(text), 11, {}) == closed_walk_traces(g, 11)
 
 
 @seed(20261027)
