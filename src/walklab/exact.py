@@ -726,11 +726,16 @@ def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
     r(v) = 0 where f(v) = 0); only a candidate that passes is built and
     deflated out of r.
 
-    This is the spectrum of a graph whose moment route certified no m_A,
-    or whose m_A has a root beyond quadratic surds; every other graph
-    reads its spectrum off m_A (`min_poly_factors`).
+    A graph reads its spectrum off its own factor list instead
+    (`graphs.Graph.factors`), by the same `spectrum_of`.
     """
-    factors, residual = _factors(p)
+    return spectrum_of(*_factors(p))
+
+
+def spectrum_of(factors: list[tuple[Poly, int]], residual: Poly) -> Spectrum | Unresolved:
+    """The roots of the factors (`_roots`), each with its factor's
+    multiplicity: a Spectrum when the residual is 1, else an Unresolved
+    carrying the residual."""
     if residual.degree() > 0:
         return Unresolved(tuple((root, mult) for f, mult in factors for root in _roots(f)),
                           residual)
@@ -1168,8 +1173,8 @@ def moment_route(table: np.ndarray) -> Moments:
     trace t_r <= n delta^r is used as an integer only once the primes'
     product exceeds 2 n delta^r.  When a run reaches t_n with no
     recurrence certified (s close to n), no m_A is returned, p comes from
-    Newton's identities on t_0 .. t_n and the spectrum from p
-    (`extract_spectrum`); min_poly_route goes on to t_(2n+1).
+    Newton's identities on t_0 .. t_n and the spectrum from the factors
+    of p (`graphs.Graph.factors`); min_poly_route goes on to t_(2n+1).
     """
     n = len(table)
     primes = _primes_below(_ROUTE_PRIMES_BELOW)

@@ -31,7 +31,7 @@ from json.encoder import encode_basestring
 from typing import Sequence
 
 from .exact import QuadraticNumber, Spectrum
-from .graphs import Graph, closed_walk_traces, expression_traces, parse_tree
+from .graphs import expression_traces, parse_tree
 
 
 def _half_degree(k: int) -> int:
@@ -49,9 +49,8 @@ class ThetaClass(Enum):
     SQRT2 = "sqrt2"
     SQRT3 = "sqrt3"
 
-    @property
-    def c(self) -> int:
-        return {"half": 1, "sqrt2": 2, "sqrt3": 3}[self.value]
+    def __init__(self, value: str) -> None:
+        self.c = ("half", "sqrt2", "sqrt3").index(value) + 1  # theta^2 = c (k/2)^2
 
     def theta_sq(self, k: int) -> int:
         return self.c * _half_degree(k) ** 2
@@ -366,11 +365,10 @@ def row_existence(row: FeasibleRow) -> str:
     return _row_fields(row)[-1]
 
 
-def realizes(traces: Sequence[int] | Graph, row: FeasibleRow) -> bool:
+def realizes(traces: Sequence[int], row: FeasibleRow) -> bool:
     """Whether a graph with the closed-walk counts t_0 .. t_10,
     t_r = tr A^r, has the row's spectrum {[±k]^1, [±θ]^a, [0]^b}, with
-    t = θ² (an integer for even k).  Given a graph, its own counts are
-    read (`graphs.closed_walk_traces`).
+    t = θ² (an integer for even k).
 
     The adjacency matrix A of the graph has that spectrum exactly when
       1. t_0 = row.n,
@@ -383,8 +381,6 @@ def realizes(traces: Sequence[int] | Graph, row: FeasibleRow) -> bool:
     symmetric too, so M = 0 exactly when tr M² = t_10 - 2u t_8 +
     (u² + 2v) t_6 - 2uv t_4 + v² t_2, the sum of its squared entries, is 0.
     """
-    if isinstance(traces, Graph):
-        traces = closed_walk_traces(traces, 11)
     t0, _, t2, t3, t4, _, t6, _, t8, _, t10 = traces
     k2, t = row.k * row.k, row.theta_class.theta_sq(row.k)
     if [t0, t2, t3, t4] != [row.n, 2 * k2 + 2 * row.a * t, 0, 2 * k2 * k2 + 2 * row.a * t * t]:

@@ -28,13 +28,14 @@ from .exact import (
     Poly,
     Spectrum,
     Unresolved,
+    _factors,
     adjacency_times,
     exact_dtype,
-    extract_spectrum,
     min_poly_factors,
     min_poly_route,
     moment_route,
     neighbour_table,
+    spectrum_of,
 )
 
 DEFAULT_MAX_VERTICES = 4096
@@ -175,9 +176,8 @@ class Graph:
     def charpoly(self) -> Poly:
         """Adjacency characteristic polynomial, computed once per graph from
         the traces of the moment route (`exact.moment_route`), which stops
-        at t_n.  Nothing on the paths of `period` and `analyze` reads it
-        when the route certified m_A and every root of m_A resolves
-        (`route_factors`)."""
+        at t_n.  `factors` reads it only when the route certified no m_A
+        or a root of m_A is beyond quadratic surds."""
         return self._moments.charpoly
 
     @cached_property
@@ -190,28 +190,26 @@ class Graph:
         return min_poly_route(self.neighbour_table)
 
     @cached_property
-    def route_factors(self) -> list[tuple[Poly, int]] | None:
-        """The factors of the m_A that the moment route certified, each with
-        the multiplicity of its roots, solved from the route's traces
-        t_0 .. t_(s-1) (`exact.min_poly_factors`); None when the route
-        certified no m_A or a root of m_A is beyond quadratic surds.  This
-        one test chooses between the m_A path and the charpoly path, for
-        `spectrum` and for `walk.decide_periodic`."""
+    def factors(self) -> tuple[list[tuple[Poly, int]], Poly]:
+        """The spectral factors x - r and x^2 + bx + c, each with the
+        multiplicity of its roots in p_A, and the monic residual that
+        resisted them.  Where the route certified an m_A whose roots all
+        resolve, these are its factors, with multiplicities solved from
+        the route's traces (`exact.min_poly_factors`) and residual 1;
+        otherwise those of p_A (`exact._factors`).  `spectrum` and
+        `walk.decide_periodic` both read this one list."""
         moments = self._moments
-        if moments.min_poly is None:
-            return None
-        return min_poly_factors(moments.min_poly, moments.traces)
+        if moments.min_poly is not None:
+            factors = min_poly_factors(moments.min_poly, moments.traces)
+            if factors is not None:
+                return factors, Poly.one()
+        return _factors(self.charpoly)
 
     @cached_property
     def spectrum(self) -> Spectrum | Unresolved:
         """Exact adjacency spectrum, or what resisted extraction: the roots
-        of the `route_factors` where there are any, else the roots of the
-        charpoly (`exact.extract_spectrum`).  Both give the same spectrum
-        wherever both resolve."""
-        factors = self.route_factors
-        if factors is None:
-            return extract_spectrum(self.charpoly)
-        return Spectrum.from_factors(factors)
+        of `factors` (`exact.spectrum_of`)."""
+        return spectrum_of(*self.factors)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"

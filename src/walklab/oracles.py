@@ -52,8 +52,7 @@ from .graphs import (Graph, GraphError, PartiteSplit, bipartite_double, closed_w
                      complete_bipartite, complete_graph, count_quadrangles, cycle,
                      expression_traces, hamming, hypercube, is_bipartite, is_connected,
                      line_graph, parse_expr, parse_tree, petersen, regularity, tensor_allones)
-from .walk import (NotRegularError, Periodic, _require_regular_connected, decide_periodic,
-                   decide_periodic_by_charpoly)
+from .walk import NotRegularError, Periodic, _require_regular_connected, decide_periodic
 
 DIRECT_CHECK_MAX_ARCS = 200
 
@@ -753,17 +752,8 @@ def _check_moment_route() -> bool:
 
 
 def _check_route_spectrum() -> bool:
-    checked = 0
-    for name, g in _selfcheck_catalog():
-        if g.route_factors is None:
-            continue
-        if g.spectrum != extract_spectrum(g.charpoly):
-            return False
-        if (regularity(g) and is_connected(g)
-                and decide_periodic(g) != decide_periodic_by_charpoly(g)):
-            return False
-        checked += 1
-    return checked > 0
+    routed = [g for _, g in _selfcheck_catalog() if g._moments.min_poly is not None]
+    return bool(routed) and all(g.spectrum == extract_spectrum(g.charpoly) for g in routed)
 
 
 def _check_quadrangles() -> bool:
@@ -826,7 +816,7 @@ _SELFCHECKS = (
     ("power sums and bipartite symmetry", _check_power_sums),
     ("minimal polynomial annihilates A and divides the charpoly", _check_min_poly),
     ("moment route equals the CRT charpoly and p / gcd(p, p')", _check_moment_route),
-    ("spectrum and verdict from m_A equal those from p_A and p_2T", _check_route_spectrum),
+    ("spectrum from a certified m_A equals that from p_A", _check_route_spectrum),
     ("quadrangle counts (walk bookkeeping = enumeration)", _check_quadrangles),
     ("hoffman identity on connected regular graphs", _check_hoffman),
     ("biadjacency block identities", _check_biadjacency),

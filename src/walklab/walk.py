@@ -1,8 +1,8 @@
 """Exact Grover-walk engine: the periodicity decision with exact period,
-read off the adjacency spectrum from m_A where the moment route
-certified m_A and off the adjacency charpoly elsewhere, and the
-walk-regularity check of `analyze`, on the per-vertex closed-walk counts
-of `graphs.closed_walks` (apart from the traces of the moment route).
+read off the graph's one list of spectral factors (`Graph.factors`),
+and the walk-regularity check of `analyze`, on the per-vertex
+closed-walk counts of `graphs.closed_walks` (apart from the traces of
+the moment route).
 The walk matrices, the U-side routes, the biadjacency block identities,
 the eigenvalue gate and the Hoffman identity check are reference
 implementations in `walklab.oracles`.
@@ -98,16 +98,15 @@ def _witness(spec: Spectrum, k: int) -> QuadraticNumber | None:
                  if not is_quadratic_algebraic_integer(lam * Fraction(2, k))), None)
 
 
-def _with_flat_eigenspaces(mult: dict[int, int], n: int, edges: int) -> Periodic:
-    """The verdict from the multiplicities of the psi_d in p_2T: Phi_d takes
-    that of psi_d for d >= 3, and Phi_1 and Phi_2 add the flat +1 and -1
-    eigenspaces of U, of dimensions E - n + 1 and E - n + ker, where
-    ker = mult(psi_2) = dim Ker(A + kI)."""
-    mult[1] = mult.get(1, 0) + edges - n + 1
-    mult[2] = 2 * mult.get(2, 0) + edges - n
-    orders = tuple(sorted((d, m) for d, m in mult.items() if m))
-    return Periodic(period=math.lcm(*(d for d, _ in orders)),
-                    cyclotomic_orders=orders)
+def _scaled(f: Poly, k: int) -> tuple[int, ...] | None:
+    """The coefficients of the monic (2/k)^d f(kx/2), d = deg f, whose
+    roots are the 2*lambda/k for the roots lambda of f, by one divmod
+    each; None when one is not an integer."""
+    top = f.degree()
+    scaled = [divmod(c << (top - i), k ** (top - i)) for i, c in enumerate(f.coeffs)]
+    if any(rem for _, rem in scaled):
+        return None
+    return tuple(q for q, _ in scaled)
 
 
 def decide_periodic(g: Graph) -> PeriodicityVerdict:
@@ -115,77 +114,54 @@ def decide_periodic(g: Graph) -> PeriodicityVerdict:
 
     The eigenvalues of 2T = 2A/k lie in [-2, 2], so by Kronecker's theorem
     the walk is periodic iff every 2*lambda/k is an algebraic integer; each
-    is then 2cos(2*pi*j/d) for some order d.  That is the same test as
-    p_2T(x) = (2/k)^n p_A(kx/2) in Z[x]: p_2T is monic with the roots
-    2*lambda/k, so its coefficients are symmetric functions of them, and
-    algebraic integers in Q are integers; conversely the roots of a monic
-    integer polynomial are algebraic integers.
+    is then 2cos(2*pi*j/d) for some order d.  The verdict is read off the
+    graph's one factor list (`Graph.factors`): each factor f, x - r or
+    x^2 + bx + c, and the monic residual are scaled to (2/k)^deg f(kx/2),
+    whose roots are the 2*lambda/k (`_scaled`).  By Gauss's lemma p_2T =
+    (2/k)^n p_A(kx/2) is in Z[x] exactly when every one of these monic
+    factors is.
 
-    Where the moment route certified m_A and every root of m_A resolves
-    (`Graph.route_factors`), the verdict is read off the factors f of m_A,
-    each of degree d_f <= 2 and with the multiplicity of its roots: the
-    2*lambda/k for the roots of f are the roots of the monic (2/k)^d_f
-    f(kx/2), whose coefficients are decided over Z by one divmod each.
     If one is not integral, the witness is the first lambda/k, in
     descending order, with 2*lambda/k not an algebraic integer
-    (`_witness`).  Otherwise that polynomial, irreducible with integer
-    coefficients and its roots in [-2, 2], is by Kronecker the minimal
-    polynomial psi_d of a 2cos value of degree at most 2: _ORDER_OF_PSI
-    gives its order d, and its multiplicity is that of psi_d in p_2T.  Neither p_A
-    nor any psi_d is built.  Every other graph is decided on p_2T
-    (`decide_periodic_by_charpoly`).
-    """
-    k = _require_regular_connected(g)
-    factors = g.route_factors
-    if factors is None:
-        return decide_periodic_by_charpoly(g)
-    mult: dict[int, int] = {}
-    for f, m in factors:
-        top = f.degree()
-        scaled = [divmod(c << (top - i), k ** (top - i)) for i, c in enumerate(f.coeffs)]
-        if any(rem for _, rem in scaled):
-            return NotPeriodic(witness=_witness(g.spectrum, k), residual=None)
-        psi = tuple(q for q, _ in scaled)
-        if psi not in _ORDER_OF_PSI:
-            raise AssertionError(f"the factor {f} of m_A maps onto the integer "
-                                 f"polynomial {Poly(psi)}, no psi_d of degree at most 2")
-        mult[_ORDER_OF_PSI[psi]] = m
-    return _with_flat_eigenspaces(mult, g.n, g.edge_count)
-
-
-def decide_periodic_by_charpoly(g: Graph) -> PeriodicityVerdict:
-    """`decide_periodic` on p_2T, for a connected regular graph.
-
-    The coefficient of x^i in p_2T is a_i 2^(n-i) / k^(n-i) for a_i that
-    of p_A, so integrality is decided over Z, one divmod per coefficient,
-    and Fractions are built only to report a non-integral p_2T.  That is
-    refuted with a witness eigenvalue lambda/k (2*lambda/k not an
-    algebraic integer) when the vertex spectrum resolves into quadratic
-    surds, and with p_2T itself otherwise.  An integral p_2T is deflated
-    by the minimal polynomials psi_d of 2cos(2*pi/d) (`Poly.deflate`, in
-    Python ints), whose multiplicities map onto the cyclotomic orders of
-    U (`_with_flat_eigenspaces`).
+    (`_witness`), when the residual is 1; otherwise the certificate is
+    p_2T itself, in Fractions.  An integral factor is irreducible with
+    its roots in [-2, 2], so by Kronecker it is the minimal polynomial
+    psi_d of a 2cos value of degree at most 2, and _ORDER_OF_PSI gives its
+    order d.  The residual holds no psi_d of those nine orders
+    (`Graph.factors` split them off), so it is deflated by the psi_d of
+    the other orders only (`Poly.deflate`).  The multiplicity of psi_d is
+    that of Phi_d in the U-charpoly for d >= 3; Phi_1 and Phi_2 add the
+    flat +1 and -1 eigenspaces of U, of dimensions E - n + 1 and
+    E - n + ker, where ker = mult(psi_2) = dim Ker(A + kI).
     """
     k = _require_regular_connected(g)
     n = g.n
-    terms = [(a << (n - i), k ** (n - i)) for i, a in enumerate(g.charpoly.coeffs)]
-    scaled = [divmod(num, den) for num, den in terms]
-    if any(rem for _, rem in scaled):
-        spec = g.spectrum
-        witness = _witness(spec, k) if isinstance(spec, Spectrum) else None
-        if witness is not None:
-            return NotPeriodic(witness=witness, residual=None)
-        return NotPeriodic(witness=None, residual=Poly(Fraction(num, den) for num, den in terms))
+    factors, residual = g.factors
+    psis = [(_scaled(f, k), m) for f, m in factors]
+    rest = _scaled(residual, k)
+    if rest is None or any(psi is None for psi, _ in psis):
+        if residual.degree() == 0:
+            return NotPeriodic(witness=_witness(g.spectrum, k), residual=None)
+        return NotPeriodic(witness=None, residual=Poly(
+            Fraction(a << (n - i), k ** (n - i)) for i, a in enumerate(g.charpoly.coeffs)))
     mult: dict[int, int] = {}
-    residual, d = Poly(q for q, _ in scaled), 1
+    for psi, m in psis:
+        if psi not in _ORDER_OF_PSI:
+            raise AssertionError(f"a factor of p_A maps onto the integer polynomial "
+                                 f"{Poly(psi)}, no psi_d of degree at most 2")
+        mult[_ORDER_OF_PSI[psi]] = m
+    residual, d = Poly(rest), 1
     while residual.degree() > 0:
-        # psi_d has degree phi(d)/2 <= n, so d <= 8n^2 (plus d = 1, 2)
-        if d > 8 * n * n + 2:
-            raise AssertionError(f"integral p_2T has a residual {residual} "
-                                 "without 2cos roots")
-        residual, mult[d] = residual.deflate(min_poly_2cos(d))
+        # psi_d has degree phi(d)/2 <= n, so d <= 8n^2
+        if d > 8 * n * n:
+            raise AssertionError(f"integral residual {residual} of p_2T without 2cos roots")
+        if d not in _ORDER_OF_PSI.values():
+            residual, mult[d] = residual.deflate(min_poly_2cos(d))
         d += 1
-    return _with_flat_eigenspaces(mult, n, g.edge_count)
+    mult[1] = mult.get(1, 0) + g.edge_count - n + 1
+    mult[2] = 2 * mult.get(2, 0) + g.edge_count - n
+    orders = tuple(sorted((d, m) for d, m in mult.items() if m))
+    return Periodic(period=math.lcm(*(d for d, _ in orders)), cyclotomic_orders=orders)
 
 
 # ---------------------------------------------------------------------------

@@ -599,7 +599,7 @@ def test_selfcheck_detects_a_wrong_minimal_polynomial(capsys, monkeypatch):
     assert "FAIL minimal polynomial annihilates A and divides the charpoly" in out
 
 
-ROUTE_SPECTRUM_LINE = "FAIL spectrum and verdict from m_A equal those from p_A and p_2T"
+ROUTE_SPECTRUM_LINE = "FAIL spectrum from a certified m_A equals that from p_A"
 
 
 def test_selfcheck_detects_a_wrong_multiplicity_from_m_a(capsys, monkeypatch):
@@ -621,7 +621,7 @@ def test_selfcheck_detects_a_wrong_order_of_a_2cos_value(capsys, monkeypatch):
     monkeypatch.setitem(walk._ORDER_OF_PSI, (-1, 1), 3)
     code, out, _ = _run(capsys, "selfcheck")
     assert code == 1
-    assert ROUTE_SPECTRUM_LINE in out
+    assert "FAIL cyclotomic sieve reconstruction" in out
 
 
 def test_period_rejects_the_removed_no_oracle_flag(capsys):
@@ -631,12 +631,40 @@ def test_period_rejects_the_removed_no_oracle_flag(capsys):
 
 
 def test_broken_invariant_exits_internal(capsys, monkeypatch):
-    # a wrong psi_d never divides p_2T, so the 2cos sieve runs past its
-    # Kronecker bound and reports a broken invariant
+    # the residual psi_7^2 of p_2T for C7 is never divided by a wrong
+    # psi_d, so the 2cos sieve runs past its Kronecker bound and reports a
+    # broken invariant
     monkeypatch.setattr(walk, "min_poly_2cos", lambda d: Poly([1, 0, 1]))
-    code, out, err = _run(capsys, "period", "--expr", "cycle(6)")
+    code, out, err = _run(capsys, "period", "--expr", "cycle(7)")
     assert code == 3 and out == ""
     assert err.startswith("error: internal: ")
+
+
+def test_period_on_c8_builds_no_psi_d(capsys, monkeypatch):
+    # every root of p_A for C8 resolves into factors of the nine table
+    # orders, so no psi_d is built
+    def refuse(d):
+        raise AssertionError(f"psi_{d} built")
+
+    monkeypatch.setattr(walk, "min_poly_2cos", refuse)
+    code, out, _ = _run(capsys, "period", "--expr", "cycle(8)")
+    assert code == 0 and out == "PERIODIC period=8 orders={1,2,4,8}\n"
+
+
+def test_period_builds_psi_d_only_for_orders_outside_the_table(capsys, monkeypatch):
+    # C7xJ3 leaves the residual (psi_7 scaled by 3)^2 of p_A: only psi_7 is
+    # tried on it
+    built = []
+    real = walk.min_poly_2cos
+
+    def record(d):
+        built.append(d)
+        return real(d)
+
+    monkeypatch.setattr(walk, "min_poly_2cos", record)
+    code, out, _ = _run(capsys, "period", "--expr", "tensorj(cycle(7),3)")
+    assert code == 0 and out == "PERIODIC period=28 orders={1,2,4,7}\n"
+    assert built == [7]
 
 
 # ---------------------------------------------------------------------------

@@ -361,10 +361,12 @@ def test_certificate_agrees_with_the_spectrum_oracle_on_every_realization():
     # classes: rows with its own n but another θ included
     for (cls, k, n), (label, expr) in REALIZATIONS.items():
         g = parse_expr(expr)
+        traces = closed_walk_traces(g, 11)
         for other in ThetaClass:
             for row in enumerate_rows(other, k):
                 own = (other, row.n) == (cls, n)
-                assert realizes(g, row) == spectrum_realizes(g, row) == own, (label, other, row.n)
+                assert (realizes(traces, row) == spectrum_realizes(g, row) == own), \
+                    (label, other, row.n)
 
 
 def _row(cls, k, n):
@@ -388,7 +390,7 @@ def test_certificate_rejects_an_isolated_vertex_only_by_the_vertex_count():
     g = Graph.from_edges(9, cycle(8).edges())
     row = _row(ThetaClass.SQRT2, 2, 8)
     assert _closed_walk_conditions(g, row) == (False, True, True)
-    assert not realizes(g, row)
+    assert not realizes(closed_walk_traces(g, 11), row)
     assert not spectrum_realizes(g, row)
 
 
@@ -400,7 +402,7 @@ def test_certificate_rejects_two_squares_only_by_the_fourth_moment():
     assert _closed_walk_conditions(g, row) == (True, False, True)
     a = np.array(g.adjacency, dtype=np.int64)
     assert np.trace(a @ a) == 16 and np.trace(np.linalg.matrix_power(a, 4)) == 64
-    assert not realizes(g, row)
+    assert not realizes(closed_walk_traces(g, 11), row)
     assert not spectrum_realizes(g, row)
 
 
@@ -417,7 +419,7 @@ def test_certificate_rejects_a_k66_subgraph_only_by_the_annihilator():
     assert sorted(set(g.degrees())) == [3, 4, 5]
     row = _row(ThetaClass.HALF, 4, 12)
     assert _closed_walk_conditions(g, row) == (True, True, False)
-    assert not realizes(g, row)
+    assert not realizes(closed_walk_traces(g, 11), row)
     assert not spectrum_realizes(g, row)
 
 

@@ -47,9 +47,11 @@ from walklab.exact import (
     QuadraticNumber,
     Spectrum,
     _BerlekampMassey,
+    _factors,
     _trace_form,
     adjacency_times,
     extract_spectrum,
+    min_poly_factors,
     min_poly_route,
     moment_route,
     neighbour_table,
@@ -180,8 +182,8 @@ def test_moment_route_matches_the_crt_and_bareiss(g):
 @seed(20261031)
 @PROPERTY_SETTINGS
 @given(st.one_of(regular_graphs_and_complements(), blow_ups()))
-@example(tensor_allones(cycle(7), 3))  # m_A has the cubic factor of 2cos(2pi/7): p_2T path
-@example(tensor_allones(cycle(9), 2))  # period 36, also on the p_2T path
+@example(tensor_allones(cycle(7), 3))  # m_A has the cubic factor of 2cos(2pi/7): p_A path
+@example(tensor_allones(cycle(9), 2))  # period 36, also on the p_A path
 @example(tensor_allones(cycle(8), 3))  # the conjugate pairs ±3√2
 @example(complete_graph(7))  # the witness -1/6
 def test_the_spectrum_and_verdict_from_m_a_equal_those_from_p_a(g):
@@ -189,8 +191,12 @@ def test_the_spectrum_and_verdict_from_m_a_equal_those_from_p_a(g):
     # p_A, and Kronecker on it equals the p_2T sieve of the Fraction oracle
     reference = extract_spectrum(g.charpoly)
     assert g.spectrum == reference
-    certified = g._moments.min_poly is not None
-    assert (g.route_factors is not None) == (certified and isinstance(reference, Spectrum))
+    moments = g._moments
+    if moments.min_poly is not None and isinstance(reference, Spectrum):
+        expected = min_poly_factors(moments.min_poly, moments.traces), Poly.one()
+    else:
+        expected = _factors(g.charpoly)
+    assert g.factors == expected
     if is_connected(g):
         assert decide_periodic(g) == decide_periodic_by_fractions(g)
 
@@ -202,7 +208,9 @@ def test_the_m_a_path_on_its_pinned_graphs():
             (tensor_allones(cycle(8), 3), True, "PERIODIC period=8 orders={1,2,4,8}"),
             (complete_graph(7), True, "NOT PERIODIC witness=-1/6")):
         assert g._moments.min_poly is not None
-        assert (g.route_factors is not None) is route
+        # the factors of a resolved m_A read no charpoly
+        g.factors
+        assert ("charpoly" not in g.__dict__) is route
         assert decide_periodic(g).render() == verdict
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from walklab import graphs, walk
+from walklab import exact, graphs, walk
 from walklab.exact import (
     Poly,
     QuadraticNumber,
@@ -40,7 +40,6 @@ from walklab.walk import (
     NotRegularError,
     Periodic,
     decide_periodic,
-    decide_periodic_by_charpoly,
     walk_regularity_check,
 )
 from walklab.oracles import (
@@ -273,13 +272,15 @@ def test_a_constant_term_alone_off_the_integers_refutes_periodicity():
     # no connected regular graph of the atlas has a p_2T that fails to be
     # integral only in a_0 2^n / k^n, so the cached charpoly of C6xJ2,
     # x^12 - 24x^10 + 144x^8 - 256x^6, is given a_0 = 1.  The route
-    # certifies m_A for C6xJ2, so decide_periodic reads the spectrum off
-    # m_A and never the charpoly: the p_2T decision is called directly
+    # certifies m_A for C6xJ2, and its factors never read the charpoly, so
+    # they are set to those of that charpoly to force the p_A path
     g = tensor_allones(cycle(6), 2)
     g.__dict__["charpoly"] = Poly((1,) + g.charpoly.coeffs[1:])
-    assert decide_periodic_by_charpoly(g).render() == (
-        "NOT PERIODIC residual=x^12 - 6*x^10 + 9*x^8 - 4*x^6 + 1/4096")
     assert decide_periodic(g).render() == "PERIODIC period=12 orders={1,2,3,4,6}"
+    g.__dict__["factors"] = exact._factors(g.charpoly)
+    verdict = decide_periodic(g)
+    assert verdict.render() == "NOT PERIODIC residual=x^12 - 6*x^10 + 9*x^8 - 4*x^6 + 1/4096"
+    assert verdict == decide_periodic_by_fractions(g)
 
 
 def test_the_psi_d_of_degree_at_most_2_are_the_nine_orders_of_the_table():
