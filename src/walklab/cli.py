@@ -138,7 +138,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         print("bipartite: no")
     if resolved:
-        print(f"spectrum: {spec.render()}")
+        print(f"spectrum: {report['spectrum']}")
     else:
         print(f"spectrum: unresolved (residual {spec.residual})")
     print(f"quadrangles: q={q} per-vertex constant: {'yes' if qx_constant else 'no'}")

@@ -8,15 +8,17 @@ confirm the row or eliminate it.  The count of closed 2r-walks,
 kθ^(2r-2) + 2k²((k²)^(r-1) - (θ²)^(r-1))/n, is k for r = 1 and, since
 k² - θ² divides (k²)^(r-1) - (θ²)^(r-1), integral for every r exactly
 when n | 2k²(k² - θ²) (r = 2 gives the converse).  So the candidates are
-the divisors of that number inside the vertex-count window, and every
-one of them has integral closed-walk counts by construction.  Rows
-eliminated by the quadrangle checks are kept with their elimination
-reason so the generated tables mirror the reference ones.  A known
-realization is a builder expression (`graphs.parse_expr`, as `--expr`);
-the tables certify its spectrum (`realizes`) from its closed-walk
-traces, which `graphs.expression_traces` composes from the traces of
-its factors, building only the factors that no trace rule covers, each
-once per `render_tables` call.
+the even divisors of that number inside the vertex-count window, n = 2d
+for the divisors d <= hi/2 of k²(k² - θ²), and every one of them has
+integral closed-walk counts by construction.  A row is a named tuple of
+ints, (θ-class, k, n, a, b, 8q), and equals the plain tuple of its
+fields.  Rows eliminated by the quadrangle checks are kept with their
+elimination reason so the generated tables mirror the reference ones.
+A known realization is a builder expression (`graphs.parse_expr`, as
+`--expr`); the tables certify its spectrum (`realizes`) from its
+closed-walk traces, which `graphs.expression_traces` composes from the
+traces of its factors, building only the factors that no trace rule
+covers, each once per `render_tables` call.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import QuadraticNumber, Spectrum
 from .graphs import expression_traces, parse_tree
@@ -43,14 +44,19 @@ def _half_degree(k: int) -> int:
 class ThetaClass(Enum):
     """The three admissible second-largest eigenvalues for even degree k:
     θ = (k/2)√c with c = 1, 2, 3.  θ is an algebraic integer only for
-    even k, where θ² = c(k/2)² is an integer."""
+    even k, where θ² = c(k/2)² is an integer.  Members are singletons
+    that compare by identity, so they hash by identity too, in C rather
+    than by `Enum.__hash__`."""
 
     HALF = "half"
     SQRT2 = "sqrt2"
     SQRT3 = "sqrt3"
 
-    def __init__(self, value: str) -> None:
-        self.c = ("half", "sqrt2", "sqrt3").index(value) + 1  # theta^2 = c (k/2)^2
+    __hash__ = object.__hash__
+
+    def __init__(self, label: str) -> None:
+        self.label = label  # the value, read without the Enum descriptor
+        self.c = ("half", "sqrt2", "sqrt3").index(label) + 1  # theta^2 = c (k/2)^2
 
     def theta_sq(self, k: int) -> int:
         return self.c * _half_degree(k) ** 2
@@ -59,11 +65,10 @@ class ThetaClass(Enum):
         return QuadraticNumber.sqrt(self.c, _half_degree(k))
 
     def __str__(self) -> str:
-        return self.value
+        return self.label
 
 
-@dataclass(frozen=True)
-class FeasibleRow:
+class FeasibleRow(NamedTuple):
     """One candidate spectrum {[±k]^1, [±θ]^a, [0]^b} that passes the
     multiplicity, window, parity and closed-walk tests, with 8q for its
     exact quadrangle count q; `elimination` names the quadrangle test it
@@ -135,11 +140,13 @@ def n_bounds(k: int, theta_sq: int) -> tuple[int, int]:
     return -(-2 * (k * k + theta_sq) // k), 2 * k * (k * k - theta_sq)
 
 
-def _closed_walk_divisors(k: int, theta_sq: int) -> list[int]:
-    """Divisors of m = 2k²(k² - θ²) in ascending order.  For the three
-    θ-classes m is 3k⁴/2, k⁴ or k⁴/2, so its primes are those of k, found
-    by trial division up to √k, and 3."""
-    m = 2 * k * k * (k * k - theta_sq)
+def _even_divisors(k: int, theta_sq: int, hi: int) -> list[int]:
+    """The even divisors n <= hi of m = 2k²(k² - θ²), ascending: n = 2d
+    for the divisors d <= hi/2 of m/2, grown prime by prime with every
+    partial product past hi/2 dropped.  For the three θ-classes m is
+    3k⁴/2, k⁴ or k⁴/2, so its primes are those of k, found by trial
+    division up to √k, and 3."""
+    half, cap = k * k * (k * k - theta_sq), hi // 2
     primes = {3}
     rest, p = k, 2
     while p * p <= rest:
@@ -151,20 +158,20 @@ def _closed_walk_divisors(k: int, theta_sq: int) -> list[int]:
         primes.add(rest)
     divisors = [1]
     for p in primes:
-        powers = [1]
-        while m % p == 0:
-            m //= p
-            powers.append(powers[-1] * p)
-        divisors = [d * q for d in divisors for q in powers]
-    if m != 1:
+        layer = divisors
+        while half % p == 0:
+            half //= p
+            layer = [d * p for d in layer if d * p <= cap]
+            divisors = divisors + layer
+    if half != 1:
         raise AssertionError(f"2k²(k² - θ²) has a prime outside k and 3 at k={k}")
-    return sorted(divisors)
+    return sorted(2 * d for d in divisors)
 
 
 def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
     """All candidate rows for one θ-class and even degree k: n runs over
-    the divisors of 2k²(k² - θ²) inside the window, which makes every
-    closed-walk count integral, filtered by parity and integral
+    the even divisors of 2k²(k² - θ²) up to the window's top, which makes
+    every closed-walk count integral, filtered by integral
     multiplicities; quadrangle failures are kept, annotated.  The closed
     4-walks at a vertex are 2k² - k degenerate ones plus two traversals
     of each quadrangle through it, so the fourth power sum 2k⁴ + 2aθ⁴ is
@@ -174,9 +181,7 @@ def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
     theta_sq = theta_class.theta_sq(k)
     hi = n_bounds(k, theta_sq)[1]
     rows = []
-    for n in _closed_walk_divisors(k, theta_sq):
-        if n > hi or n % 2:
-            continue
+    for n in _even_divisors(k, theta_sq, hi):
         mult = multiplicities(k, theta_sq, n)
         if mult is None:
             continue
@@ -215,8 +220,7 @@ def classify_four_eigenvalue(k_max: int) -> list[tuple[int, int, Spectrum]]:
 # known realizations and reference annotations
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(NamedTuple):
     """Static annotation carried over from the reference tables: the
     existence column verbatim, the stated elimination category, and for
     a known realization its registry graph as a builder expression
@@ -338,10 +342,11 @@ def _ratio(num: int, den: int) -> str:
 def _row_fields(row: FeasibleRow) -> tuple[str, ...]:
     """The row's CSV_FIELDS as strings, from its ints, with one
     `elimination` call and one reference lookup: q and q_x are 8q/8 and
-    8q/2n in lowest terms, and the comment is `row_comment`'s."""
-    k, n, q8 = row.k, row.n, row.q8
+    8q/2n in lowest terms, and the comment names the computed
+    elimination, then any different one the reference states."""
+    cls, k, n, a, b, q8 = row
     mine = row.elimination()
-    ref = REFERENCE_TABLE.get((row.theta_class, k, n))
+    ref = REFERENCE_TABLE.get((cls, k, n))
     q, q_x = _ratio(q8, 8), _ratio(q8, 2 * n)
     parts = [] if mine is None else [_ELIM_TEXT[mine]]
     if ref is not None:
@@ -350,19 +355,9 @@ def _row_fields(row: FeasibleRow) -> tuple[str, ...]:
                 f"reference says {_ELIM_TEXT[ref.elimination]} (exact: q={q}, q_x={q_x})")
         if ref.note:
             parts.append(ref.note)
-    return (row.theta_class.value, str(k), str(n), str(row.a), str(row.b), q, q_x,
+    return (cls.label, str(k), str(n), str(a), str(b), q, q_x,
             "feasible" if mine is None else "eliminated", "; ".join(parts),
             "?" if ref is None else ref.existence)
-
-
-def row_comment(row: FeasibleRow) -> str:
-    """Computed elimination reason, plus an explicit flag whenever the
-    reference table states a different one."""
-    return _row_fields(row)[-2]
-
-
-def row_existence(row: FeasibleRow) -> str:
-    return _row_fields(row)[-1]
 
 
 def realizes(traces: Sequence[int], row: FeasibleRow) -> bool:
@@ -478,7 +473,7 @@ def render_tables(k_max: int, fmt: str = "text") -> str:
     for cls in ThetaClass:
         cls_rows = [r for r in rows if r.theta_class is cls]
         if cls_rows:
-            blocks.append(f"theta-class {cls.value}\n"
+            blocks.append(f"theta-class {cls.label}\n"
                           "k | n | spectrum | status | realization | comment\n"
                           + render_rows(cls_rows, "text"))
     return "\n".join(blocks)

@@ -363,6 +363,22 @@ def test_analyze_counts_quadrangles_once(capsys, monkeypatch):
     assert calls == [8]
 
 
+def test_analyze_renders_the_spectrum_once(capsys, monkeypatch):
+    real = exact.Spectrum.render
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(exact.Spectrum, "render", counting)
+    for fmt in ("json", "text"):
+        calls.clear()
+        code, out, _ = _run(capsys, "analyze", "--expr", "cycle(8)", "--format", fmt)
+        assert code == 0 and len(calls) == 1, fmt
+    assert "spectrum: {[±2]^1, [±√2]^2, [0]^2}\n" in out
+
+
 def test_analyze_irregular_graph(capsys):
     code, out, _ = _run(capsys, "analyze", "--expr", "kbip(1,3)")
     assert code == 0

@@ -3,7 +3,7 @@ reference tables, the closed-form oracle for one block, realization
 verification, and the four-eigenvalue classification."""
 
 import csv
-import dataclasses
+import enum
 import hashlib
 import io
 import json
@@ -30,8 +30,6 @@ from walklab.feasibility import (
     realizes,
     render_rows,
     render_tables,
-    row_comment,
-    row_existence,
     verify_realization,
 )
 from walklab.graphs import (
@@ -52,6 +50,17 @@ from oracles import (
     spectral_quadrangles,
     spectrum_realizes,
 )
+
+
+def row_comment(row):
+    """Computed elimination reason, plus an explicit flag whenever the
+    reference table states a different one."""
+    return feasibility._row_fields(row)[-2]
+
+
+def row_existence(row):
+    return feasibility._row_fields(row)[-1]
+
 
 EXPECTED_N_COLUMNS = {
     (ThetaClass.HALF, 4): [12, 16, 24, 32, 48, 64, 96],
@@ -196,7 +205,21 @@ def test_enumerate_rejects_odd_degree():
 def test_enumerate_by_divisors_matches_the_window_scan(cls):
     for k in list(range(2, 21, 2)) + [36, 40]:
         rows = [(row, row.q, row.q_x) for row in enumerate_rows(cls, k)]
-        assert rows == enumerate_rows_by_window(cls, k), (cls, k)
+        oracle = enumerate_rows_by_window(cls, k)
+        assert rows == oracle, (cls, k)
+        # equal rows hash alike, their θ-class included
+        assert [hash(r) for r, _, _ in rows] == [hash(r) for r, _, _ in oracle], (cls, k)
+
+
+@pytest.mark.parametrize("cls", list(ThetaClass))
+def test_candidates_are_the_even_divisors_inside_the_window(cls):
+    # every even k up to 80 reaches primes up to 79 in k
+    for k in range(2, 81, 2):
+        theta_sq = cls.theta_sq(k)
+        hi = n_bounds(k, theta_sq)[1]
+        m = 2 * k * k * (k * k - theta_sq)
+        expected = [n for n in range(2, hi + 1, 2) if m % n == 0]
+        assert feasibility._even_divisors(k, theta_sq, hi) == expected, (cls, k)
 
 
 def test_row_n_divides_the_closed_two_walk_bound():
@@ -264,6 +287,26 @@ def test_flagged_rows_exact_values():
     assert "reference says" in row_comment(rows50[200])
 
 
+def test_rows_are_immutable_tuples_of_their_fields():
+    row = _row(ThetaClass.HALF, 4, 12)
+    assert row == (ThetaClass.HALF, 4, 12, 2, 6, 240)
+    for field in row._fields:
+        with pytest.raises(AttributeError):
+            setattr(row, field, 0)
+    assert row == (ThetaClass.HALF, 4, 12, 2, 6, 240)
+
+
+def test_tables_render_without_enum_hashing(monkeypatch):
+    # θ-classes hash by identity, so the reference lookups never reach
+    # the Python-level Enum.__hash__
+    def refuse(self):
+        raise AssertionError("Enum.__hash__ called")
+
+    monkeypatch.setattr(enum.Enum, "__hash__", refuse)
+    for fmt, digest in TABLE_DIGESTS.items():
+        assert hashlib.sha256(render_tables(40, fmt).encode()).hexdigest() == digest
+
+
 def test_eliminated_rows_are_retained():
     rows = enumerate_rows(ThetaClass.HALF, 6)
     by_n = {r.n: r for r in rows}
@@ -314,8 +357,8 @@ def test_registry_expressions_build_the_constructor_graphs():
     # the registry is data: feasibility reaches the graphs only by the grammar
     constructors = {id(fn) for _, fn in graphs._BUILDERS.values()}
     assert not [name for name, value in vars(feasibility).items() if id(value) in constructors]
-    assert not [(key, field.name) for key, ref in REFERENCE_TABLE.items()
-                for field in dataclasses.fields(ref) if callable(getattr(ref, field.name))]
+    assert not [(key, name) for key, ref in REFERENCE_TABLE.items()
+                for name in ref._fields if callable(getattr(ref, name))]
 
 
 def test_registry_traces_from_the_factors_equal_those_of_the_built_graphs():
