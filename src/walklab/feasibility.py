@@ -7,13 +7,15 @@ counts are integers for every power; the quadrangle counts then either
 confirm the row or eliminate it.  The count of closed 2r-walks,
 kθ^(2r-2) + 2k²((k²)^(r-1) - (θ²)^(r-1))/n, is k for r = 1 and, since
 k² - θ² divides (k²)^(r-1) - (θ²)^(r-1), integral for every r exactly
-when n | 2k²(k² - θ²) (r = 2 gives the converse).  So the candidates are
-the even divisors of that number inside the vertex-count window, n = 2d
-for the divisors d <= hi/2 of k²(k² - θ²), and every one of them has
-integral closed-walk counts by construction.  A row is a named tuple of
-ints, (θ-class, k, n, a, b, 8q), and equals the plain tuple of its
-fields.  Rows eliminated by the quadrangle checks are kept with their
-elimination reason so the generated tables mirror the reference ones.
+when n | 2k²(k² - θ²) (r = 2 gives the converse).  With k = 2h and
+θ² = ch², the multiplicity a = (n - 4h)/(ch) makes n = hm for
+m = 4 + ca, so that number is 8h⁴(4 - c) and the candidates are
+n = hm for the divisors m of 8h³(4 - c) up to the window's top
+4h²(4 - c); every one of them has integral closed-walk counts by
+construction.  A row is a named tuple of ints, (θ-class, k, n, a, b,
+8q), and equals the plain tuple of its fields.  Rows eliminated by the
+quadrangle checks are kept with their elimination reason so the
+generated tables mirror the reference ones.
 A known realization is a builder expression (`graphs.parse_expr`, as
 `--expr`); the tables certify its spectrum (`realizes`) from its
 closed-walk traces, which `graphs.expression_traces` composes from the
@@ -140,15 +142,12 @@ def n_bounds(k: int, theta_sq: int) -> tuple[int, int]:
     return -(-2 * (k * k + theta_sq) // k), 2 * k * (k * k - theta_sq)
 
 
-def _even_divisors(k: int, theta_sq: int, hi: int) -> list[int]:
-    """The even divisors n <= hi of m = 2k²(k² - θ²), ascending: n = 2d
-    for the divisors d <= hi/2 of m/2, grown prime by prime with every
-    partial product past hi/2 dropped.  For the three θ-classes m is
-    3k⁴/2, k⁴ or k⁴/2, so its primes are those of k, found by trial
-    division up to √k, and 3."""
-    half, cap = k * k * (k * k - theta_sq), hi // 2
-    primes = {3}
-    rest, p = k, 2
+def _divisors(h: int, c: int) -> list[int]:
+    """The divisors m <= 4h²(4 - c) of 8h³(4 - c), ascending, grown prime
+    by prime with every partial product past 4h²(4 - c) dropped.  The
+    primes are those of h, found by trial division up to √h, and 2 and 3."""
+    primes = {2, 3}
+    rest, p = h, 2
     while p * p <= rest:
         while rest % p == 0:
             primes.add(p)
@@ -156,36 +155,38 @@ def _even_divisors(k: int, theta_sq: int, hi: int) -> list[int]:
         p += 1
     if rest > 1:
         primes.add(rest)
-    divisors = [1]
+    top, cap, divisors = 8 * h ** 3 * (4 - c), 4 * h * h * (4 - c), [1]
     for p in primes:
         layer = divisors
-        while half % p == 0:
-            half //= p
+        while top % p == 0:
+            top //= p
             layer = [d * p for d in layer if d * p <= cap]
             divisors = divisors + layer
-    if half != 1:
-        raise AssertionError(f"2k²(k² - θ²) has a prime outside k and 3 at k={k}")
-    return sorted(2 * d for d in divisors)
+    return sorted(divisors)
 
 
 def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
-    """All candidate rows for one θ-class and even degree k: n runs over
-    the even divisors of 2k²(k² - θ²) up to the window's top, which makes
-    every closed-walk count integral, filtered by integral
-    multiplicities; quadrangle failures are kept, annotated.  The closed
-    4-walks at a vertex are 2k² - k degenerate ones plus two traversals
-    of each quadrangle through it, so the fourth power sum 2k⁴ + 2aθ⁴ is
+    """All candidate rows for one θ-class and even degree k = 2h, read
+    off their parameter m = 4 + ca, since a = (n - 4h)/(ch) makes n = hm.
+    The closed-walk condition n | 8h⁴(4 - c) is m | 8h³(4 - c), and the
+    window's top n = 4h³(4 - c) is m = 4h²(4 - c), so m runs over
+    `_divisors(h, c)`.  A divisor gives a row when c | m - 4 with a >= 1
+    (the window's lower end), n is even and b = n - 2 - 2a >= 1;
+    quadrangle failures are kept, annotated.  The closed 4-walks at a
+    vertex are 2k² - k degenerate ones plus two traversals of each
+    quadrangle through it, so the fourth power sum 2k⁴ + 2aθ⁴ is
     8q + n(2k² - k), and each vertex lies on q_x = 4q/n quadrangles."""
     if k < 2 or k % 2:
         raise ValueError("degree must be even and at least 2")
-    theta_sq = theta_class.theta_sq(k)
-    hi = n_bounds(k, theta_sq)[1]
+    h, c = k // 2, theta_class.c
+    theta_sq = c * h * h
     rows = []
-    for n in _even_divisors(k, theta_sq, hi):
-        mult = multiplicities(k, theta_sq, n)
-        if mult is None:
+    for m in _divisors(h, c):
+        a, rem = divmod(m - 4, c)
+        n = h * m
+        b = n - 2 - 2 * a
+        if rem or a < 1 or n % 2 or b < 1:
             continue
-        a, b = mult
         q8 = 2 * k ** 4 + 2 * a * theta_sq ** 2 - n * (2 * k * k - k)
         rows.append(FeasibleRow(theta_class, k, n, a, b, q8))
     return rows
@@ -385,14 +386,12 @@ def realizes(traces: Sequence[int], row: FeasibleRow) -> bool:
 
 
 def verify_realization(row: FeasibleRow, memo: dict) -> bool:
-    """Certify the spectrum of the row's registry graph, if it has one,
-    by `realizes` on the traces of its expression
+    """Certify the spectrum of the registry graph of a row in
+    REALIZATIONS by `realizes` on the traces of its expression
     (`graphs.expression_traces`); `memo` carries the traces of the
     expressions' nodes from one registry row to the next."""
-    ref = REFERENCE_TABLE.get((row.theta_class, row.k, row.n))
-    if ref is None or ref.expr is None:
-        return True
-    return realizes(expression_traces(parse_tree(ref.expr), 11, memo), row)
+    expr = REALIZATIONS[row.theta_class, row.k, row.n][1]
+    return realizes(expression_traces(parse_tree(expr), 11, memo), row)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,10 @@ def _max_vertices() -> int:
 MAX_DIGITS = 100
 _HUGE_COUNT = 10 ** MAX_DIGITS
 
+# Builder calls nest at most MAX_NESTING deep, so the recursive descent
+# of `_parse` stays well inside Python's recursion limit (1000 frames).
+MAX_NESTING = 200
+
 
 def read_decimal(token: str) -> int:
     """A token of ASCII decimal digits as an int, refused past MAX_DIGITS
@@ -389,7 +393,8 @@ def _parse(text: str, make: Callable[[str, list], _Node]) -> _Node:
     """The one recursive-descent reading of the grammar: each node
     `name(arg, ...)` becomes `make(name, args)`, called as soon as its
     closing parenthesis is read, with its integer arguments as ints and
-    its expression arguments as what `make` returned for them."""
+    its expression arguments as what `make` returned for them.  A node
+    deeper than MAX_NESTING is refused before it is read."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -400,8 +405,10 @@ def _parse(text: str, make: Callable[[str, list], _Node]) -> _Node:
             raise ExprError(f"expected {tok!r}, got {got!r}")
         pos += 1
 
-    def parse_node() -> _Node:
+    def parse_node(depth: int) -> _Node:
         nonlocal pos
+        if depth > MAX_NESTING:
+            raise ExprError(f"expression nests builders more than {MAX_NESTING} deep")
         if pos >= len(tokens):
             raise ExprError("unexpected end of expression")
         name = tokens[pos]
@@ -419,11 +426,11 @@ def _parse(text: str, make: Callable[[str, list], _Node]) -> _Node:
                 args.append(read_decimal(tokens[pos]))
                 pos += 1
             else:
-                args.append(parse_node())
+                args.append(parse_node(depth + 1))
         expect(")")
         return make(name, args)
 
-    node = parse_node()
+    node = parse_node(1)
     if pos != len(tokens):
         raise ExprError(f"trailing input after expression: {tokens[pos]!r}")
     return node

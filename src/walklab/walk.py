@@ -19,13 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (
-    Poly,
-    QuadraticNumber,
-    Spectrum,
-    is_quadratic_algebraic_integer,
-    min_poly_2cos,
-)
+from .exact import Poly, QuadraticNumber, _roots, min_poly_2cos
 from .graphs import Graph, closed_walks, is_connected
 
 
@@ -91,13 +85,6 @@ _ORDER_OF_PSI = {
 }
 
 
-def _witness(spec: Spectrum, k: int) -> QuadraticNumber | None:
-    """The first lambda/k, in descending order, with 2*lambda/k not an
-    algebraic integer, or None."""
-    return next((lam / k for lam in spec.values()
-                 if not is_quadratic_algebraic_integer(lam * Fraction(2, k))), None)
-
-
 def _scaled(f: Poly, k: int) -> tuple[int, ...] | None:
     """The coefficients of the monic (2/k)^d f(kx/2), d = deg f, whose
     roots are the 2*lambda/k for the roots lambda of f, by one divmod
@@ -121,18 +108,21 @@ def decide_periodic(g: Graph) -> PeriodicityVerdict:
     (2/k)^n p_A(kx/2) is in Z[x] exactly when every one of these monic
     factors is.
 
-    If one is not integral, the witness is the first lambda/k, in
-    descending order, with 2*lambda/k not an algebraic integer
-    (`_witness`), when the residual is 1; otherwise the certificate is
-    p_2T itself, in Fractions.  An integral factor is irreducible with
-    its roots in [-2, 2], so by Kronecker it is the minimal polynomial
-    psi_d of a 2cos value of degree at most 2, and _ORDER_OF_PSI gives its
-    order d.  The residual holds no psi_d of those nine orders
-    (`Graph.factors` split them off), so it is deflated by the psi_d of
-    the other orders only (`Poly.deflate`).  The multiplicity of psi_d is
-    that of Phi_d in the U-charpoly for d >= 3; Phi_1 and Phi_2 add the
-    flat +1 and -1 eigenspaces of U, of dimensions E - n + 1 and
-    E - n + ker, where ker = mult(psi_2) = dim Ker(A + kI).
+    If one is not integral and the residual is 1, the witness is the
+    largest root lambda of the factors whose scaled form is not integral,
+    as lambda/k: each factor is irreducible over Q, so its scaled form is
+    the minimal polynomial of its roots 2*lambda/k, which are algebraic
+    integers exactly when it is integral; the witness is thus the first
+    lambda/k, in descending order, with 2*lambda/k not an algebraic
+    integer.  Otherwise the certificate is p_2T itself, in Fractions.  An
+    integral factor is irreducible with its roots in [-2, 2], so by
+    Kronecker it is the minimal polynomial psi_d of a 2cos value of degree
+    at most 2, and _ORDER_OF_PSI gives its order d.  The residual holds no
+    psi_d of those nine orders (`Graph.factors` split them off), so it is
+    deflated by the psi_d of the other orders only (`Poly.deflate`).  The
+    multiplicity of psi_d is that of Phi_d in the U-charpoly for d >= 3;
+    Phi_1 and Phi_2 add the flat +1 and -1 eigenspaces of U, of dimensions
+    E - n + 1 and E - n + ker, where ker = mult(psi_2) = dim Ker(A + kI).
     """
     k = _require_regular_connected(g)
     n = g.n
@@ -141,7 +131,9 @@ def decide_periodic(g: Graph) -> PeriodicityVerdict:
     rest = _scaled(residual, k)
     if rest is None or any(psi is None for psi, _ in psis):
         if residual.degree() == 0:
-            return NotPeriodic(witness=_witness(g.spectrum, k), residual=None)
+            witness = max(root for (f, _), (psi, _) in zip(factors, psis) if psi is None
+                          for root in _roots(f))
+            return NotPeriodic(witness=witness / k, residual=None)
         return NotPeriodic(witness=None, residual=Poly(
             Fraction(a << (n - i), k ** (n - i)) for i, a in enumerate(g.charpoly.coeffs)))
     mult: dict[int, int] = {}

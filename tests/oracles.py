@@ -120,6 +120,16 @@ def min_poly_2cos_by_poly(d):
     return out
 
 
+def witness_by_spectrum(spec, k):
+    """Reference for the witness of `walk.decide_periodic`: the first
+    lambda/k of the sorted spectrum with 2*lambda/k not an algebraic
+    integer, or None."""
+    for t_eig in scaled(spec, Fraction(1, k)).values():
+        if not is_quadratic_algebraic_integer(t_eig * 2):
+            return t_eig
+    return None
+
+
 def decide_periodic_by_fractions(g):
     """Reference for `walk.decide_periodic` on a connected regular graph:
     p_2T = (2/k)^n p_A(kx/2) built in Fraction arithmetic (`scale_arg`),
@@ -129,10 +139,9 @@ def decide_periodic_by_fractions(g):
     p2t = scale_arg(g.charpoly, Fraction(k, 2)) * Fraction(2 ** n, k ** n)
     if not p2t.is_integral():
         spec = g.spectrum
-        if isinstance(spec, Spectrum):
-            for t_eig in scaled(spec, Fraction(1, k)).values():
-                if not is_quadratic_algebraic_integer(t_eig * 2):
-                    return NotPeriodic(witness=t_eig, residual=None)
+        witness = witness_by_spectrum(spec, k) if isinstance(spec, Spectrum) else None
+        if witness is not None:
+            return NotPeriodic(witness=witness, residual=None)
         return NotPeriodic(witness=None, residual=p2t)
     mult = {}
     residual, d = p2t, 1

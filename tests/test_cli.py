@@ -125,6 +125,35 @@ def test_expr_accepts_only_ascii_letters_and_digits(capsys, expr, ch):
     assert err == f"error: unexpected character {ch!r} in expression\n"
 
 
+def _nested(builder, inner, depth):
+    """`inner` wrapped in `depth` calls of a one-argument builder."""
+    return f"{builder}(" * depth + inner + ")" * depth
+
+
+def test_an_expression_nested_past_the_limit_is_an_input_error(capsys):
+    # 1200 frames of the recursive descent would pass Python's recursion
+    # limit; the bound refuses the expression before it is read that deep
+    for expr in (_nested("bdouble", "cycle(4)", 1200), _nested("line", "cycle(3)", 1200),
+                 _nested("line", "cycle(3)", graphs.MAX_NESTING)):
+        code, out, err = _run(capsys, "period", "--expr", expr)
+        assert (code, out) == (1, "")
+        assert err == "error: expression nests builders more than 200 deep\n"
+        with pytest.raises(ExprError):
+            parse_tree(expr)
+
+
+def test_an_expression_nested_to_the_limit_parses(capsys):
+    # line(C3) is C3 again, so MAX_NESTING builders deep is still a triangle
+    expr = _nested("line", "cycle(3)", graphs.MAX_NESTING - 1)
+    assert parse_expr(expr).n == 3
+    tree = parse_tree(expr)
+    for _ in range(graphs.MAX_NESTING - 1):
+        name, (tree,) = tree
+        assert name == "line"
+    assert tree == ("cycle", (3,))
+    assert _run(capsys, "period", "--expr", expr) == (0, "PERIODIC period=3 orders={1,3}\n", "")
+
+
 # ---------------------------------------------------------------------------
 # period command
 
@@ -188,6 +217,34 @@ def test_empty_graph_is_an_input_error(tmp_path, capsys, command, name, text):
     code, out, err = _run(capsys, command, "--file", str(path))
     assert code == 1 and out == ""
     assert err == "error: graph has no vertices\n"
+
+
+@pytest.mark.parametrize("argv, text, code, lines", [
+    (["period"], None, 1, ["error: one of --expr or --file is required"]),
+    (["period", "--file", "{path}"], "", 1, ["error: empty edge list"]),
+    (["period", "--file", "{path}"], "~~??\n", 1, ["error: truncated graph6 size"]),
+    (["period", "--file", "{path}"], "~?\n", 1, ["error: truncated graph6 size"]),
+    (["period", "--expr", "complete(0)"], None, 1,
+     ["error: complete graph needs at least 1 vertex"]),
+    (["tables", "--kmax", "1" * 101], None, 2,
+     ["usage: walklab tables [-h] --kmax KMAX [--format {text,csv,json}]",
+      "walklab tables: error: argument --kmax: number has 101 digits; at most 100 are read"]),
+], ids=["no-graph", "empty-file", "graph6-size-long", "graph6-size-short", "complete-0",
+        "kmax-101-digits"])
+def test_input_errors_exit_with_one_message(tmp_path, capsys, argv, text, code, lines):
+    path = tmp_path / "g"
+    if text is not None:
+        path.write_text(text, encoding="ascii")
+    argv = [str(path) if arg == "{path}" else arg for arg in argv]
+    if code == 2:  # a usage error: argparse exits
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        got, captured = exc.value.code, capsys.readouterr()
+        out, err = captured.out, captured.err
+    else:
+        got, out, err = _run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.splitlines() == lines
 
 
 @pytest.mark.parametrize("text, err", [

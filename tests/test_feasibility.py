@@ -203,7 +203,7 @@ def test_enumerate_rejects_odd_degree():
 
 @pytest.mark.parametrize("cls", list(ThetaClass))
 def test_enumerate_by_divisors_matches_the_window_scan(cls):
-    for k in list(range(2, 21, 2)) + [36, 40]:
+    for k in range(2, 41, 2):
         rows = [(row, row.q, row.q_x) for row in enumerate_rows(cls, k)]
         oracle = enumerate_rows_by_window(cls, k)
         assert rows == oracle, (cls, k)
@@ -212,14 +212,28 @@ def test_enumerate_by_divisors_matches_the_window_scan(cls):
 
 
 @pytest.mark.parametrize("cls", list(ThetaClass))
-def test_candidates_are_the_even_divisors_inside_the_window(cls):
-    # every even k up to 80 reaches primes up to 79 in k
-    for k in range(2, 81, 2):
-        theta_sq = cls.theta_sq(k)
-        hi = n_bounds(k, theta_sq)[1]
-        m = 2 * k * k * (k * k - theta_sq)
-        expected = [n for n in range(2, hi + 1, 2) if m % n == 0]
-        assert feasibility._even_divisors(k, theta_sq, hi) == expected, (cls, k)
+def test_row_parameters_are_the_divisors_up_to_the_window_top(cls):
+    # m = n/(k/2) runs over the divisors of 8(k/2)³(4 - c) up to
+    # 4(k/2)²(4 - c); every even k up to 80 reaches primes up to 37 in k/2
+    c = cls.c
+    for h in range(1, 41):
+        top, cap = 8 * h ** 3 * (4 - c), 4 * h * h * (4 - c)
+        assert cap == n_bounds(2 * h, cls.theta_sq(2 * h))[1] // h
+        expected = [m for m in range(1, cap + 1) if top % m == 0]
+        assert feasibility._divisors(h, c) == expected, (cls, 2 * h)
+
+
+def test_tables_need_neither_the_window_nor_the_multiplicity_formula(monkeypatch, capsys):
+    # the rows come from their parameter m alone; both formulas stay for
+    # the window-scan oracle
+    def refuse(*args):
+        raise AssertionError("enumerate_rows used a window-scan formula")
+
+    monkeypatch.setattr(feasibility, "multiplicities", refuse)
+    monkeypatch.setattr(feasibility, "n_bounds", refuse)
+    for fmt, digest in TABLE_DIGESTS.items():
+        assert main(["tables", "--kmax", "40", "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
 
 
 def test_row_n_divides_the_closed_two_walk_bound():

@@ -72,6 +72,7 @@ from oracles import (
     scaled,
     spectral_quadrangles,
     spectrum_charpoly,
+    witness_by_spectrum,
 )
 
 SMALL_REGULAR = [
@@ -234,6 +235,33 @@ def test_the_witness_is_the_first_eigenvalue_whose_double_is_no_algebraic_intege
     v = decide_periodic(cartesian_product(cycle(4), cycle(3)))
     assert isinstance(v, NotPeriodic)
     assert v.witness == QuadraticNumber(Fraction(1, 4))
+
+
+def test_the_witness_is_the_first_failing_eigenvalue_of_the_sorted_spectrum():
+    # the decision takes the largest root of the factors that fail the
+    # integrality test; the oracle scans the whole sorted spectrum
+    nx = pytest.importorskip("networkx")
+    graphs = [(f"atlas {h.name}", Graph.from_edges(h.number_of_nodes(), h.edges()))
+              for h in nx.graph_atlas_g()
+              if h.number_of_nodes() > 1 and nx.is_connected(h)
+              and len({d for _, d in h.degree()}) == 1]
+    graphs += list(_selfcheck_catalog())
+    graphs += [(label, parse_expr(expr)) for label, expr in REALIZATIONS.values()]
+    graphs += [(expr, parse_expr(expr)) for expr in (
+        "cart(cycle(4),cycle(3))", "hypercube(4)", "hypercube(5)", "line(hypercube(4))",
+        "complete(7)", "hamming(3,3)", "kron(petersen(),complete(2))")]
+    rng = random.Random(20261019)
+    graphs += [(f"random k={k} n={n} #{i}", random_regular(n, k, rng))
+               for k, sizes in ((3, (6, 8, 10, 12)), (4, (7, 8, 9, 10, 12)), (5, (8, 10, 12)))
+               for n in sizes for i in range(3)]
+    compared = 0
+    for name, g in graphs:
+        verdict = decide_periodic(g)
+        if isinstance(verdict, Periodic) or not isinstance(g.spectrum, Spectrum):
+            continue
+        assert verdict.witness == witness_by_spectrum(g.spectrum, g.regularity), name
+        compared += 1
+    assert compared == 27
 
 
 def test_periodic_line_graph_of_q3():
