@@ -16,8 +16,11 @@ from --expr using a small builder grammar:
     complete(4), line(E), tensorj(E,m), cart(E,E), kron(E,E), bdouble(E)
 
 Expressions compose and ignore whitespace, e.g. "tensorj(cycle(6),2)".
-All output is produced by exact arithmetic and is byte-identical across
-runs.
+period, analyze and quadrangles read an expression off its structure
+and its closed-form traces, with no graph built; analyze and quadrangles
+build it when it is irregular, edgeless, disconnected or not walk-regular
+by structure.  All output is produced by exact arithmetic and is
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .feasibility import (
     render_rows,
     render_tables,
 )
+from .expressions import Expression, read_expr
 from .graphs import (
     ExprError,
     Graph,
@@ -60,12 +64,32 @@ EXIT_NOT_PERIODIC = 2
 EXIT_INTERNAL = 3
 
 
-def _load_graph(args: argparse.Namespace) -> Graph:
-    if getattr(args, "expr", None):
-        return parse_expr(args.expr)
-    if getattr(args, "file", None):
+def _load_graph(args: argparse.Namespace) -> Graph | Expression:
+    """The graph of --file, or the expression of --expr read off its
+    structure (`read_expr`); exactly one of them must be given."""
+    if args.expr is not None and args.file is not None:
+        raise ExprError("--expr and --file exclude each other; give one of them")
+    if args.expr is not None:
+        return read_expr(args.expr)
+    if args.file is not None:
         return load_path(args.file)
     raise ExprError("one of --expr or --file is required")
+
+
+def _load_counted(args: argparse.Namespace) -> Graph | Expression:
+    """`_load_graph`, with an expression built unless its quadrangles and
+    walk-regularity follow from its structure (`walk_regular_connected`)."""
+    g = _load_graph(args)
+    return g.graph if isinstance(g, Expression) and not g.walk_regular_connected else g
+
+
+def _quadrangles(g: Graph | Expression) -> tuple[int, int | None]:
+    """q, and the number q_x of quadrangles at each vertex when it is the
+    same at every vertex (else None)."""
+    if isinstance(g, Expression):
+        return g.quadrangles
+    q, per_vertex = count_quadrangles(g)
+    return q, per_vertex[0] if all(c == per_vertex[0] for c in per_vertex) else None
 
 
 # ---------------------------------------------------------------------------
@@ -98,28 +122,30 @@ def cmd_period(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+    g = _load_counted(args)
     k = g.regularity
-    split = is_bipartite(g)
-    connected = is_connected(g)
+    if isinstance(g, Expression):  # connected and walk-regular
+        connected, parts = True, g.parts
+    else:
+        split = is_bipartite(g)
+        connected, parts = is_connected(g), split and (len(split.part1), len(split.part2))
     spec = g.spectrum
     resolved = isinstance(spec, Spectrum)
-    q, per_vertex = count_quadrangles(g)
-    qx_constant = all(c == per_vertex[0] for c in per_vertex)
+    q, q_x = _quadrangles(g)
     report: dict = {
         "n": g.n,
         "edges": g.edge_count,
         "regular": k,
         "connected": connected,
-        "bipartite": [len(split.part1), len(split.part2)] if split else None,
+        "bipartite": list(parts) if parts else None,
         "spectrum": spec.render() if resolved else None,
         "spectrum_residual": None if resolved else str(spec.residual),
         "quadrangles": q,
-        "quadrangles_per_vertex_constant": qx_constant,
+        "quadrangles_per_vertex_constant": q_x is not None,
     }
     if k and connected:
         depth = walk_regularity_depth(g)
-        report["walk_regular"] = walk_regularity_check(g, depth)
+        report["walk_regular"] = isinstance(g, Expression) or walk_regularity_check(g, depth)
         report["walk_regular_depth"] = depth
         report["hoffman"] = True  # Hoffman's theorem: connected, regular, m_A certified
         report["periodicity"] = decide_periodic(g).render()
@@ -133,15 +159,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"graph: n={g.n} edges={g.edge_count}")
     print(f"regular: {'k=' + str(k) if k is not None else 'no'}")
     print(f"connected: {'yes' if connected else 'no'}")
-    if split:
-        print(f"bipartite: yes (parts {len(split.part1)}/{len(split.part2)})")
+    if parts:
+        print(f"bipartite: yes (parts {parts[0]}/{parts[1]})")
     else:
         print("bipartite: no")
     if resolved:
         print(f"spectrum: {report['spectrum']}")
     else:
         print(f"spectrum: unresolved (residual {spec.residual})")
-    print(f"quadrangles: q={q} per-vertex constant: {'yes' if qx_constant else 'no'}")
+    print(f"quadrangles: q={q} per-vertex constant: {'yes' if q_x is not None else 'no'}")
     if k and connected:
         print(f"walk-regular: {'yes' if report['walk_regular'] else 'no'}"
               f" (checked r <= {report['walk_regular_depth']})")
@@ -163,20 +189,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_quadrangles(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    q, per_vertex = count_quadrangles(g)
-    constant = all(c == per_vertex[0] for c in per_vertex)
-    payload = {
-        "q": q,
-        "per_vertex_constant": constant,
-        "q_x": per_vertex[0] if constant else None,
-    }
+    q, q_x = _quadrangles(_load_counted(args))
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({"q": q, "per_vertex_constant": q_x is not None, "q_x": q_x},
+                         sort_keys=True))
     else:
-        qx = payload["q_x"]
-        print(f"q={q} per-vertex constant: {'yes' if constant else 'no'}"
-              + (f" q_x={qx}" if qx is not None else ""))
+        print(f"q={q} per-vertex constant: {'yes' if q_x is not None else 'no'}"
+              + (f" q_x={q_x}" if q_x is not None else ""))
     return EXIT_OK
 
 

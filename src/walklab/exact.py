@@ -969,43 +969,66 @@ def _trace_form(c: Sequence[int], traces: Sequence[int], q: int) -> int:
     return sum(map(operator.mul, (lift * lift).coeffs, traces))
 
 
-def _prime_run(table: np.ndarray, q: int,
-               terms: int) -> tuple[list[int], list[int] | None, bool]:
-    """Up to `terms` traces, exact or mod q, with Berlekamp-Massey mod q on
-    them; stops at the first candidate c with c(A) = 0 mod q.  A trace form
-    of 0 (_trace_form), from exact traces, accepts c over Z; Horner
-    (_vanishes_at) decides every other candidate.  Returns the traces, c
-    (None if no candidate passed) and whether c(A) = 0 over Z."""
-    n, delta = table.shape
+class _TableSource:
+    """The trace source of a neighbour table: the traces of its 0/1
+    matrix A (`_trace_stream`), exact while n delta^r is below 2^62 and
+    residues mod q past it, and Horner (`_vanishes_at`) to evaluate a
+    candidate at A.  Its m_A has degree at most n."""
+
+    def __init__(self, table: np.ndarray) -> None:
+        self.table = table
+        self.n, self.delta = table.shape
+        self.degree_bound = self.n
+
+    def exact(self, count: int) -> bool:
+        """Whether the stream's t_0 .. t_(count-1) are exact integers."""
+        return self.n * self.delta ** (count - 1) < _INT64_SAFE
+
+    def stream(self, q: int) -> Iterator[int]:
+        return _trace_stream(self.table, q)
+
+    def vanishes(self, c: Sequence[int], q: int) -> tuple[bool, bool]:
+        return _vanishes_at(self.table, c, q)
+
+
+def _prime_run(source, q: int, terms: int) -> tuple[list[int], list[int] | None, bool]:
+    """Up to `terms` traces of a trace source (`_route`), exact or mod q,
+    with Berlekamp-Massey mod q on them; stops at the first candidate c
+    that passes.  A trace form of 0 (_trace_form), from exact traces,
+    accepts c over Z.  On a matrix, Horner decides every other candidate,
+    and a run that finds none returns c None.  With no matrix, a rejected
+    candidate only goes on to the next term, and a run that ends returns
+    the generator of all its terms.  Returns the traces, c and whether
+    c(A) = 0 over Z."""
     traces: list[int] = []
     bm, rejected = _BerlekampMassey(q), None
-    for t in itertools.islice(_trace_stream(table, q), terms):
+    for t in itertools.islice(source.stream(q), terms):
         traces.append(t)
         bm.push(t)
         c = bm.candidate()
         if c is None or c == rejected:
             continue
-        # t_0 .. t_2L are exact while n delta^(2L) is below 2^62
-        if n * delta ** (2 * len(c) - 2) < _INT64_SAFE and _trace_form(c, traces, q) == 0:
+        if source.exact(2 * len(c) - 1) and _trace_form(c, traces, q) == 0:
             return traces, c, True
-        zero_mod_q, zero = _vanishes_at(table, c, q)
-        if zero_mod_q:
-            return traces, c, zero
+        if source.vanishes is not None:
+            zero_mod_q, zero = source.vanishes(c, q)
+            if zero_mod_q:
+                return traces, c, zero
         rejected = c
-    return traces, None, False
+    return traces, None if source.vanishes else bm.candidate(), False
 
 
-def _recurrence(table: np.ndarray, terms: int, primes: Iterator[int],
+def _recurrence(source, terms: int, primes: Iterator[int],
                 runs: list[tuple[int, list[int]]]) -> list[int] | None:
     """m_A, constant term first, from _prime_run on one prime after another
     (each appended to `runs`); None when a run of n + 1 terms finds none."""
-    n, delta = table.shape
-    # (n * n delta^(2n))^n bounds the Hankel determinant of the proof
-    hankel_bits = n * (2 * n.bit_length() + 2 * n * delta.bit_length())
+    n, delta, bound = source.n, source.delta, source.degree_bound
+    # (b * n delta^(2b))^b, b >= deg m_A, bounds the Hankel determinant of the proof
+    hankel_bits = bound * (bound.bit_length() + n.bit_length() + 2 * bound * delta.bit_length())
     best: list[tuple[int, list[int]]] = []  # the runs with the longest recurrence
     bad_bits = 0  # a lower bound on log2 of the product of the dropped primes
     for q in primes:
-        traces, c, zero = _prime_run(table, q, terms)
+        traces, c, zero = _prime_run(source, q, terms)
         runs.append((q, traces))
         if zero:
             return _crt([c], [q])
@@ -1019,8 +1042,11 @@ def _recurrence(table: np.ndarray, terms: int, primes: Iterator[int],
                 best = []
             best.append((q, c))
             lift = _crt([r for _, r in best], [p for p, _ in best])
-            height = sum(abs(x) * delta ** j for j, x in enumerate(lift))
-            if math.prod(p for p, _ in best) > 2 * height:
+            modulus = math.prod(p for p, _ in best)
+            if source.vanishes is None:  # exact traces: the trace form decides
+                if _trace_form(lift, traces, modulus) == 0:
+                    return lift
+            elif modulus > 2 * sum(abs(x) * delta ** j for j, x in enumerate(lift)):
                 return lift
         if bad_bits > hankel_bits:
             raise AssertionError("more primes failed the moment route than divide "
@@ -1028,18 +1054,18 @@ def _recurrence(table: np.ndarray, terms: int, primes: Iterator[int],
     raise AssertionError("the moment route ran out of primes")
 
 
-def _integer_traces(table: np.ndarray, count: int, primes: Iterator[int],
+def _integer_traces(source, count: int, primes: Iterator[int],
                     runs: list[tuple[int, list[int]]]) -> list[int]:
-    """t_0 .. t_(count-1) over Z: exact below 2^62, else by CRT over runs
-    of enough traces once their primes' product exceeds 2 n delta^(count-1)."""
-    n, delta = table.shape
-    bound = n * delta ** (count - 1)
+    """t_0 .. t_(count-1) over Z: as the runs have them where they are
+    exact, else by CRT over runs of enough traces once their primes'
+    product exceeds 2 n delta^(count-1)."""
     usable = [(q, t[:count]) for q, t in runs if len(t) >= count]
-    if bound < _INT64_SAFE:
+    if source.exact(count):
         return usable[0][1]
+    bound = source.n * source.delta ** (count - 1)
     while math.prod(q for q, _ in usable) <= 2 * bound:
         q = next(primes)
-        usable.append((q, list(itertools.islice(_trace_stream(table, q), count))))
+        usable.append((q, list(itertools.islice(source.stream(q), count))))
     return _crt([t for _, t in usable], [q for q, _ in usable])
 
 
@@ -1176,17 +1202,39 @@ def moment_route(table: np.ndarray) -> Moments:
     Newton's identities on t_0 .. t_n and the spectrum from the factors
     of p (`graphs.Graph.factors`); min_poly_route goes on to t_(2n+1).
     """
-    n = len(table)
+    return _route(_TableSource(table), len(table) + 1)
+
+
+def trace_route(source) -> Moments:
+    """The moment route on a source of exact traces, with no matrix: m_A
+    and t_0 .. t_(s-1), as moment_route returns them.
+
+    The source has the members of `_TableSource`, with vanishes None and
+    every trace exact; degree_bound bounds s = deg m_A, and delta the
+    degrees.  Each run pushes 2b + 2 traces, b = degree_bound, and with
+    no Horner step the trace form alone accepts: a candidate of one prime
+    when its lift has F(c) = 0, else the CRT lift of the runs' last
+    generators of the longest length once its F is 0 over Z.  From 2s
+    terms on, the generator of a prime that divides no Hankel determinant
+    is m_A mod q, so the lift of enough such primes is m_A, whose F is 0;
+    a bad prime gives a shorter generator and is dropped as on a matrix.
+    Whatever lift is accepted has F(c) = 0, so it is m_A."""
+    return _route(source, 2 * source.degree_bound + 2)
+
+
+def _route(source, terms: int) -> Moments:
+    """Moments from runs of up to `terms` traces of a trace source."""
     primes = _primes_below(_ROUTE_PRIMES_BELOW)
     runs: list[tuple[int, list[int]]] = []
-    c = _recurrence(table, n + 1, primes, runs)
+    c = _recurrence(source, terms, primes, runs)
     if c is None:
-        return Moments(tuple(_integer_traces(table, n + 1, primes, runs)), None)
-    return Moments(tuple(_integer_traces(table, len(c) - 1, primes, runs)), Poly(c))
+        return Moments(tuple(_integer_traces(source, source.n + 1, primes, runs)), None)
+    return Moments(tuple(_integer_traces(source, len(c) - 1, primes, runs)), Poly(c))
 
 
 def min_poly_route(table: np.ndarray) -> Poly:
     """m_A by the moment route with runs of up to t_(2n+1): every prime
     whose traces have linear complexity s = deg m_A certifies m_A mod q by
     t_2s, so the route always ends with a certified recurrence."""
-    return Poly(_recurrence(table, 2 * len(table) + 2, _primes_below(_ROUTE_PRIMES_BELOW), []))
+    return Poly(_recurrence(_TableSource(table), 2 * len(table) + 2,
+                            _primes_below(_ROUTE_PRIMES_BELOW), []))

@@ -1,0 +1,281 @@
+"""Builder expressions read off their structure, with no graph built.
+
+`read_expr` reads the grammar of `graphs.parse_expr` into `Expression`
+nodes.  Each node has its vertex count, its degree, whether it is
+walk-regular by structure, and its traces t_r = tr A^r in closed form
+from its operands'.  Its m_A, factors and spectrum come from those exact
+traces (`exact.trace_route`), by the same members as a built graph's,
+and its connectivity and bipartiteness from the multiplicities of its
+degree k and of -k.  Only a line over an operand of varying degree is
+built as it is read; `Expression.graph` builds the rest on demand.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from functools import cached_property
+from typing import Callable, Iterator
+
+from .exact import Moments, trace_route
+from .graphs import (
+    _HUGE_COUNT,
+    Graph,
+    GraphError,
+    _blowup_factor,
+    _check_vertex_count,
+    _complete_order,
+    _construct,
+    _cycle_order,
+    _hamming_order,
+    _kbip_order,
+    _parse,
+    _Spectral,
+    closed_walks,
+    line_graph,
+)
+
+
+class Expression(_Spectral):
+    """A node of `read_expr`: the graph of a builder expression, known
+    from its structure.  It has n, its largest degree delta, whether every
+    vertex has that degree (`regular`), whether it is walk-regular by
+    structure, a bound on the number of its distinct eigenvalues, and its
+    traces t_r = tr A^r in closed form (`traces`), each from its own
+    parameters and its operands' traces.  With these it is a trace source
+    of `exact.trace_route`, which gives its m_A, factors and spectrum; the
+    constructors build it only when `graph` is read.
+
+    Walk-regularity by structure: the leaves are vertex-transitive, apart
+    from kbip(p, q) with p != q, and so is the line graph of a leaf, as
+    every leaf is edge-transitive; cart, kron, tensorj and bdouble of
+    walk-regular graphs are walk-regular, as diag(A^r) of each is built
+    from its operands' diagonals (Godsil and McKay, "Feasibility
+    conditions for the existence of walk-regular graphs", Linear Algebra
+    Appl. 30, 1980)."""
+
+    vanishes = None  # no matrix to evaluate a candidate on: every trace is exact
+
+    def __init__(self, name: str, args: tuple, n: int, delta: int, regular: bool,
+                 walk_regular: bool, distinct: int, rule: Callable[[int], int]) -> None:
+        self.name, self.args = name, args
+        self.n, self.delta, self.regular, self.walk_regular = n, delta, regular, walk_regular
+        self.degree_bound = min(distinct, n)  # deg m_A is the number of distinct eigenvalues
+        self._rule = rule  # t_r from r, once this node's t_0 .. t_(r-1) and its operands' t_r are in
+        self._t: list[int] = []
+
+    @cached_property
+    def _nodes(self) -> list[Expression]:
+        """The nodes of the expression, each after its operands."""
+        order, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(a for a in node.args if isinstance(a, Expression))
+        return order[::-1]
+
+    def _grow(self, count: int) -> None:
+        if len(self._t) < count:
+            for node in self._nodes:
+                t, rule = node._t, node._rule
+                while len(t) < count:
+                    t.append(rule(len(t)))
+
+    def traces(self, count: int) -> list[int]:
+        """t_0 .. t_(count-1); each node computes each of its terms once."""
+        self._grow(count)
+        return self._t[:count]
+
+    def exact(self, count: int) -> bool:
+        return True
+
+    def stream(self, q: int) -> Iterator[int]:
+        """t_0, t_1, ... as exact ints, whatever the prime q."""
+        for r in itertools.count():
+            self._grow(r + 1)
+            yield self._t[r]
+
+    @property
+    def regularity(self) -> int | None:
+        return self.delta if self.regular else None
+
+    @property
+    def edge_count(self) -> int:
+        return self.traces(3)[2] // 2
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The graph, built by the constructors."""
+        return _build(self)
+
+    @cached_property
+    def _moments(self) -> Moments:
+        return trace_route(self)
+
+    def _multiplicity(self, r: int) -> int:
+        """The multiplicity of the integer r in the spectrum (`factors`)."""
+        return next((m for f, m in self.factors[0] if f.coeffs == (-r, 1)), 0)
+
+    @cached_property
+    def components(self) -> int:
+        """The number of components: the multiplicity of k for a k-regular
+        expression with k >= 1, n with no edges, else the built graph's."""
+        k = self.regularity
+        if k is None:
+            return self.graph.components
+        return self._multiplicity(k) if k else self.n
+
+    @property
+    def walk_regular_connected(self) -> bool:
+        """Whether `analyze` and `quadrangles` read the expression off its
+        structure: regular of degree at least 1, walk-regular by structure
+        and connected."""
+        return bool(self.regularity) and self.walk_regular and self.components == 1
+
+    @property
+    def parts(self) -> tuple[int, int] | None:
+        """The colour classes' sizes of a connected k-regular expression,
+        n/2 each when -k is an eigenvalue, else None (not bipartite)."""
+        return (self.n // 2,) * 2 if self._multiplicity(-self.regularity) else None
+
+    @property
+    def quadrangles(self) -> tuple[int, int]:
+        """q and the quadrangles q_x at every vertex of a walk-regular
+        k-regular expression: each vertex starts t_4/n closed 4-walks, and
+        2 q_x = t_4/n - k^2 - k(k - 1) (`count_quadrangles`)."""
+        k, n = self.regularity, self.n
+        q_x, odd = divmod(self.traces(5)[4] - n * (2 * k * k - k), 2 * n)
+        q, part = divmod(n * q_x, 4)
+        if odd or part or q_x < 0:
+            raise AssertionError("closed-walk bookkeeping of a walk-regular expression "
+                                 "went negative or odd")
+        return q, q_x
+
+
+# The nodes of `read_expr`: each checks its arguments as its constructor
+# does and gives (n, delta, regular, walk-regular, a bound on the distinct
+# eigenvalues, t_r from r), or a node itself.  The leaves' traces are their
+# eigenvalues' power sums; the operations' follow from their operands':
+#   tensorj(G, m)  t_0 = m t_0(G) and t_r = m^r t_r(G), as J^r = m^(r-1) J
+#   kron(G, H)     t_r = t_r(G) t_r(H)
+#   bdouble(G)     t_r = (1 + (-1)^r) t_r(G), as kron(G, K_2)
+#   cart(G, H)     t_r = sum_j C(r, j) t_j(G) t_(r-j)(H), as A(G) x I and
+#                  I x A(H) commute
+#   line(G)        t_r = sum_j C(r, j) (k - 2)^(r-j) t_j(G) + (m - n)(-2)^r for
+#                  k-regular G with m edges: A(L(G)) = B^T B - 2I, B the
+#                  incidence matrix, and B B^T = A(G) + kI.
+
+
+def _cycle_node(n: int) -> tuple:
+    # closed r-walks at a vertex of C_n: r steps of +-1 whose sum d is a
+    # multiple of n, (r + d)/2 of them +1
+    return (_cycle_order(n), 2, True, True, n // 2 + 1, lambda r: n * sum(
+        math.comb(r, (r - d) // 2) for d in range(-(r // n) * n, r + 1, n) if (r - d) % 2 == 0))
+
+
+def _complete_node(n: int) -> tuple:
+    return (_complete_order(n), n - 1, True, True, 2,
+            lambda r: (n - 1) ** r + (n - 1) * (-1) ** r)
+
+
+def _kbip_node(p: int, q: int) -> tuple:
+    # eigenvalues +-sqrt(pq) once each, and 0
+    return (_kbip_order(p, q), max(p, q), p == q, p == q, 3,
+            lambda r: p + q if r == 0 else 0 if r % 2 else 2 * (p * q) ** (r // 2))
+
+
+def _hamming_node(d: int, q: int) -> tuple:
+    # eigenvalue (q - 1)d - qi with multiplicity C(d, i)(q - 1)^i
+    return (_hamming_order(d, q), d * (q - 1), True, True, d + 1, lambda r: sum(
+        math.comb(d, i) * (q - 1) ** i * ((q - 1) * d - q * i) ** r for i in range(d + 1)))
+
+
+def _petersen_node() -> tuple:
+    return 10, 3, True, True, 3, lambda r: 3 ** r + 5 + 4 * (-2) ** r
+
+
+def _line_node(g: Expression) -> tuple | Expression:
+    if not g.regular:  # an edge's degree varies: built, with no walk-regularity by structure
+        built = line_graph(g.graph)
+        walks = closed_walks(built)
+        node = Expression("line", (g,), built.n, max(built.degrees()),
+                          built.regularity is not None, False, built.n,
+                          lambda r: 0 if r == 1 else int(next(walks).sum()) if r else built.n)
+        node.__dict__["graph"] = built
+        return node
+    n, k, t = g.n, g.delta, g._t
+    m = n * k // 2
+    if m == 0:
+        raise GraphError("graph has no vertices")
+    leaf = not any(isinstance(a, Expression) for a in g.args)
+    return (m, 2 * k - 2, True, leaf, g.degree_bound + 1, lambda r: sum(
+        math.comb(r, j) * (k - 2) ** (r - j) * t[j] for j in range(r + 1)) + (m - n) * (-2) ** r)
+
+
+def _tensorj_node(g: Expression, m: int) -> tuple | Expression:
+    if _blowup_factor(m) == 1:
+        return g
+    t = g._t
+    return (g.n * m, g.delta * m, g.regular, g.walk_regular, g.degree_bound + 1,
+            lambda r: m ** max(r, 1) * t[r])
+
+
+def _kron_node(g: Expression, h: Expression) -> tuple:
+    # degrees d_G(x) d_H(y): equal when both are regular or one has no edges
+    t, u = g._t, h._t
+    return (g.n * h.n, g.delta * h.delta, g.regular and h.regular or not g.delta * h.delta,
+            g.walk_regular and h.walk_regular, g.degree_bound * h.degree_bound,
+            lambda r: t[r] * u[r])
+
+
+def _bdouble_node(g: Expression) -> tuple:
+    t = g._t
+    return (2 * g.n, g.delta, g.regular, g.walk_regular, 2 * g.degree_bound,
+            lambda r: 0 if r % 2 else 2 * t[r])
+
+
+def _cart_node(g: Expression, h: Expression) -> tuple:
+    t, u = g._t, h._t
+    return (g.n * h.n, g.delta + h.delta, g.regular and h.regular,
+            g.walk_regular and h.walk_regular, g.degree_bound * h.degree_bound,
+            lambda r: sum(math.comb(r, j) * t[j] * u[r - j] for j in range(r + 1)))
+
+
+# name: node of `read_expr`, for each builder of `graphs.parse_expr`
+_NODES = {
+    "cycle": _cycle_node,
+    "kbip": _kbip_node,
+    "hamming": _hamming_node,
+    "hypercube": lambda d: _hamming_node(d, 2),
+    "petersen": _petersen_node,
+    "complete": _complete_node,
+    "line": _line_node,
+    "tensorj": _tensorj_node,
+    "cart": _cart_node,
+    "kron": _kron_node,
+    "bdouble": _bdouble_node,
+}
+
+
+def _read(name: str, args: list, capped: bool) -> Expression:
+    shape = _NODES[name](*args)
+    node = shape if isinstance(shape, Expression) else Expression(name, tuple(args), *shape)
+    if capped or node.n >= _HUGE_COUNT:
+        _check_vertex_count(node.n)
+    return node
+
+
+def read_expr(text: str, capped: bool = True) -> Expression:
+    """The expression read off its structure (`Expression`), each node as
+    soon as it is read: its arguments are checked as its constructor
+    checks them, then its vertex count against the cap, so every refusal
+    is the one `parse_expr` makes, at the same node.  Uncapped, only
+    counts of 10^100 or more are refused, and only a line over an
+    operand of varying degree, which is built, meets the cap."""
+    return _parse(text, lambda name, args: _read(name, args, capped))
+
+
+def _build(node: Expression) -> Graph:
+    """The graph of a `read_expr` node, by its constructors."""
+    return _construct(node.name, [_build(a) if isinstance(a, Expression) else a
+                                  for a in node.args])

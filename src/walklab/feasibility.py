@@ -18,9 +18,8 @@ quadrangle checks are kept with their elimination reason so the
 generated tables mirror the reference ones.
 A known realization is a builder expression (`graphs.parse_expr`, as
 `--expr`); the tables certify its spectrum (`realizes`) from its
-closed-walk traces, which `graphs.expression_traces` composes from the
-traces of its factors, building only the factors that no trace rule
-covers, each once per `render_tables` call.
+closed-walk traces in closed form (`expressions.read_expr`), so they build
+no graph.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from json.encoder import encode_basestring
 from typing import NamedTuple, Sequence
 
 from .exact import QuadraticNumber, Spectrum
-from .graphs import expression_traces, parse_tree
+from .expressions import read_expr
 
 
 def _half_degree(k: int) -> int:
@@ -385,13 +384,12 @@ def realizes(traces: Sequence[int], row: FeasibleRow) -> bool:
     return t10 - 2 * u * t8 + (u * u + 2 * v) * t6 - 2 * u * v * t4 + v * v * t2 == 0
 
 
-def verify_realization(row: FeasibleRow, memo: dict) -> bool:
+def verify_realization(row: FeasibleRow) -> bool:
     """Certify the spectrum of the registry graph of a row in
-    REALIZATIONS by `realizes` on the traces of its expression
-    (`graphs.expression_traces`); `memo` carries the traces of the
-    expressions' nodes from one registry row to the next."""
+    REALIZATIONS by `realizes` on the closed-form traces of its
+    expression, read with no vertex cap (`expressions.read_expr`)."""
     expr = REALIZATIONS[row.theta_class, row.k, row.n][1]
-    return realizes(expression_traces(parse_tree(expr), 11, memo), row)
+    return realizes(read_expr(expr, capped=False).traces(11), row)
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +454,11 @@ def render_rows(rows: list[FeasibleRow], fmt: str) -> str:
 def render_tables(k_max: int, fmt: str = "text") -> str:
     """Deterministic table of all rows for even k <= k_max, sorted by
     (class, k, n).  The spectra of the registry realizations are
-    certified from their closed-walk traces before rendering; one memo
-    per call shares the traces of common factors between the rows, so
-    each factor graph is built once per call and none across calls."""
+    certified from their closed-walk traces before rendering."""
     rows = all_rows(k_max)
-    memo: dict = {}
     for row in rows:
         if ((row.theta_class, row.k, row.n) in REALIZATIONS
-                and not verify_realization(row, memo)):
+                and not verify_realization(row)):
             raise AssertionError(
                 f"registry spectrum mismatch at ({row.theta_class}, {row.k}, {row.n})")
     if fmt != "text":

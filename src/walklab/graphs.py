@@ -1,20 +1,19 @@
 """Simple undirected graphs with a canonical vertex ordering,
 constructors for the graph families used in the enumeration, the
 builder grammar over them that the command line and the feasibility
-registry read (`parse_expr`, or `parse_tree` for its nodes), structural
-predicates, the closed-walk counts at every vertex, the traces of an
-expression from its factors' (`expression_traces`), and exact
+registry read (`parse_expr` builds each node as it is read; the
+`expressions` module reads the same text off its structure), structural
+predicates, the closed-walk counts at every vertex, and exact
 quadrangle counting.  A graph is one read-only int64 adjacency array;
 each product with it is a row gather on the graph's cached neighbour
 table, and `closed_walks` is the one loop of such products that
-walk-regularity, the quadrangle counts and the feasibility certificates
-read.  One breadth-first 2-colouring on the same table, cached per
-graph, answers both connectivity and bipartiteness."""
+walk-regularity and the quadrangle counts read.  One breadth-first
+2-colouring on the same table, cached per graph, answers both
+connectivity and bipartiteness."""
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import string
 from dataclasses import dataclass
@@ -90,8 +89,52 @@ def _check_vertex_count(n: int) -> None:
         raise GraphError(f"graph has {n} vertices; cap is {cap}")
 
 
+class _Spectral:
+    """The spectral members a built graph and an expression share, read
+    off `_moments`, what the moment route found (`exact.Moments`)."""
+
+    @cached_property
+    def charpoly(self) -> Poly:
+        """Adjacency characteristic polynomial, from the traces of the
+        moment route (`exact.Moments.charpoly`).  `factors` reads it only
+        when the route certified no m_A or a root of m_A is beyond
+        quadratic surds."""
+        return self._moments.charpoly
+
+    @cached_property
+    def min_poly(self) -> Poly:
+        """Minimal polynomial of the adjacency matrix: the recurrence the
+        moment route certified by t_n, or else the one it certifies on a
+        graph when it runs on to t_(2n+1) at most (`exact.min_poly_route`)."""
+        if self._moments.min_poly is not None:
+            return self._moments.min_poly
+        return min_poly_route(self.neighbour_table)
+
+    @cached_property
+    def factors(self) -> tuple[list[tuple[Poly, int]], Poly]:
+        """The spectral factors x - r and x^2 + bx + c, each with the
+        multiplicity of its roots in p_A, and the monic residual that
+        resisted them.  Where the route certified an m_A whose roots all
+        resolve, these are its factors, with multiplicities solved from
+        the route's traces (`exact.min_poly_factors`) and residual 1;
+        otherwise those of p_A (`exact._factors`).  `spectrum` and
+        `walk.decide_periodic` both read this one list."""
+        moments = self._moments
+        if moments.min_poly is not None:
+            factors = min_poly_factors(moments.min_poly, moments.traces)
+            if factors is not None:
+                return factors, Poly.one()
+        return _factors(self.charpoly)
+
+    @cached_property
+    def spectrum(self) -> Spectrum | Unresolved:
+        """Exact adjacency spectrum, or what resisted extraction: the roots
+        of `factors` (`exact.spectrum_of`)."""
+        return spectrum_of(*self.factors)
+
+
 @dataclass(frozen=True, eq=False)
-class Graph:
+class Graph(_Spectral):
     """Immutable simple graph: a read-only int64 copy of the symmetric 0/1
     adjacency with zero diagonal it is given (nested sequences or an
     array).  Graphs compare by identity; every count, degree and vertex
@@ -172,48 +215,13 @@ class Graph:
         `colouring`, computed once per graph."""
         return colouring(self)
 
+    @property
+    def components(self) -> int:
+        return self.colouring[0]
+
     @cached_property
     def _moments(self) -> Moments:
         return moment_route(self.neighbour_table)
-
-    @cached_property
-    def charpoly(self) -> Poly:
-        """Adjacency characteristic polynomial, computed once per graph from
-        the traces of the moment route (`exact.moment_route`), which stops
-        at t_n.  `factors` reads it only when the route certified no m_A
-        or a root of m_A is beyond quadratic surds."""
-        return self._moments.charpoly
-
-    @cached_property
-    def min_poly(self) -> Poly:
-        """Minimal polynomial of the adjacency matrix: the recurrence the
-        moment route certified by t_n, or else the one it certifies when it
-        runs on to t_(2n+1) at most (`exact.min_poly_route`)."""
-        if self._moments.min_poly is not None:
-            return self._moments.min_poly
-        return min_poly_route(self.neighbour_table)
-
-    @cached_property
-    def factors(self) -> tuple[list[tuple[Poly, int]], Poly]:
-        """The spectral factors x - r and x^2 + bx + c, each with the
-        multiplicity of its roots in p_A, and the monic residual that
-        resisted them.  Where the route certified an m_A whose roots all
-        resolve, these are its factors, with multiplicities solved from
-        the route's traces (`exact.min_poly_factors`) and residual 1;
-        otherwise those of p_A (`exact._factors`).  `spectrum` and
-        `walk.decide_periodic` both read this one list."""
-        moments = self._moments
-        if moments.min_poly is not None:
-            factors = min_poly_factors(moments.min_poly, moments.traces)
-            if factors is not None:
-                return factors, Poly.one()
-        return _factors(self.charpoly)
-
-    @cached_property
-    def spectrum(self) -> Spectrum | Unresolved:
-        """Exact adjacency spectrum, or what resisted extraction: the roots
-        of `factors` (`exact.spectrum_of`)."""
-        return spectrum_of(*self.factors)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -229,30 +237,30 @@ class PartiteSplit:
 # constructors
 
 
-def cycle(n: int) -> Graph:
-    """Cycle graph C_n (n >= 3)."""
+# The argument checks of the leaf builders, which the constructors and
+# `expressions.read_expr` share: each returns the vertex count (hamming's
+# stopped once it reaches 10^100) for `_check_vertex_count` to refuse.
+
+
+def _cycle_order(n: int) -> int:
     if n < 3:
         raise GraphError("a cycle needs at least 3 vertices")
-    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
+    return n
 
 
-def complete_graph(n: int) -> Graph:
+def _complete_order(n: int) -> int:
     if n < 1:
         raise GraphError("complete graph needs at least 1 vertex")
-    _check_vertex_count(n)
-    return Graph(1 - np.eye(n, dtype=np.uint8))  # J - I
+    return n
 
 
-def complete_bipartite(p: int, q: int) -> Graph:
-    """K_{p,q} with part1 = 0..p-1, part2 = p..p+q-1."""
+def _kbip_order(p: int, q: int) -> int:
     if p < 1 or q < 1:
         raise GraphError("both parts need at least one vertex")
-    return Graph.from_edges(p + q, ((i, p + j) for i in range(p) for j in range(q)))
+    return p + q
 
 
-def hamming(d: int, q: int) -> Graph:
-    """Hamming graph H(d,q): words of length d over q symbols, adjacent
-    iff they differ in exactly one coordinate.  Lexicographic word order."""
+def _hamming_order(d: int, q: int) -> int:
     if d < 1 or q < 2:
         raise GraphError("hamming needs d >= 1 and q >= 2")
     count = 1
@@ -260,6 +268,28 @@ def hamming(d: int, q: int) -> Graph:
         count *= q
         if count >= _HUGE_COUNT:
             break
+    return count
+
+
+def cycle(n: int) -> Graph:
+    """Cycle graph C_n (n >= 3)."""
+    return Graph.from_edges(_cycle_order(n), ((i, (i + 1) % n) for i in range(n)))
+
+
+def complete_graph(n: int) -> Graph:
+    _check_vertex_count(_complete_order(n))
+    return Graph(1 - np.eye(n, dtype=np.uint8))  # J - I
+
+
+def complete_bipartite(p: int, q: int) -> Graph:
+    """K_{p,q} with part1 = 0..p-1, part2 = p..p+q-1."""
+    return Graph.from_edges(_kbip_order(p, q), ((i, p + j) for i in range(p) for j in range(q)))
+
+
+def hamming(d: int, q: int) -> Graph:
+    """Hamming graph H(d,q): words of length d over q symbols, adjacent
+    iff they differ in exactly one coordinate.  Lexicographic word order."""
+    count = _hamming_order(d, q)
     _check_vertex_count(count)
     # a word is its base-q index, first letter most significant: changing
     # the digit at place q^i from x to (x + s) mod q moves it by that
@@ -453,12 +483,6 @@ def parse_tree(text: str) -> tuple:
     return _parse(text, lambda name, args: (name, tuple(args)))
 
 
-def _build(tree: tuple) -> Graph:
-    """The graph of a `parse_tree` node, by its constructors."""
-    name, args = tree
-    return _construct(name, [_build(a) if isinstance(a, tuple) else a for a in args])
-
-
 # ---------------------------------------------------------------------------
 # predicates
 
@@ -494,8 +518,9 @@ def colouring(g: Graph) -> tuple[int, np.ndarray]:
 
 
 def is_connected(g: Graph) -> bool:
-    """Whether the 2-colouring found one component."""
-    return g.colouring[0] == 1
+    """Whether g has one component: by the 2-colouring of a graph, or by
+    the spectrum of an `expressions.Expression` (its `components`)."""
+    return g.components == 1
 
 
 def is_bipartite(g: Graph) -> PartiteSplit | None:
@@ -549,45 +574,6 @@ def closed_walk_traces(g: Graph, count: int) -> list[int]:
     """t_0 .. t_(count-1) for count >= 2, t_r = tr A^r: n, 0 (A has no
     loops), then the vertex sums of `closed_walks`, as Python ints."""
     return [g.n, 0] + [int(w.sum()) for w in itertools.islice(closed_walks(g), count - 2)]
-
-
-def expression_traces(tree: tuple, count: int, memo: dict) -> list[int]:
-    """t_0 .. t_(count-1), count >= 2, of the graph a `parse_tree` node
-    denotes, each node's traces computed once per memo, a dict keyed by
-    (node, count).
-
-    Four operations follow from their operands' traces:
-      tensorj(G, m)  t_0 = m t_0(G) and t_r = m^r t_r(G), as J^r = m^(r-1) J
-      kron(G, H)     t_r = t_r(G) t_r(H)
-      bdouble(G)     t_r = (1 + (-1)^r) t_r(G), as kron(G, K_2)
-      cart(G, H)     t_r = sum_j C(r, j) t_j(G) t_(r-j)(H), as A(G) x I and
-                     I x A(H) commute.
-    Every other node is built by its constructors (`_build`), and its
-    traces are read off `closed_walks` (`closed_walk_traces`).  Operands
-    are taken left to right and a rule refuses what its constructor
-    refuses, with the same text; the vertex cap bounds only the graphs
-    that are built."""
-    key = (tree, count)
-    if key in memo:
-        return memo[key]
-    name, args = tree
-    if name == "tensorj":
-        t, m = expression_traces(args[0], count, memo), _blowup_factor(args[1])
-        traces = [m ** max(r, 1) * x for r, x in enumerate(t)]
-    elif name == "kron":
-        t, s = (expression_traces(a, count, memo) for a in args)
-        traces = [x * y for x, y in zip(t, s)]
-    elif name == "bdouble":
-        t = expression_traces(args[0], count, memo)
-        traces = [(1 + (-1) ** r) * x for r, x in enumerate(t)]
-    elif name == "cart":
-        t, s = (expression_traces(a, count, memo) for a in args)
-        traces = [sum(math.comb(r, j) * t[j] * s[r - j] for j in range(r + 1))
-                  for r in range(count)]
-    else:
-        traces = closed_walk_traces(_build(tree), count)
-    memo[key] = traces
-    return traces
 
 
 def count_quadrangles(g: Graph) -> tuple[int, list[int]]:

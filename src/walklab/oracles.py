@@ -46,12 +46,13 @@ from .exact import (
     min_poly_route,
     moment_route,
 )
+from .expressions import read_expr
 from .feasibility import (REALIZATIONS, REFERENCE_TABLE, classify_four_eigenvalue, enumerate_rows,
                           render_tables)
 from .graphs import (Graph, GraphError, PartiteSplit, bipartite_double, closed_walk_traces,
                      complete_bipartite, complete_graph, count_quadrangles, cycle,
-                     expression_traces, hamming, hypercube, is_bipartite, is_connected,
-                     line_graph, parse_expr, parse_tree, petersen, regularity, tensor_allones)
+                     hamming, hypercube, is_bipartite, is_connected, line_graph, parse_expr,
+                     petersen, regularity, tensor_allones)
 from .walk import NotRegularError, Periodic, _require_regular_connected, decide_periodic
 
 DIRECT_CHECK_MAX_ARCS = 200
@@ -799,8 +800,8 @@ def _check_tables() -> bool:
 
 
 def _check_expression_traces() -> bool:
-    return all(expression_traces(parse_tree(expr), 11, {})
-               == closed_walk_traces(parse_expr(expr), 11) for _, expr in REALIZATIONS.values())
+    return all(read_expr(expr).traces(11) == closed_walk_traces(parse_expr(expr), 11)
+               for _, expr in REALIZATIONS.values())
 
 
 def _check_four_eigenvalue() -> bool:
@@ -822,7 +823,7 @@ _SELFCHECKS = (
     ("biadjacency block identities", _check_biadjacency),
     ("known periods (decision = matrix-power oracle)", _check_known_periods),
     ("feasibility tables match the reference rows", _check_tables),
-    ("registry traces from the factors equal those of the built graphs", _check_expression_traces),
+    ("registry traces in closed form equal those of the built graphs", _check_expression_traces),
     ("four-eigenvalue classification is C6 only", _check_four_eigenvalue),
 )
 

@@ -1,8 +1,10 @@
 """Exact Grover-walk engine: the periodicity decision with exact period,
-read off the graph's one list of spectral factors (`Graph.factors`),
-and the walk-regularity check of `analyze`, on the per-vertex
-closed-walk counts of `graphs.closed_walks` (apart from the traces of
-the moment route).
+read off one list of spectral factors (`factors`), of a built graph or
+of an expression read off its structure (`expressions.Expression`),
+and the walk-regularity check of `analyze` on a built graph, on the
+per-vertex closed-walk counts of `graphs.closed_walks` (apart from the
+traces of the moment route).  An expression that `analyze` reads off
+its structure is walk-regular by construction.
 The walk matrices, the U-side routes, the biadjacency block identities,
 the eigenvalue gate and the Hoffman identity check are reference
 implementations in `walklab.oracles`.

@@ -22,8 +22,8 @@ from walklab import cli, exact, feasibility, graphs, oracles, walk
 from walklab.cli import ExprError, _parse_k_range, build_parser, main, parse_args, parse_expr
 from walklab.exact import Poly
 from walklab.graphio import to_graph6
-from walklab.graphs import (Graph, GraphError, cycle, expression_traces, parse_tree, petersen,
-                            tensor_allones)
+from walklab.expressions import read_expr
+from walklab.graphs import Graph, GraphError, cycle, parse_tree, petersen, tensor_allones
 
 from oracles import random_regular
 
@@ -63,7 +63,8 @@ def test_parse_expr_errors():
 
 # malformed expressions and the error each one gave before the grammar
 # got its second reading (`parse_tree`): a constructor's refusal still
-# comes before a later syntax error
+# comes before a later syntax error, in the closed-form reading
+# (`read_expr`) as well
 PARSE_ERRORS = [
     ("tensorj(cycle(2),x)", GraphError, "a cycle needs at least 3 vertices"),
     ("kron(cycle(2),cycle(", GraphError, "a cycle needs at least 3 vertices"),
@@ -87,23 +88,42 @@ def test_parse_expr_error_texts(expr, error, text):
     with pytest.raises(error) as info:
         parse_expr(expr)
     assert type(info.value) is error and str(info.value) == text
+    with pytest.raises(error) as info:
+        read_expr(expr)
+    assert type(info.value) is error and str(info.value) == text
     if error is ExprError:  # syntax: the tree reading refuses it alike
         with pytest.raises(ExprError) as info:
             parse_tree(expr)
         assert str(info.value) == text
 
 
-def test_trace_rules_refuse_what_their_constructors_refuse():
+def test_trace_rules_refuse_what_their_constructors_refuse(monkeypatch):
     for expr in ("tensorj(cycle(6),0)", "tensorj(cycle(2),0)", "kron(cycle(6),kbip(0,1))",
-                 "cart(line(complete(1)),cycle(6))", "bdouble(hamming(1,1))"):
-        tree = parse_tree(expr)
+                 "cart(line(complete(1)),cycle(6))", "bdouble(hamming(1,1))",
+                 "line(tensorj(complete(1),3))", "hamming(400,2)", "tensorj(cycle(3),10000)",
+                 "line(kbip(1,5000))", "bdouble(cycle(2)"):
         with pytest.raises(GraphError) as built:
             parse_expr(expr)
         with pytest.raises(GraphError) as traced:
-            expression_traces(tree, 11, {})
+            read_expr(expr)
         assert str(traced.value) == str(built.value), expr
     with pytest.raises(GraphError, match="^blow-up factor must be >= 1$"):
-        expression_traces(parse_tree("tensorj(cycle(6),0)"), 11, {})
+        read_expr("tensorj(cycle(6),0)")
+    # the cap is met at the node whose constructor meets it, with its text
+    for cap in ("1", "2", "9", "x"):
+        monkeypatch.setenv("WALKLAB_MAX_VERTICES", cap)
+        for expr in ("bdouble(complete(1))", "petersen()", "cart(cycle(3),cycle(3))",
+                     "line(kbip(1,3))"):
+            assert _refusal(read_expr, expr) == _refusal(parse_expr, expr), (cap, expr)
+
+
+def _refusal(read, expr):
+    """The text of the GraphError that reading expr raises, or None."""
+    try:
+        read(expr)
+    except GraphError as exc:
+        return str(exc)
+    return None
 
 
 def test_parse_tree_is_one_key_however_spaced():
@@ -221,6 +241,13 @@ def test_empty_graph_is_an_input_error(tmp_path, capsys, command, name, text):
 
 @pytest.mark.parametrize("argv, text, code, lines", [
     (["period"], None, 1, ["error: one of --expr or --file is required"]),
+    # neither option is dropped: both together are refused, and an empty
+    # expression is read as one
+    (["period", "--expr", "cycle(6)", "--file", "/nonexistent"], None, 1,
+     ["error: --expr and --file exclude each other; give one of them"]),
+    (["analyze", "--file", "{path}", "--expr", "cycle(6)"], "1 0\n", 1,
+     ["error: --expr and --file exclude each other; give one of them"]),
+    (["period", "--expr", ""], None, 1, ["error: unexpected end of expression"]),
     (["period", "--file", "{path}"], "", 1, ["error: empty edge list"]),
     (["period", "--file", "{path}"], "~~??\n", 1, ["error: truncated graph6 size"]),
     (["period", "--file", "{path}"], "~?\n", 1, ["error: truncated graph6 size"]),
@@ -229,7 +256,7 @@ def test_empty_graph_is_an_input_error(tmp_path, capsys, command, name, text):
     (["tables", "--kmax", "1" * 101], None, 2,
      ["usage: walklab tables [-h] --kmax KMAX [--format {text,csv,json}]",
       "walklab tables: error: argument --kmax: number has 101 digits; at most 100 are read"]),
-], ids=["no-graph", "empty-file", "graph6-size-long", "graph6-size-short", "complete-0",
+], ids=["no-graph", "expr-and-file", "file-and-expr", "empty-expr", "empty-file", "graph6-size-long", "graph6-size-short", "complete-0",
         "kmax-101-digits"])
 def test_input_errors_exit_with_one_message(tmp_path, capsys, argv, text, code, lines):
     path = tmp_path / "g"
@@ -326,8 +353,16 @@ def test_analyze_unresolved_spectrum_gets_hoffman_and_min_poly_depth(capsys):
         main(["analyze", "--expr", "cycle(7)", "--rmax", "4"])
 
 
-def test_analyze_computes_the_adjacency_charpoly_once(capsys, monkeypatch):
-    # counted on the moment route and on the CRT charpoly of walklab.oracles
+def _graph6_file(tmp_path, expr):
+    """The path of a graph6 file holding the built graph of expr."""
+    path = tmp_path / "g.g6"
+    path.write_text(to_graph6(parse_expr(expr)) + "\n", encoding="ascii")
+    return str(path)
+
+
+def test_analyze_computes_the_adjacency_charpoly_once(capsys, monkeypatch, tmp_path):
+    # counted on the moment route and on the CRT charpoly of walklab.oracles,
+    # for a graph read from a file; an expression runs neither
     sizes = []
 
     def counting(real):
@@ -343,16 +378,19 @@ def test_analyze_computes_the_adjacency_charpoly_once(capsys, monkeypatch):
         for name, mod in list(sys.modules.items()):
             if name.startswith("walklab") and getattr(mod, fn_name, None) is real:
                 monkeypatch.setattr(mod, fn_name, counting(real))
-    code, _, _ = _run(capsys, "analyze", "--expr", "cycle(8)")
+    code, _, _ = _run(capsys, "analyze", "--file", _graph6_file(tmp_path, "cycle(8)"))
     assert code == 0
     assert sizes == [8]  # no charpoly of the 16x16 time evolution
+    assert _run(capsys, "analyze", "--expr", "cycle(8)")[0] == 0
+    assert sizes == [8]
 
 
-def test_analyze_builds_p_a_only_where_the_route_certified_no_m_a(capsys, monkeypatch):
+def test_analyze_builds_p_a_only_where_the_route_certified_no_m_a(capsys, monkeypatch, tmp_path):
     # C6xJ2 (s = 5): the route certifies m_A, so the spectrum and the
     # verdict come from m_A and its traces, no p_A is built, and nothing of
-    # degree above s is deflated.  C8 (2s >= n) certifies no m_A by t_8 and
-    # builds p_A once
+    # degree above s is deflated.  C8 read from a file (2s >= n) certifies
+    # no m_A by t_8 and builds p_A once; its expression has traces past t_8
+    # and builds none
     newton, deflated = [], []
     real_newton, real_deflate = exact._newton, Poly.deflate
 
@@ -370,8 +408,10 @@ def test_analyze_builds_p_a_only_where_the_route_certified_no_m_a(capsys, monkey
     assert code == 0 and "periodicity: PERIODIC period=12" in out
     assert newton == []
     assert deflated and max(deflated) <= 5
-    code, out, _ = _run(capsys, "analyze", "--expr", "cycle(8)")
+    code, out, _ = _run(capsys, "analyze", "--file", _graph6_file(tmp_path, "cycle(8)"))
     assert code == 0 and "periodicity: PERIODIC period=8" in out
+    assert newton == [8]
+    assert _run(capsys, "analyze", "--expr", "cycle(8)")[1] == out
     assert newton == [8]
 
 
@@ -403,7 +443,8 @@ def test_period_and_analyze_run_neither_the_crt_charpoly_nor_euclid(capsys, monk
     assert out == "NOT PERIODIC witness=3/4\n"
 
 
-def test_analyze_counts_quadrangles_once(capsys, monkeypatch):
+def test_analyze_counts_quadrangles_once(capsys, monkeypatch, tmp_path):
+    # on a graph read from a file; an expression's come from its t_4
     real = graphs.count_quadrangles
     calls = []
 
@@ -414,9 +455,11 @@ def test_analyze_counts_quadrangles_once(capsys, monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("walklab") and getattr(mod, "count_quadrangles", None) is real:
             monkeypatch.setattr(mod, "count_quadrangles", counting)
-    code, out, _ = _run(capsys, "analyze", "--expr", "cycle(8)")
+    code, out, _ = _run(capsys, "analyze", "--file", _graph6_file(tmp_path, "cycle(8)"))
     assert code == 0
     assert "spectral quadrangles: q=0 q_x=0" in out
+    assert calls == [8]
+    assert _run(capsys, "analyze", "--expr", "cycle(8)")[1] == out
     assert calls == [8]
 
 

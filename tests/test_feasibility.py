@@ -13,9 +13,10 @@ import pytest
 
 import numpy as np
 
-from walklab import feasibility, graphs
+from walklab import expressions, feasibility, graphs
 from walklab.cli import main
 from walklab.exact import QuadraticNumber, Spectrum, extract_spectrum
+from walklab.expressions import read_expr
 from walklab.feasibility import (
     CSV_FIELDS,
     REFERENCE_TABLE,
@@ -32,15 +33,7 @@ from walklab.feasibility import (
     render_tables,
     verify_realization,
 )
-from walklab.graphs import (
-    Graph,
-    GraphError,
-    closed_walk_traces,
-    cycle,
-    expression_traces,
-    parse_expr,
-    parse_tree,
-)
+from walklab.graphs import Graph, closed_walk_traces, cycle, parse_expr
 from walklab.walk import Periodic, decide_periodic
 
 from oracles import (
@@ -131,15 +124,15 @@ def test_the_integer_layer_builds_no_fraction(monkeypatch):
     assert len(rows) == 819
     assert [(k, n) for k, n, _ in classify_four_eigenvalue(40)] == [(2, 6)]
     realized = [row for row in rows if (row.theta_class, row.k, row.n) in REALIZATIONS]
-    assert len(realized) == 15 and all(verify_realization(row, {}) for row in realized)
+    assert len(realized) == 15 and all(verify_realization(row) for row in realized)
     # the tables render from the rows' ints, and certify the registry rows only
     for name in ("QuadraticNumber", "Spectrum"):
         monkeypatch.setattr(feasibility, name, refuse)
     certified = []
 
-    def count(row, memo):
+    def count(row):
         certified.append((row.theta_class, row.k, row.n))
-        return verify_realization(row, memo)
+        return verify_realization(row)
 
     monkeypatch.setattr(feasibility, "verify_realization", count)
     for fmt, digest in TABLE_DIGESTS.items():
@@ -337,7 +330,7 @@ def test_realizations_verify():
     for (cls, k, n), (label, expr) in REALIZATIONS.items():
         row = next(r for r in enumerate_rows(cls, k) if r.n == n)
         assert row_existence(row) == label
-        assert verify_realization(row, {}), label
+        assert verify_realization(row), label
 
 
 # the constructor call behind each registry expression, written out
@@ -370,6 +363,7 @@ def test_registry_expressions_build_the_constructor_graphs():
         assert np.array_equal(parse_expr(expr).adjacency, REGISTRY_CALLS[key]().adjacency), label
     # the registry is data: feasibility reaches the graphs only by the grammar
     constructors = {id(fn) for _, fn in graphs._BUILDERS.values()}
+    constructors |= {id(fn) for fn in expressions._NODES.values()}
     assert not [name for name, value in vars(feasibility).items() if id(value) in constructors]
     assert not [(key, name) for key, ref in REFERENCE_TABLE.items()
                 for name in ref._fields if callable(getattr(ref, name))]
@@ -377,40 +371,45 @@ def test_registry_expressions_build_the_constructor_graphs():
 
 def test_registry_traces_from_the_factors_equal_those_of_the_built_graphs():
     for label, expr in REALIZATIONS.values():
-        assert (expression_traces(parse_tree(expr), 11, {})
-                == closed_walk_traces(parse_expr(expr), 11)), label
+        assert read_expr(expr).traces(11) == closed_walk_traces(parse_expr(expr), 11), label
 
 
-# the graphs the trace rules leave to be built, in the order of the registry rows
-REGISTRY_FACTORS = ["cycle(6)", "hamming(4,2)", "line(hypercube(3))", "hamming(3,3)",
-                    "kbip(4,4)", "cycle(8)"]
+def _refuse_to_build(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
 
 
-def test_each_tables_call_builds_the_six_factors_once(monkeypatch):
-    built = []
-    real = graphs.closed_walk_traces
-
-    def traces(g, count):
-        built.append(g)
-        return real(g, count)
-
-    monkeypatch.setattr(graphs, "closed_walk_traces", traces)
-    factors = [parse_expr(expr) for expr in REGISTRY_FACTORS]
-    assert [g.n for g in factors] == [6, 16, 12, 27, 8, 8]
-    for _ in range(2):  # nothing carries from one call to the next
-        built.clear()
-        render_tables(40, "csv")
-        assert len(built) == len(factors)
-        assert all(np.array_equal(g.adjacency, h.adjacency) for g, h in zip(built, factors))
+def test_tables_build_no_graph(monkeypatch):
+    # the registry rows are certified from closed-form traces: no Graph is
+    # made, and the vertex cap, which bounds only built graphs, does not apply
+    _refuse_to_build(monkeypatch)
+    for cap in (None, "1"):
+        if cap is not None:
+            monkeypatch.setenv("WALKLAB_MAX_VERTICES", cap)
+        for fmt, digest in TABLE_DIGESTS.items():
+            assert hashlib.sha256(render_tables(40, fmt).encode()).hexdigest() == digest, fmt
 
 
-def test_tables_build_no_graph_past_27_vertices(monkeypatch):
-    monkeypatch.setenv("WALKLAB_MAX_VERTICES", "27")
-    digest = hashlib.sha256(render_tables(40, "csv").encode()).hexdigest()
-    assert digest == TABLE_DIGESTS["csv"]
-    monkeypatch.setenv("WALKLAB_MAX_VERTICES", "26")
-    with pytest.raises(GraphError, match="^graph has 27 vertices; cap is 26$"):
-        render_tables(40, "csv")
+# the analyze-families graphs of the bench (the 18 families less K4,4□K4,4)
+ANALYZE_FAMILIES = [expr for _, expr in REALIZATIONS.values()
+                    if expr != "cart(kbip(4,4),kbip(4,4))"]
+ANALYZE_FAMILIES += ["petersen()", "hypercube(6)", "line(hypercube(4))"]
+
+
+def test_expression_commands_build_no_graph(monkeypatch, capsys):
+    # period, analyze and quadrangles read these expressions off their
+    # structure and closed-form traces alone
+    _refuse_to_build(monkeypatch)
+    assert len(ANALYZE_FAMILIES) == 17
+    for expr in ANALYZE_FAMILIES + ["hypercube(12)"]:
+        for command in ("analyze", "period", "quadrangles"):
+            code = main([command, "--expr", expr])
+            out, err = capsys.readouterr()
+            assert code in (0, 2) and out and not err, (command, expr)
+    main(["period", "--expr", "hypercube(12)"])
+    assert capsys.readouterr().out == "NOT PERIODIC witness=5/6\n"
 
 
 def test_certificate_agrees_with_the_spectrum_oracle_on_every_realization():

@@ -24,10 +24,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from walklab.cli import _load_graph, build_parser, main
+import pytest
+
+from walklab.cli import main
 from walklab.exact import Spectrum, extract_spectrum
-from walklab.graphio import to_graph6
-from walklab.graphs import is_connected, regularity
+from walklab.feasibility import REALIZATIONS
+from walklab.graphio import load_path, to_graph6
+from walklab.graphs import is_connected, parse_expr, regularity
 from walklab.oracles import charpoly, hoffman_check
 
 from oracles import random_regular
@@ -113,6 +116,12 @@ def _analyze_sources(directory: Path) -> list[tuple[str, str]]:
     return sorted(sources)
 
 
+def _graph(source: tuple[str, str]):
+    """The built graph of an --expr or --file source."""
+    option, value = source
+    return parse_expr(value) if option == "--expr" else load_path(value)
+
+
 def _analyze_json(source: tuple[str, str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -127,7 +136,7 @@ def test_analyze_reports_hoffman_as_the_oracle_finds_on_the_golden_graphs(tmp_pa
     sources = _analyze_sources(tmp_path)
     checked = 0
     for source in sources:
-        g = _load_graph(build_parser().parse_args(["analyze", *source]))
+        g = _graph(source)
         if not regularity(g) or not is_connected(g):
             continue
         assert _analyze_json(source)["hoffman"] is hoffman_check(g) is True, source
@@ -142,7 +151,7 @@ def test_analyze_reports_the_spectral_quadrangles_of_the_oracle_spectrum(tmp_pat
     # gives the fourth power sum on its own
     resolved = 0
     for source in _analyze_sources(tmp_path):
-        g = _load_graph(build_parser().parse_args(["analyze", *source]))
+        g = _graph(source)
         k = regularity(g)
         report = _analyze_json(source)
         spec = extract_spectrum(charpoly(g.adjacency.tolist()))
@@ -156,6 +165,41 @@ def test_analyze_reports_the_spectral_quadrangles_of_the_oracle_spectrum(tmp_pat
     # of the 37 connected regular graphs, C7, C9, C11 and 9 random ones
     # do not resolve
     assert resolved == 25
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# every --expr of the transcript, the registry and the bench's
+# analyze-families graphs (FAMILIES, K4,4□K4,4 included)
+EXPRESSIONS = sorted({argv[argv.index("--expr") + 1] for argv in command_set([])
+                      if "--expr" in argv}
+                     | {expr for _, expr in REALIZATIONS.values()} | set(FAMILIES))
+
+
+@pytest.mark.parametrize("expr", EXPRESSIONS)
+def test_an_expression_reports_as_the_graph_it_builds(tmp_path, expr):
+    # --expr reads the expression off its structure, --file reads the
+    # graph6 file that construct writes for it and builds the graph: each
+    # command prints the same, in both formats, or refuses alike
+    path = str(tmp_path / "g.g6")
+    code, _, refusal = _cli(["construct", "--expr", expr, "--out", path])
+    for command in ("analyze", "period", "quadrangles"):
+        for fmt in ("text", "json"):
+            got = _cli([command, "--expr", expr, "--format", fmt])
+            if code:
+                assert got == (1, "", refusal), (command, fmt)
+            else:
+                assert got == _cli([command, "--file", path, "--format", fmt]), (command, fmt)
+
+
+def test_the_expressions_cover_the_transcript_registry_and_bench():
+    # 18 families, C3 .. C12 less C8, and the three refused or irregular ones
+    assert len(EXPRESSIONS) == 18 + 9 + 3
 
 
 if __name__ == "__main__":

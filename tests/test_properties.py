@@ -11,8 +11,10 @@ recurrence c it offers has a trace form F(c) that is 0 mod q, and the
 closed-walk counts at each vertex are the diagonals of the matrix
 powers; on those of degree at most 5, `analyze` reports the Hoffman
 identity that the oracle finds.  On random builder expressions with at
-most 200 vertices, the traces composed from the factors' equal those
-of the built graph.  On random integer matrices with up to
+most 200 vertices, the closed-form traces equal those of the built
+graph; on random ones, valid or not, with at most 120 vertices, the
+closed-form reading gives the built graph's refusal, m_A, factors,
+verdict and analyze report, under small vertex caps too.  On random integer matrices with up to
 30 rows, the CRT charpoly equals the rational Hessenberg oracle and the
 Bareiss interpolation route, and its coefficients lie within the CRT
 bound.
@@ -57,6 +59,7 @@ from walklab.exact import (
     neighbour_table,
     table_matrix,
 )
+from walklab.expressions import read_expr
 from walklab.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
 from walklab.graphs import (
     Graph,
@@ -65,11 +68,9 @@ from walklab.graphs import (
     closed_walks,
     complete_graph,
     cycle,
-    expression_traces,
     is_bipartite,
     is_connected,
     parse_expr,
-    parse_tree,
     tensor_allones,
 )
 from walklab.oracles import (
@@ -261,30 +262,49 @@ _FAMILIES = ([(f"complete({c})", c, c * (c - 1) // 2) for c in range(1, 13)]
              + [("petersen()", 10, 15)])
 
 
+# leaves and factors that their constructors refuse
+_REFUSED = ["cycle(0)", "cycle(2)", "complete(0)", "kbip(0,3)", "kbip(2,0)", "hamming(0,3)",
+            "hamming(2,1)", "line(complete(1))", "tensorj(cycle(5),0)"]
+
+
 @st.composite
-def expressions(draw, budget=200, depth=3):
-    """A builder expression with at most `budget` vertices, as (text, n):
-    tensorj, kron, cart and bdouble nested up to `depth` deep over the
-    families and their line graphs."""
+def _expression_parts(draw, budget, depth, invalid):
+    """(text, n, bound) for `expressions`: n None where it is not known
+    without building the graph, and bound >= n."""
     ops = ["family", "line"] + (["tensorj", "kron", "cart", "bdouble"] if depth and budget >= 2
                                 else [])
     op = draw(st.sampled_from(ops))
     if op == "family":
+        if invalid and draw(st.integers(0, 7)) == 0:
+            return draw(st.sampled_from(_REFUSED)), None, 1
         text, n, _ = draw(st.sampled_from([f for f in _FAMILIES if f[1] <= budget]))
-        return text, n
+        return text, n, n
     if op == "line":
+        if depth and budget >= 3 and draw(st.booleans()):
+            # over any node of b vertices: at most b(b - 1)/2 edges
+            text, _, bound = draw(_expression_parts(math.isqrt(2 * budget), depth - 1, invalid))
+            return f"line({text})", None, max(1, bound * (bound - 1) // 2)
         text, _, edges = draw(st.sampled_from([f for f in _FAMILIES if 1 <= f[2] <= budget]))
-        return f"line({text})", edges
+        return f"line({text})", edges, edges
     if op == "tensorj":
-        m = draw(st.integers(1, min(4, budget)))
-        text, n = draw(expressions(budget // m, depth - 1))
-        return f"tensorj({text},{m})", n * m
+        m = draw(st.integers(0 if invalid else 1, min(4, budget)))
+        text, n, bound = draw(_expression_parts(budget // max(m, 1), depth - 1, invalid))
+        return f"tensorj({text},{m})", None if n is None or not m else n * m, bound * max(m, 1)
     if op == "bdouble":
-        text, n = draw(expressions(budget // 2, depth - 1))
-        return f"bdouble({text})", 2 * n
-    left, n = draw(expressions(budget // 2, depth - 1))
-    right, p = draw(expressions(budget // n, depth - 1))
-    return f"{op}({left},{right})", n * p
+        text, n, bound = draw(_expression_parts(budget // 2, depth - 1, invalid))
+        return f"bdouble({text})", None if n is None else 2 * n, 2 * bound
+    left, n, bound = draw(_expression_parts(budget // 2, depth - 1, invalid))
+    right, p, other = draw(_expression_parts(budget // bound, depth - 1, invalid))
+    return f"{op}({left},{right})", None if None in (n, p) else n * p, bound * other
+
+
+def expressions(budget=200, depth=3, invalid=False):
+    """A builder expression with at most `budget` vertices, as (text, n),
+    n None where it is not known without building the graph: tensorj,
+    kron, cart and bdouble nested up to `depth` deep over the families,
+    and line over the families and over any node.  With `invalid`, some
+    leaves and blow-up factors are ones their constructors refuse."""
+    return _expression_parts(budget, depth, invalid).map(lambda parts: parts[:2])
 
 
 @seed(20261032)
@@ -294,11 +314,67 @@ def expressions(draw, budget=200, depth=3):
 @example(("cart(cycle(9),complete(5))", 45))
 @example(("tensorj(tensorj(cycle(6),2),3)", 36))
 @example(("bdouble(petersen())", 20))
+@example(("line(kron(kbip(1,2),cycle(3)))", None))  # a line over an irregular node
 def test_expression_traces_equal_those_of_the_built_graph(drawn):
     text, n = drawn
     g = parse_expr(text)
-    assert g.n == n <= 200
-    assert expression_traces(parse_tree(text), 11, {}) == closed_walk_traces(g, 11)
+    assert n in (None, g.n) and g.n <= 200
+    assert read_expr(text).traces(11) == closed_walk_traces(g, 11)
+
+
+def _read(read, text):
+    """What reading text gives: the graph, or its refusal's type and text."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _verdict(g):
+    try:
+        return decide_periodic(g)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _analyze(*source):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", *source]) == 0
+    return out.getvalue()
+
+
+@seed(20261101)
+@settings(max_examples=100, deadline=None, database=None)
+@given(expressions(budget=120, invalid=True), st.sampled_from([None, None, "1", "9", "40"]))
+@example(("line(kron(kbip(1,2),cycle(3)))", None), None)  # a line built over an irregular node
+@example(("bdouble(cycle(4))", 8), None)  # two components
+@example(("kron(kbip(1,2),complete(1))", 3), None)  # regular with no edges
+@example(("tensorj(cycle(7),3)", 21), None)  # a cubic factor: p_A from the traces
+@example(("line(hypercube(3))", 12), "9")
+def test_an_expression_reads_as_the_graph_it_builds(drawn, cap):
+    # the closed-form reading against the built graph: the same refusal
+    # (under a small vertex cap too), m_A, factor list, verdict and
+    # analyze report
+    text, _ = drawn
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is None:
+            patch.delenv("WALKLAB_MAX_VERTICES", raising=False)
+        else:
+            patch.setenv("WALKLAB_MAX_VERTICES", cap)
+        built, closed = _read(parse_expr, text), _read(read_expr, text)
+        if not isinstance(built, Graph):
+            assert closed == built
+            return
+        assert (closed.n, closed.edge_count, closed.regularity) == \
+            (built.n, built.edge_count, built.regularity)
+        assert closed.min_poly == built.min_poly
+        assert closed.factors == built.factors
+        assert _verdict(closed) == _verdict(built)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.g6"
+            path.write_text(to_graph6(built) + "\n", encoding="ascii")
+            assert _analyze("--expr", text) == _analyze("--file", str(path))
 
 
 @seed(20261027)
