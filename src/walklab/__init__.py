@@ -11,7 +11,6 @@ from .exact import (
     Spectrum,
     Unresolved,
     cyclotomic,
-    extract_spectrum,
     is_quadratic_algebraic_integer,
     min_poly_2cos,
     squarefree_part,

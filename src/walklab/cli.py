@@ -1,26 +1,12 @@
-"""Command-line front end.
+"""Command-line front end: `main` runs one command on argv.
 
-Commands
-    analyze      full exact report on one graph
-    period       periodicity verdict (exit 0 periodic, 2 not periodic)
-    construct    build a graph from an expression and write it to a file
-    enumerate    candidate spectra for one theta-class and degree(s)
-    tables       regenerate the full feasibility tables
-    quadrangles  exact quadrangle counts
-    selfcheck    run the built-in invariant suite
-
-Graphs come either from --file (graph6 or edge-list, auto-detected) or
-from --expr using a small builder grammar:
-
-    cycle(6), kbip(3,3), hamming(4,2), hypercube(3), petersen(),
-    complete(4), line(E), tensorj(E,m), cart(E,E), kron(E,E), bdouble(E)
-
-Expressions compose and ignore whitespace, e.g. "tensorj(cycle(6),2)".
-period, analyze and quadrangles read an expression off its structure
-and its closed-form traces, with no graph built; analyze and quadrangles
-build it when it is irregular, edgeless, disconnected or not walk-regular
-by structure.  All output is produced by exact arithmetic and is
-byte-identical across runs.
+Each command's options are declared once, as data, in `_COMMANDS`: flag,
+dest, default, choices, converter, required and help.  `build_parser`
+adds them to argparse, which prints every help text and usage error;
+the top-level help starts with `_HELP`.  `parse_args` reads the plain
+forms, a command and only its own flags, each once and with a valid
+value, straight off the same table, with no argparse parser built, and
+hands every other argv to the full parser.
 """
 
 from __future__ import annotations
@@ -29,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .exact import Spectrum
 from .feasibility import (
@@ -58,6 +45,32 @@ from .walk import (
     walk_regularity_depth,
 )
 
+# the description that `walklab --help` prints
+_HELP = """Command-line front end.
+
+Commands
+    analyze      full exact report on one graph
+    period       periodicity verdict (exit 0 periodic, 2 not periodic)
+    construct    build a graph from an expression and write it to a file
+    enumerate    candidate spectra for one theta-class and degree(s)
+    tables       regenerate the full feasibility tables
+    quadrangles  exact quadrangle counts
+    selfcheck    run the built-in invariant suite
+
+Graphs come either from --file (graph6 or edge-list, auto-detected) or
+from --expr using a small builder grammar:
+
+    cycle(6), kbip(3,3), hamming(4,2), hypercube(3), petersen(),
+    complete(4), line(E), tensorj(E,m), cart(E,E), kron(E,E), bdouble(E)
+
+Expressions compose and ignore whitespace, e.g. "tensorj(cycle(6),2)".
+period, analyze and quadrangles read an expression off its structure
+and its closed-form traces, with no graph built; analyze and quadrangles
+build it when it is irregular, edgeless, disconnected or not walk-regular
+by structure.  All output is produced by exact arithmetic and is
+byte-identical across runs.
+"""
+
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOT_PERIODIC = 2
@@ -78,7 +91,9 @@ def _load_graph(args: argparse.Namespace) -> Graph | Expression:
 
 def _load_counted(args: argparse.Namespace) -> Graph | Expression:
     """`_load_graph`, with an expression built unless its quadrangles and
-    walk-regularity follow from its structure (`walk_regular_connected`)."""
+    walk-regularity follow from its structure (`walk_regular_connected`).
+    A built expression still reads its spectrum off the expression's
+    closed-form traces (`Expression.graph`)."""
     g = _load_graph(args)
     return g.graph if isinstance(g, Expression) and not g.walk_regular_connected else g
 
@@ -253,80 +268,127 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 # entry point
 
 
-def _graph_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--expr", help="builder expression, e.g. 'tensorj(cycle(6),2)'")
-    p.add_argument("--file", help="graph file (graph6 or edge list, auto-detected)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+class _Option(NamedTuple):
+    """One option of a command: `flag` sets `dest` (else `default`) to the
+    word after it or after its "=", converted by `convert` and one of
+    `choices`, or to True for a `switch`, which takes no word."""
+
+    flag: str
+    dest: str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    convert: Callable[[str], object] | None = None
+    required: bool = False
+    help: str | None = None
+    switch: bool = False
 
 
-def _construct_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--expr", required=True)
-    p.add_argument("--out", required=True, help=".g6 for graph6, else edge list")
+class _Command(NamedTuple):
+    help: str
+    fn: Callable[[argparse.Namespace], int]
+    options: tuple[_Option, ...]
 
 
-def _enumerate_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--class", dest="theta_class", required=True,
-                   choices=("half", "sqrt2", "sqrt3"))
-    p.add_argument("--k", required=True, help="even degree or range, e.g. 6 or 4-10")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+_GRAPH_OPTIONS = (
+    _Option("--expr", "expr", help="builder expression, e.g. 'tensorj(cycle(6),2)'"),
+    _Option("--file", "file", help="graph file (graph6 or edge list, auto-detected)"),
+    _Option("--format", "format", "text", ("text", "json")),
+)
+_TABLE_FORMAT = _Option("--format", "format", "text", ("text", "csv", "json"))
 
-
-def _tables_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kmax", type=_degree_bound, required=True)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-
-
-def _selfcheck_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--verbose", action="store_true")
-
-
-# name: (help line, handler, options), in the order of the help listing
+# name: command, in the order of the help listing
 _COMMANDS = {
-    "analyze": ("full exact report on one graph", cmd_analyze, _graph_options),
-    "period": ("periodicity verdict (exit 2 when not periodic)", cmd_period, _graph_options),
-    "construct": ("build a graph and write it to a file", cmd_construct, _construct_options),
-    "enumerate": ("candidate spectra for one theta-class", cmd_enumerate, _enumerate_options),
-    "tables": ("regenerate the feasibility tables", cmd_tables, _tables_options),
-    "quadrangles": ("exact quadrangle counts", cmd_quadrangles, _graph_options),
-    "selfcheck": ("run the built-in invariant suite", cmd_selfcheck, _selfcheck_options),
+    "analyze": _Command("full exact report on one graph", cmd_analyze, _GRAPH_OPTIONS),
+    "period": _Command("periodicity verdict (exit 2 when not periodic)", cmd_period,
+                       _GRAPH_OPTIONS),
+    "construct": _Command("build a graph and write it to a file", cmd_construct, (
+        _Option("--expr", "expr", required=True),
+        _Option("--out", "out", required=True, help=".g6 for graph6, else edge list"),
+    )),
+    "enumerate": _Command("candidate spectra for one theta-class", cmd_enumerate, (
+        _Option("--class", "theta_class", choices=("half", "sqrt2", "sqrt3"), required=True),
+        _Option("--k", "k", required=True, help="even degree or range, e.g. 6 or 4-10"),
+        _TABLE_FORMAT,
+    )),
+    "tables": _Command("regenerate the feasibility tables", cmd_tables, (
+        _Option("--kmax", "kmax", convert=_degree_bound, required=True),
+        _TABLE_FORMAT,
+    )),
+    "quadrangles": _Command("exact quadrangle counts", cmd_quadrangles, _GRAPH_OPTIONS),
+    "selfcheck": _Command("run the built-in invariant suite", cmd_selfcheck, (
+        _Option("--verbose", "verbose", False, switch=True),
+    )),
 }
 
 
-def _command_parser(name: str, parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """`parser` with the options and the handler of command `name`."""
-    _, fn, add_options = _COMMANDS[name]
-    add_options(parser)
-    parser.set_defaults(fn=fn)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="walklab", description=__doc__,
+    parser = argparse.ArgumentParser(prog="walklab", description=_HELP,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, _) in _COMMANDS.items():
-        _command_parser(name, sub.add_parser(name, help=help_line))
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for o in command.options:
+            if o.switch:
+                p.add_argument(o.flag, dest=o.dest, action="store_true", help=o.help)
+            else:
+                p.add_argument(o.flag, dest=o.dest, default=o.default, choices=o.choices,
+                               type=o.convert, required=o.required, help=o.help)
+        p.set_defaults(fn=command.fn)
     return parser
+
+
+def _plain(command: _Command, words: list[str]) -> dict | None:
+    """Every option's value when `words` are a plain form of the command,
+    else None.  In a plain form each word is one of the command's own
+    flags, given at most once, and a flag that takes a value has it after
+    "=" or as the next word, which does not start with "-", converts and
+    is one of the choices; every required flag is given.  argparse reads
+    a plain form alike, whatever abbreviation, "--" or negative-number
+    rules it applies to other words."""
+    options = {o.flag: o for o in command.options}
+    values: dict = {}
+    words = iter(words)
+    for word in words:
+        flag, eq, value = word.partition("=")
+        option = options.get(flag)
+        if option is None or option.dest in values or (option.switch and eq):
+            return None
+        if option.switch:
+            values[option.dest] = True
+            continue
+        if not eq:
+            value = next(words, "-")  # no word left: not a plain form
+        if value.startswith("-"):
+            return None
+        if option.convert is not None:
+            try:
+                value = option.convert(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+    if any(o.required and o.dest not in values for o in command.options):
+        return None
+    return {o.dest: values.get(o.dest, o.default) for o in command.options}
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """build_parser().parse_args(argv) (argv defaults to sys.argv[1:]),
-    building only one command's parser when argv[0] names a command.
+    """build_parser().parse_args(argv) (argv defaults to sys.argv[1:]).
 
-    The full parser hands every word after a command name to that
-    command's subparser (prog "walklab NAME"), whose parse_known_args sets
-    the options and raises every error about them, and it rejects the
-    words left over.  The same parser built alone does the same, so the
-    full parser is built only for what it alone reports: no command, an
-    unknown one, the top-level help and leftover words.
+    A command name followed by a plain form of its options (`_plain`) is
+    read straight off `_COMMANDS`, into the Namespace the full parser
+    gives: the command, its handler and every option.  Everything else,
+    help, abbreviations, repeats, values that start with "-", "--",
+    leftover words and every usage error, goes to the full parser, so
+    each help text and error is argparse's own.
     """
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:
-        parser = _command_parser(argv[0], argparse.ArgumentParser(prog=f"walklab {argv[0]}"))
-        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    values = None if command is None else _plain(command, argv[1:])
+    if values is None:
+        return build_parser().parse_args(argv)
+    return argparse.Namespace(command=argv[0], fn=command.fn, **values)
 
 
 def main(argv: list[str] | None = None) -> int:

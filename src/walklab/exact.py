@@ -627,16 +627,38 @@ class Unresolved:
 
 # Points at which a quadratic candidate f is screened before any division:
 # f is monic, so f | r puts the quotient in Z[x] and f(v) | r(v) follows.
-# The point 1 comes first: extract_spectrum tests f(1) | r(1) on its own
+# The point 1 comes first: _factors tests f(1) | r(1) on its own
 # before it evaluates f at the others.
 _SCREEN_POINTS = (1, -1, 2, -2, 3, -3)
 
 
 def _factors(p: Poly) -> tuple[list[tuple[Poly, int]], Poly]:
-    """The factors of the monic integer, real-rooted p that
-    extract_spectrum resolves, each monic x - r (r an integer) or
-    x^2 + bx + c with irrational roots, with its multiplicity, in the
-    order found; and the monic residual left over."""
+    """The factors of the monic integer, real-rooted p (the charpoly of a
+    real symmetric matrix) with rational or quadratic-surd roots, each
+    monic x - r (r an integer) or x^2 + bx + c with irrational roots, with
+    its multiplicity, in the order found; and the monic residual left over.
+
+    After the root 0 is stripped, the residual x^d + a_1 x^(d-1) +
+    a_2 x^(d-2) + ... + a_0 has S = a_1^2 - 2a_2 as the sum of its
+    squared roots (2E for a graph), so every root r has r^2 <= S.  One
+    pass strips the integer roots (the only rational ones) r | a_0 with
+    r^2 <= S, then the quadratic factors x^2 + bx + c with irrational
+    roots α, β: c | a_0 and 4c < b^2 <= S + 2c, because b^2 - 4c =
+    (α - β)^2 and b^2 - 2c = α^2 + β^2.  The residual only loses
+    factors, so one pass is complete.  A residual of degree 2 has no
+    rational root left, so it is irreducible: it is taken as the last
+    pair, of multiplicity 1, without the search.  What is left over
+    (degree >= 3) is the residual.
+
+    The residual r is a monic integer Poly.  A factor is stripped with
+    all its multiplicity by one `Poly.deflate`, which divides in place in
+    Python ints, accepts the factor only while no remainder is left, and
+    builds one Poly for the quotient.  An integer root is tried only where
+    r(root) = 0.  A quadratic candidate f is first rejected when f(1) =
+    1 + b + c is nonzero and does not divide r(1), then screened at the
+    points _SCREEN_POINTS, where f | r forces f(v) | r(v) (and
+    r(v) = 0 where f(v) = 0); only a candidate that passes is built and
+    deflated out of r."""
     if not p.is_monic():
         raise ValueError("spectrum extraction requires a monic polynomial")
     if not p.is_integral():
@@ -697,39 +719,6 @@ def _roots(f: Poly) -> tuple[QuadraticNumber, ...]:
     m, s = squarefree_part(b * b - 4 * c)
     half_b, half_s = Fraction(-b, 2), Fraction(s, 2)
     return QuadraticNumber(half_b, half_s, m), QuadraticNumber(half_b, -half_s, m)
-
-
-def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
-    """Resolve the roots of the characteristic polynomial of a real
-    symmetric matrix, a monic integer polynomial whose roots are all
-    real, into exact rational and quadratic-surd form (`_factors`).
-
-    After the root 0 is stripped, the residual x^d + a_1 x^(d-1) +
-    a_2 x^(d-2) + ... + a_0 has S = a_1^2 - 2a_2 as the sum of its
-    squared roots (2E for a graph), so every root r has r^2 <= S.  One
-    pass strips the integer roots (the only rational ones) r | a_0 with
-    r^2 <= S, then the quadratic factors x^2 + bx + c with irrational
-    roots α, β: c | a_0 and 4c < b^2 <= S + 2c, because b^2 - 4c =
-    (α - β)^2 and b^2 - 2c = α^2 + β^2.  The residual only loses
-    factors, so one pass is complete.  A residual of degree 2 has no
-    rational root left, so it is irreducible: it is taken as the last
-    pair, of multiplicity 1, without the search.  What is left over
-    (degree >= 3) is returned as an Unresolved residual.
-
-    The residual r is a monic integer Poly.  A factor is stripped with
-    all its multiplicity by one `Poly.deflate`, which divides in place in
-    Python ints, accepts the factor only while no remainder is left, and
-    builds one Poly for the quotient.  An integer root is tried only where
-    r(root) = 0.  A quadratic candidate f is first rejected when f(1) =
-    1 + b + c is nonzero and does not divide r(1), then screened at the
-    points _SCREEN_POINTS, where f | r forces f(v) | r(v) (and
-    r(v) = 0 where f(v) = 0); only a candidate that passes is built and
-    deflated out of r.
-
-    A graph reads its spectrum off its own factor list instead
-    (`graphs.Graph.factors`), by the same `spectrum_of`.
-    """
-    return spectrum_of(*_factors(p))
 
 
 def spectrum_of(factors: list[tuple[Poly, int]], residual: Poly) -> Spectrum | Unresolved:

@@ -105,8 +105,11 @@ class Expression(_Spectral):
 
     @cached_property
     def graph(self) -> Graph:
-        """The graph, built by the constructors."""
-        return _build(self)
+        """The graph, built by the constructors.  Its spectral members read
+        this expression's moments, not its matrix's (`Graph._moments`)."""
+        g = _build(self)
+        g.__dict__["_expression"] = self
+        return g
 
     @cached_property
     def _moments(self) -> Moments:

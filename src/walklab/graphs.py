@@ -221,7 +221,11 @@ class Graph(_Spectral):
 
     @cached_property
     def _moments(self) -> Moments:
-        return moment_route(self.neighbour_table)
+        """The moment route on the matrix, or the moments of the expression
+        the graph was built from (`expressions.Expression.graph`), read
+        off the same traces in closed form."""
+        expression = self.__dict__.get("_expression")
+        return moment_route(self.neighbour_table) if expression is None else expression._moments
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -475,12 +479,6 @@ def parse_expr(text: str) -> Graph:
     as soon as it is read, so a constructor's refusal comes before any
     later syntax error."""
     return _parse(text, _construct)
-
-
-def parse_tree(text: str) -> tuple:
-    """An expression as nested, hashable nodes (name, args), one key for
-    the graph however the text is spaced; no constructor runs."""
-    return _parse(text, lambda name, args: (name, tuple(args)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ and the CRT characteristic polynomial of any rational matrix; the arc
 space, the walk matrices and the time evolution U with its charpoly
 computed directly, the spectral mapping from the adjacency charpoly to
 the degree-2E U-charpoly, its cyclotomic sieve, and the matrix-power
-period; a polynomial evaluated at a matrix over Q, quadrangle counting
+period; the spectrum read off the charpoly's own factors, a
+polynomial evaluated at a matrix over Q, quadrangle counting
 by subset enumeration, the biadjacency block identities that
 `feasibility.realizes` replaced, the eigenvalue gate of the paper's
 algebraic-integer argument, the Hoffman identity that `analyze`
@@ -36,15 +37,16 @@ from .exact import (
     Spectrum,
     Unresolved,
     _crt,
+    _factors,
     _primes_below,
     _rational,
     adjacency_times,
     cyclotomic,
     exact_dtype,
-    extract_spectrum,
     is_quadratic_algebraic_integer,
     min_poly_route,
     moment_route,
+    spectrum_of,
 )
 from .expressions import read_expr
 from .feasibility import (REALIZATIONS, REFERENCE_TABLE, classify_four_eigenvalue, enumerate_rows,
@@ -750,6 +752,14 @@ def _check_moment_route() -> bool:
                 or min_poly_route(g.neighbour_table) != m):
             return False
     return True
+
+
+def extract_spectrum(p: Poly) -> Spectrum | Unresolved:
+    """The exact roots of the charpoly p of a real symmetric matrix, from
+    the factors of p itself (`exact._factors`): the reference for a
+    graph's spectrum, which is read off its factor list
+    (`graphs.Graph.factors`), those of m_A where the route certified it."""
+    return spectrum_of(*_factors(p))
 
 
 def _check_route_spectrum() -> bool:

@@ -15,7 +15,7 @@ from walklab.exact import (
     min_poly_2cos,
 )
 from walklab.feasibility import FeasibleRow, ThetaClass, multiplicities, n_bounds
-from walklab.graphs import Graph, PartiteSplit, is_connected, regularity
+from walklab.graphs import Graph, PartiteSplit, _parse, is_connected, regularity
 from walklab.oracles import _clear_denominators, scale_arg
 from walklab.walk import NotPeriodic, Periodic
 
@@ -42,6 +42,13 @@ def spectral_quadrangles(s4, n, k):
     ones plus two traversals of each quadrangle through it."""
     q = Fraction(s4 - n * (2 * k * k - k), 8)
     return q, 4 * q / n
+
+
+def parse_tree(text: str) -> tuple:
+    """A builder expression as nested, hashable nodes (name, args), one
+    key for the graph however the text is spaced: the grammar of
+    `graphs.parse_expr` with no constructor run."""
+    return _parse(text, lambda name, args: (name, tuple(args)))
 
 
 def colouring_by_search(g):

@@ -10,7 +10,6 @@ from fractions import Fraction
 from walklab.exact import (
     QuadraticNumber,
     Spectrum,
-    extract_spectrum,
 )
 from walklab.feasibility import (
     REFERENCE_TABLE,
@@ -46,6 +45,7 @@ from walklab.oracles import (
     build_walk_matrices,
     charpoly,
     eigenvalue_gate,
+    extract_spectrum,
     hoffman_check,
     int_matmul,
     period_oracle,

@@ -1,7 +1,8 @@
 """Command-line interface: exit-code contract, builder grammar, output
 determinism, file auto-detection, the selfcheck fault injection, and the
-one-command parse against the full parser."""
+option-table parse against the full parser."""
 
+import argparse
 import contextlib
 import dataclasses
 import importlib
@@ -23,9 +24,9 @@ from walklab.cli import ExprError, _parse_k_range, build_parser, main, parse_arg
 from walklab.exact import Poly
 from walklab.graphio import to_graph6
 from walklab.expressions import read_expr
-from walklab.graphs import Graph, GraphError, cycle, parse_tree, petersen, tensor_allones
+from walklab.graphs import Graph, GraphError, cycle, petersen, tensor_allones
 
-from oracles import random_regular
+from oracles import parse_tree, random_regular
 
 
 def _run(capsys, *argv):
@@ -532,6 +533,24 @@ def test_a_disconnected_graph_has_no_period_but_an_analysis(capsys):
     assert "connected: no\nbipartite: yes (parts 4/4)\n" in out
 
 
+def test_a_built_expression_reads_the_expressions_moments(capsys, monkeypatch, tmp_path):
+    # C8 x C8 is disconnected, so analyze builds it; its spectrum and m_A
+    # still come from the closed-form traces, and the moment route, which
+    # the same graph read from a file runs, never runs on the built matrix
+    expr = "kron(cycle(8),cycle(8))"
+    code, expected, _ = _run(capsys, "analyze", "--file", _graph6_file(tmp_path, expr))
+    assert code == 0 and "connected: no\n" in expected
+
+    def refuse(table):
+        raise AssertionError("the moment route ran on a built expression")
+
+    real = exact.moment_route
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("walklab") and getattr(mod, "moment_route", None) is real:
+            monkeypatch.setattr(mod, "moment_route", refuse)
+    assert _run(capsys, "analyze", "--expr", expr) == (0, expected, "")
+
+
 # ---------------------------------------------------------------------------
 # enumerate and tables
 
@@ -670,7 +689,7 @@ def test_import_walklab_leaves_the_oracles_out():
     moved = {"charpoly", "_charpoly_mod", "_charpoly_coeff_bound", "_clear_denominators",
              "int_matmul", "_abs_max", "gcd", "_primitive", "derivative", "scale_arg",
              "hoffman_check", "eigenvalue_gate", "run_selfcheck", "_selfcheck_catalog",
-             "_SELFCHECKS"} | {fn.__name__ for _, fn in oracles._SELFCHECKS}
+             "_SELFCHECKS", "extract_spectrum"} | {fn.__name__ for _, fn in oracles._SELFCHECKS}
     assert all(hasattr(oracles, name) for name in moved)
     for info in pkgutil.iter_modules(walklab.__path__, "walklab."):
         if info.name != "walklab.oracles":
@@ -784,7 +803,7 @@ def test_period_builds_psi_d_only_for_orders_outside_the_table(capsys, monkeypat
 
 
 # ---------------------------------------------------------------------------
-# parsing: one command's parser against the full parser
+# parsing: the option table against the full parser
 
 # help, usage errors and the forms that only the full parser reports
 PARSE_FORMS = (
@@ -827,6 +846,30 @@ def test_parse_args_equals_the_full_parser(argv):
     assert _parse_outcome(parse_args, argv) == _parse_outcome(_full_parse, argv)
 
 
+# the argv shapes of the bench's three workloads
+BENCH_SHAPES = (
+    ["analyze", "--expr", "tensorj(cycle(6),2)"],
+    ["period", "--file", "corpus/g00_k3_n16.g6"],
+    ["tables", "--kmax", "40", "--format", "csv"],
+)
+
+
+def test_parse_args_builds_no_parser_on_a_plain_form(monkeypatch):
+    # every golden argv that parses and the bench's shapes are plain forms,
+    # read off the option table: the Namespace is the full parser's, and
+    # no argparse parser is built for it
+    argvs = _golden_argvs() + list(BENCH_SHAPES)
+    expected = [vars(_full_parse(argv)) for argv in argvs]  # each one parses
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an argparse parser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert [vars(parse_args(argv)) for argv in argvs] == expected
+    with pytest.raises(AssertionError, match="parser was built"):
+        parse_args(["period", "--ex", "cycle(6)"])
+
+
 def test_parse_args_reads_sys_argv(monkeypatch):
     monkeypatch.setattr(sys, "argv", ["walklab", "tables", "--kmax", "12"])
     assert vars(parse_args()) == vars(_full_parse(["tables", "--kmax", "12"]))
@@ -839,7 +882,8 @@ def test_parse_args_equals_the_full_parser_on_random_argvs():
              "selfcheck", "--expr", "--file", "--format", "--out", "--class", "--k",
              "--kmax", "--verbose", "--ex", "--kma", "--form", "cycle(6)", "g.g6",
              "text", "json", "csv", "half", "sqrt2", "4", "4-10", "1_0", "-h",
-             "--help", "--", "-", "nope", "-x", "--zzz", "--format=json", "")
+             "--help", "--", "-", "nope", "-x", "--zzz", "--format=json", "",
+             "--expr=cycle(6)", "--kmax=4", "--format=", "--verbose=1", "--file=-", "-1")
 
     @hypothesis.seed(20261018)
     @hypothesis.settings(max_examples=300, deadline=None, database=None)

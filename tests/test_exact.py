@@ -30,7 +30,6 @@ from walklab.exact import (
     _trace_form,
     _vanishes_at,
     cyclotomic,
-    extract_spectrum,
     is_quadratic_algebraic_integer,
     min_poly_2cos,
     min_poly_factors,
@@ -56,6 +55,7 @@ from walklab.oracles import (
     cyclotomic_sieve,
     derivative,
     eval_poly_at_matrix,
+    extract_spectrum,
     gcd,
     mat_identity,
     radical,

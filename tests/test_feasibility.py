@@ -15,7 +15,7 @@ import numpy as np
 
 from walklab import expressions, feasibility, graphs
 from walklab.cli import main
-from walklab.exact import QuadraticNumber, Spectrum, extract_spectrum
+from walklab.exact import QuadraticNumber, Spectrum
 from walklab.expressions import read_expr
 from walklab.feasibility import (
     CSV_FIELDS,
@@ -34,6 +34,7 @@ from walklab.feasibility import (
     verify_realization,
 )
 from walklab.graphs import Graph, closed_walk_traces, cycle, parse_expr
+from walklab.oracles import extract_spectrum
 from walklab.walk import Periodic, decide_periodic
 
 from oracles import (

@@ -27,11 +27,11 @@ from pathlib import Path
 import pytest
 
 from walklab.cli import main
-from walklab.exact import Spectrum, extract_spectrum
+from walklab.exact import Spectrum
 from walklab.feasibility import REALIZATIONS
 from walklab.graphio import load_path, to_graph6
 from walklab.graphs import is_connected, parse_expr, regularity
-from walklab.oracles import charpoly, hoffman_check
+from walklab.oracles import charpoly, extract_spectrum, hoffman_check
 
 from oracles import random_regular
 
@@ -175,10 +175,13 @@ def _cli(argv: list[str]) -> tuple[int, str, str]:
 
 
 # every --expr of the transcript, the registry and the bench's
-# analyze-families graphs (FAMILIES, K4,4□K4,4 included)
+# analyze-families graphs (FAMILIES, K4,4□K4,4 included), and C8 x C8,
+# which is regular and walk-regular by structure but disconnected, so
+# analyze and quadrangles build it
 EXPRESSIONS = sorted({argv[argv.index("--expr") + 1] for argv in command_set([])
                       if "--expr" in argv}
-                     | {expr for _, expr in REALIZATIONS.values()} | set(FAMILIES))
+                     | {expr for _, expr in REALIZATIONS.values()} | set(FAMILIES)
+                     | {"kron(cycle(8),cycle(8))"})
 
 
 @pytest.mark.parametrize("expr", EXPRESSIONS)
@@ -198,8 +201,9 @@ def test_an_expression_reports_as_the_graph_it_builds(tmp_path, expr):
 
 
 def test_the_expressions_cover_the_transcript_registry_and_bench():
-    # 18 families, C3 .. C12 less C8, and the three refused or irregular ones
-    assert len(EXPRESSIONS) == 18 + 9 + 3
+    # 18 families, C3 .. C12 less C8, the three refused or irregular ones
+    # and C8 x C8
+    assert len(EXPRESSIONS) == 18 + 9 + 3 + 1
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from walklab.exact import QuadraticNumber, Spectrum, extract_spectrum
+from walklab.exact import QuadraticNumber, Spectrum
 from walklab.graphs import (
     Graph,
     GraphError,
@@ -30,7 +30,8 @@ from walklab.graphs import (
     tensor_allones,
 )
 from walklab.graphio import from_edge_list, from_graph6, to_graph6
-from walklab.oracles import arc_space, biadjacency, charpoly, count_quadrangles_brute
+from walklab.oracles import (arc_space, biadjacency, charpoly, count_quadrangles_brute,
+                             extract_spectrum)
 
 from oracles import scaled
 

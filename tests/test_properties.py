@@ -52,7 +52,6 @@ from walklab.exact import (
     _factors,
     _trace_form,
     adjacency_times,
-    extract_spectrum,
     min_poly_factors,
     min_poly_route,
     moment_route,
@@ -76,6 +75,7 @@ from walklab.graphs import (
 from walklab.oracles import (
     _charpoly_coeff_bound,
     charpoly,
+    extract_spectrum,
     hoffman_check,
     int_mat_power,
     int_matmul,

@@ -15,7 +15,6 @@ from walklab.exact import (
     QuadraticNumber,
     Spectrum,
     cyclotomic,
-    extract_spectrum,
     min_poly_2cos,
 )
 from walklab.feasibility import REALIZATIONS
@@ -52,6 +51,7 @@ from walklab.oracles import (
     derivative,
     eigenvalue_gate,
     eval_poly_at_matrix,
+    extract_spectrum,
     gcd,
     hoffman_check,
     int_mat_power,
