@@ -65,9 +65,10 @@ from --expr using a small builder grammar:
 
 Expressions compose and ignore whitespace, e.g. "tensorj(cycle(6),2)".
 period, analyze and quadrangles read an expression off its structure
-and its closed-form traces, with no graph built; analyze and quadrangles
-build it when it is irregular, edgeless, disconnected or not walk-regular
-by structure.  All output is produced by exact arithmetic and is
+and its closed-form traces, with no graph built; analyze builds it when
+it is irregular, edgeless, disconnected or not walk-regular by structure,
+and quadrangles when it is irregular, edgeless or not walk-regular by
+structure.  All output is produced by exact arithmetic and is
 byte-identical across runs.
 """
 
@@ -89,13 +90,18 @@ def _load_graph(args: argparse.Namespace) -> Graph | Expression:
     raise ExprError("one of --expr or --file is required")
 
 
-def _load_counted(args: argparse.Namespace) -> Graph | Expression:
+def _load_counted(args: argparse.Namespace, connected: bool = True) -> Graph | Expression:
     """`_load_graph`, with an expression built unless its quadrangles and
-    walk-regularity follow from its structure (`walk_regular_connected`).
-    A built expression still reads its spectrum off the expression's
-    closed-form traces (`Expression.graph`)."""
+    walk-regularity follow from its structure: regular of degree at least
+    1, walk-regular by structure and, where `connected` asks for it (the
+    colour classes' sizes), connected.  A built expression still reads
+    its spectrum off the expression's closed-form traces
+    (`Expression.graph`)."""
     g = _load_graph(args)
-    return g.graph if isinstance(g, Expression) and not g.walk_regular_connected else g
+    if isinstance(g, Expression) and not (
+            g.regularity and g.walk_regular and (not connected or g.components == 1)):
+        return g.graph
+    return g
 
 
 def _quadrangles(g: Graph | Expression) -> tuple[int, int | None]:
@@ -204,7 +210,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_quadrangles(args: argparse.Namespace) -> int:
-    q, q_x = _quadrangles(_load_counted(args))
+    q, q_x = _quadrangles(_load_counted(args, connected=False))
     if args.format == "json":
         print(json.dumps({"q": q, "per_vertex_constant": q_x is not None, "q_x": q_x},
                          sort_keys=True))

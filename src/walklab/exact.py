@@ -218,19 +218,21 @@ class Poly:
             return "0"
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
+            # an int has numerator and denominator too: no Fraction arithmetic
             c = self.coeffs[i]
-            if c == 0:
+            num, den = c.numerator, c.denominator
+            if num == 0:
                 continue
-            if c < 0:
+            if num < 0:
                 sign = " - " if parts else "-"
             else:
                 sign = " + " if parts else ""
-            mag = abs(c)
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if i == 0:
-                body = str(mag)
+                body = mag
             else:
                 xpart = "x" if i == 1 else f"x^{i}"
-                body = xpart if mag == 1 else f"{mag}*{xpart}"
+                body = xpart if mag == "1" else f"{mag}*{xpart}"
             parts.append(f"{sign}{body}")
         return "".join(parts)
 
@@ -894,27 +896,55 @@ class _BerlekampMassey:
         return (self.conn + [0] * self.length)[self.length::-1]
 
 
+def _exact_trace(n: int, delta: int, r: int) -> bool:
+    """Whether `_trace_stream` gives t_r, and every trace before it, as an
+    exact integer: while n delta^r < 2^62, and all of t_0 .. t_n when
+    delta^ceil(n/2) < 2^62 bounds every power they read."""
+    return n * delta ** r < _INT64_SAFE or r <= n and delta ** ((n + 1) // 2) < _INT64_SAFE
+
+
+def _limb_vdot(x: np.ndarray, y: np.ndarray, top: int) -> int:
+    """<x, y> over Z for int64 arrays with entries in [0, top], top < 2^62:
+    each is split into limbs of b bits, with size * 2^(2b) <= 2^63, so the
+    inner product of any two limbs sums within int64."""
+    b = (63 - x.size.bit_length()) // 2
+    shifts = range(0, top.bit_length(), b)
+    xs = [x >> s & (1 << b) - 1 for s in shifts]
+    ys = xs if y is x else [y >> s & (1 << b) - 1 for s in shifts]
+    return sum(int(np.vdot(xa, yb)) << (s + u)
+               for xa, s in zip(xs, shifts) for yb, u in zip(ys, shifts))
+
+
 def _trace_stream(table: np.ndarray, q: int) -> Iterator[int]:
     """t_0, t_1, ... as t_2i = <A^i, A^i> and t_2i+1 = <A^i, A^i+1>, from
     t_0 = n, t_1 = tr A and A by one scatter (table_matrix).  All entries
     are nonnegative, so a partial sum of A^i, or of t_r, is at most
-    delta^i, or n delta^r: each is exact in int64 while that bound is below
-    2^62, and a residue mod q past it.  Arrays are reduced as x - x // q * q,
-    equal to x % q because numpy's // floors, and about twice as fast."""
+    delta^i, or n delta^r: A^i is exact in int64 while delta^i is below
+    2^62, and a residue mod q past it.  t_r is one int64 inner product
+    while n delta^r is below 2^62.  Past that it is exact only when the
+    whole stream to t_n is (`_exact_trace`): delta^ceil(n/2) < 2^62 bounds
+    every power that t_0 .. t_n read, and each of them is summed from
+    limbs (`_limb_vdot`).  Every other t_r is a residue mod q.  Exact
+    traces to t_n let the route read p_A off one prime; a trace made exact
+    alone, with later ones left to other primes, saves no stream and
+    costs limbs.  Arrays are reduced as x - x // q * q, equal to x % q
+    because numpy's // floors, and about twice as fast."""
     n, delta = table.shape
 
-    def inner(x, y, x_q, y_q, bound):  # x_q, y_q: the residues in [0, q)
-        if bound < _INT64_SAFE:
+    def inner(x, y, x_q, y_q, r):  # x_q, y_q: the residues in [0, q)
+        if n * delta ** r < _INT64_SAFE:
             return int(np.vdot(x, y))
+        if _exact_trace(n, delta, r):
+            return _limb_vdot(x, y, delta ** ((r + 1) // 2))
         xy = x_q * y_q  # below 2^62: its high and low 31 bits each sum within int64
         return (int((xy >> 31).sum()) * 2 ** 31 + int((xy & (2 ** 31 - 1)).sum())) % q
 
     low = low_q = table_matrix(table)  # A^i, exact or mod q, and its residues
     yield n
     yield int(low.trace())
-    low_bound = delta
+    low_bound, r = delta, 2
     while True:
-        yield inner(low, low, low_q, low_q, n * low_bound ** 2)
+        yield inner(low, low, low_q, low_q, r)
         bound = low_bound * delta
         exact = bound < _INT64_SAFE
         if exact:
@@ -923,8 +953,8 @@ def _trace_stream(table: np.ndarray, q: int) -> Iterator[int]:
             high = adjacency_times(table, low_q)
             high -= high // q * q
         high_q = high - high // q * q if exact and bound >= q else high
-        yield inner(low, high, low_q, high_q, n * low_bound * bound)
-        low, low_q, low_bound = high, high_q, bound
+        yield inner(low, high, low_q, high_q, r + 1)
+        low, low_q, low_bound, r = high, high_q, bound, r + 2
 
 
 def _vanishes_at(table: np.ndarray, c: Sequence[int], q: int) -> tuple[bool, bool]:
@@ -960,9 +990,11 @@ def _trace_form(c: Sequence[int], traces: Sequence[int], q: int) -> int:
 
 class _TableSource:
     """The trace source of a neighbour table: the traces of its 0/1
-    matrix A (`_trace_stream`), exact while n delta^r is below 2^62 and
-    residues mod q past it, and Horner (`_vanishes_at`) to evaluate a
-    candidate at A.  Its m_A has degree at most n."""
+    matrix A (`_trace_stream`), exact while n delta^r is below 2^62, all
+    of t_0 .. t_n exact when delta^ceil(n/2) is (`_exact_trace`), so that
+    the route reads p_A off one prime, and residues mod q past that; and
+    Horner (`_vanishes_at`) to evaluate a candidate at A.  Its m_A has
+    degree at most n."""
 
     def __init__(self, table: np.ndarray) -> None:
         self.table = table
@@ -971,7 +1003,7 @@ class _TableSource:
 
     def exact(self, count: int) -> bool:
         """Whether the stream's t_0 .. t_(count-1) are exact integers."""
-        return self.n * self.delta ** (count - 1) < _INT64_SAFE
+        return _exact_trace(self.n, self.delta, count - 1)
 
     def stream(self, q: int) -> Iterator[int]:
         return _trace_stream(self.table, q)

@@ -129,13 +129,6 @@ class Expression(_Spectral):
         return self._multiplicity(k) if k else self.n
 
     @property
-    def walk_regular_connected(self) -> bool:
-        """Whether `analyze` and `quadrangles` read the expression off its
-        structure: regular of degree at least 1, walk-regular by structure
-        and connected."""
-        return bool(self.regularity) and self.walk_regular and self.components == 1
-
-    @property
     def parts(self) -> tuple[int, int] | None:
         """The colour classes' sizes of a connected k-regular expression,
         n/2 each when -k is an eigenvalue, else None (not bipartite)."""

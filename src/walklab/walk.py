@@ -98,6 +98,31 @@ def _scaled(f: Poly, k: int) -> tuple[int, ...] | None:
     return tuple(q for q, _ in scaled)
 
 
+def _splits_mod_2(p: Poly) -> bool:
+    """Whether p mod 2 is x^a (x + 1)^b (x^2 + x + 1)^c, divided out of
+    its bitmask by long division over F_2.  These three are the monic
+    irreducibles of degree at most 2 over F_2, so every product of monic
+    integer linear and quadratic factors reduces to such a product."""
+    m = sum(1 << i for i, c in enumerate(p.coeffs) if c & 1)
+    m >>= (m & -m).bit_length() - 1
+    for d in (0b11, 0b111):
+        while m > 1:
+            q, r = 0, m
+            while r.bit_length() >= d.bit_length():
+                shift = r.bit_length() - d.bit_length()
+                q, r = q | 1 << shift, r ^ d << shift
+            if r:
+                break
+            m = q
+    return m == 1
+
+
+def _p2t(p: Poly, k: int) -> Poly:
+    """p_2T = (2/k)^n p(kx/2) for p = p_A of degree n, in Fractions."""
+    n = p.degree()
+    return Poly(Fraction(a << (n - i), k ** (n - i)) for i, a in enumerate(p.coeffs))
+
+
 def decide_periodic(g: Graph) -> PeriodicityVerdict:
     """Decide periodicity of the Grover walk on a connected regular graph.
 
@@ -125,9 +150,22 @@ def decide_periodic(g: Graph) -> PeriodicityVerdict:
     multiplicity of psi_d is that of Phi_d in the U-charpoly for d >= 3;
     Phi_1 and Phi_2 add the flat +1 and -1 eigenspaces of U, of dimensions
     E - n + 1 and E - n + ker, where ker = mult(psi_2) = dim Ker(A + kI).
+
+    Where the route certified no m_A, the list would be that of p_A, and
+    a residual other than 1 is proved mod 2 first (`_splits_mod_2`): each
+    factor x - r or x^2 + bx + c reduces to a product of x, x + 1 and
+    x^2 + x + 1, the monic irreducibles of degree at most 2 over F_2.
+    So if p_A mod 2 keeps anything else, an irreducible factor of degree
+    at least 3, p_A is no product of such factors and the residual is
+    not 1.  With p_2T not integral, the verdict is then p_2T, with no
+    factor search.
     """
     k = _require_regular_connected(g)
     n = g.n
+    if g._moments.min_poly is None and not _splits_mod_2(g.charpoly):
+        p2t = _p2t(g.charpoly, k)
+        if not p2t.is_integral():
+            return NotPeriodic(witness=None, residual=p2t)
     factors, residual = g.factors
     psis = [(_scaled(f, k), m) for f, m in factors]
     rest = _scaled(residual, k)
@@ -136,8 +174,7 @@ def decide_periodic(g: Graph) -> PeriodicityVerdict:
             witness = max(root for (f, _), (psi, _) in zip(factors, psis) if psi is None
                           for root in _roots(f))
             return NotPeriodic(witness=witness / k, residual=None)
-        return NotPeriodic(witness=None, residual=Poly(
-            Fraction(a << (n - i), k ** (n - i)) for i, a in enumerate(g.charpoly.coeffs)))
+        return NotPeriodic(witness=None, residual=_p2t(g.charpoly, k))
     mult: dict[int, int] = {}
     for psi, m in psis:
         if psi not in _ORDER_OF_PSI:

@@ -166,6 +166,30 @@ def decide_periodic_by_fractions(g):
     return Periodic(period=math.lcm(*(d for d, _ in orders)), cyclotomic_orders=orders)
 
 
+def poly_str_by_fractions(p):
+    """Reference for `Poly.__str__`: each coefficient compared, negated
+    and printed as the int or Fraction it is."""
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for i in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[i]
+        if c == 0:
+            continue
+        if c < 0:
+            sign = " - " if parts else "-"
+        else:
+            sign = " + " if parts else ""
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            xpart = "x" if i == 1 else f"x^{i}"
+            body = xpart if mag == 1 else f"{mag}*{xpart}"
+        parts.append(f"{sign}{body}")
+    return "".join(parts)
+
+
 def hessenberg_charpoly(mat):
     """Reference for `charpoly`: similarity reduction to Hessenberg form
     over Q, then the standard principal-minor recurrence."""

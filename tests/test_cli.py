@@ -26,7 +26,7 @@ from walklab.graphio import to_graph6
 from walklab.expressions import read_expr
 from walklab.graphs import Graph, GraphError, cycle, petersen, tensor_allones
 
-from oracles import parse_tree, random_regular
+from oracles import decide_periodic_by_fractions, parse_tree, random_regular
 
 
 def _run(capsys, *argv):
@@ -549,6 +549,54 @@ def test_a_built_expression_reads_the_expressions_moments(capsys, monkeypatch, t
         if name.startswith("walklab") and getattr(mod, "moment_route", None) is real:
             monkeypatch.setattr(mod, "moment_route", refuse)
     assert _run(capsys, "analyze", "--expr", expr) == (0, expected, "")
+
+
+def test_quadrangles_read_a_disconnected_walk_regular_expression_off_its_traces(
+        capsys, monkeypatch, tmp_path):
+    # C8 x C8 and Q6 x Q6 have two components each and are walk-regular by
+    # structure, so q_x comes from t_4 with nothing built; analyze still
+    # builds them for the colour classes' sizes
+    expr = "kron(cycle(8),cycle(8))"
+    expected = [_run(capsys, "quadrangles", "--file", _graph6_file(tmp_path, expr), *fmt)
+                for fmt in ((), ("--format", "json"))]
+    assert expected[0] == (0, "q=64 per-vertex constant: yes q_x=4\n", "")
+
+    def refuse(self):
+        raise AssertionError("an expression was built")
+
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    assert [_run(capsys, "quadrangles", "--expr", expr, *fmt)
+            for fmt in ((), ("--format", "json"))] == expected
+    assert _run(capsys, "quadrangles", "--expr", "kron(hypercube(6),hypercube(6))") == \
+        (0, "q=3409920 per-vertex constant: yes q_x=3330\n", "")
+    assert _run(capsys, "analyze", "--expr", expr) == \
+        (3, "", "error: internal: an expression was built\n")
+
+
+def test_period_proves_a_residual_mod_2_without_the_factor_search(capsys, monkeypatch, tmp_path):
+    # the bench's period-random shapes: each graph's verdict is its p_2T,
+    # and p_A mod 2 keeps a factor of degree >= 3, so period prints it with
+    # the factor search refusing to run
+    rng = random.Random(20261103)
+    cases = []
+    for k, n in ((3, 16), (3, 20), (5, 42)):
+        for i in range(3):
+            g = random_regular(n, k, rng)
+            path = tmp_path / f"k{k}n{n}-{i}.g6"
+            path.write_text(to_graph6(g) + "\n", encoding="ascii")
+            verdict = decide_periodic_by_fractions(g)
+            if not walk._splits_mod_2(g.charpoly):
+                cases.append((str(path), verdict.render() + "\n"))
+    assert len(cases) >= 7
+
+    def refuse(p):
+        raise AssertionError("the factor search ran")
+
+    monkeypatch.setattr(exact, "_factors", refuse)
+    monkeypatch.setattr(graphs, "_factors", refuse)
+    for path, expected in cases:
+        assert expected.startswith("NOT PERIODIC residual=x^")
+        assert _run(capsys, "period", "--file", path) == (2, expected, "")
 
 
 # ---------------------------------------------------------------------------

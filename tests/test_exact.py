@@ -9,6 +9,7 @@ reassembly and against sympy's factorization over Z, ring membership
 against the monic quadratic minimal polynomial.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -40,6 +41,7 @@ from walklab.exact import (
 from walklab.feasibility import REALIZATIONS
 from walklab.graphs import (
     Graph,
+    closed_walk_traces,
     complete_bipartite,
     complete_graph,
     cycle,
@@ -257,15 +259,61 @@ def test_moment_route_certifies_the_minimal_polynomial_of_q7():
     assert moments.charpoly == _hypercube_charpoly(7)
 
 
-def test_moment_route_equals_hessenberg_and_bareiss_on_the_bench_shape_graph():
+def _count_streams(monkeypatch):
+    """Wrap the trace stream to record the prime of each stream started."""
+    real, primes = exact._trace_stream, []
+
+    def counting(table, q):
+        primes.append(q)
+        return real(table, q)
+
+    monkeypatch.setattr(exact, "_trace_stream", counting)
+    return primes
+
+
+def test_moment_route_equals_hessenberg_and_bareiss_on_the_bench_shape_graph(monkeypatch):
     # the (5, 42) period-random shape: s = n, so no recurrence is certified
-    # by t_42, and n * 5^r passes 2^62 at r = 25: t_25 .. t_42 are CRT lifts
+    # by t_42.  n * 5^r passes 2^62 at r = 25, but 5^21 < 2^62 bounds every
+    # power that t_0 .. t_42 read: they are exact from limbs, and p_A comes
+    # from one prime's stream (four, with t_25 .. t_42 as CRT lifts, before)
+    streams = _count_streams(monkeypatch)
     g = random_regular(42, 5, random.Random(7))
+    assert 42 * 5 ** 25 > 2 ** 62 > 5 ** 21
     moments = moment_route(g.neighbour_table)
-    assert moments.min_poly is None
+    assert moments.min_poly is None and len(streams) == 1
     p = moments.charpoly
     assert p == charpoly(_adj(g)) == hessenberg_charpoly(_adj(g)) == charpoly_bareiss(_adj(g))
+    assert moments.traces == tuple(closed_walk_traces(g, 43))
+    # past t_n the stream is residues again, and m_A still certifies
     assert min_poly_route(g.neighbour_table) == radical(p) == p
+
+
+def test_the_limb_inner_product_is_exact_near_2_62():
+    rng = np.random.default_rng(20261102)
+    for shape in ((1,), (7,), (42, 42), (3, 200)):
+        for low in (0, 2 ** 62 - 2 ** 40, 2 ** 62 - 2):
+            x = rng.integers(low, 2 ** 62, size=shape, dtype=np.int64)
+            y = rng.integers(low, 2 ** 62, size=shape, dtype=np.int64)
+            exact_xy = sum(int(a) * int(b) for a, b in zip(x.flat, y.flat))
+            assert exact._limb_vdot(x, y, 2 ** 62 - 1) == exact_xy
+            assert exact._limb_vdot(x, x, 2 ** 62 - 1) == sum(int(a) ** 2 for a in x.flat)
+    # entries within the stated top: fewer limbs, the same sum
+    x = rng.integers(0, 5 ** 21 + 1, size=(42, 42), dtype=np.int64)
+    assert exact._limb_vdot(x, x, 5 ** 21) == sum(int(a) ** 2 for a in x.flat)
+
+
+def test_a_cubic_graph_on_128_vertices_keeps_residues_past_the_int64_line(monkeypatch):
+    # 3^64 > 2^62: the stream is exact only while n 3^r < 2^62, r <= 34, and
+    # a residue mod q from t_35 on, as it was before exact streams to t_n
+    g = random_regular(128, 3, random.Random(1))
+    source, q = exact._TableSource(g.neighbour_table), 2 ** 31 - 1
+    assert [source.exact(c) for c in range(1, 300)] == \
+        [128 * 3 ** (c - 1) < 2 ** 62 for c in range(1, 300)]
+    assert source.exact(35) and not source.exact(36)
+    truth = closed_walk_traces(g, 41)
+    stream = list(itertools.islice(source.stream(q), 41))
+    assert stream[:35] == truth[:35] and truth[35] > q
+    assert stream[35:] == [t % q for t in truth[35:]]
 
 
 def test_moment_route_certifies_q8_past_the_int64_line():

@@ -26,7 +26,10 @@ Division by a monic integer divisor is division over Q in Python ints, and
 deflation by it is repeated division.  The
 integer matrix product, and the product of a 0/1 matrix by row gathers,
 agree with the triple loop on both sides of the int64 bound, and the
-O(s) symmetry test of a spectrum agrees with the multiset definition."""
+O(s) symmetry test of a spectrum agrees with the multiset definition.
+No product of monic integer linear and quadratic factors fails the mod-2
+test of `walk._splits_mod_2`, and `Poly.__str__` prints int and Fraction
+coefficients as the Fraction reference does."""
 
 import contextlib
 import io
@@ -34,6 +37,7 @@ import json
 import math
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +85,7 @@ from walklab.oracles import (
     int_matmul,
     radical,
 )
-from walklab.walk import decide_periodic
+from walklab.walk import _splits_mod_2, decide_periodic
 
 from oracles import (
     charpoly_bareiss,
@@ -89,6 +93,7 @@ from oracles import (
     decide_periodic_by_fractions,
     hessenberg_charpoly,
     matmul_reference,
+    poly_str_by_fractions,
     random_regular,
 )
 
@@ -594,3 +599,46 @@ def spectra(draw):
 def test_is_symmetric_matches_the_multiset_definition(spec):
     mults = dict(spec.entries)
     assert spec.is_symmetric() == (mults == {-v: m for v, m in spec.entries})
+
+
+@st.composite
+def split_products(draw):
+    """Products of monic integer factors x - r and x^2 + bx + c with real
+    roots, some repeated, of degree at most 16."""
+    p = Poly.one()
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.booleans()):
+            f = Poly((-draw(st.integers(-6, 6)), 1))
+        else:
+            b = draw(st.integers(-6, 6))
+            f = Poly((draw(st.integers(-12, b * b // 4)), b, 1))
+        m = draw(st.integers(1, 4))
+        if p.degree() + m * f.degree() <= 16:
+            p = p * f ** m
+    return p
+
+
+@seed(20261102)
+@settings(max_examples=300, deadline=None, database=None)
+@given(split_products())
+@example(Poly((-1, 1, 1)) ** 3 * Poly((0, 1)) ** 2)  # x^2 + x - 1 is x^2 + x + 1 mod 2
+@example(Poly((-3, 1)) * Poly((5, 1)))  # (x + 1)^2 mod 2
+@example(Poly((-1, 1, 1)) ** 8)
+def test_a_product_of_linear_and_quadratic_factors_is_never_certified(p):
+    # mod 2 each factor is x, x + 1, x^2, x^2 + 1 = (x + 1)^2, x^2 + x or
+    # x^2 + x + 1; the factor search splits the product, leaving residual 1
+    assert _splits_mod_2(p)
+    assert p.degree() < 1 or _factors(p)[1] == Poly.one()
+
+
+_COEFFS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10 ** 30, 10 ** 30),
+                    st.fractions(max_denominator=10 ** 20))
+
+
+@seed(20261103)
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.lists(_COEFFS, max_size=8))
+@example([Fraction(-1, 2), 1, Fraction(1, 4096), -1, 0, Fraction(-3, 7)])
+def test_poly_str_equals_the_fraction_reference(coeffs):
+    p = Poly(coeffs)
+    assert str(p) == poly_str_by_fractions(p)

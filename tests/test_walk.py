@@ -392,6 +392,25 @@ def test_integer_decision_matches_the_fraction_route_and_the_period_oracle():
             assert period_oracle(g, 24) is None, name
 
 
+def test_the_mod_2_certificate_only_certifies_a_residual_of_p_a():
+    # the bench's period-random shapes and a few more, several seeds each:
+    # where the route certified no m_A and p_A mod 2 keeps a factor of
+    # degree >= 3, the factor search leaves a residual of degree >= 3, and
+    # every verdict equals the Fraction route's, also on the cycles, whose
+    # p_2T is integral
+    rng = random.Random(20261102)
+    graphs = [(f"k={k} n={n}", random_regular(n, k, rng))
+              for k, n in ((3, 16), (3, 20), (5, 42), (4, 15), (3, 26)) for _ in range(4)]
+    graphs += [(f"C{n}", cycle(n)) for n in range(3, 13)]
+    certified = 0
+    for name, g in graphs:
+        if g._moments.min_poly is None and not walk._splits_mod_2(g.charpoly):
+            assert exact._factors(g.charpoly)[1].degree() >= 3, name
+            certified += 1
+        assert decide_periodic(g) == decide_periodic_by_fractions(g), name
+    assert certified >= 18
+
+
 def test_not_periodic_with_irrational_witness():
     v = decide_periodic(_circulant(8, (1, 2)))
     assert isinstance(v, NotPeriodic)
