@@ -11,7 +11,6 @@ from .exact import (
     Spectrum,
     Unresolved,
     cyclotomic,
-    is_quadratic_algebraic_integer,
     min_poly_2cos,
     squarefree_part,
 )
@@ -19,11 +18,7 @@ from .feasibility import (
     FeasibleRow,
     ThetaClass,
     all_rows,
-    classify_four_eigenvalue,
     enumerate_rows,
-    multiplicities,
-    n_bounds,
-    read_tables_csv,
     render_tables,
 )
 from .graphs import (

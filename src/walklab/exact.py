@@ -168,12 +168,6 @@ class Poly:
     def __mod__(self, other: Poly) -> Poly:
         return divmod(self, other)[1]
 
-    def exact_div(self, other: Poly) -> Poly:
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError(f"{self} is not divisible by {other}")
-        return q
-
     def deflate(self, f: Poly) -> tuple[Poly, int]:
         """(q, m) with self = f^m * q and f not dividing q, for a nonzero
         self and a monic f of degree >= 1.
@@ -379,12 +373,6 @@ class QuadraticNumber:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def as_fraction(self) -> int | Fraction:
-        """The rational value: an int when it is integral, else a Fraction."""
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     def conjugate(self) -> QuadraticNumber:
         return QuadraticNumber(self.a, -self.b, self.m)
 
@@ -519,23 +507,6 @@ class QuadraticNumber:
         return f"QuadraticNumber({self})"
 
 
-def is_quadratic_algebraic_integer(x: QuadraticNumber) -> bool:
-    """Exact membership of x in the ring of algebraic integers.
-
-    Rational values are algebraic integers iff they are plain integers.
-    For x = a + b*sqrt(m) with b != 0 the integral basis of the quadratic
-    field decides: integer a, b when m = 2, 3 (mod 4); when m = 1 (mod 4)
-    the basis element is (1 + sqrt(m))/2, so 2b and a - b must be integers.
-    """
-    if x.is_rational:
-        return x.a.denominator == 1
-    assert x.m is not None
-    if x.m % 4 in (2, 3):
-        return x.a.denominator == 1 and x.b.denominator == 1
-    twob = 2 * x.b
-    return twob.denominator == 1 and (x.a - x.b).denominator == 1
-
-
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -583,22 +554,6 @@ class Spectrum:
         must mirror the one at the same distance from the other end."""
         return all(m == mw and v == -w
                    for (v, m), (w, mw) in zip(self.entries, reversed(self.entries)))
-
-    def power_sum(self, r: int) -> int | Fraction:
-        """Exact sum of the r-th powers of all eigenvalues (a rational
-        number: conjugate surd pairs cancel for spectra of rational
-        matrices).  Surd contributions are tracked per radicand."""
-        rational = 0
-        surd: dict[int, int | Fraction] = {}
-        for value, mult in self.entries:
-            term = value ** r
-            rational += term.a * mult
-            if term.b:
-                assert term.m is not None
-                surd[term.m] = surd.get(term.m, 0) + term.b * mult
-        if any(coeff != 0 for coeff in surd.values()):
-            raise ValueError("power sum is irrational")
-        return _rational(rational)
 
     def render(self) -> str:
         """Canonical text form, e.g. "{[±4]^1, [±2√2]^2, [0]^10}" for
@@ -742,10 +697,10 @@ _INT64_SAFE = 2 ** 62
 
 def neighbour_table(a: np.ndarray) -> np.ndarray:
     """Row i lists the columns of the ones in row i of the square 0/1
-    array a, padded to the largest row sum with n, the index of the zero
-    row that adjacency_times appends."""
+    array a in ascending order, padded to the largest row sum with n, the
+    index of the zero row that adjacency_times appends."""
     n = a.shape[0]
-    degrees = a.sum(axis=1)
+    degrees = np.count_nonzero(a, axis=1)
     rows, cols = np.nonzero(a)
     table = np.full((n, int(degrees.max(initial=0))), n)
     table[rows, np.arange(rows.size) - (np.cumsum(degrees) - degrees)[rows]] = cols
@@ -755,12 +710,18 @@ def neighbour_table(a: np.ndarray) -> np.ndarray:
 def adjacency_times(table: np.ndarray, p: np.ndarray) -> np.ndarray:
     """A @ p for the 0/1 matrix A of neighbour_table(A): row i is the sum
     of the rows of p at the neighbours of i, in O(n^2 * max degree)
-    additions.  Every partial sum is a sum of some of the terms of the
-    entry it forms."""
-    rows = np.concatenate([p, np.zeros_like(p[:1])])
-    out = np.zeros_like(p)
-    for column in table.T:
-        out += rows[column]
+    additions.  The gather of the first column is the output and each
+    other column's is added to it in place; p gains a zero row only when
+    the table is padded (n sits last in its padded rows).  Every partial
+    sum is a sum of some of the terms of the entry it forms."""
+    n, delta = table.shape
+    if not delta:
+        return np.zeros_like(p)
+    if table[:, -1].max() == n:
+        p = np.concatenate([p, np.zeros_like(p[:1])])
+    out = p[table[:, 0]]
+    for column in table.T[1:]:
+        out += p[column]
     return out
 
 
@@ -1118,7 +1079,7 @@ def _newton(traces: Sequence[int], c: Sequence[int] | None = None) -> Poly:
     a = [1]
     for r in range(1, n + 1):
         if c is None:
-            total = -sum(a[r - j] * traces[j] for j in range(1, r + 1) if traces[j])
+            total = -sum(map(operator.mul, a[::-1], traces[1:r + 1]))
         else:
             total = -sum((m[j] * (r - j - n) + w[j]) * a[r - j] for j in range(1, min(r, s) + 1))
         quot, rem = divmod(total, r)

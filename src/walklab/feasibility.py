@@ -118,29 +118,6 @@ class FeasibleRow(NamedTuple):
                          (-theta, self.a), (-k, 1)))
 
 
-def multiplicities(k: int, theta_sq: int, n: int) -> tuple[int, int] | None:
-    """Multiplicities (a, b) of (±θ, 0) forced by the power sums, when
-    both are positive integers: a = (nk - 2k²)/(2θ²), b = n - 2 - 2a."""
-    if theta_sq <= 0:
-        raise ValueError("theta^2 must be positive")
-    a, rem = divmod(n * k - 2 * k * k, 2 * theta_sq)
-    if rem or a <= 0:
-        return None
-    b = n - 2 - 2 * a
-    if b <= 0:
-        return None
-    return a, b
-
-
-def n_bounds(k: int, theta_sq: int) -> tuple[int, int]:
-    """The least and the largest integer n in the vertex-count window
-    2(k²+θ²)/k <= n <= 2k(k²-θ²).  The lower end is exactly the
-    condition a >= 1, which `multiplicities` enforces."""
-    if theta_sq >= k * k:
-        raise ValueError("theta^2 must be below k^2")
-    return -(-2 * (k * k + theta_sq) // k), 2 * k * (k * k - theta_sq)
-
-
 def _divisors(h: int, c: int) -> list[int]:
     """The divisors m <= 4h²(4 - c) of 8h³(4 - c), ascending, grown prime
     by prime with every partial product past 4h²(4 - c) dropped.  The
@@ -189,31 +166,6 @@ def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
         q8 = 2 * k ** 4 + 2 * a * theta_sq ** 2 - n * (2 * k * k - k)
         rows.append(FeasibleRow(theta_class, k, n, a, b, q8))
     return rows
-
-
-def classify_four_eigenvalue(k_max: int) -> list[tuple[int, int, Spectrum]]:
-    """Replay of the four-distinct-eigenvalue classification: the window
-    k > θ² kills the surd classes outright and forces k = 2, θ = 1,
-    whence n = 6; the result does not depend on k_max."""
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
-    out: list[tuple[int, int, Spectrum]] = []
-    for k in range(2, k_max + 1, 2):
-        for cls in ThetaClass:
-            theta_sq = cls.theta_sq(k)
-            if not k > theta_sq:
-                continue
-            # four-eigenvalue shape: a = n/2 - 1, so theta^2 (n-2) = nk - 2k^2
-            n, rem = divmod(2 * (k * k - theta_sq), k - theta_sq)
-            if rem or n < 4 or n % 2:
-                continue
-            theta = cls.theta(k)
-            spec = Spectrum.from_pairs([
-                (QuadraticNumber(k), 1), (QuadraticNumber(-k), 1),
-                (theta, n // 2 - 1), (-theta, n // 2 - 1),
-            ])
-            out.append((k, n, spec))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +423,3 @@ def render_tables(k_max: int, fmt: str = "text") -> str:
                           "k | n | spectrum | status | realization | comment\n"
                           + render_rows(cls_rows, "text"))
     return "\n".join(blocks)
-
-
-def read_tables_csv(text: str) -> list[dict[str, str]]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
-        raise ValueError("unexpected CSV header")
-    return list(reader)

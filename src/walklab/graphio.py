@@ -27,58 +27,75 @@ def _g6_encode_size(n: int) -> str:
     raise GraphError("graph too large for graph6")
 
 
-def _g6_decode_size(s: str) -> tuple[int, str]:
+def _g6_decode_size(s: str) -> tuple[int, int]:
+    """The vertex count of a graph6 line and the offset of its body."""
     if not s:
         raise GraphError("empty graph6 string")
     if s[0] != chr(126):
-        return ord(s[0]) - 63, s[1:]
-    if len(s) >= 2 and s[1] == chr(126):
-        chunk, rest = s[2:8], s[8:]
-        if len(chunk) != 6:
-            raise GraphError("truncated graph6 size")
-    else:
-        chunk, rest = s[1:4], s[4:]
-        if len(chunk) != 3:
-            raise GraphError("truncated graph6 size")
+        return ord(s[0]) - 63, 1
+    first, body = (2, 8) if s[1:2] == chr(126) else (1, 4)
+    if len(s) < body:
+        raise GraphError("truncated graph6 size")
     n = 0
-    for ch in chunk:
+    for ch in s[first:body]:
         n = (n << 6) | (ord(ch) - 63)
-    return n, rest
+    return n, body
 
 
 def to_graph6(g: Graph) -> str:
     """Canonical graph6 line (no header, no trailing newline)."""
-    # the entries (i, j) with i < j, column by column: as A is symmetric,
-    # the strict lower triangle row by row
-    bits = g.adjacency[np.tri(g.n, k=-1, dtype=bool)]
-    bits = np.concatenate([bits, np.zeros(-len(bits) % 6, dtype=np.int64)])
+    # bit j(j - 1)/2 + i stands for the edge (i, j), i < j: the entries
+    # above the diagonal column by column
+    n, pairs = g.n, g.n * (g.n - 1) // 2
+    bits = np.zeros(pairs + -pairs % 6, dtype=np.uint8)
+    i, j = np.array(g.edges(), dtype=np.int64).reshape(-1, 2).T
+    bits[j * (j - 1) // 2 + i] = 1
     values = bits.reshape(-1, 6) @ (1 << np.arange(5, -1, -1)) + 63
-    return _g6_encode_size(g.n) + values.astype(np.uint8).tobytes().decode("ascii")
+    return _g6_encode_size(n) + values.astype(np.uint8).tobytes().decode("ascii")
+
+
+# the offsets from the most significant of the six bits that a graph6
+# character's value sets, for each of the 64 values
+_SET_BITS = tuple(tuple(b for b in range(6) if value >> (5 - b) & 1) for value in range(64))
+_NOT_G6 = re.compile(r"[^?-~]")
+_NOT_EMPTY = re.compile(r"[^?]")
 
 
 def from_graph6(line: str) -> Graph:
     """The inverse of to_graph6: every character must lie in '?'..'~', and
-    the body's six bits a character fill the lower triangle, and its mirror."""
+    the body's six bits a character fill the lower triangle, and its mirror.
+    The characters other than '?' are read in order, so each row of the
+    table comes out ascending."""
     s = line.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
-    values = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32).astype(np.int64) - 63
-    invalid = np.flatnonzero((values < 0) | (values > 63))
-    if invalid.size:
-        raise GraphError(f"invalid graph6 character {s[invalid[0]]!r}")
-    n, rest = _g6_decode_size(s)
-    need = (n * (n - 1) // 2 + 5) // 6
-    if len(rest) != need:
-        raise GraphError(f"graph6 body has {len(rest)} characters, expected {need}")
-    body = values[len(s) - len(rest):].astype(np.uint8)
-    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()
+    invalid = _NOT_G6.search(s)
+    if invalid:
+        raise GraphError(f"invalid graph6 character {invalid.group()!r}")
+    n, body = _g6_decode_size(s)
     pairs = n * (n - 1) // 2
-    if bits[pairs:].any():
+    need = (pairs + 5) // 6
+    if len(s) - body != need:
+        raise GraphError(f"graph6 body has {len(s) - body} characters, expected {need}")
+    if need and (ord(s[-1]) - 63) & ((1 << (6 * need - pairs)) - 1):
         raise GraphError("nonzero padding bits in graph6 body")
     _check_vertex_count(n)
-    adj, lower = np.zeros((n, n), dtype=np.uint8), np.tri(n, k=-1, dtype=bool)
-    adj[lower] = adj.T[lower] = bits[:pairs]
-    return Graph(adj)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    # bit start + i stands for the edge (i, j), i < j, start = j(j - 1)/2
+    j = start = 0
+    row: list[int] = []  # rows[j]
+    for match in _NOT_EMPTY.finditer(s, body):
+        base = 6 * (match.start() - body)
+        for b in _SET_BITS[ord(match.group()) - 63]:
+            i = base + b - start
+            while i >= j:  # the bit lies in a later column
+                i -= j
+                start += j
+                j += 1
+                row = rows[j]
+            row.append(i)
+            rows[i].append(j)
+    return Graph._of_rows(rows)
 
 
 def to_edge_list(g: Graph) -> str:
@@ -122,7 +139,7 @@ def _looks_like_graph6(text: str) -> bool:
     first = first.strip()
     if first.startswith(GRAPH6_HEADER):
         return True
-    return bool(first) and all(63 <= ord(ch) <= 126 for ch in first)
+    return bool(first) and not _NOT_G6.search(first)
 
 
 def load(text: str) -> Graph:

@@ -4,12 +4,12 @@ builder grammar over them that the command line and the feasibility
 registry read (`parse_expr` builds each node as it is read; the
 `expressions` module reads the same text off its structure), structural
 predicates, the closed-walk counts at every vertex, and exact
-quadrangle counting.  A graph is one read-only int64 adjacency array;
-each product with it is a row gather on the graph's cached neighbour
-table, and `closed_walks` is the one loop of such products that
-walk-regularity and the quadrangle counts read.  One breadth-first
-2-colouring on the same table, cached per graph, answers both
-connectivity and bipartiteness."""
+quadrangle counting.  A graph is one read-only neighbour table, its
+dense adjacency built only when read; each product with A is a row
+gather on the table, and `closed_walks` is the one loop of such
+products that walk-regularity and the quadrangle counts read.  One
+breadth-first 2-colouring over the same table, cached per graph,
+answers both connectivity and bipartiteness."""
 
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ from .exact import (
     moment_route,
     neighbour_table,
     spectrum_of,
+    table_matrix,
 )
 
 DEFAULT_MAX_VERTICES = 4096
@@ -133,75 +134,109 @@ class _Spectral:
         return spectrum_of(*self.factors)
 
 
-@dataclass(frozen=True, eq=False)
 class Graph(_Spectral):
-    """Immutable simple graph: a read-only int64 copy of the symmetric 0/1
-    adjacency with zero diagonal it is given (nested sequences or an
-    array).  Graphs compare by identity; every count, degree and vertex
-    they return is a Python int."""
+    """Immutable simple graph, stored as its read-only neighbour table
+    (`exact.neighbour_table`): row i lists the neighbours of vertex i in
+    ascending order, padded with n to the largest degree.  `Graph(rows)`
+    takes a symmetric 0/1 adjacency with zero diagonal (nested sequences
+    or an array) and checks it; the readers and constructors that build
+    the table from arcs make it with `_of_rows` or `_of_table`.  Graphs
+    compare by identity; every count, degree and vertex they return is a
+    Python int."""
 
-    adjacency: np.ndarray
+    neighbour_table: np.ndarray
 
-    def __post_init__(self) -> None:
-        n = len(self.adjacency)
+    def __init__(self, adjacency) -> None:
+        n = len(adjacency)
         if n == 0:
             raise GraphError("graph has no vertices")
         _check_vertex_count(n)
         try:
-            a = np.array(self.adjacency)
+            a = np.asarray(adjacency)
         except ValueError:  # ragged rows
             raise GraphError("adjacency matrix is not square") from None
         if a.shape != (n, n):
             raise GraphError("adjacency matrix is not square")
         if not ((a == 0) | (a == 1)).all():
             raise GraphError("adjacency entries must be 0 or 1")
-        a = a.astype(np.int64, copy=False)
         if a.diagonal().any():
             raise GraphError("loops are not allowed")
         if (a != a.T).any():
             raise GraphError("adjacency matrix is not symmetric")
-        a.setflags(write=False)
-        object.__setattr__(self, "adjacency", a)
+        self._set_table(neighbour_table(a))
+
+    def _set_table(self, table: np.ndarray) -> None:
+        if not len(table):
+            raise GraphError("graph has no vertices")
+        table.setflags(write=False)
+        object.__setattr__(self, "neighbour_table", table)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    @classmethod
+    def _of_table(cls, table: np.ndarray) -> Graph:
+        """The graph of a neighbour table known to be one: ascending rows
+        of int64 neighbours, padded with n, and symmetric."""
+        g = cls.__new__(cls)
+        g._set_table(table)
+        return g
+
+    @classmethod
+    def _of_rows(cls, rows: list[list[int]]) -> Graph:
+        """The graph whose vertex i has the ascending neighbours rows[i]."""
+        n = len(rows)
+        width = max(map(len, rows), default=0)
+        padded = [row + [n] * (width - len(row)) if len(row) < width else row for row in rows]
+        return cls._of_table(np.array(padded, dtype=np.int64).reshape(n, width))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         _check_vertex_count(n)
-        adj = np.zeros((n, n), dtype=np.uint8)  # Graph makes the one int64 copy
+        rows: list[list[int]] = [[] for _ in range(n)]
+        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for {n} vertices")
             if u == v:
                 raise GraphError(f"loop at vertex {u}")
-            if adj[u, v]:
+            arc = (u, v) if u < v else (v, u)
+            if arc in seen:
                 raise GraphError(f"duplicate edge ({u},{v})")
-            adj[u, v] = adj[v, u] = 1
-        return cls(adj)
+            seen.add(arc)
+            rows[u].append(v)
+            rows[v].append(u)
+        for row in rows:
+            row.sort()
+        return cls._of_rows(rows)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """The read-only int64 0/1 adjacency matrix, built from the table
+        the first time it is read."""
+        a = table_matrix(self.neighbour_table)
+        a.setflags(write=False)
+        return a
 
     @property
     def n(self) -> int:
-        return len(self.adjacency)
+        return len(self.neighbour_table)
 
     @property
     def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
+        return int(np.count_nonzero(self.neighbour_table < self.n)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """The edges (i, j) with i < j, in row-major order."""
-        return [(i, j) for i, j in np.argwhere(np.triu(self.adjacency)).tolist()]
+        table, n = self.neighbour_table, self.n
+        later = (table < n) & (table > np.arange(n)[:, None])
+        return list(zip(np.nonzero(later)[0].tolist(), table[later].tolist()))
 
     def degree(self, v: int) -> int:
-        return int(self.adjacency[v].sum())
+        return int(np.count_nonzero(self.neighbour_table[v] < self.n))
 
     def degrees(self) -> list[int]:
-        return self.adjacency.sum(axis=1).tolist()
-
-    @cached_property
-    def neighbour_table(self) -> np.ndarray:
-        """The read-only `exact.neighbour_table` of the adjacency: each
-        product with A is a row gather on it (`exact.adjacency_times`)."""
-        table = neighbour_table(self.adjacency)
-        table.setflags(write=False)
-        return table
+        return np.count_nonzero(self.neighbour_table < self.n, axis=1).tolist()
 
     @cached_property
     def regularity(self) -> int | None:
@@ -282,7 +317,8 @@ def cycle(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     _check_vertex_count(_complete_order(n))
-    return Graph(1 - np.eye(n, dtype=np.uint8))  # J - I
+    others = np.arange(n - 1)  # row i skips i
+    return Graph._of_table(others + (others >= np.arange(n)[:, None]))
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
@@ -298,14 +334,12 @@ def hamming(d: int, q: int) -> Graph:
     # a word is its base-q index, first letter most significant: changing
     # the digit at place q^i from x to (x + s) mod q moves it by that
     # difference times q^i
-    adj = np.zeros((count, count), dtype=np.uint8)  # Graph makes the one int64 copy
-    words, place = np.arange(count), 1
+    words, place, columns = np.arange(count), 1, []
     for _ in range(d):
         digit = words // place % q
-        for shift in range(1, q):
-            adj[words, words + ((digit + shift) % q - digit) * place] = 1
+        columns += [words + ((digit + shift) % q - digit) * place for shift in range(1, q)]
         place *= q
-    return Graph(adj)
+    return Graph._of_table(np.sort(np.stack(columns, axis=1), axis=1))
 
 
 def hypercube(d: int) -> Graph:
@@ -326,7 +360,7 @@ def line_graph(g: Graph) -> Graph:
     """Line graph: vertices are the edges of g in canonical order,
     adjacent iff the edges share an endpoint."""
     _check_vertex_count(g.edge_count)
-    ends = np.argwhere(np.triu(g.adjacency))
+    ends = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
     adj = np.zeros((len(ends), len(ends)), dtype=np.int64)
     for v in range(g.n):
         at_v = np.flatnonzero((ends == v).any(axis=1))
@@ -489,30 +523,31 @@ def colouring(g: Graph) -> tuple[int, np.ndarray]:
     """Breadth-first 2-colouring: the number of components, and the
     parity of each vertex's distance from the least vertex of its
     component.  A forward scan finds each component's least unreached
-    vertex; a step gathers the frontier's table rows, keeps the vertices
-    not reached yet and drops repeats by index (`slot`), so the search is
-    O(n + m).  The table's padding n gets colour 2, which no vertex has."""
-    table, n = g.neighbour_table, g.n
-    colour = np.full(n + 1, -1, dtype=np.int8)  # -1: not reached yet
-    colour[n] = 2
-    slot = np.empty(n + 1, dtype=np.intp)
-    components, start = 0, 0
-    while start < n:
+    vertex, and one queue over the table's rows, read as lists, reaches
+    the rest; it stops once it holds all n vertices, so the search is
+    O(n + m) and reads one row of a complete graph.  The table's padding
+    n gets colour 2, which no vertex has."""
+    n, table = g.n, g.neighbour_table
+    colour = [-1] * n + [2]  # -1: not reached yet
+    queue: list[int] = []  # the vertices reached, in the order reached
+    head = components = 0
+    for start in range(n):
+        if colour[start] >= 0:
+            continue
         components += 1
-        frontier, side = np.array([start]), 0
-        while frontier.size:
-            colour[frontier] = side
-            reached = table.take(frontier, axis=0).ravel()
-            reached = reached[colour.take(reached) < 0]
-            if reached.size > 1:  # a repeat needs two entries
-                order = np.arange(reached.size)
-                slot[reached] = order  # of a vertex's writes, one stands
-                reached = reached[slot.take(reached) == order]
-            frontier, side = reached, 1 - side
-        while start < n and colour[start] >= 0:
-            start += 1
-    colour.setflags(write=False)
-    return components, colour
+        colour[start] = 0
+        queue.append(start)
+        while head < len(queue) < n:
+            v = queue[head]
+            head += 1
+            side = 1 - colour[v]
+            for w in table[v].tolist():
+                if colour[w] < 0:
+                    colour[w] = side
+                    queue.append(w)
+    colours = np.array(colour, dtype=np.int8)
+    colours.setflags(write=False)
+    return components, colours
 
 
 def is_connected(g: Graph) -> bool:
@@ -566,12 +601,6 @@ def closed_walks(g: Graph) -> Iterator[np.ndarray]:
         low = high.astype(exact_dtype(n * delta ** (r + 1)), copy=False)
         yield (low * low).sum(axis=1)
         r += 2
-
-
-def closed_walk_traces(g: Graph, count: int) -> list[int]:
-    """t_0 .. t_(count-1) for count >= 2, t_r = tr A^r: n, 0 (A has no
-    loops), then the vertex sums of `closed_walks`, as Python ints."""
-    return [g.n, 0] + [int(w.sum()) for w in itertools.islice(closed_walks(g), count - 2)]
 
 
 def count_quadrangles(g: Graph) -> tuple[int, list[int]]:

@@ -1,5 +1,6 @@
 """Reference implementations, and the `selfcheck` suite that runs them
-against the fast paths: Euclid's gcd over Q, the integer matrix product
+against the fast paths: Euclid's gcd and exact division over Q, the
+integer matrix product
 and the CRT characteristic polynomial of any rational matrix; the arc
 space, the walk matrices and the time evolution U with its charpoly
 computed directly, the spectral mapping from the adjacency charpoly to
@@ -9,8 +10,9 @@ polynomial evaluated at a matrix over Q, quadrangle counting
 by subset enumeration, the biadjacency block identities that
 `feasibility.realizes` replaced, the eigenvalue gate of the paper's
 algebraic-integer argument, the Hoffman identity that `analyze`
-reports by Hoffman's theorem, and the closed-walk traces of the built
-registry graphs, which the tables compose from their factors'.
+reports by Hoffman's theorem, the power sums of a spectrum, the
+four-eigenvalue classification, and the closed-walk traces of the
+built registry graphs, which the tables compose from their factors'.
 
 `period`, `analyze` and `tables` never import this module; only
 `selfcheck` does, when it runs.  The tests compare each decision with
@@ -43,15 +45,13 @@ from .exact import (
     adjacency_times,
     cyclotomic,
     exact_dtype,
-    is_quadratic_algebraic_integer,
     min_poly_route,
     moment_route,
     spectrum_of,
 )
 from .expressions import read_expr
-from .feasibility import (REALIZATIONS, REFERENCE_TABLE, classify_four_eigenvalue, enumerate_rows,
-                          render_tables)
-from .graphs import (Graph, GraphError, PartiteSplit, bipartite_double, closed_walk_traces,
+from .feasibility import REALIZATIONS, REFERENCE_TABLE, ThetaClass, enumerate_rows, render_tables
+from .graphs import (Graph, GraphError, PartiteSplit, bipartite_double, closed_walks,
                      complete_bipartite, complete_graph, count_quadrangles, cycle,
                      hamming, hypercube, is_bipartite, is_connected, line_graph, parse_expr,
                      petersen, regularity, tensor_allones)
@@ -94,10 +94,18 @@ def scale_arg(p: Poly, c: int | Fraction) -> Poly:
     return Poly(out)
 
 
+def exact_div(p: Poly, d: Poly) -> Poly:
+    """The quotient p / d, refused when d does not divide p."""
+    q, r = divmod(p, d)
+    if not r.is_zero():
+        raise ValueError(f"{p} is not divisible by {d}")
+    return q
+
+
 def radical(p: Poly) -> Poly:
     """p / gcd(p, p'), each distinct root of p once: for the monic charpoly
     of a symmetric matrix, its minimal polynomial."""
-    return p.exact_div(gcd(p, derivative(p)))
+    return exact_div(p, gcd(p, derivative(p)))
 
 
 def _abs_max(x: np.ndarray) -> int:
@@ -274,7 +282,7 @@ def cyclotomic_sieve(p: Poly) -> SieveResult:
         if _totient(d) <= residual.degree():
             cyc = cyclotomic(d)
             while cyc.divides(residual):
-                residual = residual.exact_div(cyc)
+                residual = exact_div(residual, cyc)
                 orders[d] = orders.get(d, 0) + 1
         d += 1
     return SieveResult(tuple(sorted(orders.items())), residual)
@@ -409,9 +417,9 @@ def u_charpoly_via_mapping(adj_charpoly: Poly, k: int, edges: int, vertices: int
         raise ValueError("adjacency charpoly degree does not match vertex count")
     # monic discriminant polynomial p(t) = p_A(k t) / k^n
     p_t = scale_arg(adj_charpoly, k) * Fraction(1, k ** vertices)
-    g = p_t.exact_div(Poly([-1, 1]))
+    g = exact_div(p_t, Poly([-1, 1]))
     for _ in range(ker_dim_t_plus_i):
-        g = g.exact_div(Poly([1, 1]))
+        g = exact_div(g, Poly([1, 1]))
     if g.degree() >= 1 and (g(Fraction(1)) == 0 or g(Fraction(-1)) == 0):
         raise ValueError("leftover unit eigenvalue: inconsistent inputs")
     # substitute t = (x^2+1)/(2x) and clear denominators: each root t of g
@@ -440,7 +448,7 @@ def u_spectrum_model(g: Graph) -> USpectrumModel:
     # dim Ker(A + kI) is the multiplicity of -k: A is diagonalizable
     ker, rest = 0, g.charpoly
     while rest(-k) == 0:
-        ker, rest = ker + 1, rest.exact_div(Poly([k, 1]))
+        ker, rest = ker + 1, exact_div(rest, Poly([k, 1]))
     u_poly = u_charpoly_via_mapping(g.charpoly, k, g.edge_count, g.n, ker)
     return USpectrumModel(
         m_plus=g.edge_count - g.n + 1,
@@ -578,7 +586,7 @@ def verify_biadjacency_identities(g: Graph) -> bool:
     if shape is None:
         raise SpectrumShapeError(f"spectrum {spec} is not of the 4/5-eigenvalue form")
     theta, _, b = shape
-    theta_sq = (theta * theta).as_fraction()
+    theta_sq = as_fraction(theta * theta)
     n = g.n
     nmat = biadjacency(g, split).astype(exact_dtype(k * k))
     nnt = nmat @ nmat.T
@@ -590,6 +598,30 @@ def verify_biadjacency_identities(g: Graph) -> bool:
 
 # ---------------------------------------------------------------------------
 # eigenvalue gate
+
+
+def as_fraction(x: QuadraticNumber) -> int | Fraction:
+    """The rational value of x: an int when it is integral, else a Fraction."""
+    if not x.is_rational:
+        raise ValueError(f"{x} is irrational")
+    return x.a
+
+
+def is_quadratic_algebraic_integer(x: QuadraticNumber) -> bool:
+    """Exact membership of x in the ring of algebraic integers.
+
+    Rational values are algebraic integers iff they are plain integers.
+    For x = a + b*sqrt(m) with b != 0 the integral basis of the quadratic
+    field decides: integer a, b when m = 2, 3 (mod 4); when m = 1 (mod 4)
+    the basis element is (1 + sqrt(m))/2, so 2b and a - b must be integers.
+    """
+    if x.is_rational:
+        return x.a.denominator == 1
+    assert x.m is not None
+    if x.m % 4 in (2, 3):
+        return x.a.denominator == 1 and x.b.denominator == 1
+    twob = 2 * x.b
+    return twob.denominator == 1 and (x.a - x.b).denominator == 1
 
 
 def eigenvalue_gate(k: int, theta: QuadraticNumber) -> bool:
@@ -639,7 +671,7 @@ def hoffman_check(g: Graph) -> bool:
     k = regularity(g)
     if k is None or k == 0:
         raise NotRegularError("graph is not regular (or has no edges)")
-    q = g.min_poly.exact_div(Poly([-k, 1])).coeffs
+    q = exact_div(g.min_poly, Poly([-k, 1])).coeffs
     acc = np.zeros((g.n, g.n), dtype=exact_dtype(sum(abs(c) * k ** i for i, c in enumerate(q))))
     np.fill_diagonal(acc, q[-1])
     for c in reversed(q[:-1]):
@@ -722,13 +754,30 @@ def _check_mapping_vs_direct() -> bool:
                and 2 * g.edge_count <= DIRECT_CHECK_MAX_ARCS)
 
 
+def power_sum(spec: Spectrum, r: int) -> int | Fraction:
+    """Exact sum of the r-th powers of all eigenvalues of spec (a rational
+    number: conjugate surd pairs cancel for spectra of rational
+    matrices).  Surd contributions are tracked per radicand."""
+    rational = 0
+    surd: dict[int, int | Fraction] = {}
+    for value, mult in spec.entries:
+        term = value ** r
+        rational += term.a * mult
+        if term.b:
+            assert term.m is not None
+            surd[term.m] = surd.get(term.m, 0) + term.b * mult
+    if any(coeff != 0 for coeff in surd.values()):
+        raise ValueError("power sum is irrational")
+    return _rational(rational)
+
+
 def _check_power_sums() -> bool:
     for name, g in _selfcheck_catalog():
         kk = regularity(g)
         spec = g.spectrum
         if not isinstance(spec, Spectrum):
             return False
-        if kk is not None and spec.power_sum(2) != g.n * kk:
+        if kk is not None and power_sum(spec, 2) != g.n * kk:
             return False
         if is_bipartite(g) and not spec.is_symmetric():
             return False
@@ -809,9 +858,40 @@ def _check_tables() -> bool:
                for (cls, k), ns in expected_cols.items())
 
 
+def closed_walk_traces(g: Graph, count: int) -> list[int]:
+    """t_0 .. t_(count-1) for count >= 2, t_r = tr A^r: n, 0 (A has no
+    loops), then the vertex sums of `graphs.closed_walks`, as Python ints."""
+    return [g.n, 0] + [int(w.sum()) for w in itertools.islice(closed_walks(g), count - 2)]
+
+
 def _check_expression_traces() -> bool:
     return all(read_expr(expr).traces(11) == closed_walk_traces(parse_expr(expr), 11)
                for _, expr in REALIZATIONS.values())
+
+
+def classify_four_eigenvalue(k_max: int) -> list[tuple[int, int, Spectrum]]:
+    """Replay of the four-distinct-eigenvalue classification: the window
+    k > θ² kills the surd classes outright and forces k = 2, θ = 1,
+    whence n = 6; the result does not depend on k_max."""
+    if k_max < 2:
+        raise ValueError("k_max must be at least 2")
+    out: list[tuple[int, int, Spectrum]] = []
+    for k in range(2, k_max + 1, 2):
+        for cls in ThetaClass:
+            theta_sq = cls.theta_sq(k)
+            if not k > theta_sq:
+                continue
+            # four-eigenvalue shape: a = n/2 - 1, so theta^2 (n-2) = nk - 2k^2
+            n, rem = divmod(2 * (k * k - theta_sq), k - theta_sq)
+            if rem or n < 4 or n % 2:
+                continue
+            theta = cls.theta(k)
+            spec = Spectrum.from_pairs([
+                (QuadraticNumber(k), 1), (QuadraticNumber(-k), 1),
+                (theta, n // 2 - 1), (-theta, n // 2 - 1),
+            ])
+            out.append((k, n, spec))
+    return out
 
 
 def _check_four_eigenvalue() -> bool:

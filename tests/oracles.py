@@ -1,6 +1,8 @@
 """Independent oracles and the random graph generator shared by the test
 modules."""
 
+import csv
+import io
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -11,12 +13,13 @@ from walklab.exact import (
     Poly,
     QuadraticNumber,
     Spectrum,
-    is_quadratic_algebraic_integer,
     min_poly_2cos,
 )
-from walklab.feasibility import FeasibleRow, ThetaClass, multiplicities, n_bounds
-from walklab.graphs import Graph, PartiteSplit, _parse, is_connected, regularity
-from walklab.oracles import _clear_denominators, scale_arg
+from walklab.feasibility import CSV_FIELDS, FeasibleRow, ThetaClass
+from walklab.graphio import GRAPH6_HEADER, _g6_encode_size
+from walklab.graphs import (Graph, GraphError, PartiteSplit, _check_vertex_count, _parse,
+                            is_connected, regularity)
+from walklab.oracles import _clear_denominators, exact_div, is_quadratic_algebraic_integer, scale_arg
 from walklab.walk import NotPeriodic, Periodic
 
 
@@ -78,6 +81,116 @@ def colouring_by_search(g):
                                          tuple(v for v in range(g.n) if color[v] == 1))
 
 
+def colouring_by_levels(g):
+    """Reference for `graphs.colouring`: its former numpy search, level by
+    level.  A step gathers the frontier's table rows, keeps the vertices
+    not reached yet and drops repeats by index (`slot`).  Returns the
+    number of components and the colours, with colour 2 at the padding n."""
+    table, n = g.neighbour_table, g.n
+    colour = np.full(n + 1, -1, dtype=np.int8)  # -1: not reached yet
+    colour[n] = 2
+    slot = np.empty(n + 1, dtype=np.intp)
+    components, start = 0, 0
+    while start < n:
+        components += 1
+        frontier, side = np.array([start]), 0
+        while frontier.size:
+            colour[frontier] = side
+            reached = table.take(frontier, axis=0).ravel()
+            reached = reached[colour.take(reached) < 0]
+            if reached.size > 1:  # a repeat needs two entries
+                order = np.arange(reached.size)
+                slot[reached] = order  # of a vertex's writes, one stands
+                reached = reached[slot.take(reached) == order]
+            frontier, side = reached, 1 - side
+        while start < n and colour[start] >= 0:
+            start += 1
+    return components, colour
+
+
+def graph6_matrix(line: str) -> np.ndarray:
+    """Reference for `graphio.from_graph6`: its former dense decode into
+    the n x n uint8 adjacency, with its checks in the same order and the
+    same error texts (character, size, body length, padding bits, vertex
+    cap, no vertices)."""
+    s = line.strip()
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER):]
+    values = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32).astype(np.int64) - 63
+    invalid = np.flatnonzero((values < 0) | (values > 63))
+    if invalid.size:
+        raise GraphError(f"invalid graph6 character {s[invalid[0]]!r}")
+    if not s:
+        raise GraphError("empty graph6 string")
+    if s[0] != chr(126):
+        n, rest = ord(s[0]) - 63, s[1:]
+    else:
+        skip, width = (2, 6) if s[1:2] == chr(126) else (1, 3)
+        size, rest = s[skip:skip + width], s[skip + width:]
+        if len(size) != width:
+            raise GraphError("truncated graph6 size")
+        n = 0
+        for ch in size:
+            n = (n << 6) | (ord(ch) - 63)
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(rest) != need:
+        raise GraphError(f"graph6 body has {len(rest)} characters, expected {need}")
+    body = values[len(s) - len(rest):].astype(np.uint8)
+    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()
+    pairs = n * (n - 1) // 2
+    if bits[pairs:].any():
+        raise GraphError("nonzero padding bits in graph6 body")
+    _check_vertex_count(n)
+    if n == 0:
+        raise GraphError("graph has no vertices")
+    adj, lower = np.zeros((n, n), dtype=np.uint8), np.tri(n, k=-1, dtype=bool)
+    adj[lower] = adj.T[lower] = bits[:pairs]
+    return adj
+
+
+def graph6_of_matrix(a) -> str:
+    """The graph6 line of a symmetric 0/1 matrix: its strict lower
+    triangle row by row, six bits a character, after the size."""
+    a = np.asarray(a)
+    n = len(a)
+    bits = a[np.tri(n, k=-1, dtype=bool)].tolist()
+    bits += [0] * (-len(bits) % 6)
+    body = "".join(chr(63 + int("".join(map(str, bits[i:i + 6])), 2))
+                   for i in range(0, len(bits), 6))
+    return _g6_encode_size(n) + body
+
+
+def multiplicities(k: int, theta_sq: int, n: int) -> tuple[int, int] | None:
+    """Multiplicities (a, b) of (±θ, 0) forced by the power sums, when
+    both are positive integers: a = (nk - 2k²)/(2θ²), b = n - 2 - 2a."""
+    if theta_sq <= 0:
+        raise ValueError("theta^2 must be positive")
+    a, rem = divmod(n * k - 2 * k * k, 2 * theta_sq)
+    if rem or a <= 0:
+        return None
+    b = n - 2 - 2 * a
+    if b <= 0:
+        return None
+    return a, b
+
+
+def n_bounds(k: int, theta_sq: int) -> tuple[int, int]:
+    """The least and the largest integer n in the vertex-count window
+    2(k²+θ²)/k <= n <= 2k(k²-θ²).  The lower end is exactly the
+    condition a >= 1, which `multiplicities` enforces."""
+    if theta_sq >= k * k:
+        raise ValueError("theta^2 must be below k^2")
+    return -(-2 * (k * k + theta_sq) // k), 2 * k * (k * k - theta_sq)
+
+
+def read_tables_csv(text: str) -> list[dict[str, str]]:
+    """The records of `tables --format csv`, checking its header."""
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
+        raise ValueError("unexpected CSV header")
+    return list(reader)
+
+
 def scaled(spec: Spectrum, factor: int | Fraction) -> Spectrum:
     """The spectrum of factor * M for M of spectrum spec (factor != 0)."""
     if factor == 0:
@@ -106,7 +219,7 @@ def cyclotomic_by_division(d):
     p = Poly([-1] + [0] * (d - 1) + [1])
     for e in range(1, d):
         if d % e == 0:
-            p = p.exact_div(cyclotomic_by_division(e))
+            p = exact_div(p, cyclotomic_by_division(e))
     return p
 
 

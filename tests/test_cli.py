@@ -561,10 +561,10 @@ def test_quadrangles_read_a_disconnected_walk_regular_expression_off_its_traces(
                 for fmt in ((), ("--format", "json"))]
     assert expected[0] == (0, "q=64 per-vertex constant: yes q_x=4\n", "")
 
-    def refuse(self):
+    def refuse(self, table):
         raise AssertionError("an expression was built")
 
-    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    monkeypatch.setattr(Graph, "_set_table", refuse)  # every Graph is made here
     assert [_run(capsys, "quadrangles", "--expr", expr, *fmt)
             for fmt in ((), ("--format", "json"))] == expected
     assert _run(capsys, "quadrangles", "--expr", "kron(hypercube(6),hypercube(6))") == \
@@ -715,6 +715,14 @@ def test_selfcheck_is_byte_identical_across_runs(capsys):
     assert _run(capsys, "selfcheck") == _run(capsys, "selfcheck")
 
 
+def test_python_m_walklab_runs_the_command_line():
+    src = str(Path(walklab.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "walklab", "period", "--expr", "cycle(6)"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, "PERIODIC period=6 orders={1,2,3,6}\n", "")
+
+
 def test_import_walklab_leaves_the_oracles_out():
     # the package, the hot-path modules and the CLI never import
     # walklab.oracles; only the selfcheck command does
@@ -737,15 +745,21 @@ def test_import_walklab_leaves_the_oracles_out():
     moved = {"charpoly", "_charpoly_mod", "_charpoly_coeff_bound", "_clear_denominators",
              "int_matmul", "_abs_max", "gcd", "_primitive", "derivative", "scale_arg",
              "hoffman_check", "eigenvalue_gate", "run_selfcheck", "_selfcheck_catalog",
-             "_SELFCHECKS", "extract_spectrum"} | {fn.__name__ for _, fn in oracles._SELFCHECKS}
+             "_SELFCHECKS", "extract_spectrum", "exact_div", "as_fraction",
+             "is_quadratic_algebraic_integer", "power_sum", "closed_walk_traces",
+             "classify_four_eigenvalue"} | {fn.__name__ for _, fn in oracles._SELFCHECKS}
     assert all(hasattr(oracles, name) for name in moved)
+    # the window-scan formulas and the CSV reader serve only the tests
+    test_only = {"multiplicities", "n_bounds", "read_tables_csv"}
     for info in pkgutil.iter_modules(walklab.__path__, "walklab."):
+        names = set(vars(importlib.import_module(info.name)))
+        assert not test_only & names, (info.name, test_only & names)
         if info.name != "walklab.oracles":
-            bound = moved & set(vars(importlib.import_module(info.name)))
-            assert not bound, (info.name, bound)
-    assert not moved & set(vars(walklab))
-    assert not {"gcd", "derivative", "scale_arg"} & set(dir(Poly))
-    assert not {"union", "negated"} & set(dir(exact.Spectrum))
+            assert not moved & names, (info.name, moved & names)
+    assert not (moved | test_only) & set(vars(walklab))
+    assert not {"gcd", "derivative", "scale_arg", "exact_div"} & set(dir(Poly))
+    assert not {"union", "negated", "power_sum"} & set(dir(exact.Spectrum))
+    assert "as_fraction" not in dir(exact.QuadraticNumber)
 
 
 def test_selfcheck_detects_corrupted_cyclotomic(capsys, monkeypatch):

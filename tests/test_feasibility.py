@@ -23,24 +23,23 @@ from walklab.feasibility import (
     REALIZATIONS,
     ThetaClass,
     all_rows,
-    classify_four_eigenvalue,
     enumerate_rows,
-    multiplicities,
-    n_bounds,
-    read_tables_csv,
     realizes,
     render_rows,
     render_tables,
     verify_realization,
 )
-from walklab.graphs import Graph, closed_walk_traces, cycle, parse_expr
-from walklab.oracles import extract_spectrum
+from walklab.graphs import Graph, cycle, parse_expr
+from walklab.oracles import classify_four_eigenvalue, closed_walk_traces, power_sum
 from walklab.walk import Periodic, decide_periodic
 
 from oracles import (
     closed_walks_integral,
     dimension,
     enumerate_rows_by_window,
+    multiplicities,
+    n_bounds,
+    read_tables_csv,
     spectral_quadrangles,
     spectrum_realizes,
 )
@@ -217,14 +216,10 @@ def test_row_parameters_are_the_divisors_up_to_the_window_top(cls):
         assert feasibility._divisors(h, c) == expected, (cls, 2 * h)
 
 
-def test_tables_need_neither_the_window_nor_the_multiplicity_formula(monkeypatch, capsys):
-    # the rows come from their parameter m alone; both formulas stay for
-    # the window-scan oracle
-    def refuse(*args):
-        raise AssertionError("enumerate_rows used a window-scan formula")
-
-    monkeypatch.setattr(feasibility, "multiplicities", refuse)
-    monkeypatch.setattr(feasibility, "n_bounds", refuse)
+def test_tables_need_neither_the_window_nor_the_multiplicity_formula(capsys):
+    # the rows come from their parameter m alone; both formulas live only
+    # in the window-scan oracle of the tests
+    assert not {"multiplicities", "n_bounds"} & set(vars(feasibility))
     for fmt, digest in TABLE_DIGESTS.items():
         assert main(["tables", "--kmax", "40", "--format", fmt]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
@@ -260,13 +255,13 @@ def test_row_counting_identities():
             assert 2 * k * k + 2 * row.a * theta_sq == row.n * k
             spec = row.spectrum()
             assert dimension(spec) == row.n
-            assert spec.power_sum(2) == row.n * k
+            assert power_sum(spec, 2) == row.n * k
 
 
 def test_rows_agree_with_walk_engine_quadrangles():
     for (cls, k) in EXPECTED_N_COLUMNS:
         for row in enumerate_rows(cls, k):
-            q, q_x = spectral_quadrangles(row.spectrum().power_sum(4), row.n, row.k)
+            q, q_x = spectral_quadrangles(power_sum(row.spectrum(), 4), row.n, row.k)
             assert q == row.q
             assert q_x == row.q_x
 
@@ -376,10 +371,10 @@ def test_registry_traces_from_the_factors_equal_those_of_the_built_graphs():
 
 
 def _refuse_to_build(monkeypatch):
-    def refuse(self):
+    def refuse(self, table):
         raise AssertionError("a graph was built")
 
-    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    monkeypatch.setattr(Graph, "_set_table", refuse)  # every Graph is made here
 
 
 def test_tables_build_no_graph(monkeypatch):

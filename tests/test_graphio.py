@@ -24,6 +24,8 @@ from walklab.graphs import (
     tensor_allones,
 )
 
+from oracles import graph6_matrix
+
 
 def test_known_graph6_strings():
     # standard encodings: K4 and the 4-vertex path
@@ -66,6 +68,36 @@ def test_graph6_rejects_garbage():
     for line, message in faults.items():
         with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
             from_graph6(line)
+
+
+def test_graph6_checks_come_in_the_order_of_the_dense_decode(monkeypatch):
+    # character, size, body length, padding bits, then the vertex cap
+    six = to_graph6(cycle(6))
+    monkeypatch.setenv("WALKLAB_MAX_VERTICES", "5")
+    faults = {six: "graph has 6 vertices; cap is 5",
+              six[:-1] + "~": "nonzero padding bits in graph6 body",
+              six + "?": "graph6 body has 4 characters, expected 3",
+              six[:-1] + "\x7f": "invalid graph6 character '\\x7f'",
+              "~?": "truncated graph6 size",
+              "?": "graph has no vertices"}
+    for line, message in faults.items():
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            graph6_matrix(line)
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            from_graph6(line)
+
+
+def test_edge_list_errors_name_the_first_fault(monkeypatch):
+    faults = {"3 2\n0 1\n0 3\n": "edge (0,3) out of range for 3 vertices",
+              "3 2\n0 1\n2 2\n": "loop at vertex 2",
+              "3 3\n0 1\n1 2\n1 0\n": "duplicate edge (1,0)",
+              "0 0\n": "graph has no vertices"}
+    for text, message in faults.items():
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            from_edge_list(text)
+    monkeypatch.setenv("WALKLAB_MAX_VERTICES", "2")
+    with pytest.raises(GraphError, match=r"^graph has 3 vertices; cap is 2$"):
+        from_edge_list("3 1\n0 5\n")
 
 
 def test_edge_list_roundtrip():

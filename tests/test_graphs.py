@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from walklab.exact import QuadraticNumber, Spectrum
+from walklab.exact import QuadraticNumber, Spectrum, neighbour_table
 from walklab.graphs import (
     Graph,
     GraphError,
@@ -25,11 +25,12 @@ from walklab.graphs import (
     is_connected,
     kronecker_product,
     line_graph,
+    parse_expr,
     petersen,
     regularity,
     tensor_allones,
 )
-from walklab.graphio import from_edge_list, from_graph6, to_graph6
+from walklab.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
 from walklab.oracles import (arc_space, biadjacency, charpoly, count_quadrangles_brute,
                              extract_spectrum)
 
@@ -353,18 +354,37 @@ def test_vertex_cap_refuses_before_allocating(monkeypatch, name):
 
 
 @pytest.mark.parametrize("build", [
-    lambda line: cycle(1024),
+    lambda line: cycle(4096),
     lambda line: from_graph6(line),
 ], ids=["from_edges", "from_graph6"])
 def test_building_a_graph_peaks_below_one_and_three_quarter_adjacencies(build):
-    line = to_graph6(cycle(1024))
+    # a graph is its neighbour table: building C4096 stays under n^2 / 8
+    # bytes, which a dense n x n copy of any dtype, even packed bits, fills
+    line = to_graph6(cycle(4096))
     tracemalloc.start()
     try:
         g = build(line)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.75 * g.adjacency.nbytes
+    assert peak < g.n ** 2 // 8
+    assert "adjacency" not in vars(g)  # built only when read
+
+
+@pytest.mark.parametrize("expr", ["hamming(3,3)", "complete(5)", "kbip(2,3)", "petersen()",
+                                  "line(kbip(2,3))", "tensorj(cycle(5),2)",
+                                  "cart(cycle(3),kbip(1,2))", "kron(cycle(5),complete(3))",
+                                  "bdouble(petersen())", "complete(1)"])
+def test_every_table_lists_ascending_neighbours_then_padding(expr):
+    # the table is the one of the adjacency it stands for, each row
+    # ascending with the padding n after the neighbours, from the
+    # constructors and from both readers
+    g = parse_expr(expr)
+    for h in (g, from_graph6(to_graph6(g)), from_edge_list(to_edge_list(g))):
+        table = h.neighbour_table
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.tolist() == neighbour_table(h.adjacency).tolist() == g.neighbour_table.tolist()
+        assert all(row == sorted(row) for row in table.tolist())
 
 
 def test_vertex_cap_rejects_bad_values(monkeypatch):

@@ -19,9 +19,13 @@ verdict and analyze report, under small vertex caps too.  On random integer matr
 Bareiss interpolation route, and its coefficients lie within the CRT
 bound.
 The breadth-first 2-colouring gives the same connectivity and parts as
-a per-vertex search on seeded random regular graphs, on bipartite
-graphs with several components, on isolated vertices, on disjoint edges
-and on a long cycle.
+a per-vertex search, and the same components and colours as the former
+level-by-level numpy search, on seeded random regular graphs, on
+bipartite graphs with several components, on isolated vertices, on
+disjoint edges and on a long cycle.  The graph6 reader gives the
+neighbour table of the former dense decode on random graphs of any
+degrees, with or without the header, and the same error text on lines
+near graph6 with a character changed, cut or added.
 Division by a monic integer divisor is division over Q in Python ints, and
 deflation by it is repeated division.  The
 integer matrix product, and the product of a 0/1 matrix by row gathers,
@@ -33,6 +37,7 @@ coefficients as the Fraction reference does."""
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import random
@@ -63,12 +68,13 @@ from walklab.exact import (
     table_matrix,
 )
 from walklab.expressions import read_expr
-from walklab.graphio import from_edge_list, from_graph6, to_edge_list, to_graph6
+from walklab.graphio import GRAPH6_HEADER, from_edge_list, from_graph6, to_edge_list, to_graph6
 from walklab.graphs import (
     Graph,
+    GraphError,
     bipartite_double,
-    closed_walk_traces,
     closed_walks,
+    colouring,
     complete_graph,
     cycle,
     is_bipartite,
@@ -79,6 +85,7 @@ from walklab.graphs import (
 from walklab.oracles import (
     _charpoly_coeff_bound,
     charpoly,
+    closed_walk_traces,
     extract_spectrum,
     hoffman_check,
     int_mat_power,
@@ -89,8 +96,11 @@ from walklab.walk import _splits_mod_2, decide_periodic
 
 from oracles import (
     charpoly_bareiss,
+    colouring_by_levels,
     colouring_by_search,
     decide_periodic_by_fractions,
+    graph6_matrix,
+    graph6_of_matrix,
     hessenberg_charpoly,
     matmul_reference,
     poly_str_by_fractions,
@@ -419,6 +429,76 @@ def colouring_cases(draw):
 @example(cycle(1024))
 def test_the_breadth_first_colouring_matches_the_search_oracle(g):
     assert (is_connected(g), is_bipartite(g)) == colouring_by_search(g)
+    # and the former numpy search, level by level, colour for colour
+    components, colour = colouring(g)
+    expected_components, expected = colouring_by_levels(g)
+    assert components == expected_components
+    assert colour.dtype == np.int8 and colour.tolist() == expected.tolist()
+
+
+@st.composite
+def graph6_lines(draw):
+    """The graph6 line of a random simple graph on 1 to 70 vertices, its
+    edges drawn with one of five densities (isolated vertices and rows
+    of every length occur), with the header or without; past 62
+    vertices the size takes four characters."""
+    n = draw(st.integers(1, 70))
+    density = draw(st.sampled_from([0, 0.05, 0.3, 0.7, 1]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    a = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        a[i][j] = a[j][i] = int(rng.random() < density)
+    return draw(st.sampled_from(["", GRAPH6_HEADER])) + graph6_of_matrix(a)
+
+
+@seed(20261031)
+@settings(max_examples=100, deadline=None, database=None)
+@given(graph6_lines())
+@example("@")  # n = 1
+@example("A?")  # n = 2, no edge
+@example(GRAPH6_HEADER + "A_")  # n = 2, one edge
+@example("Dxw")  # n = 5: a 4-cycle and an isolated vertex
+def test_the_graph6_reader_gives_the_table_of_the_dense_decode(line):
+    g = from_graph6(line)
+    assert g.neighbour_table.tolist() == neighbour_table(graph6_matrix(line)).tolist()
+    assert to_graph6(g) == line.removeprefix(GRAPH6_HEADER)
+
+
+def _read_or_refuse(read, line):
+    try:
+        return read(line)
+    except GraphError as exc:
+        return str(exc)
+
+
+@st.composite
+def near_graph6_lines(draw):
+    """A `graph6_lines` line with one character replaced, cut or added,
+    from '?'..'~' and from outside it, or cut short."""
+    line = draw(graph6_lines())
+    at = draw(st.integers(0, len(line)))
+    ch = draw(st.sampled_from("?@A_}~>0 é\x7f"))
+    edit = draw(st.sampled_from(["replace", "insert", "delete", "truncate"]))
+    if edit == "replace":
+        return line[:at] + ch + line[at + 1:]
+    if edit == "insert":
+        return line[:at] + ch + line[at:]
+    if edit == "delete":
+        return line[:at] + line[at + 1:]
+    return line[:at]
+
+
+@seed(20261101)
+@settings(max_examples=300, deadline=None, database=None)
+@given(near_graph6_lines())
+@example("")
+@example("~")  # truncated size
+@example("~~??")
+@example("?")  # no vertices
+@example("A`")  # nonzero padding bits
+def test_the_graph6_reader_refuses_as_the_dense_decode_does(line):
+    expected = _read_or_refuse(lambda s: neighbour_table(graph6_matrix(s)).tolist(), line)
+    assert _read_or_refuse(lambda s: from_graph6(s).neighbour_table.tolist(), line) == expected
 
 
 @st.composite
@@ -568,14 +648,23 @@ def zero_one_times_integer(draw):
 @seed(20261025)
 @settings(max_examples=100, deadline=None, database=None)
 @given(zero_one_times_integer())
+# unpadded tables (every row full), padded ones and one of width 0, in
+# int64 and past it
+@example(([[0, 1], [1, 0]], [[2, -3], [5, 7]]))
+@example(([[0, 1], [1, 0]], [[2 ** 70, -3], [5, 7]]))
+@example(([[0, 1, 1], [1, 0, 0], [1, 0, 0]], [[1, 2, 3], [4, 5, 6], [-7, 8, 9]]))
+@example(([[0, 1, 1], [1, 0, 0], [1, 0, 0]], [[1, 2, 3], [4, 5, 6], [-2 ** 70, 8, 9]]))
+@example(([[0]], [[2 ** 70]]))
 def test_adjacency_times_matches_the_triple_loop(case):
     a, p = case
     table = neighbour_table(np.array(a, dtype=np.int64))
     assert table_matrix(table).tolist() == a
-    assert adjacency_times(table, np.array(p, dtype=object)).tolist() == matmul_reference(a, p)
-    if all(abs(x) <= 9 for row in p for x in row):
-        assert adjacency_times(table, np.array(p, dtype=np.int64)).tolist() == \
-            matmul_reference(a, p)
+    dtypes = [object] + ([np.int64] if all(abs(x) <= 9 for row in p for x in row) else [])
+    for dtype in dtypes:
+        operand = np.array(p, dtype=dtype)
+        product = adjacency_times(table, operand)
+        assert product.dtype == dtype and product.tolist() == matmul_reference(a, p)
+        assert operand.tolist() == p  # the gathers add into their own output
 
 
 _FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
