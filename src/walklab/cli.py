@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 
 from .exact import Spectrum
 from .feasibility import (
+    MAX_DEGREE,
     ThetaClass,
     enumerate_rows,
     render_rows,
@@ -225,6 +226,8 @@ def _parse_k_range(text: str) -> range:
     if not all(b.isascii() and b.isdigit() for b in bounds):
         raise ExprError(f"invalid --k value {text!r}: expected K or KMIN-KMAX")
     lo, hi = read_decimal(bounds[0]), read_decimal(bounds[-1])
+    if hi > MAX_DEGREE:
+        raise ExprError(f"--k reaches {hi}; degrees are capped at {MAX_DEGREE}")
     # enumerate_rows takes the even degrees from 2 on
     ks = range(max(2, lo + lo % 2), hi + 1, 2)
     if not ks:

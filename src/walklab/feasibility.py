@@ -24,11 +24,10 @@ no graph.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring
 from typing import NamedTuple, Sequence
 
@@ -151,20 +150,21 @@ def enumerate_rows(theta_class: ThetaClass, k: int) -> list[FeasibleRow]:
     quadrangle failures are kept, annotated.  The closed 4-walks at a
     vertex are 2k² - k degenerate ones plus two traversals of each
     quadrangle through it, so the fourth power sum 2k⁴ + 2aθ⁴ is
-    8q + n(2k² - k), and each vertex lies on q_x = 4q/n quadrangles."""
+    8q + n(2k² - k), and each vertex lies on q_x = 4q/n quadrangles.
+    Rows are made by `tuple.__new__`, as `FeasibleRow._make` does."""
     if k < 2 or k % 2:
         raise ValueError("degree must be even and at least 2")
     h, c = k // 2, theta_class.c
-    theta_sq = c * h * h
-    rows = []
+    walks, quartic, degenerate = 2 * k ** 4, 2 * (c * h * h) ** 2, 2 * k * k - k
+    new, rows = tuple.__new__, []
     for m in _divisors(h, c):
         a, rem = divmod(m - 4, c)
         n = h * m
         b = n - 2 - 2 * a
         if rem or a < 1 or n % 2 or b < 1:
             continue
-        q8 = 2 * k ** 4 + 2 * a * theta_sq ** 2 - n * (2 * k * k - k)
-        rows.append(FeasibleRow(theta_class, k, n, a, b, q8))
+        rows.append(new(FeasibleRow, (theta_class, k, n, a, b,
+                                      walks + a * quartic - n * degenerate)))
     return rows
 
 
@@ -291,25 +291,27 @@ def _ratio(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def _row_fields(row: FeasibleRow) -> tuple[str, ...]:
-    """The row's CSV_FIELDS as strings, from its ints, with one
-    `elimination` call and one reference lookup: q and q_x are 8q/8 and
-    8q/2n in lowest terms, and the comment names the computed
-    elimination, then any different one the reference states."""
-    cls, k, n, a, b, q8 = row
+def _tail(row: FeasibleRow) -> tuple[str, str, str, str, str]:
+    """The row's q, q_x, status, comment and realization as strings, from
+    its ints, with one `elimination` call and one reference lookup: q
+    and q_x are 8q/8 and 8q/2n in lowest terms (integers when the row is
+    feasible), and the comment names the computed elimination, then any
+    different one the reference states, then the reference's note."""
+    cls, k, n, _, _, q8 = row
     mine = row.elimination()
+    if mine is None:  # 8 and 2n divide 8q
+        q, q_x, status = str(q8 // 8), str(q8 // (2 * n)), "feasible"
+    else:
+        q, q_x, status = _ratio(q8, 8), _ratio(q8, 2 * n), "eliminated"
     ref = REFERENCE_TABLE.get((cls, k, n))
-    q, q_x = _ratio(q8, 8), _ratio(q8, 2 * n)
+    if ref is None:
+        return q, q_x, status, _ELIM_TEXT[mine], "?"
     parts = [] if mine is None else [_ELIM_TEXT[mine]]
-    if ref is not None:
-        if ref.elimination != mine and ref.elimination is not None:
-            parts.append(
-                f"reference says {_ELIM_TEXT[ref.elimination]} (exact: q={q}, q_x={q_x})")
-        if ref.note:
-            parts.append(ref.note)
-    return (cls.label, str(k), str(n), str(a), str(b), q, q_x,
-            "feasible" if mine is None else "eliminated", "; ".join(parts),
-            "?" if ref is None else ref.existence)
+    if ref.elimination != mine and ref.elimination is not None:
+        parts.append(f"reference says {_ELIM_TEXT[ref.elimination]} (exact: q={q}, q_x={q_x})")
+    if ref.note:
+        parts.append(ref.note)
+    return q, q_x, status, "; ".join(parts), ref.existence
 
 
 def realizes(traces: Sequence[int], row: FeasibleRow) -> bool:
@@ -351,75 +353,92 @@ def verify_realization(row: FeasibleRow) -> bool:
 CSV_FIELDS = ("class", "k", "n", "a", "b", "q", "q_x", "status", "comment",
               "realization")
 
+# The largest degree the tables and `enumerate` run to, checked before
+# any row is built: `tables --kmax 1000` writes 80 372 rows (5 MB of
+# csv) in a fraction of a second, and the rows grow faster than k_max.
+MAX_DEGREE = 1000
 
-def all_rows(k_max: int) -> list[FeasibleRow]:
+
+def _blocks(k_max: int) -> dict[tuple[ThetaClass, int], list[FeasibleRow]]:
+    """The rows of each θ-class and even degree k <= k_max, in (class, k)
+    order; a degree bound past MAX_DEGREE is refused before any row is
+    built."""
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    rows: list[FeasibleRow] = []
-    for cls in ThetaClass:
-        for k in range(2, k_max + 1, 2):
-            rows.extend(enumerate_rows(cls, k))
-    return rows
+    if k_max > MAX_DEGREE:
+        raise ValueError(f"k_max is {k_max}; degrees are capped at {MAX_DEGREE}")
+    return {(cls, k): enumerate_rows(cls, k)
+            for cls in ThetaClass for k in range(2, k_max + 1, 2)}
 
 
-def _spectrum_text(row: FeasibleRow) -> str:
-    """`row.spectrum().render()` from the row's ints: θ = h√c with
-    h = k/2, written h for c = 1 and with the factor 1 dropped."""
-    h, c = row.k // 2, row.theta_class.c
-    theta = str(h) if c == 1 else f"{h}√{c}" if h > 1 else f"√{c}"
-    return f"{{[±{row.k}]^1, [±{theta}]^{row.a}, [0]^{row.b}}}"
+def all_rows(k_max: int) -> list[FeasibleRow]:
+    return list(chain.from_iterable(_blocks(k_max).values()))
 
 
-# one record as json.dumps(indent=2) writes it, with its values left open
-_JSON_RECORD = ("  {\n" + ",\n".join(f"    {encode_basestring(name)}: %s" for name in CSV_FIELDS)
-                + "\n  }")
+def _theta_text(h: int, c: int) -> str:
+    """θ = h√c as `Spectrum.render` writes it: h for c = 1, and the
+    factor 1 dropped."""
+    return str(h) if c == 1 else f"{h}√{c}" if h > 1 else f"√{c}"
 
 
-def _json_records(records: list[tuple[str, ...]]) -> str:
-    """json.dumps(records as CSV_FIELDS dicts, indent=2,
-    ensure_ascii=False), byte for byte, without its pure-Python encoder."""
-    if not records:
-        return "[]"
-    return "[\n" + ",\n".join(_JSON_RECORD % tuple(map(encode_basestring, record))
-                              for record in records) + "\n]"
+def _csv_field(text: str) -> str:
+    r"""A field as csv.writer(lineterminator="\n") writes it inside a row
+    of several fields: quoted, each quote doubled, when it holds a comma,
+    a quote or a newline (the writer leaves a lone "\r" unquoted)."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def render_rows(rows: list[FeasibleRow], fmt: str) -> str:
     """Rows as csv or json records, exact rationals as strings, or as
-    text lines "k | n | spectrum | status | realization | comment"."""
-    if fmt not in ("text", "csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
-    records = [_row_fields(r) for r in rows]
+    text lines "k | n | spectrum | status | realization | comment".  Each
+    row is one line of its format's template (a json record as
+    json.dumps(indent=2, ensure_ascii=False) writes it), filled in from
+    its ints and `_tail`.  Only the comment and the realization are free
+    text, and only they are quoted (`_csv_field`) or escaped
+    (`encode_basestring`); the other fields are digits, "-", "/" and
+    fixed labels, which neither format escapes."""
+    tails = zip(rows, map(_tail, rows))
     if fmt == "text":
-        return "".join(
-            f"{k} | {n} | {_spectrum_text(r)} | {status} | {realization} | {comment}\n"
-            for r, (_, k, n, _, _, _, _, status, comment, realization) in zip(rows, records))
+        return "".join([
+            f"{k} | {n} | {{[±{k}]^1, [±{_theta_text(k // 2, cls.c)}]^{a}, [0]^{b}}} | "
+            f"{status} | {realization} | {comment}\n"
+            for (cls, k, n, a, b, _), (_, _, status, comment, realization) in tails])
+    if fmt == "csv":
+        return ",".join(CSV_FIELDS) + "\n" + "".join([
+            f"{cls.label},{k},{n},{a},{b},{q},{q_x},{status},"
+            f"{_csv_field(comment)},{_csv_field(realization)}\n"
+            for (cls, k, n, a, b, _), (q, q_x, status, comment, realization) in tails])
     if fmt == "json":
-        return _json_records(records) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    writer.writerows(records)
-    return buf.getvalue()
+        if not rows:
+            return "[]\n"
+        return "[\n" + ",\n".join([
+            f'  {{\n    "class": "{cls.label}",\n    "k": "{k}",\n    "n": "{n}",\n'
+            f'    "a": "{a}",\n    "b": "{b}",\n    "q": "{q}",\n    "q_x": "{q_x}",\n'
+            f'    "status": "{status}",\n    "comment": {encode_basestring(comment)},\n'
+            f'    "realization": {encode_basestring(realization)}\n  }}'
+            for (cls, k, n, a, b, _), (q, q_x, status, comment, realization) in tails]) + "\n]\n"
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def render_tables(k_max: int, fmt: str = "text") -> str:
     """Deterministic table of all rows for even k <= k_max, sorted by
     (class, k, n).  The spectra of the registry realizations are
     certified from their closed-walk traces before rendering."""
-    rows = all_rows(k_max)
-    for row in rows:
-        if ((row.theta_class, row.k, row.n) in REALIZATIONS
-                and not verify_realization(row)):
-            raise AssertionError(
-                f"registry spectrum mismatch at ({row.theta_class}, {row.k}, {row.n})")
+    blocks = _blocks(k_max)
+    for cls, k, n in REALIZATIONS:
+        for row in blocks.get((cls, k), ()):
+            if row.n == n and not verify_realization(row):
+                raise AssertionError(f"registry spectrum mismatch at ({cls}, {k}, {n})")
     if fmt != "text":
-        return render_rows(rows, fmt)
-    blocks = []
+        return render_rows(list(chain.from_iterable(blocks.values())), fmt)
+    text = []
     for cls in ThetaClass:
-        cls_rows = [r for r in rows if r.theta_class is cls]
+        cls_rows = list(chain.from_iterable(
+            block for (block_cls, _), block in blocks.items() if block_cls is cls))
         if cls_rows:
-            blocks.append(f"theta-class {cls.label}\n"
-                          "k | n | spectrum | status | realization | comment\n"
-                          + render_rows(cls_rows, "text"))
-    return "\n".join(blocks)
+            text.append(f"theta-class {cls.label}\n"
+                        "k | n | spectrum | status | realization | comment\n"
+                        + render_rows(cls_rows, "text"))
+    return "\n".join(text)

@@ -358,15 +358,23 @@ def petersen() -> Graph:
 
 def line_graph(g: Graph) -> Graph:
     """Line graph: vertices are the edges of g in canonical order,
-    adjacent iff the edges share an endpoint."""
+    adjacent iff the edges share an endpoint.  The edges at each vertex,
+    ascending, stand where its neighbours stand in g's table (an edge's
+    index is its rank among the edges' keys u n + v, u < v), and edge
+    (u, v) lists those at u and at v but itself."""
     _check_vertex_count(g.edge_count)
-    ends = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
-    adj = np.zeros((len(ends), len(ends)), dtype=np.int64)
-    for v in range(g.n):
-        at_v = np.flatnonzero((ends == v).any(axis=1))
-        adj[np.ix_(at_v, at_v)] = 1
-    np.fill_diagonal(adj, 0)
-    return Graph(adj)
+    table, n = g.neighbour_table, g.n
+    real, vertex = table < n, np.arange(n)[:, None]
+    keys = np.minimum(table, vertex) * n + np.maximum(table, vertex)
+    later = real & (table > vertex)
+    m = int(np.count_nonzero(later))
+    incidence = np.where(real, np.searchsorted(keys[later], keys), m)
+    ends = np.stack([np.nonzero(later)[0], table[later]])
+    rows = np.concatenate(incidence[ends], axis=1)
+    rows[rows == np.arange(m)[:, None]] = m
+    rows.sort(axis=1)
+    width = np.count_nonzero(real, axis=1)[ends].sum(axis=0) - 2
+    return Graph._of_table(rows[:, :int(width.max(initial=0))])
 
 
 def _blowup_factor(m: int) -> int:
@@ -376,24 +384,47 @@ def _blowup_factor(m: int) -> int:
 
 
 def tensor_allones(g: Graph, m: int) -> Graph:
-    """Blow-up: adjacency A(g) tensor J_m, vertex order (g-vertex, copy)."""
+    """Blow-up: adjacency A(g) tensor J_m, vertex order (g-vertex, copy).
+    Every copy of v lists each copy of each neighbour of v, ascending;
+    g's padding n becomes n m + i, clipped to n m."""
     if _blowup_factor(m) == 1:
         return g
     _check_vertex_count(g.n * m)
-    return Graph(np.kron(g.adjacency, np.ones((m, m), dtype=np.int64)))
+    rows = g.neighbour_table[:, :, None] * m + np.arange(m)
+    return Graph._of_table(np.repeat(np.minimum(rows, g.n * m).reshape(g.n, -1), m, axis=0))
+
+
+def _of_pairs(parts: np.ndarray, padding: np.ndarray) -> Graph:
+    """The graph on the pairs (v, x) of the vertices of g and h, pair
+    (v, x) numbered v |h| + x, whose row (v, x) lists the entries of
+    parts[v, x] but those at padding (which pair an operand's padding)
+    in ascending order, then the padding."""
+    n = parts.shape[0] * parts.shape[1]
+    table = parts.reshape(n, parts.size // n)
+    table[padding.reshape(table.shape)] = n
+    table.sort(axis=1)
+    return Graph._of_table(table)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """A(g) tensor I + I tensor A(h), vertex order (g-vertex, h-vertex)."""
+    """A(g) tensor I + I tensor A(h), vertex order (g-vertex, h-vertex):
+    (v, x) lists (w, x) for w ~ v and (v, y) for y ~ x."""
     _check_vertex_count(g.n * h.n)
-    return Graph(np.kron(g.adjacency, np.eye(h.n, dtype=np.int64))
-                 + np.kron(np.eye(g.n, dtype=np.int64), h.adjacency))
+    tg, th = g.neighbour_table, h.neighbour_table
+    along_g = tg[:, None, :] * h.n + np.arange(h.n)[:, None]
+    along_h = np.arange(g.n)[:, None, None] * h.n + th
+    padding = [np.broadcast_to(tg[:, None, :] == g.n, along_g.shape),
+               np.broadcast_to(th == h.n, along_h.shape)]
+    return _of_pairs(np.concatenate([along_g, along_h], axis=2), np.concatenate(padding, axis=2))
 
 
 def kronecker_product(g: Graph, h: Graph) -> Graph:
-    """A(g) tensor A(h), vertex order (g-vertex, h-vertex)."""
+    """A(g) tensor A(h), vertex order (g-vertex, h-vertex): (v, x) lists
+    (w, y) for w ~ v and y ~ x."""
     _check_vertex_count(g.n * h.n)
-    return Graph(np.kron(g.adjacency, h.adjacency))
+    tg, th = g.neighbour_table, h.neighbour_table
+    return _of_pairs(tg[:, None, :, None] * h.n + th[:, None, :],
+                     (tg == g.n)[:, None, :, None] | (th == h.n)[:, None, :])
 
 
 def bipartite_double(g: Graph) -> Graph:

@@ -160,6 +160,40 @@ def graph6_of_matrix(a) -> str:
     return _g6_encode_size(n) + body
 
 
+def line_graph_dense(g: Graph) -> Graph:
+    """Reference for `graphs.line_graph`: the former dense build, a 1 in
+    every pair of edges at each vertex, then the diagonal cleared."""
+    _check_vertex_count(g.edge_count)
+    ends = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
+    adj = np.zeros((len(ends), len(ends)), dtype=np.int64)
+    for v in range(g.n):
+        at_v = np.flatnonzero((ends == v).any(axis=1))
+        adj[np.ix_(at_v, at_v)] = 1
+    np.fill_diagonal(adj, 0)
+    return Graph(adj)
+
+
+def tensor_allones_dense(g: Graph, m: int) -> Graph:
+    """Reference for `graphs.tensor_allones`: A(g) tensor J_m by np.kron."""
+    _check_vertex_count(g.n * m)
+    return Graph(np.kron(g.adjacency, np.ones((m, m), dtype=np.int64)))
+
+
+def cartesian_product_dense(g: Graph, h: Graph) -> Graph:
+    """Reference for `graphs.cartesian_product`: A(g) tensor I + I tensor
+    A(h) by np.kron."""
+    _check_vertex_count(g.n * h.n)
+    return Graph(np.kron(g.adjacency, np.eye(h.n, dtype=np.int64))
+                 + np.kron(np.eye(g.n, dtype=np.int64), h.adjacency))
+
+
+def kronecker_product_dense(g: Graph, h: Graph) -> Graph:
+    """Reference for `graphs.kronecker_product`: A(g) tensor A(h) by
+    np.kron."""
+    _check_vertex_count(g.n * h.n)
+    return Graph(np.kron(g.adjacency, h.adjacency))
+
+
 def multiplicities(k: int, theta_sq: int, n: int) -> tuple[int, int] | None:
     """Multiplicities (a, b) of (±θ, 0) forced by the power sums, when
     both are positive integers: a = (nk - 2k²)/(2θ²), b = n - 2 - 2a."""

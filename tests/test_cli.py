@@ -689,6 +689,37 @@ def test_tables_rejects_a_degree_bound_below_two(capsys):
     assert err == "error: k_max must be at least 2\n"
 
 
+def test_tables_and_enumerate_run_to_the_degree_cap(capsys):
+    cap = feasibility.MAX_DEGREE
+    code, out, err = _run(capsys, "enumerate", "--class", "sqrt2", "--k", str(cap),
+                          "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith(f"sqrt2,{cap},")
+    code, out, err = _run(capsys, "tables", "--kmax", str(cap), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith(f"sqrt3,{cap},")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tables", "--kmax", "1001"], "k_max is 1001; degrees are capped at 1000"),
+    (["tables", "--kmax", "99999999999999999999"],
+     "k_max is 99999999999999999999; degrees are capped at 1000"),
+    (["enumerate", "--class", "half", "--k", "1001"], "--k reaches 1001; degrees are capped at 1000"),
+    (["enumerate", "--class", "sqrt3", "--k", "2-99999999999999999999"],
+     "--k reaches 99999999999999999999; degrees are capped at 1000"),
+], ids=["tables-past-cap", "tables-huge", "enumerate-past-cap", "enumerate-huge"])
+def test_a_degree_past_the_cap_is_refused_before_any_row(monkeypatch, capsys, argv, message):
+    # before, both ran until killed: range(2, 10^20) degree by degree
+    assert feasibility.MAX_DEGREE == 1000
+
+    def refuse(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(feasibility, "enumerate_rows", refuse)
+    monkeypatch.setattr(cli, "enumerate_rows", refuse)
+    assert _run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_tables_runtime_and_determinism(capsys):
     first = _run(capsys, "tables", "--kmax", "10", "--format", "csv")
     second = _run(capsys, "tables", "--kmax", "10", "--format", "csv")

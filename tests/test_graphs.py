@@ -356,10 +356,17 @@ def test_vertex_cap_refuses_before_allocating(monkeypatch, name):
 @pytest.mark.parametrize("build", [
     lambda line: cycle(4096),
     lambda line: from_graph6(line),
-], ids=["from_edges", "from_graph6"])
+    lambda line: bipartite_double(cycle(2048)),
+    lambda line: tensor_allones(cycle(1024), 4),
+    lambda line: cartesian_product(cycle(64), cycle(64)),
+    lambda line: kronecker_product(cycle(64), cycle(64)),
+    lambda line: line_graph(cycle(4096)),
+], ids=["from_edges", "from_graph6", "bdouble", "tensorj", "cart", "kron", "line"])
 def test_building_a_graph_peaks_below_one_and_three_quarter_adjacencies(build):
-    # a graph is its neighbour table: building C4096 stays under n^2 / 8
-    # bytes, which a dense n x n copy of any dtype, even packed bits, fills
+    # a graph is its neighbour table: building a graph on 4096 vertices
+    # (C4096, from its arcs or its graph6 line, and the products of small
+    # operands) stays under n^2 / 8 bytes, which a dense n x n copy of any
+    # dtype, even packed bits, fills
     line = to_graph6(cycle(4096))
     tracemalloc.start()
     try:

@@ -33,9 +33,15 @@ agree with the triple loop on both sides of the int64 bound, and the
 O(s) symmetry test of a spectrum agrees with the multiset definition.
 No product of monic integer linear and quadratic factors fails the mod-2
 test of `walk._splits_mod_2`, and `Poly.__str__` prints int and Fraction
-coefficients as the Fraction reference does."""
+coefficients as the Fraction reference does.
+On random graphs with at most 7 vertices (K1, edgeless, complete,
+regular or of any degrees), tensorj, cart, kron, bdouble and line build
+the neighbour tables of their former dense np.kron forms.  The csv and
+json writers of the feasibility rows write random free text in the
+comment and realization columns as csv.writer and json.dumps do."""
 
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -52,6 +58,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from walklab import feasibility
 from walklab.cli import main
 from walklab.exact import (
     Poly,
@@ -68,17 +75,21 @@ from walklab.exact import (
     table_matrix,
 )
 from walklab.expressions import read_expr
+from walklab.feasibility import CSV_FIELDS, ReferenceRow, all_rows, render_rows
 from walklab.graphio import GRAPH6_HEADER, from_edge_list, from_graph6, to_edge_list, to_graph6
 from walklab.graphs import (
     Graph,
     GraphError,
     bipartite_double,
+    cartesian_product,
     closed_walks,
     colouring,
     complete_graph,
     cycle,
     is_bipartite,
     is_connected,
+    kronecker_product,
+    line_graph,
     parse_expr,
     tensor_allones,
 )
@@ -95,6 +106,7 @@ from walklab.oracles import (
 from walklab.walk import _splits_mod_2, decide_periodic
 
 from oracles import (
+    cartesian_product_dense,
     charpoly_bareiss,
     colouring_by_levels,
     colouring_by_search,
@@ -102,9 +114,12 @@ from oracles import (
     graph6_matrix,
     graph6_of_matrix,
     hessenberg_charpoly,
+    kronecker_product_dense,
+    line_graph_dense,
     matmul_reference,
     poly_str_by_fractions,
     random_regular,
+    tensor_allones_dense,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
@@ -731,3 +746,75 @@ _COEFFS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10 ** 30, 10 ** 30
 def test_poly_str_equals_the_fraction_reference(coeffs):
     p = Poly(coeffs)
     assert str(p) == poly_str_by_fractions(p)
+
+
+@st.composite
+def small_graphs(draw):
+    """K1, an edgeless or complete graph, a random 2- or 3-regular graph,
+    or a random graph of any degrees, on at most 7 vertices."""
+    kind = draw(st.sampled_from(["K1", "edgeless", "complete", "regular", "any"]))
+    if kind == "K1":
+        return complete_graph(1)
+    n = draw(st.integers(2, 7))
+    if kind == "edgeless":
+        return Graph(np.zeros((n, n), dtype=np.int64))
+    if kind == "complete":
+        return complete_graph(n)
+    if kind == "regular" and n > 3:
+        k = 2 if n % 2 else draw(st.sampled_from([2, 3]))
+        return random_regular(n, k, random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+def _table_or_error(build, *args):
+    try:
+        table = build(*args).neighbour_table
+    except GraphError as exc:
+        return str(exc)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    return table.tolist()
+
+
+@seed(20261104)
+@settings(max_examples=300, deadline=None, database=None)
+@given(small_graphs(), small_graphs(), st.integers(1, 3))
+def test_products_build_the_tables_of_their_dense_forms(g, h, m):
+    # each product reads its table off its operands' tables, padded where
+    # an operand is irregular; np.kron of the adjacencies is the reference
+    for build, dense, args in ((tensor_allones, tensor_allones_dense, (g, m)),
+                               (cartesian_product, cartesian_product_dense, (g, h)),
+                               (kronecker_product, kronecker_product_dense, (g, h)),
+                               (line_graph, line_graph_dense, (g,))):
+        assert _table_or_error(build, *args) == _table_or_error(dense, *args), build.__name__
+    assert (bipartite_double(g).neighbour_table.tolist()
+            == kronecker_product_dense(g, complete_graph(2)).neighbour_table.tolist())
+
+
+# free text for the comment and realization columns: the characters csv
+# and json treat specially, control characters, non-ASCII text and ""
+_FREE_TEXT = st.text(st.one_of(st.sampled_from(',"\n\r\\\t\x00\x1f\x7f;é⊗√\u2028 '),
+                               st.characters()), max_size=12)
+_FEASIBLE_ROWS = [row for row in all_rows(12) if row.feasible]
+
+
+@seed(20261105)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(_FEASIBLE_ROWS), _FREE_TEXT, _FREE_TEXT)
+@example(_FEASIBLE_ROWS[0], "", "")
+@example(_FEASIBLE_ROWS[0], 'a,"b"\r\nc', "\\x")
+def test_free_text_is_written_as_the_standard_library_writers_write_it(row, comment, realization):
+    # a reference note on a feasible row is its whole comment; every csv
+    # line is the one csv.writer writes for the ten fields, and every json
+    # record the one json.dumps writes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(feasibility.REFERENCE_TABLE, (row.theta_class, row.k, row.n),
+                      ReferenceRow(realization, note=comment))
+        csv_text, json_text = render_rows([row], "csv"), render_rows([row], "json")
+    fields = (row.theta_class.value, str(row.k), str(row.n), str(row.a), str(row.b),
+              str(row.q), str(row.q_x), row.status, comment, realization)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([CSV_FIELDS, fields])
+    assert csv_text == buf.getvalue()
+    assert json_text == json.dumps([dict(zip(CSV_FIELDS, fields))], indent=2,
+                                   ensure_ascii=False) + "\n"
