@@ -25,16 +25,8 @@ from .feasibility import (
     render_rows,
     render_tables,
 )
-from .expressions import Expression, read_expr
-from .graphs import (
-    ExprError,
-    Graph,
-    count_quadrangles,
-    is_bipartite,
-    is_connected,
-    parse_expr,
-    read_decimal,
-)
+from .expressions import Expression, parse_expr, read_expr
+from .graphs import ExprError, Graph, is_connected, read_decimal
 from .graphio import load_path, save_path
 from .walk import (
     NotConnectedError,
@@ -81,7 +73,8 @@ EXIT_INTERNAL = 3
 
 def _load_graph(args: argparse.Namespace) -> Graph | Expression:
     """The graph of --file, or the expression of --expr read off its
-    structure (`read_expr`); exactly one of them must be given."""
+    structure (`read_expr`); exactly one of them must be given.  Both
+    answer `parts`, `quadrangles` and `walk_regular_to` alike."""
     if args.expr is not None and args.file is not None:
         raise ExprError("--expr and --file exclude each other; give one of them")
     if args.expr is not None:
@@ -89,29 +82,6 @@ def _load_graph(args: argparse.Namespace) -> Graph | Expression:
     if args.file is not None:
         return load_path(args.file)
     raise ExprError("one of --expr or --file is required")
-
-
-def _load_counted(args: argparse.Namespace, connected: bool = True) -> Graph | Expression:
-    """`_load_graph`, with an expression built unless its quadrangles and
-    walk-regularity follow from its structure: regular of degree at least
-    1, walk-regular by structure and, where `connected` asks for it (the
-    colour classes' sizes), connected.  A built expression still reads
-    its spectrum off the expression's closed-form traces
-    (`Expression.graph`)."""
-    g = _load_graph(args)
-    if isinstance(g, Expression) and not (
-            g.regularity and g.walk_regular and (not connected or g.components == 1)):
-        return g.graph
-    return g
-
-
-def _quadrangles(g: Graph | Expression) -> tuple[int, int | None]:
-    """q, and the number q_x of quadrangles at each vertex when it is the
-    same at every vertex (else None)."""
-    if isinstance(g, Expression):
-        return g.quadrangles
-    q, per_vertex = count_quadrangles(g)
-    return q, per_vertex[0] if all(c == per_vertex[0] for c in per_vertex) else None
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +114,12 @@ def cmd_period(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    g = _load_counted(args)
+    g = _load_graph(args)
     k = g.regularity
-    if isinstance(g, Expression):  # connected and walk-regular
-        connected, parts = True, g.parts
-    else:
-        split = is_bipartite(g)
-        connected, parts = is_connected(g), split and (len(split.part1), len(split.part2))
+    connected, parts = is_connected(g), g.parts
     spec = g.spectrum
     resolved = isinstance(spec, Spectrum)
-    q, q_x = _quadrangles(g)
+    q, q_x = g.quadrangles
     report: dict = {
         "n": g.n,
         "edges": g.edge_count,
@@ -167,7 +133,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     }
     if k and connected:
         depth = walk_regularity_depth(g)
-        report["walk_regular"] = isinstance(g, Expression) or walk_regularity_check(g, depth)
+        report["walk_regular"] = walk_regularity_check(g, depth)
         report["walk_regular_depth"] = depth
         report["hoffman"] = True  # Hoffman's theorem: connected, regular, m_A certified
         report["periodicity"] = decide_periodic(g).render()
@@ -211,7 +177,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_quadrangles(args: argparse.Namespace) -> int:
-    q, q_x = _quadrangles(_load_counted(args, connected=False))
+    q, q_x = _load_graph(args).quadrangles
     if args.format == "json":
         print(json.dumps({"q": q, "per_vertex_constant": q_x is not None, "q_x": q_x},
                          sort_keys=True))

@@ -1,13 +1,13 @@
 """Builder expressions read off their structure, with no graph built.
 
-`read_expr` reads the grammar of `graphs.parse_expr` into `Expression`
-nodes.  Each node has its vertex count, its degree, whether it is
-walk-regular by structure, and its traces t_r = tr A^r in closed form
-from its operands'.  Its m_A, factors and spectrum come from those exact
-traces (`exact.trace_route`), by the same members as a built graph's,
-and its connectivity and bipartiteness from the multiplicities of its
-degree k and of -k.  Only a line over an operand of varying degree is
-built as it is read; `Expression.graph` builds the rest on demand.
+`read_expr` reads the builder grammar (`graphs._parse`) into
+`Expression` nodes.  Each node has its vertex count, its degree, whether
+it is walk-regular by structure, and its traces t_r = tr A^r in closed
+form from its operands'.  Its m_A, factors and spectrum come from those
+exact traces (`exact.trace_route`), and the rest that `analyze` asks
+from its structure where that decides it, by the same members as a
+graph's; otherwise it asks its built graph (`Expression.graph`).  Only
+a line over an operand of varying degree is built as it is read.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from typing import Callable, Iterator
 
 from .exact import Moments, trace_route
 from .graphs import (
+    _BUILDERS,
     _HUGE_COUNT,
     Graph,
     GraphError,
     _blowup_factor,
     _check_vertex_count,
     _complete_order,
-    _construct,
     _cycle_order,
     _hamming_order,
     _kbip_order,
@@ -105,11 +105,10 @@ class Expression(_Spectral):
 
     @cached_property
     def graph(self) -> Graph:
-        """The graph, built by the constructors.  Its spectral members read
-        this expression's moments, not its matrix's (`Graph._moments`)."""
-        g = _build(self)
-        g.__dict__["_expression"] = self
-        return g
+        """The graph, built by the constructors from its operands' graphs:
+        an ordinary `Graph`, asked only what the structure leaves open."""
+        return _BUILDERS[self.name][1](*(a.graph if isinstance(a, Expression) else a
+                                         for a in self.args))
 
     @cached_property
     def _moments(self) -> Moments:
@@ -118,6 +117,11 @@ class Expression(_Spectral):
     def _multiplicity(self, r: int) -> int:
         """The multiplicity of the integer r in the spectrum (`factors`)."""
         return next((m for f, m in self.factors[0] if f.coeffs == (-r, 1)), 0)
+
+    @property
+    def _structural(self) -> bool:
+        """Regular of degree k >= 1 and walk-regular by structure."""
+        return bool(self.regularity) and self.walk_regular
 
     @cached_property
     def components(self) -> int:
@@ -130,15 +134,19 @@ class Expression(_Spectral):
 
     @property
     def parts(self) -> tuple[int, int] | None:
-        """The colour classes' sizes of a connected k-regular expression,
-        n/2 each when -k is an eigenvalue, else None (not bipartite)."""
+        """The colour classes' sizes (`Graph.parts`); for a connected
+        `_structural` expression n/2 each, or None when -k is no eigenvalue."""
+        if not (self._structural and self.components == 1):
+            return self.graph.parts
         return (self.n // 2,) * 2 if self._multiplicity(-self.regularity) else None
 
     @property
-    def quadrangles(self) -> tuple[int, int]:
-        """q and the quadrangles q_x at every vertex of a walk-regular
-        k-regular expression: each vertex starts t_4/n closed 4-walks, and
+    def quadrangles(self) -> tuple[int, int | None]:
+        """q and q_x (`Graph.quadrangles`); each vertex of a `_structural`
+        expression starts t_4/n closed 4-walks, and
         2 q_x = t_4/n - k^2 - k(k - 1) (`count_quadrangles`)."""
+        if not self._structural:
+            return self.graph.quadrangles
         k, n = self.regularity, self.n
         q_x, odd = divmod(self.traces(5)[4] - n * (2 * k * k - k), 2 * n)
         q, part = divmod(n * q_x, 4)
@@ -146,6 +154,11 @@ class Expression(_Spectral):
             raise AssertionError("closed-walk bookkeeping of a walk-regular expression "
                                  "went negative or odd")
         return q, q_x
+
+    def walk_regular_to(self, r_max: int) -> bool:
+        """`Graph.walk_regular_to`: true for a `_structural` expression,
+        else the built graph's answer to the same depth."""
+        return self._structural or self.graph.walk_regular_to(r_max)
 
 
 # The nodes of `read_expr`: each checks its arguments as its constructor
@@ -237,7 +250,7 @@ def _cart_node(g: Expression, h: Expression) -> tuple:
             lambda r: sum(math.comb(r, j) * t[j] * u[r - j] for j in range(r + 1)))
 
 
-# name: node of `read_expr`, for each builder of `graphs.parse_expr`
+# name: node of `read_expr`, for each builder of `graphs._BUILDERS`
 _NODES = {
     "cycle": _cycle_node,
     "kbip": _kbip_node,
@@ -265,13 +278,13 @@ def read_expr(text: str, capped: bool = True) -> Expression:
     """The expression read off its structure (`Expression`), each node as
     soon as it is read: its arguments are checked as its constructor
     checks them, then its vertex count against the cap, so every refusal
-    is the one `parse_expr` makes, at the same node.  Uncapped, only
+    is the one its constructor makes, at the same node.  Uncapped, only
     counts of 10^100 or more are refused, and only a line over an
     operand of varying degree, which is built, meets the cap."""
     return _parse(text, lambda name, args: _read(name, args, capped))
 
 
-def _build(node: Expression) -> Graph:
-    """The graph of a `read_expr` node, by its constructors."""
-    return _construct(node.name, [_build(a) if isinstance(a, Expression) else a
-                                  for a in node.args])
+def parse_expr(text: str) -> Graph:
+    """The graph an expression names, built once `read_expr` has read it,
+    so every refusal is its constructor's, at the same node."""
+    return read_expr(text).graph

@@ -16,7 +16,7 @@ construction.  A row is a named tuple of ints, (θ-class, k, n, a, b,
 8q), and equals the plain tuple of its fields.  Rows eliminated by the
 quadrangle checks are kept with their elimination reason so the
 generated tables mirror the reference ones.
-A known realization is a builder expression (`graphs.parse_expr`, as
+A known realization is a builder expression (`expressions.parse_expr`, as
 `--expr`); the tables certify its spectrum (`realizes`) from its
 closed-walk traces in closed form (`expressions.read_expr`), so they build
 no graph.
@@ -176,7 +176,7 @@ class ReferenceRow(NamedTuple):
     """Static annotation carried over from the reference tables: the
     existence column verbatim, the stated elimination category, and for
     a known realization its registry graph as a builder expression
-    (`graphs.parse_expr`)."""
+    (`expressions.parse_expr`)."""
 
     existence: str
     elimination: str | None = None

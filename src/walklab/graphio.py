@@ -48,7 +48,7 @@ def to_graph6(g: Graph) -> str:
     # above the diagonal column by column
     n, pairs = g.n, g.n * (g.n - 1) // 2
     bits = np.zeros(pairs + -pairs % 6, dtype=np.uint8)
-    i, j = np.array(g.edges(), dtype=np.int64).reshape(-1, 2).T
+    i, j = g.edge_ends()
     bits[j * (j - 1) // 2 + i] = 1
     # each six bits packed into the top of a byte, shifted down, plus 63
     values = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63

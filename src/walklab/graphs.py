@@ -1,15 +1,15 @@
 """Simple undirected graphs with a canonical vertex ordering,
 constructors for the graph families used in the enumeration, the
 builder grammar over them that the command line and the feasibility
-registry read (`parse_expr` builds each node as it is read; the
-`expressions` module reads the same text off its structure), structural
-predicates, the closed-walk counts at every vertex, and exact
-quadrangle counting.  A graph is one read-only neighbour table, its
-dense adjacency built only when read; each product with A is a row
-gather on the table, and `closed_walks` is the one loop of such
-products that walk-regularity and the quadrangle counts read.  One
-breadth-first 2-colouring over the same table, cached per graph,
-answers both connectivity and bipartiteness."""
+registry read (`_parse`; the `expressions` module reads it into nodes
+and builds them with `_BUILDERS`), structural predicates, the
+closed-walk counts at every vertex, and exact quadrangle counting.  A
+graph is one read-only neighbour table, its dense adjacency built only
+when read; each product with A is a row gather on the table, and
+`closed_walks` is the one loop of such products that walk-regularity
+and the quadrangle counts read.  One breadth-first 2-colouring over the
+same table, cached per graph, answers both connectivity and
+bipartiteness."""
 
 from __future__ import annotations
 
@@ -226,11 +226,15 @@ class Graph(_Spectral):
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.neighbour_table < self.n)) // 2
 
-    def edges(self) -> list[tuple[int, int]]:
-        """The edges (i, j) with i < j, in row-major order."""
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ends i < j of the edges, in row-major order, as two arrays."""
         table, n = self.neighbour_table, self.n
         later = (table < n) & (table > np.arange(n)[:, None])
-        return list(zip(np.nonzero(later)[0].tolist(), table[later].tolist()))
+        return np.nonzero(later)[0], table[later]
+
+    def edges(self) -> list[tuple[int, int]]:
+        """The edges (i, j) with i < j, in row-major order."""
+        return list(zip(*(ends.tolist() for ends in self.edge_ends())))
 
     def degree(self, v: int) -> int:
         return int(np.count_nonzero(self.neighbour_table[v] < self.n))
@@ -254,13 +258,28 @@ class Graph(_Spectral):
     def components(self) -> int:
         return self.colouring[0]
 
+    @property
+    def parts(self) -> tuple[int, int] | None:
+        """The sizes of the two colour classes, or None (`is_bipartite`)."""
+        split = is_bipartite(self)
+        return split and (len(split.part1), len(split.part2))
+
+    @property
+    def quadrangles(self) -> tuple[int, int | None]:
+        """q, and the number q_x of quadrangles at each vertex when it is
+        the same at every vertex, else None (`count_quadrangles`)."""
+        q, per_vertex = count_quadrangles(self)
+        return q, per_vertex[0] if all(c == per_vertex[0] for c in per_vertex) else None
+
+    def walk_regular_to(self, r_max: int) -> bool:
+        """Whether diag(A^r) is constant for all 2 <= r <= r_max, stopped at
+        the first r where the counts of `closed_walks` differ."""
+        return all((w == w[0]).all() for _, w in zip(range(2, r_max + 1), closed_walks(self)))
+
     @cached_property
     def _moments(self) -> Moments:
-        """The moment route on the matrix, or the moments of the expression
-        the graph was built from (`expressions.Expression.graph`), read
-        off the same traces in closed form."""
-        expression = self.__dict__.get("_expression")
-        return moment_route(self.neighbour_table) if expression is None else expression._moments
+        """The moment route on the matrix (`exact.moment_route`)."""
+        return moment_route(self.neighbour_table)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -441,6 +460,7 @@ class ExprError(ValueError):
     pass
 
 
+# name: (its arguments, i an int and e an expression; its constructor)
 _BUILDERS = {
     "cycle": ("i", cycle),
     "kbip": ("ii", complete_bipartite),
@@ -533,17 +553,6 @@ def _parse(text: str, make: Callable[[str, list], _Node]) -> _Node:
     if pos != len(tokens):
         raise ExprError(f"trailing input after expression: {tokens[pos]!r}")
     return node
-
-
-def _construct(name: str, args: list) -> Graph:
-    return _BUILDERS[name][1](*args)
-
-
-def parse_expr(text: str) -> Graph:
-    """The graph an expression names, each node built by its constructor
-    as soon as it is read, so a constructor's refusal comes before any
-    later syntax error."""
-    return _parse(text, _construct)
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,11 @@ from .exact import (
     moment_route,
     spectrum_of,
 )
-from .expressions import read_expr
+from .expressions import parse_expr, read_expr
 from .feasibility import REALIZATIONS, REFERENCE_TABLE, ThetaClass, enumerate_rows, render_tables
 from .graphs import (Graph, GraphError, PartiteSplit, bipartite_double, closed_walks,
                      complete_bipartite, complete_graph, count_quadrangles, cycle,
-                     hamming, hypercube, is_bipartite, is_connected, line_graph, parse_expr,
+                     hamming, hypercube, is_bipartite, is_connected, line_graph,
                      petersen, regularity, tensor_allones)
 from .walk import NotRegularError, Periodic, _require_regular_connected, decide_periodic
 

@@ -1,10 +1,10 @@
 """Exact Grover-walk engine: the periodicity decision with exact period,
 read off one list of spectral factors (`factors`), of a built graph or
 of an expression read off its structure (`expressions.Expression`),
-and the walk-regularity check of `analyze` on a built graph, on the
-per-vertex closed-walk counts of `graphs.closed_walks` (apart from the
-traces of the moment route).  An expression that `analyze` reads off
-its structure is walk-regular by construction.
+and the walk-regularity check of `analyze` to the depth m_A decides
+(`walk_regular_to`): a graph reads the per-vertex closed-walk counts of
+`graphs.closed_walks` (apart from the traces of the moment route), an
+expression its structure where that decides it.
 The walk matrices, the U-side routes, the biadjacency block identities,
 the eigenvalue gate and the Hoffman identity check are reference
 implementations in `walklab.oracles`.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Poly, QuadraticNumber, _roots, min_poly_2cos
-from .graphs import Graph, closed_walks, is_connected
+from .graphs import Graph, is_connected
 
 
 class NotRegularError(ValueError):
@@ -208,11 +208,10 @@ def walk_regularity_depth(g: Graph) -> int:
 
 def walk_regularity_check(g: Graph, r_max: int | None = None) -> bool:
     """True iff diag(A^r) is constant for all 2 <= r <= r_max (default
-    walk_regularity_depth, which decides it for every r), read off the
-    closed-walk counts of `graphs.closed_walks` and stopped at the first
-    r where they differ."""
+    walk_regularity_depth, which decides it for every r), as g answers it
+    (`Graph.walk_regular_to`, `Expression.walk_regular_to`)."""
     if r_max is None:
         r_max = walk_regularity_depth(g)
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    return all((w == w[0]).all() for _, w in zip(range(2, r_max + 1), closed_walks(g)))
+    return g.walk_regular_to(r_max)

@@ -17,8 +17,8 @@ from walklab.exact import (
 )
 from walklab.feasibility import CSV_FIELDS, FeasibleRow, ThetaClass
 from walklab.graphio import GRAPH6_HEADER, _g6_encode_size
-from walklab.graphs import (Graph, GraphError, PartiteSplit, _check_vertex_count, _parse,
-                            is_connected, regularity)
+from walklab.graphs import (_BUILDERS, Graph, GraphError, PartiteSplit, _check_vertex_count,
+                            _parse, is_connected, regularity)
 from walklab.oracles import _clear_denominators, exact_div, is_quadratic_algebraic_integer, scale_arg
 from walklab.walk import NotPeriodic, Periodic
 
@@ -49,9 +49,16 @@ def spectral_quadrangles(s4, n, k):
 
 def parse_tree(text: str) -> tuple:
     """A builder expression as nested, hashable nodes (name, args), one
-    key for the graph however the text is spaced: the grammar of
-    `graphs.parse_expr` with no constructor run."""
+    key for the graph however the text is spaced: the builder grammar
+    (`graphs._parse`) with no constructor run."""
     return _parse(text, lambda name, args: (name, tuple(args)))
+
+
+def build_as_read(text: str) -> Graph:
+    """Reference for the refusals of `expressions.read_expr`: the graph of
+    a builder expression, each node built by its constructor as soon as
+    it is read, so each refusal is the constructor's own, at its node."""
+    return _parse(text, lambda name, args: _BUILDERS[name][1](*args))
 
 
 def colouring_by_search(g):

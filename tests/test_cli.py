@@ -26,7 +26,7 @@ from walklab.graphio import to_graph6
 from walklab.expressions import read_expr
 from walklab.graphs import Graph, GraphError, cycle, petersen, tensor_allones
 
-from oracles import decide_periodic_by_fractions, parse_tree, random_regular
+from oracles import build_as_read, decide_periodic_by_fractions, parse_tree, random_regular
 
 
 def _run(capsys, *argv):
@@ -104,10 +104,11 @@ def test_trace_rules_refuse_what_their_constructors_refuse(monkeypatch):
                  "line(tensorj(complete(1),3))", "hamming(400,2)", "tensorj(cycle(3),10000)",
                  "line(kbip(1,5000))", "bdouble(cycle(2)"):
         with pytest.raises(GraphError) as built:
-            parse_expr(expr)
+            build_as_read(expr)
         with pytest.raises(GraphError) as traced:
             read_expr(expr)
         assert str(traced.value) == str(built.value), expr
+        assert _refusal(parse_expr, expr) == str(built.value), expr
     with pytest.raises(GraphError, match="^blow-up factor must be >= 1$"):
         read_expr("tensorj(cycle(6),0)")
     # the cap is met at the node whose constructor meets it, with its text
@@ -115,7 +116,8 @@ def test_trace_rules_refuse_what_their_constructors_refuse(monkeypatch):
         monkeypatch.setenv("WALKLAB_MAX_VERTICES", cap)
         for expr in ("bdouble(complete(1))", "petersen()", "cart(cycle(3),cycle(3))",
                      "line(kbip(1,3))"):
-            assert _refusal(read_expr, expr) == _refusal(parse_expr, expr), (cap, expr)
+            assert _refusal(read_expr, expr) == _refusal(build_as_read, expr), (cap, expr)
+            assert _refusal(parse_expr, expr) == _refusal(build_as_read, expr), (cap, expr)
 
 
 def _refusal(read, expr):
@@ -534,9 +536,12 @@ def test_a_disconnected_graph_has_no_period_but_an_analysis(capsys):
 
 
 def test_a_built_expression_reads_the_expressions_moments(capsys, monkeypatch, tmp_path):
-    # C8 x C8 is disconnected, so analyze builds it; its spectrum and m_A
-    # still come from the closed-form traces, and the moment route, which
-    # the same graph read from a file runs, never runs on the built matrix
+    # C8 x C8 is disconnected, so analyze builds it for its colour
+    # classes; the command asks the expression for its spectrum and m_A,
+    # which come from the closed-form traces, and the built graph, an
+    # ordinary Graph with no link back to the expression, is asked nothing
+    # spectral: the moment route, which the same graph read from a file
+    # runs, never runs on the built matrix
     expr = "kron(cycle(8),cycle(8))"
     code, expected, _ = _run(capsys, "analyze", "--file", _graph6_file(tmp_path, expr))
     assert code == 0 and "connected: no\n" in expected
@@ -549,6 +554,39 @@ def test_a_built_expression_reads_the_expressions_moments(capsys, monkeypatch, t
         if name.startswith("walklab") and getattr(mod, "moment_route", None) is real:
             monkeypatch.setattr(mod, "moment_route", refuse)
     assert _run(capsys, "analyze", "--expr", expr) == (0, expected, "")
+
+
+def test_analyze_reads_a_walk_regular_expression_and_builds_it_only_for_its_parts(
+        capsys, monkeypatch, tmp_path):
+    # C8 x C8 and Q6 x Q6 are regular, walk-regular by structure and have
+    # two components each: analyze reads q and q_x off t_4 and asks the
+    # built graph only for its colour classes, so neither the quadrangle
+    # count nor the closed-walk loop runs
+    expr = "kron(cycle(8),cycle(8))"
+    path = _graph6_file(tmp_path, expr)
+    formats = ((), ("--format", "json"))
+    expected = [_run(capsys, "analyze", "--file", path, *fmt) for fmt in formats]
+    assert expected[0][0] == 0 and "connected: no\nbipartite: yes (parts 32/32)\n" in expected[0][1]
+
+    def refuse(g):
+        raise AssertionError("a built expression was walked")
+
+    for real in (graphs.count_quadrangles, graphs.closed_walks):
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("walklab") and getattr(mod, real.__name__, None) is real:
+                monkeypatch.setattr(mod, real.__name__, refuse)
+    assert [_run(capsys, "analyze", "--expr", expr, *fmt) for fmt in formats] == expected
+    expr = "kron(hypercube(6),hypercube(6))"
+    code, out, err = _run(capsys, "analyze", "--expr", expr)
+    assert (code, err) == (0, "")
+    assert "\nspectrum: {[±36]^2, [±24]^24, [±16]^72, [±12]^60, [±8]^360, [±4]^450, " \
+        "[0]^2160}\nquadrangles: q=3409920 per-vertex constant: yes\n" in out
+    code, out, err = _run(capsys, "analyze", "--expr", expr, "--format", "json")
+    report = json.loads(out)
+    assert (code, err, report["connected"], report["bipartite"]) == (0, "", False, [2048, 2048])
+    assert report["spectrum"] == \
+        "{[±36]^2, [±24]^24, [±16]^72, [±12]^60, [±8]^360, [±4]^450, [0]^2160}"
+    assert (report["quadrangles"], report["quadrangles_per_vertex_constant"]) == (3409920, True)
 
 
 def test_quadrangles_read_a_disconnected_walk_regular_expression_off_its_traces(

@@ -38,6 +38,7 @@ from walklab.exact import (
     squarefree_part,
 )
 from walklab.feasibility import REALIZATIONS
+from walklab.expressions import parse_expr
 from walklab.graphs import (
     Graph,
     complete_bipartite,
@@ -45,7 +46,6 @@ from walklab.graphs import (
     cycle,
     hypercube,
     line_graph,
-    parse_expr,
     petersen,
 )
 from walklab.oracles import (

@@ -16,7 +16,7 @@ import numpy as np
 from walklab import expressions, feasibility, graphs
 from walklab.cli import main
 from walklab.exact import QuadraticNumber, Spectrum
-from walklab.expressions import read_expr
+from walklab.expressions import parse_expr, read_expr
 from walklab.feasibility import (
     CSV_FIELDS,
     REFERENCE_TABLE,
@@ -29,7 +29,7 @@ from walklab.feasibility import (
     render_tables,
     verify_realization,
 )
-from walklab.graphs import Graph, cycle, parse_expr
+from walklab.graphs import Graph, cycle
 from walklab.oracles import classify_four_eigenvalue, closed_walk_traces, power_sum
 from walklab.walk import Periodic, decide_periodic
 

@@ -30,7 +30,8 @@ from walklab.cli import main
 from walklab.exact import Spectrum
 from walklab.feasibility import REALIZATIONS
 from walklab.graphio import load_path, to_graph6
-from walklab.graphs import is_connected, parse_expr, regularity
+from walklab.expressions import parse_expr
+from walklab.graphs import is_connected, regularity
 from walklab.oracles import charpoly, extract_spectrum, hoffman_check, power_sum
 
 from oracles import random_regular
@@ -177,7 +178,7 @@ def _cli(argv: list[str]) -> tuple[int, str, str]:
 # every --expr of the transcript, the registry and the bench's
 # analyze-families graphs (FAMILIES, K4,4□K4,4 included), and C8 x C8,
 # which is regular and walk-regular by structure but disconnected, so
-# analyze and quadrangles build it
+# analyze builds it for its colour classes
 EXPRESSIONS = sorted({argv[argv.index("--expr") + 1] for argv in command_set([])
                       if "--expr" in argv}
                      | {expr for _, expr in REALIZATIONS.values()} | set(FAMILIES)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from walklab.exact import QuadraticNumber, Spectrum, neighbour_table
+from walklab.expressions import parse_expr
 from walklab.graphs import (
     Graph,
     GraphError,
@@ -25,7 +26,6 @@ from walklab.graphs import (
     is_connected,
     kronecker_product,
     line_graph,
-    parse_expr,
     petersen,
     regularity,
     tensor_allones,

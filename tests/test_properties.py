@@ -74,7 +74,7 @@ from walklab.exact import (
     neighbour_table,
     table_matrix,
 )
-from walklab.expressions import read_expr
+from walklab.expressions import parse_expr, read_expr
 from walklab.feasibility import CSV_FIELDS, ReferenceRow, all_rows, render_rows
 from walklab.graphio import GRAPH6_HEADER, from_edge_list, from_graph6, to_edge_list, to_graph6
 from walklab.graphs import (
@@ -90,7 +90,6 @@ from walklab.graphs import (
     is_connected,
     kronecker_product,
     line_graph,
-    parse_expr,
     tensor_allones,
 )
 from walklab.oracles import (
@@ -106,6 +105,7 @@ from walklab.oracles import (
 from walklab.walk import _splits_mod_2, decide_periodic
 
 from oracles import (
+    build_as_read,
     cartesian_product_dense,
     charpoly_bareiss,
     colouring_by_levels,
@@ -153,6 +153,7 @@ def test_relabelling_leaves_charpoly_and_decision_unchanged(pair):
 @PROPERTY_SETTINGS
 @given(regular_graphs())
 def test_graph6_and_edge_list_round_trip(g):
+    assert to_graph6(g) == graph6_of_matrix(g.adjacency)
     assert from_graph6(to_graph6(g)).adjacency.tolist() == g.adjacency.tolist()
     assert from_edge_list(to_edge_list(g)).adjacency.tolist() == g.adjacency.tolist()
 
@@ -383,16 +384,16 @@ def _analyze(*source):
 @example(("tensorj(cycle(7),3)", 21), None)  # a cubic factor: p_A from the traces
 @example(("line(hypercube(3))", 12), "9")
 def test_an_expression_reads_as_the_graph_it_builds(drawn, cap):
-    # the closed-form reading against the built graph: the same refusal
-    # (under a small vertex cap too), m_A, factor list, verdict and
-    # analyze report
+    # the closed-form reading against the graph built as it is read: the
+    # same refusal (under a small vertex cap too), m_A, factor list,
+    # verdict and analyze report
     text, _ = drawn
     with pytest.MonkeyPatch.context() as patch:
         if cap is None:
             patch.delenv("WALKLAB_MAX_VERTICES", raising=False)
         else:
             patch.setenv("WALKLAB_MAX_VERTICES", cap)
-        built, closed = _read(parse_expr, text), _read(read_expr, text)
+        built, closed = _read(build_as_read, text), _read(read_expr, text)
         if not isinstance(built, Graph):
             assert closed == built
             return

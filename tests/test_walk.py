@@ -18,6 +18,7 @@ from walklab.exact import (
     min_poly_2cos,
 )
 from walklab.feasibility import REALIZATIONS
+from walklab.expressions import parse_expr
 from walklab.graphs import (
     Graph,
     bipartite_double,
@@ -29,7 +30,6 @@ from walklab.graphs import (
     hamming,
     hypercube,
     line_graph,
-    parse_expr,
     petersen,
     tensor_allones,
 )
