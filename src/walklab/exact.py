@@ -7,7 +7,7 @@ sums the counts over the vertices in its own stream, reduced modulo a
 prime past 2^62; the exact per-vertex counts are `graphs.closed_walks`.
 The reference routes that `selfcheck` and the tests hold these against
 (the CRT charpoly of any rational matrix, `int_matmul` and Euclid's gcd
-over Q) live in `walklab.oracles`.
+over Q, and `min_poly_route`) live in `walklab.oracles`.
 
 Everything in this module is exact.  No floating point enters any
 computation; integrality, divisibility and sign decisions are made over
@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -973,6 +973,32 @@ class _TableSource:
         return _vanishes_at(self.table, c, q)
 
 
+class Traces:
+    """A trace source of `trace_route`, with no matrix: each exact trace t_r
+    is computed once, by rule(r) once t_0 .. t_(r-1) are in."""
+
+    vanishes = None  # no matrix to evaluate a candidate on: every trace is exact
+
+    def __init__(self, n: int, delta: int, bound: int, rule: Callable[[int], int]) -> None:
+        self.n, self.delta, self.degree_bound, self._rule, self._t = n, delta, bound, rule, []
+
+    def _grow(self, count: int) -> list[int]:
+        while len(self._t) < count:
+            self._t.append(self._rule(len(self._t)))
+        return self._t
+
+    def traces(self, count: int) -> list[int]:
+        """t_0 .. t_(count-1)."""
+        return self._grow(count)[:count]
+
+    def exact(self, count: int) -> bool:
+        return True
+
+    def stream(self, q: int) -> Iterator[int]:
+        """t_0, t_1, ... as exact ints, whatever the prime q."""
+        return (self._grow(r + 1)[r] for r in itertools.count())
+
+
 def _prime_run(source, q: int, terms: int) -> tuple[list[int], list[int] | None, bool]:
     """Up to `terms` traces of a trace source (`_route`), exact or mod q,
     with Berlekamp-Massey mod q on them; stops at the first candidate c
@@ -1182,7 +1208,7 @@ def moment_route(table: np.ndarray) -> Moments:
     product exceeds 2 n delta^r.  When a run reaches t_n with no
     recurrence certified (s close to n), no m_A is returned, p comes from
     Newton's identities on t_0 .. t_n and the spectrum from the factors
-    of p (`graphs.Graph.factors`); min_poly_route goes on to t_(2n+1).
+    of p (`graphs.Graph.factors`); `graphs.Graph.min_poly` gives m_A by trace_route.
     """
     return _route(_TableSource(table), len(table) + 1)
 
@@ -1191,9 +1217,8 @@ def trace_route(source) -> Moments:
     """The moment route on a source of exact traces, with no matrix: m_A
     and t_0 .. t_(s-1), as moment_route returns them.
 
-    The source has the members of `_TableSource`, with vanishes None and
-    every trace exact; degree_bound bounds s = deg m_A, and delta the
-    degrees.  Each run pushes 2b + 2 traces, b = degree_bound, and with
+    The source is a `Traces`: degree_bound bounds s = deg m_A, and delta
+    the degrees.  Each run pushes 2b + 2 traces, b = degree_bound, and with
     no Horner step the trace form alone accepts: a candidate of one prime
     when its lift has F(c) = 0, else the CRT lift of the runs' last
     generators of the longest length once its F is 0 over Z.  From 2s
@@ -1212,11 +1237,3 @@ def _route(source, terms: int) -> Moments:
     if c is None:
         return Moments(tuple(_integer_traces(source, source.n + 1, primes, runs)), None)
     return Moments(tuple(_integer_traces(source, len(c) - 1, primes, runs)), Poly(c))
-
-
-def min_poly_route(table: np.ndarray) -> Poly:
-    """m_A by the moment route with runs of up to t_(2n+1): every prime
-    whose traces have linear complexity s = deg m_A certifies m_A mod q by
-    t_2s, so the route always ends with a certified recurrence."""
-    return Poly(_recurrence(_TableSource(table), 2 * len(table) + 2,
-                            _primes_below(_ROUTE_PRIMES_BELOW), []))

@@ -12,12 +12,11 @@ a line over an operand of varying degree is built as it is read.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable
 
-from .exact import Moments, trace_route
+from .exact import Moments, Traces, trace_route
 from .graphs import (
     _BUILDERS,
     _HUGE_COUNT,
@@ -36,15 +35,15 @@ from .graphs import (
 )
 
 
-class Expression(_Spectral):
+class Expression(Traces, _Spectral):
     """A node of `read_expr`: the graph of a builder expression, known
     from its structure.  It has n, its largest degree delta, whether every
     vertex has that degree (`regular`), whether it is walk-regular by
     structure, a bound on the number of its distinct eigenvalues, and its
     traces t_r = tr A^r in closed form (`traces`), each from its own
-    parameters and its operands' traces.  With these it is a trace source
-    of `exact.trace_route`, which gives its m_A, factors and spectrum; the
-    constructors build it only when `graph` is read.
+    parameters and its operands' traces.  With these it is an
+    `exact.Traces`, whose m_A, factors and spectrum `exact.trace_route`
+    reads off; the constructors build it only when `graph` is read.
 
     Walk-regularity by structure: the leaves are vertex-transitive, apart
     from kbip(p, q) with p != q, and so is the line graph of a leaf, as
@@ -54,15 +53,10 @@ class Expression(_Spectral):
     conditions for the existence of walk-regular graphs", Linear Algebra
     Appl. 30, 1980)."""
 
-    vanishes = None  # no matrix to evaluate a candidate on: every trace is exact
-
     def __init__(self, name: str, args: tuple, n: int, delta: int, regular: bool,
                  walk_regular: bool, distinct: int, rule: Callable[[int], int]) -> None:
-        self.name, self.args = name, args
-        self.n, self.delta, self.regular, self.walk_regular = n, delta, regular, walk_regular
-        self.degree_bound = min(distinct, n)  # deg m_A is the number of distinct eigenvalues
-        self._rule = rule  # t_r from r, once this node's t_0 .. t_(r-1) and its operands' t_r are in
-        self._t: list[int] = []
+        super().__init__(n, delta, min(distinct, n), rule)  # deg m_A: distinct eigenvalues
+        self.name, self.args, self.regular, self.walk_regular = name, args, regular, walk_regular
 
     @cached_property
     def _nodes(self) -> list[Expression]:
@@ -74,26 +68,11 @@ class Expression(_Spectral):
             stack.extend(a for a in node.args if isinstance(a, Expression))
         return order[::-1]
 
-    def _grow(self, count: int) -> None:
-        if len(self._t) < count:
+    def _grow(self, count: int) -> list[int]:
+        if len(self._t) < count:  # each node's terms, operands first
             for node in self._nodes:
-                t, rule = node._t, node._rule
-                while len(t) < count:
-                    t.append(rule(len(t)))
-
-    def traces(self, count: int) -> list[int]:
-        """t_0 .. t_(count-1); each node computes each of its terms once."""
-        self._grow(count)
-        return self._t[:count]
-
-    def exact(self, count: int) -> bool:
-        return True
-
-    def stream(self, q: int) -> Iterator[int]:
-        """t_0, t_1, ... as exact ints, whatever the prime q."""
-        for r in itertools.count():
-            self._grow(r + 1)
-            yield self._t[r]
+                Traces._grow(node, count)
+        return self._t
 
     @property
     def regularity(self) -> int | None:

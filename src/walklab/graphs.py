@@ -26,16 +26,17 @@ from .exact import (
     Moments,
     Poly,
     Spectrum,
+    Traces,
     Unresolved,
     _factors,
     adjacency_times,
     exact_dtype,
     min_poly_factors,
-    min_poly_route,
     moment_route,
     neighbour_table,
     spectrum_of,
     table_matrix,
+    trace_route,
 )
 
 DEFAULT_MAX_VERTICES = 4096
@@ -105,11 +106,14 @@ class _Spectral:
     @cached_property
     def min_poly(self) -> Poly:
         """Minimal polynomial of the adjacency matrix: the recurrence the
-        moment route certified by t_n, or else the one it certifies on a
-        graph when it runs on to t_(2n+1) at most (`exact.min_poly_route`)."""
+        moment route certified by t_n, or else by `exact.trace_route` on its
+        t_0 .. t_n and t_r = -sum_(j<n) p_j t_(r-n+j) past them (p_A(A) = 0)."""
         if self._moments.min_poly is not None:
             return self._moments.min_poly
-        return min_poly_route(self.neighbour_table)
+        t, p, n = self._moments.traces, self.charpoly.coeffs[:-1], self.n
+        source = Traces(n, self.neighbour_table.shape[1], n, lambda r: t[r] if r <= n else
+                        -sum(a * b for a, b in zip(p, source.traces(r)[r - n:])))
+        return trace_route(source).min_poly
 
     @cached_property
     def factors(self) -> tuple[list[tuple[Poly, int]], Poly]:

@@ -1,7 +1,8 @@
 """Reference implementations, and the `selfcheck` suite that runs them
 against the fast paths: Euclid's gcd and exact division over Q, the
 integer matrix product
-and the CRT characteristic polynomial of any rational matrix; the arc
+and the CRT characteristic polynomial of any rational matrix; m_A by
+the moment route run on the matrix to t_(2n+1); the arc
 space, the walk matrices and the time evolution U with its charpoly
 computed directly, the spectral mapping from the adjacency charpoly to
 the degree-2E U-charpoly, its cyclotomic sieve, and the matrix-power
@@ -45,7 +46,6 @@ from .exact import (
     adjacency_times,
     cyclotomic,
     exact_dtype,
-    min_poly_route,
     moment_route,
     spectrum_of,
 )
@@ -223,6 +223,14 @@ def charpoly(mat: Matrix | np.ndarray) -> Poly:
     p = Poly(_crt([_charpoly_mod(m, q).tolist() for q in primes], primes))
     # det(xI - M/c) = c^-n * det(cx I - M)
     return p if c == 1 else scale_arg(p, c) * Fraction(1, c ** n)
+
+
+def min_poly_route(table: np.ndarray) -> Poly:
+    """m_A by the moment route with runs of up to t_(2n+1): every prime
+    whose traces have linear complexity s = deg m_A certifies m_A mod q by
+    t_2s, so the route always ends with a certified recurrence."""
+    return Poly(exact._recurrence(exact._TableSource(table), 2 * len(table) + 2,
+                                  _primes_below(exact._ROUTE_PRIMES_BELOW), []))
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +806,7 @@ def _check_moment_route() -> bool:
         moments, p = moment_route(g.neighbour_table), charpoly(g.adjacency)
         m = radical(p)
         if (moments.charpoly != p or moments.min_poly not in (None, m)
-                or min_poly_route(g.neighbour_table) != m):
+                or min_poly_route(g.neighbour_table) != m or g.min_poly != m):
             return False
     return True
 

@@ -814,7 +814,7 @@ def test_import_walklab_leaves_the_oracles_out():
     moved = {"charpoly", "_charpoly_mod", "_charpoly_coeff_bound", "_clear_denominators",
              "int_matmul", "_abs_max", "gcd", "_primitive", "derivative", "scale_arg",
              "hoffman_check", "eigenvalue_gate", "run_selfcheck", "_selfcheck_catalog",
-             "_SELFCHECKS", "extract_spectrum", "exact_div", "as_fraction",
+             "_SELFCHECKS", "extract_spectrum", "exact_div", "as_fraction", "min_poly_route",
              "is_quadratic_algebraic_integer", "power_sum", "closed_walk_traces",
              "classify_four_eigenvalue"} | {fn.__name__ for _, fn in oracles._SELFCHECKS}
     assert all(hasattr(oracles, name) for name in moved)

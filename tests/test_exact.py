@@ -33,7 +33,6 @@ from walklab.exact import (
     cyclotomic,
     min_poly_2cos,
     min_poly_factors,
-    min_poly_route,
     moment_route,
     squarefree_part,
 )
@@ -61,6 +60,7 @@ from walklab.oracles import (
     gcd,
     is_quadratic_algebraic_integer,
     mat_identity,
+    min_poly_route,
     radical,
 )
 
@@ -475,6 +475,27 @@ def test_min_poly_route_matches_p_over_gcd_past_t_n(name, g):
     assert min_poly_route(g.neighbour_table) == radical(p) == g.min_poly
 
 
+@pytest.mark.parametrize("name, g", [
+    ("K2", complete_graph(2)),
+    ("C7", cycle(7)),
+    ("C9", cycle(9)),
+    ("C64", cycle(64)),
+    ("cubic n=20", random_regular(20, 3, random.Random(1))),
+    ("4-regular n=30", random_regular(30, 4, random.Random(5))),
+])
+def test_m_a_past_t_n_streams_the_matrix_once(monkeypatch, name, g):
+    # p_A(A) = 0 continues t_0 .. t_n with no matrix: once the route has
+    # run, m_A needs no second trace stream and no Horner step
+    assert g._moments.min_poly is None
+
+    def refused(*args):
+        raise AssertionError("the matrix was read again")
+
+    monkeypatch.setattr(exact, "_trace_stream", refused)
+    monkeypatch.setattr(exact, "_vanishes_at", refused)
+    assert g.min_poly == oracles.radical(g.charpoly)
+
+
 def test_moment_route_runs_on_residues_below_the_int64_line(monkeypatch):
     # with the exact line lowered to 2^31 nearly every power, trace and
     # Horner step runs mod q, also on graphs far below 2^62
@@ -517,7 +538,7 @@ def test_moment_route_matches_the_crt_and_bareiss_on_the_graph_atlas():
             else:
                 assert factors is None, h.name
             certified += 1
-        assert min_poly_route(g.neighbour_table) == m, h.name
+        assert min_poly_route(g.neighbour_table) == m == g.min_poly, h.name
     assert certified == 53  # the others reach t_n first (2s >= n)
 
 

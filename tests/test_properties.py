@@ -69,7 +69,6 @@ from walklab.exact import (
     _trace_form,
     adjacency_times,
     min_poly_factors,
-    min_poly_route,
     moment_route,
     neighbour_table,
     table_matrix,
@@ -100,6 +99,7 @@ from walklab.oracles import (
     hoffman_check,
     int_mat_power,
     int_matmul,
+    min_poly_route,
     radical,
 )
 from walklab.walk import _splits_mod_2, decide_periodic
@@ -209,6 +209,7 @@ def test_moment_route_matches_the_crt_and_bareiss(g):
     if moments.min_poly is not None:
         assert moments.min_poly == m
     assert min_poly_route(g.neighbour_table) == m
+    assert g.min_poly == m
 
 
 @seed(20261031)
