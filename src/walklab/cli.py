@@ -25,8 +25,8 @@ from .feasibility import (
     render_rows,
     render_tables,
 )
-from .expressions import Expression, parse_expr, read_expr
-from .graphs import ExprError, Graph, is_connected, read_decimal
+from .expressions import Expression, ExprError, parse_expr, read_expr
+from .graphs import Graph, is_connected, read_decimal
 from .graphio import load_path, save_path
 from .walk import (
     NotConnectedError,

@@ -1,24 +1,29 @@
-"""Builder expressions read off their structure, with no graph built.
+"""Builder expressions: the grammar, and each expression read off its
+structure, with no graph built.
 
-`read_expr` reads the builder grammar (`graphs._parse`) into
-`Expression` nodes.  Each node has its vertex count, its degree, whether
-it is walk-regular by structure, and its traces t_r = tr A^r in closed
-form from its operands'.  Its m_A, factors and spectrum come from those
-exact traces (`exact.trace_route`), and the rest that `analyze` asks
-from its structure where that decides it, by the same members as a
-graph's; otherwise it asks its built graph (`Expression.graph`).  Only
-a line over an operand of varying degree is built as it is read.
+`_BUILDERS` is the one table of the builders, each with its argument
+kinds, its node and its constructor (`graphs`).  `_parse` reads the
+grammar, and `read_expr` reads it into `Expression` nodes.  Each node
+has its vertex count, its degree, whether it is walk-regular by
+structure, and its traces t_r = tr A^r in closed form from its
+operands'.  Its m_A, factors and spectrum come from those exact traces
+(`exact.trace_route`), and the rest that `analyze` asks from its
+structure where that decides it, by the same members as a graph's;
+otherwise it asks its built graph (`Expression.graph`).  Only a line
+over an operand of varying degree is built as it is read.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import string
 from functools import cached_property
-from typing import Callable
+from typing import Callable, TypeVar
 
+from . import graphs
 from .exact import Moments, Traces, trace_route
 from .graphs import (
-    _BUILDERS,
     _HUGE_COUNT,
     Graph,
     GraphError,
@@ -28,11 +33,21 @@ from .graphs import (
     _cycle_order,
     _hamming_order,
     _kbip_order,
-    _parse,
     _Spectral,
     closed_walks,
     line_graph,
+    read_decimal,
 )
+
+_Node = TypeVar("_Node")
+
+# Builder calls nest at most MAX_NESTING deep, so the recursive descent
+# of `_parse` stays well inside Python's recursion limit (1000 frames).
+MAX_NESTING = 200
+
+
+class ExprError(ValueError):
+    pass
 
 
 class Expression(Traces, _Spectral):
@@ -86,7 +101,7 @@ class Expression(Traces, _Spectral):
     def graph(self) -> Graph:
         """The graph, built by the constructors from its operands' graphs:
         an ordinary `Graph`, asked only what the structure leaves open."""
-        return _BUILDERS[self.name][1](*(a.graph if isinstance(a, Expression) else a
+        return _BUILDERS[self.name][2](*(a.graph if isinstance(a, Expression) else a
                                          for a in self.args))
 
     @cached_property
@@ -229,24 +244,90 @@ def _cart_node(g: Expression, h: Expression) -> tuple:
             lambda r: sum(math.comb(r, j) * t[j] * u[r - j] for j in range(r + 1)))
 
 
-# name: node of `read_expr`, for each builder of `graphs._BUILDERS`
-_NODES = {
-    "cycle": _cycle_node,
-    "kbip": _kbip_node,
-    "hamming": _hamming_node,
-    "hypercube": lambda d: _hamming_node(d, 2),
-    "petersen": _petersen_node,
-    "complete": _complete_node,
-    "line": _line_node,
-    "tensorj": _tensorj_node,
-    "cart": _cart_node,
-    "kron": _kron_node,
-    "bdouble": _bdouble_node,
+# name: (its arguments, i an int and e an expression; its node of
+# `read_expr`; its constructor)
+_BUILDERS = {
+    "cycle": ("i", _cycle_node, graphs.cycle),
+    "kbip": ("ii", _kbip_node, graphs.complete_bipartite),
+    "hamming": ("ii", _hamming_node, graphs.hamming),
+    "hypercube": ("i", lambda d: _hamming_node(d, 2), graphs.hypercube),
+    "petersen": ("", _petersen_node, graphs.petersen),
+    "complete": ("i", _complete_node, graphs.complete_graph),
+    "line": ("e", _line_node, graphs.line_graph),
+    "tensorj": ("ei", _tensorj_node, graphs.tensor_allones),
+    "cart": ("ee", _cart_node, graphs.cartesian_product),
+    "kron": ("ee", _kron_node, graphs.kronecker_product),
+    "bdouble": ("e", _bdouble_node, graphs.bipartite_double),
 }
 
 
+# A token is a name, a number or one of "(),"; any other character that
+# is not whitespace is a token of its own, refused.  ASCII only: the
+# classes name their ranges, as str.isalnum and str.isdigit also accept
+# digits of other scripts, fullwidth forms and superscripts.
+_TOKENS = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[0-9]+|[(),]|\S")
+_TOKEN_STARTS = frozenset(string.ascii_letters + string.digits + "(),")
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens = _TOKENS.findall(text)
+    for token in tokens:
+        if token[0] not in _TOKEN_STARTS:
+            raise ExprError(f"unexpected character {token[0]!r} in expression")
+    return tokens
+
+
+def _parse(text: str, make: Callable[[str, list], _Node]) -> _Node:
+    """The one recursive-descent reading of the grammar: each node
+    `name(arg, ...)` becomes `make(name, args)`, called as soon as its
+    closing parenthesis is read, with its integer arguments as ints and
+    its expression arguments as what `make` returned for them.  A node
+    deeper than MAX_NESTING is refused before it is read."""
+    tokens = _tokenize(text)
+    pos = 0
+
+    def expect(tok: str) -> None:
+        nonlocal pos
+        if pos >= len(tokens) or tokens[pos] != tok:
+            got = tokens[pos] if pos < len(tokens) else "end of input"
+            raise ExprError(f"expected {tok!r}, got {got!r}")
+        pos += 1
+
+    def parse_node(depth: int) -> _Node:
+        nonlocal pos
+        if depth > MAX_NESTING:
+            raise ExprError(f"expression nests builders more than {MAX_NESTING} deep")
+        if pos >= len(tokens):
+            raise ExprError("unexpected end of expression")
+        name = tokens[pos]
+        if name not in _BUILDERS:
+            raise ExprError(f"unknown builder {name!r}")
+        pos += 1
+        expect("(")
+        args: list = []
+        for idx, kind in enumerate(_BUILDERS[name][0]):
+            if idx:
+                expect(",")
+            if kind == "i":
+                if pos >= len(tokens) or not tokens[pos].isdigit():
+                    raise ExprError(f"builder {name!r} expects an integer argument")
+                args.append(read_decimal(tokens[pos]))
+                pos += 1
+            elif pos < len(tokens) and not tokens[pos][0].isalpha():
+                raise ExprError(f"builder {name!r} expects an expression argument")
+            else:
+                args.append(parse_node(depth + 1))
+        expect(")")
+        return make(name, args)
+
+    node = parse_node(1)
+    if pos != len(tokens):
+        raise ExprError(f"trailing input after expression: {tokens[pos]!r}")
+    return node
+
+
 def _read(name: str, args: list, capped: bool) -> Expression:
-    shape = _NODES[name](*args)
+    shape = _BUILDERS[name][1](*args)
     node = shape if isinstance(shape, Expression) else Expression(name, tuple(args), *shape)
     if capped or node.n >= _HUGE_COUNT:
         _check_vertex_count(node.n)

@@ -1,24 +1,21 @@
 """Simple undirected graphs with a canonical vertex ordering,
-constructors for the graph families used in the enumeration, the
-builder grammar over them that the command line and the feasibility
-registry read (`_parse`; the `expressions` module reads it into nodes
-and builds them with `_BUILDERS`), structural predicates, the
-closed-walk counts at every vertex, and exact quadrangle counting.  A
-graph is one read-only neighbour table, its dense adjacency built only
-when read; each product with A is a row gather on the table, and
-`closed_walks` is the one loop of such products that walk-regularity
-and the quadrangle counts read.  One breadth-first 2-colouring over the
-same table, cached per graph, answers both connectivity and
-bipartiteness."""
+constructors for the graph families used in the enumeration (the
+builder grammar that names them lives in `expressions`), structural
+predicates, the closed-walk counts at every vertex, and exact
+quadrangle counting.  A graph is one read-only neighbour table, its
+dense adjacency built only when read; each product with A is a row
+gather on the table, and `closed_walks` is the one loop of such
+products that walk-regularity and the quadrangle counts read.  One
+breadth-first 2-colouring over the same table, cached per graph,
+answers both connectivity and bipartiteness."""
 
 from __future__ import annotations
 
 import itertools
 import os
-import string
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,8 +37,6 @@ from .exact import (
 )
 
 DEFAULT_MAX_VERTICES = 4096
-
-_Node = TypeVar("_Node")
 
 
 class GraphError(ValueError):
@@ -66,10 +61,6 @@ def _max_vertices() -> int:
 # an int that Python refuses to convert to text (more than 4300 digits).
 MAX_DIGITS = 100
 _HUGE_COUNT = 10 ** MAX_DIGITS
-
-# Builder calls nest at most MAX_NESTING deep, so the recursive descent
-# of `_parse` stays well inside Python's recursion limit (1000 frames).
-MAX_NESTING = 200
 
 
 def read_decimal(token: str) -> int:
@@ -454,109 +445,6 @@ def bipartite_double(g: Graph) -> Graph:
     """g tensor K_2; its spectrum is the original one united with its
     negation."""
     return kronecker_product(g, complete_graph(2))
-
-
-# ---------------------------------------------------------------------------
-# builder expressions
-
-
-class ExprError(ValueError):
-    pass
-
-
-# name: (its arguments, i an int and e an expression; its constructor)
-_BUILDERS = {
-    "cycle": ("i", cycle),
-    "kbip": ("ii", complete_bipartite),
-    "hamming": ("ii", hamming),
-    "hypercube": ("i", hypercube),
-    "petersen": ("", petersen),
-    "complete": ("i", complete_graph),
-    "line": ("e", line_graph),
-    "tensorj": ("ei", tensor_allones),
-    "cart": ("ee", cartesian_product),
-    "kron": ("ee", kronecker_product),
-    "bdouble": ("e", bipartite_double),
-}
-
-
-# ASCII only: str.isalnum and str.isdigit also accept digits of other
-# scripts, fullwidth forms and superscripts
-_NAME_CHARS = string.ascii_letters + string.digits + "_"
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "(),":
-            tokens.append(ch)
-            i += 1
-        elif ch in string.ascii_letters:
-            j = i
-            while j < len(text) and text[j] in _NAME_CHARS:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch in string.digits:
-            j = i
-            while j < len(text) and text[j] in string.digits:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ExprError(f"unexpected character {ch!r} in expression")
-    return tokens
-
-
-def _parse(text: str, make: Callable[[str, list], _Node]) -> _Node:
-    """The one recursive-descent reading of the grammar: each node
-    `name(arg, ...)` becomes `make(name, args)`, called as soon as its
-    closing parenthesis is read, with its integer arguments as ints and
-    its expression arguments as what `make` returned for them.  A node
-    deeper than MAX_NESTING is refused before it is read."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def expect(tok: str) -> None:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != tok:
-            got = tokens[pos] if pos < len(tokens) else "end of input"
-            raise ExprError(f"expected {tok!r}, got {got!r}")
-        pos += 1
-
-    def parse_node(depth: int) -> _Node:
-        nonlocal pos
-        if depth > MAX_NESTING:
-            raise ExprError(f"expression nests builders more than {MAX_NESTING} deep")
-        if pos >= len(tokens):
-            raise ExprError("unexpected end of expression")
-        name = tokens[pos]
-        if name not in _BUILDERS:
-            raise ExprError(f"unknown builder {name!r}")
-        pos += 1
-        expect("(")
-        args: list = []
-        for idx, kind in enumerate(_BUILDERS[name][0]):
-            if idx:
-                expect(",")
-            if kind == "i":
-                if pos >= len(tokens) or not tokens[pos].isdigit():
-                    raise ExprError(f"builder {name!r} expects an integer argument")
-                args.append(read_decimal(tokens[pos]))
-                pos += 1
-            else:
-                args.append(parse_node(depth + 1))
-        expect(")")
-        return make(name, args)
-
-    node = parse_node(1)
-    if pos != len(tokens):
-        raise ExprError(f"trailing input after expression: {tokens[pos]!r}")
-    return node
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ modules."""
 import csv
 import io
 import math
+import string
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,10 +16,11 @@ from walklab.exact import (
     Spectrum,
     min_poly_2cos,
 )
+from walklab.expressions import _BUILDERS, ExprError, _parse
 from walklab.feasibility import CSV_FIELDS, FeasibleRow, ThetaClass
 from walklab.graphio import GRAPH6_HEADER, _g6_encode_size
-from walklab.graphs import (_BUILDERS, Graph, GraphError, PartiteSplit, _check_vertex_count,
-                            _parse, is_connected, regularity)
+from walklab.graphs import (Graph, GraphError, PartiteSplit, _check_vertex_count, is_connected,
+                            regularity)
 from walklab.oracles import _clear_denominators, exact_div, is_quadratic_algebraic_integer, scale_arg
 from walklab.walk import NotPeriodic, Periodic
 
@@ -47,10 +49,45 @@ def spectral_quadrangles(s4, n, k):
     return q, 4 * q / n
 
 
+# ASCII only: str.isalnum and str.isdigit also accept digits of other
+# scripts, fullwidth forms and superscripts
+_NAME_CHARS = string.ascii_letters + string.digits + "_"
+
+
+def tokenize_by_scan(text: str) -> list[str]:
+    """Reference for `expressions._tokenize`: one scan over the characters,
+    skipping whitespace, each name, number and one of "()," a token, and
+    any other character refused where it stands."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "(),":
+            tokens.append(ch)
+            i += 1
+        elif ch in string.ascii_letters:
+            j = i
+            while j < len(text) and text[j] in _NAME_CHARS:
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        elif ch in string.digits:
+            j = i
+            while j < len(text) and text[j] in string.digits:
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        else:
+            raise ExprError(f"unexpected character {ch!r} in expression")
+    return tokens
+
+
 def parse_tree(text: str) -> tuple:
     """A builder expression as nested, hashable nodes (name, args), one
     key for the graph however the text is spaced: the builder grammar
-    (`graphs._parse`) with no constructor run."""
+    (`expressions._parse`) with no constructor run."""
     return _parse(text, lambda name, args: (name, tuple(args)))
 
 
@@ -58,7 +95,7 @@ def build_as_read(text: str) -> Graph:
     """Reference for the refusals of `expressions.read_expr`: the graph of
     a builder expression, each node built by its constructor as soon as
     it is read, so each refusal is the constructor's own, at its node."""
-    return _parse(text, lambda name, args: _BUILDERS[name][1](*args))
+    return _parse(text, lambda name, args: _BUILDERS[name][2](*args))
 
 
 def colouring_by_search(g):

@@ -11,6 +11,7 @@ import json
 import os
 import pkgutil
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import walklab
-from walklab import cli, exact, feasibility, graphs, oracles, walk
+from walklab import cli, exact, expressions, feasibility, graphs, oracles, walk
 from walklab.cli import ExprError, _parse_k_range, build_parser, main, parse_args, parse_expr
 from walklab.exact import Poly
 from walklab.graphio import to_graph6
@@ -62,9 +63,8 @@ def test_parse_expr_errors():
             parse_expr(bad)
 
 
-# malformed expressions and the error each one gave before the grammar
-# got its second reading (`parse_tree`): a constructor's refusal still
-# comes before a later syntax error, in the closed-form reading
+# malformed expressions and the error each one gives: a constructor's
+# refusal comes before a later syntax error, in the closed-form reading
 # (`read_expr`) as well
 PARSE_ERRORS = [
     ("tensorj(cycle(2),x)", GraphError, "a cycle needs at least 3 vertices"),
@@ -78,6 +78,12 @@ PARSE_ERRORS = [
     ("cycle(6))", ExprError, "trailing input after expression: ')'"),
     ("cycle(3) (", ExprError, "trailing input after expression: '('"),
     ("cycle()", ExprError, "builder 'cycle' expects an integer argument"),
+    ("line(6)", ExprError, "builder 'line' expects an expression argument"),
+    ("tensorj(6,cycle(6))", ExprError, "builder 'tensorj' expects an expression argument"),
+    ("line()", ExprError, "builder 'line' expects an expression argument"),
+    ("tensorj(,2)", ExprError, "builder 'tensorj' expects an expression argument"),
+    ("line(", ExprError, "unexpected end of expression"),
+    ("line(foo(2))", ExprError, "unknown builder 'foo'"),
     ("unknown(2)", ExprError, "unknown builder 'unknown'"),
     ("", ExprError, "unexpected end of expression"),
     ("cycle(6)$", ExprError, "unexpected character '$' in expression"),
@@ -148,6 +154,15 @@ def test_expr_accepts_only_ascii_letters_and_digits(capsys, expr, ch):
     assert err == f"error: unexpected character {ch!r} in expression\n"
 
 
+def test_the_documented_builders_are_the_builder_table():
+    # every `name(` of the grammar in the help text and in the README
+    help_grammar = cli._HELP.split("builder grammar:\n\n")[1].split("\n\n")[0]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Builder expressions compose and ignore whitespace")[1].split("\n\n")[0]
+    for text in (help_grammar, paragraph):
+        assert set(re.findall(r"([A-Za-z]\w*)\(", text)) == expressions._BUILDERS.keys()
+
+
 def _nested(builder, inner, depth):
     """`inner` wrapped in `depth` calls of a one-argument builder."""
     return f"{builder}(" * depth + inner + ")" * depth
@@ -157,7 +172,7 @@ def test_an_expression_nested_past_the_limit_is_an_input_error(capsys):
     # 1200 frames of the recursive descent would pass Python's recursion
     # limit; the bound refuses the expression before it is read that deep
     for expr in (_nested("bdouble", "cycle(4)", 1200), _nested("line", "cycle(3)", 1200),
-                 _nested("line", "cycle(3)", graphs.MAX_NESTING)):
+                 _nested("line", "cycle(3)", expressions.MAX_NESTING)):
         code, out, err = _run(capsys, "period", "--expr", expr)
         assert (code, out) == (1, "")
         assert err == "error: expression nests builders more than 200 deep\n"
@@ -167,10 +182,10 @@ def test_an_expression_nested_past_the_limit_is_an_input_error(capsys):
 
 def test_an_expression_nested_to_the_limit_parses(capsys):
     # line(C3) is C3 again, so MAX_NESTING builders deep is still a triangle
-    expr = _nested("line", "cycle(3)", graphs.MAX_NESTING - 1)
+    expr = _nested("line", "cycle(3)", expressions.MAX_NESTING - 1)
     assert parse_expr(expr).n == 3
     tree = parse_tree(expr)
-    for _ in range(graphs.MAX_NESTING - 1):
+    for _ in range(expressions.MAX_NESTING - 1):
         name, (tree,) = tree
         assert name == "line"
     assert tree == ("cycle", (3,))

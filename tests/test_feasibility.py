@@ -358,8 +358,8 @@ def test_registry_expressions_build_the_constructor_graphs():
     for key, (label, expr) in REALIZATIONS.items():
         assert np.array_equal(parse_expr(expr).adjacency, REGISTRY_CALLS[key]().adjacency), label
     # the registry is data: feasibility reaches the graphs only by the grammar
-    constructors = {id(fn) for _, fn in graphs._BUILDERS.values()}
-    constructors |= {id(fn) for fn in expressions._NODES.values()}
+    constructors = {id(fn) for _, node, build in expressions._BUILDERS.values()
+                    for fn in (node, build)}
     assert not [name for name, value in vars(feasibility).items() if id(value) in constructors]
     assert not [(key, name) for key, ref in REFERENCE_TABLE.items()
                 for name in ref._fields if callable(getattr(ref, name))]

@@ -14,7 +14,10 @@ identity that the oracle finds.  On random builder expressions with at
 most 200 vertices, the closed-form traces equal those of the built
 graph; on random ones, valid or not, with at most 120 vertices, the
 closed-form reading gives the built graph's refusal, m_A, factors,
-verdict and analyze report, under small vertex caps too.  On random integer matrices with up to
+verdict and analyze report, under small vertex caps too.  On random text
+of ASCII, Unicode whitespace and non-ASCII digits and letters, the
+builder grammar's tokenizer gives the tokens or the refusal of a scan
+over the characters.  On random integer matrices with up to
 30 rows, the CRT charpoly equals the rational Hessenberg oracle and the
 Bareiss interpolation route, and its coefficients lie within the CRT
 bound.
@@ -47,6 +50,7 @@ import itertools
 import json
 import math
 import random
+import string
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -73,7 +77,7 @@ from walklab.exact import (
     neighbour_table,
     table_matrix,
 )
-from walklab.expressions import parse_expr, read_expr
+from walklab.expressions import ExprError, _tokenize, parse_expr, read_expr
 from walklab.feasibility import CSV_FIELDS, ReferenceRow, all_rows, render_rows
 from walklab.graphio import GRAPH6_HEADER, from_edge_list, from_graph6, to_edge_list, to_graph6
 from walklab.graphs import (
@@ -120,6 +124,7 @@ from oracles import (
     poly_str_by_fractions,
     random_regular,
     tensor_allones_dense,
+    tokenize_by_scan,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
@@ -407,6 +412,31 @@ def test_an_expression_reads_as_the_graph_it_builds(drawn, cap):
             path = Path(tmp) / "g.g6"
             path.write_text(to_graph6(built) + "\n", encoding="ascii")
             assert _analyze("--expr", text) == _analyze("--file", str(path))
+
+
+# the grammar's characters, weighted, then whitespace (ASCII, and beyond
+# it what str.isspace accepts), then characters it refuses: ASCII ones, a
+# zero-width space, an Arabic-Indic digit, a superscript and a letter
+_TOKEN_TEXT = st.text(st.sampled_from(
+    (string.ascii_letters + string.digits + "(),") * 3 + "_" + " \t\n\r\x0b\x0c"
+    + "\x1c\x85\xa0\u2003\u2028\u3000" + "$.+-\u200b\u0664\u00b2\u00e9"), max_size=40)
+
+
+def _tokens(tokenize, text):
+    try:
+        return tokenize(text)
+    except ExprError as exc:
+        return str(exc)
+
+
+@seed(20261106)
+@settings(max_examples=500, deadline=None, database=None)
+@given(_TOKEN_TEXT)
+@example("cycle(\u3000 6 )")
+@example("tensorj( cycle(06),x_1)\x85")
+@example("cycl\u00e9(3)")
+def test_the_tokenizer_splits_text_as_the_character_scan_does(text):
+    assert _tokens(_tokenize, text) == _tokens(tokenize_by_scan, text)
 
 
 @seed(20261027)
