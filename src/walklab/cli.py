@@ -95,12 +95,8 @@ def _verdict_json(verdict: Periodic | NotPeriodic) -> dict:
             "period": verdict.period,
             "orders": {str(d): m for d, m in verdict.cyclotomic_orders},
         }
-    out: dict = {"periodic": False}
-    if verdict.witness is not None:
-        out["witness"] = str(verdict.witness)
-    if verdict.residual is not None:
-        out["residual"] = str(verdict.residual)
-    return out
+    key, text = verdict.certificate()
+    return {"periodic": False, key: text}
 
 
 def cmd_period(args: argparse.Namespace) -> int:

@@ -734,6 +734,55 @@ def table_matrix(table: np.ndarray) -> np.ndarray:
     return a
 
 
+def charpoly_mod_2(table: np.ndarray) -> int:
+    """det(xI - A) mod 2 for the 0/1 matrix A of neighbour_table(A), as a
+    bitmask (bit i the coefficient of x^i), with no charpoly over Z.
+
+    Each row of A is an int bitmask, and column j its bit at[j].  The
+    matrix is brought to upper Hessenberg form H over F_2 by similarities,
+    column by column.  A row below the subdiagonal with a 1 in column c is
+    swapped with row c + 1, and the matching column swap swaps their
+    entries of `at`.  Then E, which adds row c + 1 to every lower row S
+    with a 1 in column c, is applied as E A E: E is its own inverse over
+    F_2, and A E adds the columns S to column c + 1, which flips the bit of
+    column c + 1 in each row whose bits in S have odd parity, one pass over
+    the rows.  Rows c + 1 on are 0 in the columns before c, so neither
+    step undoes the zeros made there.  Then p_m, the charpoly of the
+    leading m x m block, follows from p_m = (x + h_(m-1,m-1)) p_(m-1) +
+    sum_(r<m-1) h_(r,m-1) h_(r+1,r) ... h_(m-1,m-2) p_r, the expansion of
+    det(xI - H) along its last column, with signs gone mod 2."""
+    n = len(table)
+    bit = [1 << v for v in range(n)] + [0]  # the padding n sets no bit
+    rows = [sum(bit[w] for w in row) for row in table.tolist()]
+    at = list(range(n))
+    for c in range(n - 2):
+        col = bit[at[c]]
+        pivot = next((i for i in range(c + 1, n) if rows[i] & col), None)
+        if pivot is None:
+            continue
+        rows[pivot], rows[c + 1] = rows[c + 1], rows[pivot]
+        at[pivot], at[c + 1] = at[c + 1], at[pivot]
+        head, lower = rows[c + 1], 0
+        for i in range(c + 2, n):
+            if rows[i] & col:
+                rows[i] ^= head
+                lower |= bit[at[i]]
+        if lower:
+            sub = bit[at[c + 1]]
+            rows = [r ^ sub if (r & lower).bit_count() & 1 else r for r in rows]
+    p = [1]  # p_0 .. p_m
+    for m in range(n):  # p_(m+1) from column m of H
+        j = at[m]
+        acc = p[m] << 1 ^ (p[m] if rows[m] >> j & 1 else 0)
+        for r in range(m - 1, -1, -1):
+            if not rows[r + 1] >> at[r] & 1:  # h_(r+1,r) = 0: the chain of subdiagonals ends
+                break
+            if rows[r] >> j & 1:
+                acc ^= p[r]
+        p.append(acc)
+    return p[n]
+
+
 def exact_dtype(bound: int) -> type:
     """The dtype for exact integer arrays whose entries, and every partial
     sum that forms them, are at most bound in absolute value: int64 below
@@ -999,15 +1048,26 @@ class Traces:
         return (self._grow(r + 1)[r] for r in itertools.count())
 
 
+def _can_be_final(modulus: int, c: Sequence[int], delta: int) -> bool:
+    """Whether the lift of the monic residues c of degree s modulo
+    `modulus` can be m_A: whether modulus exceeds 2 (delta + 1)^s, the sum
+    of the C(s, j) delta^(s-j) that bound the |c_j| of every monic
+    polynomial of degree s whose roots lie in [-delta, delta], as those
+    of m_A do."""
+    return modulus > 2 * (delta + 1) ** (len(c) - 1)
+
+
 def _prime_run(source, q: int, terms: int) -> tuple[list[int], list[int] | None, bool]:
     """Up to `terms` traces of a trace source (`_route`), exact or mod q,
     with Berlekamp-Massey mod q on them; stops at the first candidate c
     that passes.  A trace form of 0 (_trace_form), from exact traces,
-    accepts c over Z.  On a matrix, Horner decides every other candidate,
-    and a run that finds none returns c None.  With no matrix, a rejected
-    candidate only goes on to the next term, and a run that ends returns
-    the generator of all its terms.  Returns the traces, c and whether
-    c(A) = 0 over Z."""
+    accepts c over Z.  On a matrix it is tried on every candidate, as it
+    costs less than the Horner steps that decide every other, and a run
+    that finds none returns c None.  With no matrix it is tried only
+    where the lift can be final (`_can_be_final`), a rejected candidate
+    only goes on to the next term, and a run that ends returns the
+    generator of all its terms.  Returns the traces, c and whether c(A) =
+    0 over Z."""
     traces: list[int] = []
     bm, rejected = _BerlekampMassey(q), None
     for t in itertools.islice(source.stream(q), terms):
@@ -1016,7 +1076,9 @@ def _prime_run(source, q: int, terms: int) -> tuple[list[int], list[int] | None,
         c = bm.candidate()
         if c is None or c == rejected:
             continue
-        if source.exact(2 * len(c) - 1) and _trace_form(c, traces, q) == 0:
+        if (source.exact(2 * len(c) - 1)
+                and (source.vanishes is not None or _can_be_final(q, c, source.delta))
+                and _trace_form(c, traces, q) == 0):
             return traces, c, True
         if source.vanishes is not None:
             zero_mod_q, zero = source.vanishes(c, q)
@@ -1034,6 +1096,7 @@ def _recurrence(source, terms: int, primes: Iterator[int],
     # (b * n delta^(2b))^b, b >= deg m_A, bounds the Hankel determinant of the proof
     hankel_bits = bound * (bound.bit_length() + n.bit_length() + 2 * bound * delta.bit_length())
     best: list[tuple[int, list[int]]] = []  # the runs with the longest recurrence
+    previous = None  # the lift of best before its last run
     bad_bits = 0  # a lower bound on log2 of the product of the dropped primes
     for q in primes:
         traces, c, zero = _prime_run(source, q, terms)
@@ -1047,13 +1110,18 @@ def _recurrence(source, terms: int, primes: Iterator[int],
         else:
             if best and len(c) > len(best[0][1]):
                 bad_bits += sum(p.bit_length() - 1 for p, _ in best)
-                best = []
+                best, previous = [], None
             best.append((q, c))
             lift = _crt([r for _, r in best], [p for p, _ in best])
             modulus = math.prod(p for p, _ in best)
-            if source.vanishes is None:  # exact traces: the trace form decides
-                if _trace_form(lift, traces, modulus) == 0:
+            if source.vanishes is None:
+                # exact traces: the trace form decides, on a lift that can be
+                # final (the run tried the lift of one prime itself)
+                if (len(best) > 1
+                        and (lift == previous or _can_be_final(modulus, lift, delta))
+                        and _trace_form(lift, traces, modulus) == 0):
                     return lift
+                previous = lift
             elif modulus > 2 * sum(abs(x) * delta ** j for j, x in enumerate(lift)):
                 return lift
         if bad_bits > hankel_bits:

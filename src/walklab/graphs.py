@@ -27,6 +27,7 @@ from .exact import (
     Unresolved,
     _factors,
     adjacency_times,
+    charpoly_mod_2,
     exact_dtype,
     min_poly_factors,
     moment_route,
@@ -84,7 +85,13 @@ def _check_vertex_count(n: int) -> None:
 
 class _Spectral:
     """The spectral members a built graph and an expression share, read
-    off `_moments`, what the moment route found (`exact.Moments`)."""
+    off `_moments`, what the moment route found (`exact.Moments`), and
+    p_A mod 2 where it is read without p_A."""
+
+    # p_A mod 2 as a bitmask (`exact.charpoly_mod_2`), or None: a graph
+    # reads it off its table, and an expression, whose factors come from
+    # the m_A of its closed-form traces, has none
+    charpoly_mod_2: int | None = None
 
     @cached_property
     def charpoly(self) -> Poly:
@@ -272,6 +279,12 @@ class Graph(_Spectral):
         return all((w == w[0]).all() for _, w in zip(range(2, r_max + 1), closed_walks(self)))
 
     @cached_property
+    def charpoly_mod_2(self) -> int:
+        """p_A mod 2 off the table, by Hessenberg reduction over F_2
+        (`exact.charpoly_mod_2`), with no moment route."""
+        return charpoly_mod_2(self.neighbour_table)
+
+    @cached_property
     def _moments(self) -> Moments:
         """The moment route on the matrix (`exact.moment_route`)."""
         return moment_route(self.neighbour_table)
@@ -457,9 +470,8 @@ def colouring(g: Graph) -> tuple[int, np.ndarray]:
     component.  A forward scan finds each component's least unreached
     vertex, and one queue over the table's rows, read as lists, reaches
     the rest; it stops once it holds all n vertices, so the search is
-    O(n + m) and reads one row of a complete graph.  The table's padding
-    n gets colour 2, which no vertex has."""
-    n, table = g.n, g.neighbour_table
+    O(n + m).  The table's padding n gets colour 2, which no vertex has."""
+    n, table = g.n, g.neighbour_table.tolist()
     colour = [-1] * n + [2]  # -1: not reached yet
     queue: list[int] = []  # the vertices reached, in the order reached
     head = components = 0
@@ -473,7 +485,7 @@ def colouring(g: Graph) -> tuple[int, np.ndarray]:
             v = queue[head]
             head += 1
             side = 1 - colour[v]
-            for w in table[v].tolist():
+            for w in table[v]:
                 if colour[w] < 0:
                     colour[w] = side
                     queue.append(w)
@@ -499,9 +511,12 @@ def is_bipartite(g: Graph) -> PartiteSplit | None:
 
 
 def regularity(g: Graph) -> int | None:
-    """Common degree, or None when degrees differ."""
-    degs = g.degrees()
-    return degs[0] if all(d == degs[0] for d in degs) else None
+    """Common degree, or None when degrees differ: the table is as wide
+    as the largest degree, and a row of a smaller degree ends in the
+    padding n, so the degrees are equal exactly when no row does."""
+    table = g.neighbour_table
+    width = table.shape[1]
+    return None if width and table[:, -1].max() == g.n else width
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Exact Grover-walk engine: the periodicity decision with exact period,
 read off one list of spectral factors (`factors`), of a built graph or
-of an expression read off its structure (`expressions.Expression`),
-and the walk-regularity check of `analyze` to the depth m_A decides
-(`walk_regular_to`): a graph reads the per-vertex closed-walk counts of
-`graphs.closed_walks` (apart from the traces of the moment route), an
-expression its structure where that decides it.
+of an expression read off its structure (`expressions.Expression`), or
+refuted with no factor list, from p_A mod 2 and the first coefficient
+of p_2T that is not an integer; and the walk-regularity check of
+`analyze` to the depth m_A decides (`walk_regular_to`): a graph reads
+the per-vertex closed-walk counts of `graphs.closed_walks` (apart from
+the traces of the moment route), an expression its structure where
+that decides it.
 The walk matrices, the U-side routes, the biadjacency block identities,
 the eigenvalue gate and the Hoffman identity check are reference
 implementations in `walklab.oracles`.
@@ -58,13 +60,23 @@ class Periodic:
 
 @dataclass(frozen=True)
 class NotPeriodic:
+    """A refutation: the witness lambda/k, or else the coefficient of p_2T
+    that is not an integer (`_coefficient`), as the exponent of its x and
+    its value."""
+
     witness: QuadraticNumber | None
-    residual: Poly | None
+    coefficient: tuple[int, Fraction] | None
+
+    def certificate(self) -> tuple[str, str]:
+        """The certificate's name and text, as `render` and `period
+        --format json` print them."""
+        if self.witness is not None:
+            return "witness", str(self.witness)
+        exponent, value = self.coefficient
+        return "coefficient", f"x^{exponent}:{value}"
 
     def render(self) -> str:
-        if self.witness is not None:
-            return f"NOT PERIODIC witness={self.witness}"
-        return f"NOT PERIODIC residual={self.residual}"
+        return "NOT PERIODIC {}={}".format(*self.certificate())
 
 
 PeriodicityVerdict = Periodic | NotPeriodic
@@ -98,12 +110,12 @@ def _scaled(f: Poly, k: int) -> tuple[int, ...] | None:
     return tuple(q for q, _ in scaled)
 
 
-def _splits_mod_2(p: Poly) -> bool:
-    """Whether p mod 2 is x^a (x + 1)^b (x^2 + x + 1)^c, divided out of
-    its bitmask by long division over F_2.  These three are the monic
-    irreducibles of degree at most 2 over F_2, so every product of monic
-    integer linear and quadratic factors reduces to such a product."""
-    m = sum(1 << i for i, c in enumerate(p.coeffs) if c & 1)
+def _splits_mod_2(m: int) -> bool:
+    """Whether the polynomial over F_2 of the bitmask m (bit i the
+    coefficient of x^i) is x^a (x + 1)^b (x^2 + x + 1)^c, divided out by
+    long division.  These three are the monic irreducibles of degree at
+    most 2 over F_2, so every product of monic integer linear and
+    quadratic factors reduces to such a product."""
     m >>= (m & -m).bit_length() - 1
     for d in (0b11, 0b111):
         while m > 1:
@@ -117,10 +129,19 @@ def _splits_mod_2(p: Poly) -> bool:
     return m == 1
 
 
-def _p2t(p: Poly, k: int) -> Poly:
-    """p_2T = (2/k)^n p(kx/2) for p = p_A of degree n, in Fractions."""
-    n = p.degree()
-    return Poly(Fraction(a << (n - i), k ** (n - i)) for i, a in enumerate(p.coeffs))
+def _coefficient(g: Graph, k: int) -> tuple[int, Fraction] | None:
+    """The least j whose coefficient (2/k)^j a_j of x^(n-j) in p_2T =
+    (2/k)^n p_A(kx/2) is not an integer, a_j that of x^(n-j) in p_A, as
+    (n - j, its value); None when p_2T is integral.  a_1 = -tr A = 0 and
+    a_2 = -nk/2, minus the edge count, gives the value -2n/k: so when k
+    does not divide 2n, j = 2, read off n and k alone."""
+    n = g.n
+    if 2 * n % k:
+        return n - 2, Fraction(-2 * n, k)
+    for j, a in enumerate(reversed(g.charpoly.coeffs)):
+        if (a << j) % k ** j:
+            return n - j, Fraction(a << j, k ** j)
+    return None
 
 
 def decide_periodic(g: Graph) -> PeriodicityVerdict:
@@ -128,44 +149,50 @@ def decide_periodic(g: Graph) -> PeriodicityVerdict:
 
     The eigenvalues of 2T = 2A/k lie in [-2, 2], so by Kronecker's theorem
     the walk is periodic iff every 2*lambda/k is an algebraic integer; each
-    is then 2cos(2*pi*j/d) for some order d.  The verdict is read off the
-    graph's one factor list (`Graph.factors`): each factor f, x - r or
-    x^2 + bx + c, and the monic residual are scaled to (2/k)^deg f(kx/2),
-    whose roots are the 2*lambda/k (`_scaled`).  By Gauss's lemma p_2T =
-    (2/k)^n p_A(kx/2) is in Z[x] exactly when every one of these monic
-    factors is.
+    is then 2cos(2*pi*j/d) for some order d.  By Gauss's lemma that holds
+    exactly when p_2T = (2/k)^n p_A(kx/2), monic with these roots, is in
+    Z[x], and then every monic factor of it is too.  A refutation names
+    the witness lambda/k where the spectrum resolves, and otherwise the
+    first coefficient of p_2T that is not an integer (`_coefficient`),
+    whichever path found it.
 
-    If one is not integral and the residual is 1, the witness is the
-    largest root lambda of the factors whose scaled form is not integral,
-    as lambda/k: each factor is irreducible over Q, so its scaled form is
-    the minimal polynomial of its roots 2*lambda/k, which are algebraic
-    integers exactly when it is integral; the witness is thus the first
-    lambda/k, in descending order, with 2*lambda/k not an algebraic
-    integer.  Otherwise the certificate is p_2T itself, in Fractions.  An
-    integral factor is irreducible with its roots in [-2, 2], so by
-    Kronecker it is the minimal polynomial psi_d of a 2cos value of degree
-    at most 2, and _ORDER_OF_PSI gives its order d.  The residual holds no
-    psi_d of those nine orders (`Graph.factors` split them off), so it is
-    deflated by the psi_d of the other orders only (`Poly.deflate`).  The
-    multiplicity of psi_d is that of Phi_d in the U-charpoly for d >= 3;
-    Phi_1 and Phi_2 add the flat +1 and -1 eigenspaces of U, of dimensions
-    E - n + 1 and E - n + ker, where ker = mult(psi_2) = dim Ker(A + kI).
+    First, where g has p_A mod 2 (`charpoly_mod_2`, read off a graph's
+    table with no p_A), the spectrum is proved not to resolve when p_A
+    mod 2 keeps an irreducible factor of degree at least 3
+    (`_splits_mod_2`): each factor x - r or x^2 + bx + c reduces to a
+    product of x, x + 1 and x^2 + x + 1, the monic irreducibles of degree
+    at most 2 over F_2.  Then no witness can be named, and a coefficient
+    that is not an integer refutes at once: when k does not divide 2n it
+    is that of x^(n-2), known from n and k, with no trace read.  Where
+    p_2T is integral, the factor list decides.
 
-    Where the route certified no m_A, the list would be that of p_A, and
-    a residual other than 1 is proved mod 2 first (`_splits_mod_2`): each
-    factor x - r or x^2 + bx + c reduces to a product of x, x + 1 and
-    x^2 + x + 1, the monic irreducibles of degree at most 2 over F_2.
-    So if p_A mod 2 keeps anything else, an irreducible factor of degree
-    at least 3, p_A is no product of such factors and the residual is
-    not 1.  With p_2T not integral, the verdict is then p_2T, with no
-    factor search.
+    Otherwise the verdict is read off the graph's one factor list
+    (`Graph.factors`): each factor f, x - r or x^2 + bx + c, and the monic
+    residual are scaled to (2/k)^deg f(kx/2), whose roots are the
+    2*lambda/k (`_scaled`).  If one is not integral and the residual is 1,
+    the witness is the largest root lambda of the factors whose scaled
+    form is not integral, as lambda/k: each factor is irreducible over Q,
+    so its scaled form is the minimal polynomial of its roots 2*lambda/k,
+    which are algebraic integers exactly when it is integral; the witness
+    is thus the first lambda/k, in descending order, with 2*lambda/k not
+    an algebraic integer.  With a residual, the refutation is the
+    coefficient.  An integral factor is irreducible with its roots in
+    [-2, 2], so by Kronecker it is the minimal polynomial psi_d of a 2cos
+    value of degree at most 2, and _ORDER_OF_PSI gives its order d.  The
+    residual holds no psi_d of those nine orders (`Graph.factors` split
+    them off), so it is deflated by the psi_d of the other orders only
+    (`Poly.deflate`).  The multiplicity of psi_d is that of Phi_d in the
+    U-charpoly for d >= 3; Phi_1 and Phi_2 add the flat +1 and -1
+    eigenspaces of U, of dimensions E - n + 1 and E - n + ker, where ker =
+    mult(psi_2) = dim Ker(A + kI).
     """
     k = _require_regular_connected(g)
     n = g.n
-    if g._moments.min_poly is None and not _splits_mod_2(g.charpoly):
-        p2t = _p2t(g.charpoly, k)
-        if not p2t.is_integral():
-            return NotPeriodic(witness=None, residual=p2t)
+    mod_2 = g.charpoly_mod_2
+    if mod_2 is not None and not _splits_mod_2(mod_2):
+        coefficient = _coefficient(g, k)
+        if coefficient is not None:
+            return NotPeriodic(witness=None, coefficient=coefficient)
     factors, residual = g.factors
     psis = [(_scaled(f, k), m) for f, m in factors]
     rest = _scaled(residual, k)
@@ -173,8 +200,8 @@ def decide_periodic(g: Graph) -> PeriodicityVerdict:
         if residual.degree() == 0:
             witness = max(root for (f, _), (psi, _) in zip(factors, psis) if psi is None
                           for root in _roots(f))
-            return NotPeriodic(witness=witness / k, residual=None)
-        return NotPeriodic(witness=None, residual=_p2t(g.charpoly, k))
+            return NotPeriodic(witness=witness / k, coefficient=None)
+        return NotPeriodic(witness=None, coefficient=_coefficient(g, k))
     mult: dict[int, int] = {}
     for psi, m in psis:
         if psi not in _ORDER_OF_PSI:

@@ -331,16 +331,18 @@ def witness_by_spectrum(spec, k):
 def decide_periodic_by_fractions(g):
     """Reference for `walk.decide_periodic` on a connected regular graph:
     p_2T = (2/k)^n p_A(kx/2) built in Fraction arithmetic (`scale_arg`),
-    integrality read off its coefficients, and the psi_d sieve by one
-    `divmod` per trial with min_poly_2cos_by_poly."""
+    integrality read off its coefficients, the certificate its non-integral
+    coefficient of highest degree, and the psi_d sieve by one `divmod` per
+    trial with min_poly_2cos_by_poly."""
     k, n = regularity(g), g.n
     p2t = scale_arg(g.charpoly, Fraction(k, 2)) * Fraction(2 ** n, k ** n)
     if not p2t.is_integral():
         spec = g.spectrum
         witness = witness_by_spectrum(spec, k) if isinstance(spec, Spectrum) else None
         if witness is not None:
-            return NotPeriodic(witness=witness, residual=None)
-        return NotPeriodic(witness=None, residual=p2t)
+            return NotPeriodic(witness=witness, coefficient=None)
+        exponent = max(i for i, c in enumerate(p2t.coeffs) if not isinstance(c, int))
+        return NotPeriodic(witness=None, coefficient=(exponent, p2t.coeffs[exponent]))
     mult = {}
     residual, d = p2t, 1
     while residual.degree() > 0:
@@ -355,6 +357,12 @@ def decide_periodic_by_fractions(g):
     mult[2] = 2 * mult.get(2, 0) + g.edge_count - n
     orders = tuple(sorted((d, m) for d, m in mult.items() if m))
     return Periodic(period=math.lcm(*(d for d, _ in orders)), cyclotomic_orders=orders)
+
+
+def mod_2_bits(p):
+    """Reference for `exact.charpoly_mod_2`: the integer polynomial p
+    reduced mod 2, as the bitmask of its odd coefficients."""
+    return sum(1 << i for i, c in enumerate(p.coeffs) if c % 2)
 
 
 def poly_str_by_fractions(p):

@@ -15,6 +15,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -627,9 +628,10 @@ def test_quadrangles_read_a_disconnected_walk_regular_expression_off_its_traces(
 
 
 def test_period_proves_a_residual_mod_2_without_the_factor_search(capsys, monkeypatch, tmp_path):
-    # the bench's period-random shapes: each graph's verdict is its p_2T,
-    # and p_A mod 2 keeps a factor of degree >= 3, so period prints it with
-    # the factor search refusing to run
+    # the bench's period-random shapes: k does not divide 2n, and p_A mod 2
+    # keeps a factor of degree >= 3, so period prints the coefficient of
+    # x^(n-2) in p_2T, -2n/k, with the factor search and the moment route
+    # refusing to run
     rng = random.Random(20261103)
     cases = []
     for k, n in ((3, 16), (3, 20), (5, 42)):
@@ -638,18 +640,39 @@ def test_period_proves_a_residual_mod_2_without_the_factor_search(capsys, monkey
             path = tmp_path / f"k{k}n{n}-{i}.g6"
             path.write_text(to_graph6(g) + "\n", encoding="ascii")
             verdict = decide_periodic_by_fractions(g)
-            if not walk._splits_mod_2(g.charpoly):
+            if not walk._splits_mod_2(g.charpoly_mod_2):
                 cases.append((str(path), verdict.render() + "\n"))
+                assert verdict.coefficient == (n - 2, Fraction(-2 * n, k))
     assert len(cases) >= 7
 
-    def refuse(p):
-        raise AssertionError("the factor search ran")
+    def refuse(*args):
+        raise AssertionError("the factor search or the moment route ran")
 
-    monkeypatch.setattr(exact, "_factors", refuse)
-    monkeypatch.setattr(graphs, "_factors", refuse)
+    for module in (exact, graphs):
+        monkeypatch.setattr(module, "_factors", refuse)
+        monkeypatch.setattr(module, "moment_route", refuse)
     for path, expected in cases:
-        assert expected.startswith("NOT PERIODIC residual=x^")
+        assert expected.startswith("NOT PERIODIC coefficient=x^")
         assert _run(capsys, "period", "--file", path) == (2, expected, "")
+
+
+def test_period_refutes_a_cubic_graph_of_512_vertices_with_no_moment_route(
+        capsys, monkeypatch, tmp_path):
+    # 3 does not divide 2n = 1024 and p_A mod 2, read off the table, keeps
+    # a factor of degree >= 3: the verdict needs no trace, in either format
+    path = tmp_path / "r512.g6"
+    path.write_text(to_graph6(random_regular(512, 3, random.Random(1))) + "\n",
+                    encoding="ascii")
+
+    def refuse(*args):
+        raise AssertionError("the moment route ran")
+
+    monkeypatch.setattr(exact, "moment_route", refuse)
+    monkeypatch.setattr(graphs, "moment_route", refuse)
+    assert _run(capsys, "period", "--file", str(path)) == \
+        (2, "NOT PERIODIC coefficient=x^510:-1024/3\n", "")
+    assert _run(capsys, "period", "--file", str(path), "--format", "json") == \
+        (2, '{"coefficient": "x^510:-1024/3", "periodic": false}\n', "")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ rational Hessenberg oracle and the Bareiss determinant-interpolation
 route, the moment route against the CRT charpoly and Bareiss, the
 Miller-Rabin prime search against trial division, extraction against
 reassembly and against sympy's factorization over Z, ring membership
-against the monic quadratic minimal polynomial.
+against the monic quadratic minimal polynomial, and the Hessenberg
+reduction over F_2 against the CRT charpoly mod 2.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from walklab.exact import (
     _primes_below,
     _trace_form,
     _vanishes_at,
+    charpoly_mod_2,
     cyclotomic,
     min_poly_2cos,
     min_poly_factors,
@@ -37,7 +39,7 @@ from walklab.exact import (
     squarefree_part,
 )
 from walklab.feasibility import REALIZATIONS
-from walklab.expressions import parse_expr
+from walklab.expressions import parse_expr, read_expr
 from walklab.graphs import (
     Graph,
     complete_bipartite,
@@ -72,6 +74,7 @@ from oracles import (
     hessenberg_charpoly,
     kernel_dim,
     min_poly_2cos_by_poly,
+    mod_2_bits,
     order_of_cos_pair,
     random_regular,
     rank,
@@ -397,6 +400,52 @@ def test_the_trace_form_certifies_m_a_on_the_analyze_families_graphs(monkeypatch
     assert horner == []
 
 
+def _count_trace_forms(monkeypatch):
+    """Wrap the trace form to record each call's modulus."""
+    real, calls = exact._trace_form, []
+
+    def counting(c, traces, q):
+        calls.append(q)
+        return real(c, traces, q)
+
+    monkeypatch.setattr(exact, "_trace_form", counting)
+    return calls
+
+
+def test_an_expression_accepts_m_a_on_its_first_prime(monkeypatch):
+    # the bench's analyze expressions: one run and one trace form each, as
+    # one prime bounds every coefficient of a monic polynomial of degree s
+    # with roots in [-delta, delta]
+    forms = _count_trace_forms(monkeypatch)
+    real_run, runs = exact._prime_run, []
+
+    def counting(source, q, terms):
+        runs.append(q)
+        return real_run(source, q, terms)
+
+    monkeypatch.setattr(exact, "_prime_run", counting)
+    exprs = [expr for _, expr in REALIZATIONS.values()]
+    exprs += ["petersen()", "hypercube(6)", "line(hypercube(4))"]
+    for expr in exprs:
+        forms.clear()
+        runs.clear()
+        m = read_expr(expr).min_poly
+        assert m == radical(charpoly(parse_expr(expr).adjacency.tolist())), expr
+        assert (len(runs), len(forms)) == (1, 1), expr
+
+
+def test_the_trace_form_waits_for_a_lift_that_can_be_final(monkeypatch):
+    # the cubic graph of 256 vertices certifies no m_A by t_256, so m_A
+    # comes from its traces continued by p_A's recurrence; m_A = p_A has
+    # coefficients of 211 bits, so its lifts change for seven primes of 31
+    # bits, and the trace form runs once the eighth repeats the lift
+    g = random_regular(256, 3, random.Random(1))
+    assert g._moments.min_poly is None
+    forms = _count_trace_forms(monkeypatch)
+    assert g.min_poly == g.charpoly
+    assert len(forms) <= 2
+
+
 def test_a_forged_recurrence_is_rejected_at_every_prime(monkeypatch):
     # with every candidate forged, no prime certifies: each run reaches
     # t_(2n+1), and once the failed primes would multiply past the Hankel
@@ -539,6 +588,7 @@ def test_moment_route_matches_the_crt_and_bareiss_on_the_graph_atlas():
                 assert factors is None, h.name
             certified += 1
         assert min_poly_route(g.neighbour_table) == m == g.min_poly, h.name
+        assert charpoly_mod_2(g.neighbour_table) == mod_2_bits(p), h.name
     assert certified == 53  # the others reach t_n first (2s >= n)
 
 

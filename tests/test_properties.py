@@ -36,7 +36,11 @@ agree with the triple loop on both sides of the int64 bound, and the
 O(s) symmetry test of a spectrum agrees with the multiset definition.
 No product of monic integer linear and quadratic factors fails the mod-2
 test of `walk._splits_mod_2`, and `Poly.__str__` prints int and Fraction
-coefficients as the Fraction reference does.
+coefficients as the Fraction reference does.  The Hessenberg reduction
+over F_2 gives p_A mod 2 on random regular graphs, bipartite doubles,
+products, and irregular, padded and disconnected tables, K1 and K2
+included; on random regular graphs and blow-ups the verdict and its
+coefficient are those of the Fraction oracle.
 On random graphs with at most 7 vertices (K1, edgeless, complete,
 regular or of any degrees), tensorj, cart, kron, bdouble and line build
 the neighbour tables of their former dense np.kron forms.  The csv and
@@ -72,6 +76,7 @@ from walklab.exact import (
     _factors,
     _trace_form,
     adjacency_times,
+    charpoly_mod_2,
     min_poly_factors,
     moment_route,
     neighbour_table,
@@ -106,7 +111,7 @@ from walklab.oracles import (
     min_poly_route,
     radical,
 )
-from walklab.walk import _splits_mod_2, decide_periodic
+from walklab.walk import NotPeriodic, _splits_mod_2, decide_periodic
 
 from oracles import (
     build_as_read,
@@ -121,6 +126,7 @@ from oracles import (
     kronecker_product_dense,
     line_graph_dense,
     matmul_reference,
+    mod_2_bits,
     poly_str_by_fractions,
     random_regular,
     tensor_allones_dense,
@@ -763,7 +769,7 @@ def split_products(draw):
 def test_a_product_of_linear_and_quadratic_factors_is_never_certified(p):
     # mod 2 each factor is x, x + 1, x^2, x^2 + 1 = (x + 1)^2, x^2 + x or
     # x^2 + x + 1; the factor search splits the product, leaving residual 1
-    assert _splits_mod_2(p)
+    assert _splits_mod_2(mod_2_bits(p))
     assert p.degree() < 1 or _factors(p)[1] == Poly.one()
 
 
@@ -850,3 +856,48 @@ def test_free_text_is_written_as_the_standard_library_writers_write_it(row, comm
     assert csv_text == buf.getvalue()
     assert json_text == json.dumps([dict(zip(CSV_FIELDS, fields))], indent=2,
                                    ensure_ascii=False) + "\n"
+
+
+@st.composite
+def products(draw):
+    """The bipartite double of a low_degree_regular_graphs graph, or the
+    cartesian or Kronecker product of two small_graphs (padded when one
+    is irregular, disconnected when one is, or when both are bipartite)."""
+    kind = draw(st.sampled_from(["bdouble", "cart", "kron"]))
+    if kind == "bdouble":
+        return bipartite_double(draw(low_degree_regular_graphs()))
+    product = cartesian_product if kind == "cart" else kronecker_product
+    return product(draw(small_graphs()), draw(small_graphs()))
+
+
+@seed(20261104)
+@PROPERTY_SETTINGS
+@given(st.one_of(low_degree_regular_graphs(), products(), small_graphs()))
+@example(complete_graph(1))
+@example(complete_graph(2))
+@example(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]))  # a star and an isolated vertex
+@example(random_regular(30, 4, random.Random(5)))
+def test_the_f2_charpoly_is_the_charpoly_mod_2(g):
+    # the Hessenberg reduction over F_2 of the table against p_A of the
+    # moment route reduced mod 2, on regular, irregular (padded) and
+    # disconnected tables
+    assert charpoly_mod_2(g.neighbour_table) == mod_2_bits(g.charpoly)
+    assert g.charpoly_mod_2 == mod_2_bits(charpoly(g.adjacency.tolist()))
+
+
+@seed(20261105)
+@PROPERTY_SETTINGS
+@given(st.one_of(low_degree_regular_graphs(), blow_ups()))
+@example(random_regular(16, 3, random.Random(1)))  # k does not divide 2n
+@example(tensor_allones(random_regular(10, 3, random.Random(1)), 3))
+def test_the_verdict_and_coefficient_equal_those_of_the_fraction_route(g):
+    # the certificate is the non-integral coefficient of p_2T of highest
+    # degree, whether p_A mod 2 proved the residual first or not; the
+    # oracle reads it off p_2T in Fractions
+    expected = decide_periodic_by_fractions(g)
+    assert decide_periodic(g) == expected
+    if isinstance(expected, NotPeriodic) and expected.witness is None:
+        exponent, value = expected.coefficient
+        assert decide_periodic(g).render() == f"NOT PERIODIC coefficient=x^{exponent}:{value}"
+        if 2 * g.n % g.regularity:
+            assert exponent == g.n - 2

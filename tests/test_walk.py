@@ -68,6 +68,7 @@ from walklab.oracles import (
 from oracles import (
     decide_periodic_by_fractions,
     kernel_dim,
+    mod_2_bits,
     order_of_cos_pair,
     orders_dict,
     random_regular,
@@ -289,12 +290,13 @@ def _circulant(n, jumps):
 
 def test_not_periodic_with_residual_certificate():
     # the 9-vertex circulant (1,2) has an unresolvable vertex spectrum;
-    # the integrality test still refutes periodicity and hands back p_2T
+    # the integrality test still refutes periodicity, and 4 does not
+    # divide 2n = 18: the coefficient of x^7 in p_2T is -2n/k = -9/2
     v = decide_periodic(_circulant(9, (1, 2)))
     assert isinstance(v, NotPeriodic)
-    assert v.witness is None and v.residual is not None
-    assert v.residual.degree() > 0
-    assert not v.residual.is_integral()
+    assert v.witness is None and v.coefficient == (7, Fraction(-9, 2))
+    assert v.render() == "NOT PERIODIC coefficient=x^7:-9/2"
+    assert v == decide_periodic_by_fractions(_circulant(9, (1, 2)))
     assert period_oracle(_circulant(9, (1, 2)), 200) is None
 
 
@@ -309,7 +311,7 @@ def test_a_constant_term_alone_off_the_integers_refutes_periodicity():
     assert decide_periodic(g).render() == "PERIODIC period=12 orders={1,2,3,4,6}"
     g.__dict__["factors"] = exact._factors(g.charpoly)
     verdict = decide_periodic(g)
-    assert verdict.render() == "NOT PERIODIC residual=x^12 - 6*x^10 + 9*x^8 - 4*x^6 + 1/4096"
+    assert verdict.render() == "NOT PERIODIC coefficient=x^0:1/4096"
     assert verdict == decide_periodic_by_fractions(g)
 
 
@@ -396,17 +398,20 @@ def test_integer_decision_matches_the_fraction_route_and_the_period_oracle():
 
 def test_the_mod_2_certificate_only_certifies_a_residual_of_p_a():
     # the bench's period-random shapes and a few more, several seeds each:
-    # where the route certified no m_A and p_A mod 2 keeps a factor of
-    # degree >= 3, the factor search leaves a residual of degree >= 3, and
-    # every verdict equals the Fraction route's, also on the cycles, whose
-    # p_2T is integral
+    # where p_A mod 2, read off the table, keeps a factor of degree >= 3,
+    # the factor search leaves a residual of degree >= 3, and every verdict
+    # equals the Fraction route's, also on the cycles, whose p_2T is
+    # integral, and on C6xJ2 and C7xJ3, whose routes certify m_A (C7xJ3
+    # keeps the cubic factor of 2cos(2pi/7) mod 2, with p_2T integral)
     rng = random.Random(20261102)
     graphs = [(f"k={k} n={n}", random_regular(n, k, rng))
               for k, n in ((3, 16), (3, 20), (5, 42), (4, 15), (3, 26)) for _ in range(4)]
     graphs += [(f"C{n}", cycle(n)) for n in range(3, 13)]
+    graphs += [("C6xJ2", tensor_allones(cycle(6), 2)), ("C7xJ3", tensor_allones(cycle(7), 3))]
     certified = 0
     for name, g in graphs:
-        if g._moments.min_poly is None and not walk._splits_mod_2(g.charpoly):
+        assert g.charpoly_mod_2 == mod_2_bits(g.charpoly), name
+        if not walk._splits_mod_2(g.charpoly_mod_2):
             assert exact._factors(g.charpoly)[1].degree() >= 3, name
             certified += 1
         assert decide_periodic(g) == decide_periodic_by_fractions(g), name
