@@ -738,49 +738,48 @@ def charpoly_mod_2(table: np.ndarray) -> int:
     """det(xI - A) mod 2 for the 0/1 matrix A of neighbour_table(A), as a
     bitmask (bit i the coefficient of x^i), with no charpoly over Z.
 
-    Each row of A is an int bitmask, and column j its bit at[j].  The
-    matrix is brought to upper Hessenberg form H over F_2 by similarities,
-    column by column.  A row below the subdiagonal with a 1 in column c is
-    swapped with row c + 1, and the matching column swap swaps their
-    entries of `at`.  Then E, which adds row c + 1 to every lower row S
-    with a 1 in column c, is applied as E A E: E is its own inverse over
-    F_2, and A E adds the columns S to column c + 1, which flips the bit of
-    column c + 1 in each row whose bits in S have odd parity, one pass over
-    the rows.  Rows c + 1 on are 0 in the columns before c, so neither
-    step undoes the zeros made there.  Then p_m, the charpoly of the
-    leading m x m block, follows from p_m = (x + h_(m-1,m-1)) p_(m-1) +
-    sum_(r<m-1) h_(r,m-1) h_(r+1,r) ... h_(m-1,m-2) p_r, the expansion of
-    det(xI - H) along its last column, with signs gone mod 2."""
+    Keller-Gehrig's block-Krylov pass over F_2, on int bitmasks.  A is
+    symmetric, so A u is the XOR of the rows at the set bits of u, read
+    from one 16-entry XOR table per 4 consecutive rows.  Each block starts
+    at e_j, j the lowest position not yet a pivot: every nonzero vector of
+    the span has a pivot as its lowest set bit, so e_j lies outside it.
+    Each later vector, A times the last, is reduced against the echelon
+    basis keyed by lowest set bit, with the bitmask of the m for which it
+    is m(A) e_j plus a vector of earlier blocks; at zero, m is the block's
+    polynomial.  In that basis A is block upper triangular with companion
+    blocks, so p_A mod 2 is the carry-less product of the polynomials."""
     n = len(table)
     bit = [1 << v for v in range(n)] + [0]  # the padding n sets no bit
     rows = [sum(bit[w] for w in row) for row in table.tolist()]
-    at = list(range(n))
-    for c in range(n - 2):
-        col = bit[at[c]]
-        pivot = next((i for i in range(c + 1, n) if rows[i] & col), None)
-        if pivot is None:
-            continue
-        rows[pivot], rows[c + 1] = rows[c + 1], rows[pivot]
-        at[pivot], at[c + 1] = at[c + 1], at[pivot]
-        head, lower = rows[c + 1], 0
-        for i in range(c + 2, n):
-            if rows[i] & col:
-                rows[i] ^= head
-                lower |= bit[at[i]]
-        if lower:
-            sub = bit[at[c + 1]]
-            rows = [r ^ sub if (r & lower).bit_count() & 1 else r for r in rows]
-    p = [1]  # p_0 .. p_m
-    for m in range(n):  # p_(m+1) from column m of H
-        j = at[m]
-        acc = p[m] << 1 ^ (p[m] if rows[m] >> j & 1 else 0)
-        for r in range(m - 1, -1, -1):
-            if not rows[r + 1] >> at[r] & 1:  # h_(r+1,r) = 0: the chain of subdiagonals ends
+    chunks = [[x ^ y for y in (0, r2, r3, r2 ^ r3) for x in (0, r0, r1, r0 ^ r1)]
+              for r0, r1, r2, r3 in zip(*[iter(rows + [0] * 3)] * 4)]
+    basis: dict[int, int] = {}  # lowest set bit -> basis vector
+    p, j = 1, 0
+    while len(basis) < n:
+        while bit[j] in basis:
+            j += 1
+        basis[bit[j]] = bit[j]
+        combos = {bit[j]: 1}  # lowest set bit -> m of this block's vectors
+        u, m = rows[j], 2  # A e_j
+        while True:
+            while w := basis.get(low := u & -u):
+                u ^= w
+                m ^= combos.get(low, 0)
+            if not u:
                 break
-            if rows[r] >> j & 1:
-                acc ^= p[r]
-        p.append(acc)
-    return p[n]
+            basis[low], combos[low] = u, m
+            v, u, m = u, 0, m << 1
+            for xors in chunks:  # u = A v
+                if not v:
+                    break
+                u ^= xors[v & 15]
+                v >>= 4
+        q = 0
+        for i in range(m.bit_length()):  # p * m, carry-less
+            if m >> i & 1:
+                q ^= p << i
+        p = q
+    return p
 
 
 def exact_dtype(bound: int) -> type:

@@ -280,7 +280,7 @@ class Graph(_Spectral):
 
     @cached_property
     def charpoly_mod_2(self) -> int:
-        """p_A mod 2 off the table, by Hessenberg reduction over F_2
+        """p_A mod 2 off the table, by one block-Krylov pass over F_2
         (`exact.charpoly_mod_2`), with no moment route."""
         return charpoly_mod_2(self.neighbour_table)
 

@@ -6,8 +6,8 @@ rational Hessenberg oracle and the Bareiss determinant-interpolation
 route, the moment route against the CRT charpoly and Bareiss, the
 Miller-Rabin prime search against trial division, extraction against
 reassembly and against sympy's factorization over Z, ring membership
-against the monic quadratic minimal polynomial, and the Hessenberg
-reduction over F_2 against the CRT charpoly mod 2.
+against the monic quadratic minimal polynomial, and the block-Krylov
+pass over F_2 against the CRT charpoly mod 2.
 """
 
 import itertools
@@ -590,6 +590,13 @@ def test_moment_route_matches_the_crt_and_bareiss_on_the_graph_atlas():
         assert min_poly_route(g.neighbour_table) == m == g.min_poly, h.name
         assert charpoly_mod_2(g.neighbour_table) == mod_2_bits(p), h.name
     assert certified == 53  # the others reach t_n first (2s >= n)
+
+
+def test_the_f2_charpoly_of_graphs_of_many_krylov_blocks():
+    # K20,20: p_A = x^38 (x^2 - 400), so x^40 mod 2
+    assert charpoly_mod_2(complete_bipartite(20, 20).neighbour_table) == 1 << 40
+    # K30: p_A = (x - 29)(x + 1)^29, so (x + 1)^30 mod 2
+    assert charpoly_mod_2(complete_graph(30).neighbour_table) == mod_2_bits(Poly([1, 1]) ** 30)
 
 
 def test_the_multiplicities_on_m_a_are_solved_from_traces():

@@ -36,11 +36,13 @@ agree with the triple loop on both sides of the int64 bound, and the
 O(s) symmetry test of a spectrum agrees with the multiset definition.
 No product of monic integer linear and quadratic factors fails the mod-2
 test of `walk._splits_mod_2`, and `Poly.__str__` prints int and Fraction
-coefficients as the Fraction reference does.  The Hessenberg reduction
+coefficients as the Fraction reference does.  The block-Krylov pass
 over F_2 gives p_A mod 2 on random regular graphs, bipartite doubles,
-products, and irregular, padded and disconnected tables, K1 and K2
-included; on random regular graphs and blow-ups the verdict and its
-coefficient are those of the Fraction oracle.
+products, and irregular, padded and disconnected tables, K1, K2 and
+graphs of many Krylov blocks (K20,20, K30) included, and on rows wider
+than one word (C67, a cubic graph on 70 vertices); on random regular
+graphs and blow-ups the verdict and its coefficient are those of the
+Fraction oracle.
 On random graphs with at most 7 vertices (K1, edgeless, complete,
 regular or of any degrees), tensorj, cart, kron, bdouble and line build
 the neighbour tables of their former dense np.kron forms.  The csv and
@@ -92,6 +94,7 @@ from walklab.graphs import (
     cartesian_product,
     closed_walks,
     colouring,
+    complete_bipartite,
     complete_graph,
     cycle,
     is_bipartite,
@@ -877,8 +880,13 @@ def products(draw):
 @example(complete_graph(2))
 @example(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]))  # a star and an isolated vertex
 @example(random_regular(30, 4, random.Random(5)))
+@example(complete_bipartite(20, 20))  # many Krylov blocks
+@example(complete_graph(30))
+@example(tensor_allones(cycle(6), 5))
+@example(cycle(67))  # rows wider than one word
+@example(random_regular(70, 3, random.Random(2)))  # and a partial last 4-vertex chunk
 def test_the_f2_charpoly_is_the_charpoly_mod_2(g):
-    # the Hessenberg reduction over F_2 of the table against p_A of the
+    # the block-Krylov pass over F_2 of the table against p_A of the
     # moment route reduced mod 2, on regular, irregular (padded) and
     # disconnected tables
     assert charpoly_mod_2(g.neighbour_table) == mod_2_bits(g.charpoly)
